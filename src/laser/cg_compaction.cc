@@ -38,73 +38,60 @@ size_t VersionMerger::StripeOf(SequenceNumber seq) const {
   return stripe;
 }
 
-std::vector<MergedEntry> VersionMerger::Merge(
-    const std::vector<MergedEntry>& versions) const {
-  std::vector<MergedEntry> out;
-  if (versions.empty()) return out;
+size_t VersionMerger::Fold(std::vector<MergedEntry>* versions, size_t n) {
+  if (n == 0) return 0;
+  MergedEntry* v = versions->data();
 
-  bool have_acc = false;
-  MergedEntry acc;
-  size_t acc_stripe = 0;
-
-  auto emit = [&] {
-    if (have_acc) {
-      out.push_back(acc);
-      have_acc = false;
-    }
+  // v[w] is the accumulator; v[0, w) are already emitted. Entries move only
+  // toward the front (swaps), so every slot keeps a string buffer.
+  size_t w = 0;
+  size_t acc_stripe = StripeOf(v[0].sequence);
+  auto start_new_acc = [&](size_t r, size_t stripe) {
+    ++w;
+    if (w != r) std::swap(v[w], v[r]);
+    acc_stripe = stripe;
   };
 
-  for (const MergedEntry& v : versions) {
-    assert(!have_acc || v.sequence < acc.sequence);
-    const size_t stripe = StripeOf(v.sequence);
-    if (have_acc && stripe != acc_stripe) {
+  for (size_t r = 1; r < n; ++r) {
+    assert(v[r].sequence < v[w].sequence);
+    const size_t stripe = StripeOf(v[r].sequence);
+    if (stripe != acc_stripe) {
       // A snapshot boundary: versions on the older side must stay visible.
-      emit();
-    }
-    if (!have_acc) {
-      acc = v;
-      acc_stripe = stripe;
-      have_acc = true;
+      start_new_acc(r, stripe);
       continue;
     }
-    // Fold v (older) under acc (newer), same stripe.
+    // Fold v[r] (older) under the accumulator (newer), same stripe.
+    MergedEntry& acc = v[w];
     switch (acc.type) {
       case kTypeDeletion:
       case kTypeFullRow:
-        break;  // v is invisible
+        break;  // v[r] is invisible
       case kTypePartialRow:
-        switch (v.type) {
+        switch (v[r].type) {
           case kTypeDeletion:
             // Partial over tombstone: not representable as one entry (the
             // tombstone must still mask deeper values), so emit both.
-            emit();
-            acc = v;
-            acc_stripe = stripe;
-            have_acc = true;
+            start_new_acc(r, stripe);
             break;
           case kTypeFullRow:
-          case kTypePartialRow: {
-            std::string merged =
-                codec_->Merge(cg_, Slice(acc.value), Slice(v.value));
-            acc.value = std::move(merged);
+          case kTypePartialRow:
+            codec_->Merge(cg_, Slice(acc.value), Slice(v[r].value), &scratch_);
+            acc.value.swap(scratch_);
             if (codec_->IsComplete(cg_, Slice(acc.value))) {
               acc.type = kTypeFullRow;
             }
             break;
-          }
         }
         break;
     }
   }
-  emit();
+  size_t emitted = w + 1;
 
   // Bottom level: the oldest emitted entry, if a tombstone, masks nothing —
   // there is no deeper data in this chain — so it is always droppable (a
   // snapshot reader finds nothing either way).
-  if (bottom_level_ && !out.empty() && out.back().type == kTypeDeletion) {
-    out.pop_back();
-  }
-  return out;
+  if (bottom_level_ && v[w].type == kTypeDeletion) --emitted;
+  return emitted;
 }
 
 // ---------------------------------------------------------------------------
@@ -116,69 +103,63 @@ namespace {
 class ProjectingIterator final : public Iterator {
  public:
   ProjectingIterator(std::unique_ptr<Iterator> base, const RowCodec* codec,
-                     ColumnSet parent, ColumnSet child)
-      : base_(std::move(base)),
-        codec_(codec),
-        parent_(std::move(parent)),
-        child_(std::move(child)),
-        identity_(parent_ == child_) {}
+                     const ColumnSet& parent, const ColumnSet& child)
+      : base_(std::move(base)), plan_(codec->PlanProjection(parent, child)) {}
 
   bool Valid() const override { return base_->Valid(); }
 
   void SeekToFirst() override {
     base_->SeekToFirst();
-    SkipEmpty();
+    Project();
   }
   void Seek(const Slice& target) override {
     base_->Seek(target);
-    SkipEmpty();
+    Project();
   }
   void Next() override {
     base_->Next();
-    SkipEmpty();
+    Project();
   }
 
   Slice key() const override { return base_->key(); }
 
   Slice value() const override {
-    if (identity_ || ExtractValueType(base_->key()) == kTypeDeletion) {
-      return base_->value();
-    }
-    projected_ = codec_->Reproject(parent_, child_, base_->value());
-    return Slice(projected_);
+    return projected_valid_ ? Slice(projected_) : base_->value();
   }
 
   Status status() const override { return base_->status(); }
 
  private:
-  /// Skips partial rows that carry none of the child's columns.
-  void SkipEmpty() {
-    if (identity_) return;
-    while (base_->Valid()) {
+  /// Re-encodes the current row for the child, skipping partial rows that
+  /// carry none of the child's columns. Tombstones and identity projections
+  /// pass the base value through.
+  void Project() {
+    projected_valid_ = false;
+    if (plan_.identity()) return;
+    for (; base_->Valid(); base_->Next()) {
       const ValueType type = ExtractValueType(base_->key());
-      if (type != kTypePartialRow) return;
-      projected_ = codec_->Reproject(parent_, child_, base_->value());
-      if (codec_->PresentCount(child_, Slice(projected_)) > 0) return;
-      base_->Next();
+      if (type == kTypeDeletion) return;
+      const int present = plan_.Apply(base_->value(), &projected_);
+      if (present > 0 || type != kTypePartialRow) {
+        projected_valid_ = true;
+        return;
+      }
     }
   }
 
   std::unique_ptr<Iterator> base_;
-  const RowCodec* codec_;
-  const ColumnSet parent_;
-  const ColumnSet child_;
-  const bool identity_;
-  mutable std::string projected_;
+  const ProjectionPlan plan_;
+  std::string projected_;
+  bool projected_valid_ = false;
 };
 
 }  // namespace
 
 std::unique_ptr<Iterator> NewProjectingIterator(std::unique_ptr<Iterator> base,
                                                 const RowCodec* codec,
-                                                ColumnSet parent,
-                                                ColumnSet child) {
-  return std::make_unique<ProjectingIterator>(std::move(base), codec,
-                                              std::move(parent), std::move(child));
+                                                const ColumnSet& parent,
+                                                const ColumnSet& child) {
+  return std::make_unique<ProjectingIterator>(std::move(base), codec, parent, child);
 }
 
 // ---------------------------------------------------------------------------
@@ -348,23 +329,29 @@ Status RunCompaction(const JobContext& ctx, const CompactionJob& job,
     VersionMerger merger(ctx.codec, child_cols, ctx.snapshots, job.to_bottom_level);
     OutputWriter writer(ctx, child_cols, output_level);
 
-    merged->SeekToFirst();
+    // The versions of the current user key live in versions[0, num_versions);
+    // slots past that keep their string buffers for the next key, so the
+    // loop allocates only while a key has more versions than any before it.
     std::string current_user_key;
     std::vector<MergedEntry> versions;
+    size_t num_versions = 0;
+    std::string ikey;
+    std::string scratch;
 
     auto flush_key = [&]() -> Status {
-      if (versions.empty()) return Status::OK();
-      std::vector<MergedEntry> merged_entries = merger.Merge(versions);
-      for (const MergedEntry& e : merged_entries) {
-        const std::string ikey =
-            MakeInternalKey(Slice(current_user_key), e.sequence, e.type);
+      const size_t emitted = merger.Fold(&versions, num_versions);
+      num_versions = 0;
+      for (size_t i = 0; i < emitted; ++i) {
+        const MergedEntry& e = versions[i];
+        ikey.clear();
+        AppendInternalKey(&ikey,
+                          ParsedInternalKey(Slice(current_user_key), e.sequence, e.type));
         LASER_RETURN_IF_ERROR(writer.Add(Slice(ikey), Slice(e.value)));
       }
-      versions.clear();
       return Status::OK();
     };
 
-    for (; merged->Valid(); merged->Next()) {
+    for (merged->SeekToFirst(); merged->Valid(); merged->Next()) {
       ParsedInternalKey parsed;
       if (!ParseInternalKey(merged->key(), &parsed)) {
         return Status::Corruption("bad internal key during compaction");
@@ -373,36 +360,37 @@ Status RunCompaction(const JobContext& ctx, const CompactionJob& job,
         LASER_RETURN_IF_ERROR(flush_key());
         current_user_key.assign(parsed.user_key.data(), parsed.user_key.size());
       }
-      MergedEntry e;
-      e.type = parsed.type;
-      e.sequence = parsed.sequence;
-      e.value = merged->value().ToString();
+      const Slice value = merged->value();
+      ValueType type = parsed.type;
       // A row that was full in its source layout may not cover this output
       // group (the source columns need not contain it). Retype so deeper
       // merging keeps looking for the missing columns.
-      if (e.type == kTypeFullRow &&
-          !ctx.codec->IsComplete(child_cols, Slice(e.value))) {
-        e.type = kTypePartialRow;
+      if (type == kTypeFullRow && !ctx.codec->IsComplete(child_cols, value)) {
+        type = kTypePartialRow;
       }
       // Equal-(key, seq) entries are fragments of one logical write whose
       // columns were split across source groups (or the same tombstone
       // replicated into several of them): recombine into a single entry.
       // VersionMerger requires strictly decreasing sequences per key.
-      if (!versions.empty() && versions.back().sequence == e.sequence) {
-        MergedEntry& prev = versions.back();
-        if (prev.type == kTypeDeletion || e.type == kTypeDeletion) {
+      if (num_versions > 0 && versions[num_versions - 1].sequence == parsed.sequence) {
+        MergedEntry& prev = versions[num_versions - 1];
+        if (prev.type == kTypeDeletion || type == kTypeDeletion) {
           prev.type = kTypeDeletion;
           prev.value.clear();
         } else {
-          prev.value =
-              ctx.codec->Merge(child_cols, Slice(prev.value), Slice(e.value));
+          ctx.codec->Merge(child_cols, Slice(prev.value), value, &scratch);
+          prev.value.swap(scratch);
           prev.type = ctx.codec->IsComplete(child_cols, Slice(prev.value))
                           ? kTypeFullRow
                           : kTypePartialRow;
         }
         continue;
       }
-      versions.push_back(std::move(e));
+      if (num_versions == versions.size()) versions.emplace_back();
+      MergedEntry& e = versions[num_versions++];
+      e.type = type;
+      e.sequence = parsed.sequence;
+      e.value.assign(value.data(), value.size());
     }
     LASER_RETURN_IF_ERROR(merged->status());
     LASER_RETURN_IF_ERROR(flush_key());

@@ -42,8 +42,11 @@ class VersionMerger {
   VersionMerger(const RowCodec* codec, ColumnSet cg,
                 std::vector<SequenceNumber> snapshots, bool bottom_level);
 
-  /// Returns the entries to emit, newest first.
-  std::vector<MergedEntry> Merge(const std::vector<MergedEntry>& versions) const;
+  /// Folds (*versions)[0, n), newest first, in place: the entries to emit,
+  /// newest first, end up in (*versions)[0, result). The other slots keep
+  /// their (stale) string buffers so the caller can reuse them for the next
+  /// key without allocating.
+  size_t Fold(std::vector<MergedEntry>* versions, size_t n);
 
  private:
   /// Index of the snapshot stripe containing `seq` (0 = newest stripe).
@@ -53,16 +56,20 @@ class VersionMerger {
   const ColumnSet cg_;
   const std::vector<SequenceNumber> snapshots_;  // descending
   const bool bottom_level_;
+  std::string scratch_;  // merge output, swapped into the accumulator
 };
 
 /// Wraps an internal-key iterator over rows encoded for `parent`, re-encoding
 /// each value for `child` (no containment required: the intersection of the
 /// two sets is kept, so fragments recombine downstream via the equal-sequence
-/// merge in RunCompaction). Partial rows whose re-encoding is empty are
-/// skipped; tombstones pass through (they must reach every child chain).
+/// merge in RunCompaction). Each row is re-encoded once, through a
+/// ProjectionPlan built for the (parent, child) pair. Partial rows whose
+/// re-encoding is empty are skipped; tombstones pass through (they must
+/// reach every child chain).
 std::unique_ptr<Iterator> NewProjectingIterator(std::unique_ptr<Iterator> base,
                                                 const RowCodec* codec,
-                                                ColumnSet parent, ColumnSet child);
+                                                const ColumnSet& parent,
+                                                const ColumnSet& child);
 
 /// Everything a background job needs from the engine.
 struct JobContext {

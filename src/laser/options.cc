@@ -64,13 +64,6 @@ Status LaserOptions::Finalize() {
   if (wal_sync_policy == WalSyncPolicy::kSyncIntervalMs && wal_sync_interval_ms < 1) {
     return Status::InvalidArgument("wal_sync_interval_ms must be >= 1");
   }
-  if (lazy_leveling_last_level) {
-    // Reserved knob (Dostoevsky-style lazy leveling); reject rather than
-    // silently run a shape the compaction picker doesn't implement.
-    return Status::InvalidArgument(
-        "lazy_leveling_last_level is not implemented yet (ROADMAP item 5 "
-        "carry-over)");
-  }
   if (bloom_total_bits_budget < 0) {
     return Status::InvalidArgument("bloom_total_bits_budget must be >= 0");
   }

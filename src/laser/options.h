@@ -114,12 +114,6 @@ struct LaserOptions {
   /// memory uniform would have.
   double bloom_total_bits_budget = 0;
 
-  /// Lazy-leveling stub (Dostoevsky): tier the upper levels, level only the
-  /// last. Reserved but NOT implemented by the compaction picker —
-  /// Finalize() rejects `true` so no config can silently claim a shape the
-  /// engine doesn't run. Carry-over in ROADMAP item 5.
-  bool lazy_leveling_last_level = false;
-
   /// Derived by Finalize(): bits-per-key each level's SST builder uses,
   /// num_levels entries. Uniform: bloom_bits_per_key everywhere. Monkey:
   /// the solver's allocation over expected level capacities.

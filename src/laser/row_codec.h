@@ -19,6 +19,60 @@
 
 namespace laser {
 
+/// Presence-bitmap helpers of the row layout: bit i of the bitmap is set
+/// when the CG's i-th column is present.
+namespace row_bitmap {
+inline size_t Bytes(size_t columns) { return (columns + 7) / 8; }
+inline bool Test(const char* bitmap, size_t i) { return (bitmap[i / 8] >> (i % 8)) & 1; }
+inline void Set(char* bitmap, size_t i) {
+  bitmap[i / 8] |= static_cast<char>(1 << (i % 8));
+}
+}  // namespace row_bitmap
+
+/// Byte layout for re-encoding rows of one CG (`from`) as rows of another
+/// (`to`), computed once per CG pair. A complete source row has every value
+/// at a fixed offset, so it projects with one memcpy per contiguous run of
+/// kept columns and a precomputed presence bitmap; a partial row takes one
+/// walk over its presence bitmap. Neither path decodes a value. The output
+/// is byte-for-byte what decoding, filtering to `to` and re-encoding gives.
+/// Built by RowCodec::PlanProjection.
+class ProjectionPlan {
+ public:
+  /// Re-encodes `data`, a row of `from`, for `to` into *out (replacing its
+  /// contents; must not alias `data`). Returns the number of columns present
+  /// in the result, which may be 0 when the row carries none of `to`'s
+  /// columns.
+  int Apply(const Slice& data, std::string* out) const;
+
+  /// True when `from` == `to`: rows pass through unchanged.
+  bool identity() const { return identity_; }
+
+ private:
+  friend class RowCodec;
+  ProjectionPlan(const Schema& schema, const ColumnSet& from, const ColumnSet& to);
+
+  struct SourceColumn {
+    int target;      // index in `to`, or -1 when `to` drops the column
+    uint32_t width;  // value bytes
+  };
+  struct CopyRun {
+    uint32_t src_offset;  // in a complete source row
+    uint32_t length;      // bytes; appended to the output in run order
+  };
+
+  bool identity_;
+  size_t from_bitmap_bytes_;
+  size_t to_bitmap_bytes_;
+  std::vector<SourceColumn> from_columns_;
+  std::string from_full_bitmap_;  // `from` bitmap with every column present
+  size_t from_full_size_;         // bytes of a complete `from` row
+  // Output of a complete source row: bitmap, then the runs' bytes.
+  std::string complete_bitmap_;
+  std::vector<CopyRun> complete_runs_;
+  size_t complete_size_;
+  int complete_present_;
+};
+
 class RowCodec {
  public:
   explicit RowCodec(const Schema* schema) : schema_(schema) {}
@@ -38,17 +92,17 @@ class RowCodec {
   /// payload before any value is emitted.
   template <typename Fn>
   Status DecodeForEach(const ColumnSet& cg, const Slice& data, Fn&& fn) const {
-    const size_t bitmap_bytes = BitmapBytes(cg);
+    const size_t bitmap_bytes = row_bitmap::Bytes(cg.size());
     if (data.size() < bitmap_bytes) return Status::Corruption("row too short");
     const char* bitmap = data.data();
     size_t needed = bitmap_bytes;
     for (size_t i = 0; i < cg.size(); ++i) {
-      if (BitmapTest(bitmap, i)) needed += schema_->value_size(cg[i]);
+      if (row_bitmap::Test(bitmap, i)) needed += schema_->value_size(cg[i]);
     }
     if (data.size() < needed) return Status::Corruption("row value overrun");
     const char* p = data.data() + bitmap_bytes;
     for (size_t i = 0; i < cg.size(); ++i) {
-      if (!BitmapTest(bitmap, i)) continue;
+      if (!row_bitmap::Test(bitmap, i)) continue;
       fn(i, DecodeValue(cg[i], p));
       p += schema_->value_size(cg[i]);
     }
@@ -58,23 +112,22 @@ class RowCodec {
   /// True iff every column of `cg` is present in `data`.
   bool IsComplete(const ColumnSet& cg, const Slice& data) const;
 
-  /// Merges two encodings of the same CG: `newer` wins on columns present in
-  /// both; the union of presence is kept (the §4.2 compaction merge).
-  std::string Merge(const ColumnSet& cg, const Slice& newer,
-                    const Slice& older) const;
+  /// Merges two encodings of the same CG into *out (replacing its contents;
+  /// must not alias either input): `newer` wins on columns present in both;
+  /// the union of presence is kept (the §4.2 compaction merge). Works on the
+  /// encoded bytes: no value is decoded.
+  void Merge(const ColumnSet& cg, const Slice& newer, const Slice& older,
+             std::string* out) const;
 
-  /// Re-encodes the columns of `child` (child ⊆ parent) out of a row encoded
-  /// for `parent`. Used when compaction changes the layout (§4.4). The result
-  /// may be empty-presence if none of the child's columns are present; the
-  /// caller drops such entries.
-  std::string Project(const ColumnSet& parent, const ColumnSet& child,
-                      const Slice& data) const;
+  /// Precomputes how rows of `from` re-encode as rows of `to` (see
+  /// ProjectionPlan). Build once per CG pair, apply per row.
+  ProjectionPlan PlanProjection(const ColumnSet& from, const ColumnSet& to) const;
 
-  /// Like Project but without the containment requirement: keeps whatever
-  /// columns of `to` are present in a row encoded for `from` (their
-  /// intersection at most). Equals Project when to ⊆ from. This is what lets
-  /// compaction and design morphing move rows between arbitrary layouts:
-  /// fragments re-encoded this way recombine via Merge when they meet.
+  /// One-shot PlanProjection(from, to).Apply(data): keeps whatever columns of
+  /// `to` are present in a row encoded for `from` (their intersection at
+  /// most; no containment required). This is what lets compaction and
+  /// design morphing move rows between arbitrary layouts: fragments
+  /// re-encoded this way recombine via Merge when they meet.
   std::string Reproject(const ColumnSet& from, const ColumnSet& to,
                         const Slice& data) const;
 
@@ -104,12 +157,6 @@ class RowCodec {
   }
 
  private:
-  static size_t BitmapBytes(const ColumnSet& cg) { return (cg.size() + 7) / 8; }
-  static bool BitmapTest(const char* bitmap, size_t i) {
-    return (bitmap[i / 8] >> (i % 8)) & 1;
-  }
-  static void BitmapSet(char* bitmap, size_t i) { bitmap[i / 8] |= (1 << (i % 8)); }
-
   /// Writes a value at `dst` using the column's width.
   void EncodeValue(int column, ColumnValue value, std::string* dst) const;
 

@@ -15,6 +15,21 @@ SstBuilder::SstBuilder(const SstBuildOptions& options,
       filter_(options.bloom_bits_per_key) {
   props_.smallest_seq = kMaxSequenceNumber;
   zone_accum_.resize(options_.zone_columns.size());
+  zone_fold_.resize(options_.zone_columns.size());
+
+  // Layout of a complete row: every presence bit set, each value at a fixed
+  // offset. Only usable when every width is one the walk accepts.
+  const size_t num_cols = options_.zone_columns.size();
+  zone_full_bitmap_.assign((num_cols + 7) / 8, '\0');
+  zone_full_size_ = zone_full_bitmap_.size();
+  zone_full_offsets_.reserve(num_cols);
+  for (size_t i = 0; i < num_cols; ++i) {
+    zone_full_bitmap_[i / 8] |= static_cast<char>(1 << (i % 8));
+    const uint32_t width = options_.zone_columns[i].width;
+    if (width != 4 && width != 8) zone_full_row_ok_ = false;
+    zone_full_offsets_.push_back(static_cast<uint32_t>(zone_full_size_));
+    zone_full_size_ += width;
+  }
 }
 
 void SstBuilder::Add(const Slice& internal_key, const Slice& value) {
@@ -31,7 +46,7 @@ void SstBuilder::Add(const Slice& internal_key, const Slice& value) {
   }
 
   if (smallest_key_.empty()) smallest_key_ = internal_key.ToString();
-  largest_key_ = internal_key.ToString();
+  largest_key_.assign(internal_key.data(), internal_key.size());
 
   filter_.AddKey(ExtractUserKey(internal_key));
   const SequenceNumber seq = ExtractSequence(internal_key);
@@ -67,11 +82,7 @@ void SstBuilder::AccumulateZone(const Slice& internal_key, const Slice& value) {
     zone_current_.single_version = true;
     zone_current_.num_entries = 0;
     zone_current_.largest_seq = 0;
-    for (ZoneMapColumn& accum : zone_accum_) {
-      accum.has_values = false;
-      accum.count = 0;
-      accum.sum = 0;
-    }
+    for (ZoneFold& fold : zone_fold_) fold = ZoneFold{};
     // A user key straddling a block boundary ties the two blocks together:
     // neither may be skipped without the other (the winning version of the
     // straddling key could live in either).
@@ -102,13 +113,29 @@ void SstBuilder::AccumulateZone(const Slice& internal_key, const Slice& value) {
   // re-derived here from zone_columns so the sst layer needs no laser
   // dependency).
   const size_t num_cols = options_.zone_columns.size();
-  const size_t bitmap_bytes = (num_cols + 7) / 8;
+  const size_t bitmap_bytes = zone_full_bitmap_.size();
   if (value.size() < bitmap_bytes) {
     zone_valid_ = false;
     zone_blocks_.clear();
     return;
   }
-  const uint8_t* bitmap = reinterpret_cast<const uint8_t*>(value.data());
+  const char* bitmap = value.data();
+
+  // Complete row: every value sits at a fixed offset.
+  bool complete = zone_full_row_ok_ && value.size() >= zone_full_size_;
+  for (size_t b = 0; complete && b < bitmap_bytes; ++b) {
+    complete = (bitmap[b] & zone_full_bitmap_[b]) == zone_full_bitmap_[b];
+  }
+  if (complete) {
+    for (size_t i = 0; i < num_cols; ++i) {
+      const char* src = value.data() + zone_full_offsets_[i];
+      zone_fold_[i].Add(options_.zone_columns[i].width == 4 ? DecodeFixed32(src)
+                                                             : DecodeFixed64(src));
+    }
+    return;
+  }
+
+  // Partial row: walk the presence bitmap.
   const char* cursor = value.data() + bitmap_bytes;
   const char* end = value.data() + value.size();
   for (size_t i = 0; i < num_cols; ++i) {
@@ -119,19 +146,8 @@ void SstBuilder::AccumulateZone(const Slice& internal_key, const Slice& value) {
       zone_blocks_.clear();
       return;
     }
-    const uint64_t v = width == 4 ? DecodeFixed32(cursor) : DecodeFixed64(cursor);
+    zone_fold_[i].Add(width == 4 ? DecodeFixed32(cursor) : DecodeFixed64(cursor));
     cursor += width;
-    ZoneMapColumn& accum = zone_accum_[i];
-    if (!accum.has_values) {
-      accum.has_values = true;
-      accum.min = v;
-      accum.max = v;
-    } else {
-      if (v < accum.min) accum.min = v;
-      if (v > accum.max) accum.max = v;
-    }
-    accum.count++;
-    accum.sum += v;
   }
 }
 
@@ -149,8 +165,18 @@ void SstBuilder::FlushDataBlock() {
       zone_current_.block_offset = pending_handle_.offset;
       zone_current_.cols.clear();
       for (size_t i = 0; i < zone_accum_.size(); ++i) {
-        ZoneMapColumn col = zone_accum_[i];
+        // A column with no values in this block keeps the previous block's
+        // min/max (has_values tells readers to ignore them).
+        ZoneMapColumn& col = zone_accum_[i];
+        const ZoneFold& fold = zone_fold_[i];
         col.column = options_.zone_columns[i].column;
+        col.has_values = fold.count > 0;
+        if (col.has_values) {
+          col.min = fold.lo;
+          col.max = fold.hi;
+        }
+        col.count = fold.count;
+        col.sum = fold.sum;
         zone_current_.cols.push_back(col);
       }
       zone_blocks_.push_back(zone_current_);

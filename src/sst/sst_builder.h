@@ -66,6 +66,22 @@ class SstBuilder {
   Status status() const { return status_; }
 
  private:
+  /// One column's fold over the open data block. lo/hi start at the
+  /// identities of min/max, so folding a value needs no branch.
+  struct ZoneFold {
+    uint64_t lo = ~uint64_t{0};
+    uint64_t hi = 0;
+    uint64_t count = 0;
+    uint64_t sum = 0;
+
+    void Add(uint64_t v) {
+      lo = v < lo ? v : lo;
+      hi = v > hi ? v : hi;
+      ++count;
+      sum += v;
+    }
+  };
+
   void FlushDataBlock();
   /// Writes `contents` with the block trailer; sets *handle.
   void WriteBlock(const Slice& contents, CompressionType type, BlockHandle* handle);
@@ -95,8 +111,16 @@ class SstBuilder {
   bool zone_valid_ = true;
   bool zone_block_open_ = false;
   ZoneMapEntry zone_current_;               // cols stay empty until flush
-  std::vector<ZoneMapColumn> zone_accum_;   // parallel to zone_columns
+  std::vector<ZoneFold> zone_fold_;         // open block, parallel to zone_columns
+  std::vector<ZoneMapColumn> zone_accum_;   // last flushed summary per column
   std::vector<ZoneMapEntry> zone_blocks_;   // finished blocks, file order
+  // Complete-row layout over zone_columns: the all-present bitmap, the row's
+  // byte size, each value's offset, and whether every width is 4 or 8 (the
+  // fixed-offset path is taken only then).
+  std::string zone_full_bitmap_;
+  size_t zone_full_size_ = 0;
+  std::vector<uint32_t> zone_full_offsets_;
+  bool zone_full_row_ok_ = true;
 };
 
 }  // namespace laser

@@ -1,6 +1,21 @@
 #include "util/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#include "util/crc32c_internal.h"
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#define LASER_CRC32C_SSE42 1
+#elif defined(__aarch64__) && defined(__linux__)
+#include <arm_acle.h>
+#include <sys/auxv.h>
+#ifndef HWCAP_CRC32
+#define HWCAP_CRC32 (1 << 7)
+#endif
+#define LASER_CRC32C_ARMV8 1
+#endif
 
 namespace laser::crc32c {
 
@@ -32,9 +47,83 @@ const Table& GetTable() {
   return table;
 }
 
+// The hardware loops consume the unaligned head a byte at a time, then one
+// little-endian 64-bit word per instruction, then the tail bytes. Both
+// instructions implement the same reflected Castagnoli CRC as the table, so
+// the pre/post inversion is shared.
+#if defined(LASER_CRC32C_SSE42)
+
+__attribute__((target("sse4.2"))) uint32_t ExtendHardware(uint32_t init_crc,
+                                                          const char* data, size_t n) {
+  const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
+  uint32_t crc = init_crc ^ 0xffffffffu;
+  for (; n > 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0; --n) {
+    crc = _mm_crc32_u8(crc, *p++);
+  }
+  uint64_t crc64 = crc;
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t word;
+    memcpy(&word, p, sizeof(word));
+    crc64 = _mm_crc32_u64(crc64, word);
+  }
+  crc = static_cast<uint32_t>(crc64);
+  for (; n > 0; --n) crc = _mm_crc32_u8(crc, *p++);
+  return crc ^ 0xffffffffu;
+}
+
+bool CpuHasCrc32c() {
+  // The first checksum may run during static initialization, before the
+  // runtime has probed the CPU.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+}
+
+#elif defined(LASER_CRC32C_ARMV8)
+
+#if defined(__clang__)
+#define LASER_TARGET_CRC __attribute__((target("crc")))
+#else
+#define LASER_TARGET_CRC __attribute__((target("+crc")))
+#endif
+
+LASER_TARGET_CRC uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n) {
+  const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
+  uint32_t crc = init_crc ^ 0xffffffffu;
+  for (; n > 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0; --n) {
+    crc = __crc32cb(crc, *p++);
+  }
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t word;
+    memcpy(&word, p, sizeof(word));
+    crc = __crc32cd(crc, word);
+  }
+  for (; n > 0; --n) crc = __crc32cb(crc, *p++);
+  return crc ^ 0xffffffffu;
+}
+
+bool CpuHasCrc32c() { return (getauxval(AT_HWCAP) & HWCAP_CRC32) != 0; }
+
+#endif
+
+using ExtendFn = uint32_t (*)(uint32_t, const char*, size_t);
+
+ExtendFn ChooseExtend() {
+#if defined(LASER_CRC32C_SSE42) || defined(LASER_CRC32C_ARMV8)
+  if (CpuHasCrc32c()) return ExtendHardware;
+#endif
+  return internal::ExtendPortable;
+}
+
+ExtendFn Dispatched() {
+  static const ExtendFn fn = ChooseExtend();
+  return fn;
+}
+
 }  // namespace
 
-uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+namespace internal {
+
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) {
   const Table& tab = GetTable();
   const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
   uint32_t crc = init_crc ^ 0xffffffffu;
@@ -53,6 +142,14 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
     --n;
   }
   return crc ^ 0xffffffffu;
+}
+
+bool HardwareAccelerated() { return Dispatched() != ExtendPortable; }
+
+}  // namespace internal
+
+uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+  return Dispatched()(init_crc, data, n);
 }
 
 }  // namespace laser::crc32c

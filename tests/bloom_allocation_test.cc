@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "cost/bloom_allocation.h"
@@ -171,8 +172,10 @@ TEST(BloomAllocationTest, ZeroWeightLevelGetsNoFilterButKeepsBudgetEqual) {
 // -- LaserOptions plumbing --
 
 LaserOptions BaseOptions() {
+  // Finalize only reads the env pointer; one MemEnv serves every test.
+  static const std::unique_ptr<Env> env = NewMemEnv();
   LaserOptions options;
-  options.env = NewMemEnv().release();  // leaked: tests only
+  options.env = env.get();
   options.path = "/alloc_test";
   options.schema = Schema::UniformInt32(8);
   options.num_levels = 8;
@@ -218,12 +221,6 @@ TEST(BloomAllocationTest, ExplicitTotalBudgetOverridesBitsPerKey) {
   for (int level = 0; level < 8; ++level) {
     EXPECT_NEAR(options.bloom_bits_for_level(level), 4.0, 1e-9) << level;
   }
-}
-
-TEST(BloomAllocationTest, LazyLevelingKnobIsRejectedUntilImplemented) {
-  LaserOptions options = BaseOptions();
-  options.lazy_leveling_last_level = true;
-  EXPECT_TRUE(options.Finalize().IsInvalidArgument());
 }
 
 }  // namespace

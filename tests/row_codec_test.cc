@@ -1,7 +1,11 @@
 // RowCodec tests: presence bitmaps, partial rows, merge semantics (§4.2),
-// projection for layout-changing compaction (§4.4), column-set helpers.
+// projection for layout-changing compaction (§4.4), column-set helpers, and
+// differential tests of the byte-level Merge and ProjectionPlan against a
+// decode -> filter -> encode reference.
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "laser/row_codec.h"
 #include "laser/schema.h"
@@ -59,7 +63,8 @@ TEST_F(RowCodecTest, MergeNewerWins) {
   const std::string older =
       codec_.Encode(cg, {{1, 10}, {2, 20}, {3, 30}});
   const std::string newer = codec_.Encode(cg, {{2, 99}, {4, 44}});
-  const std::string merged = codec_.Merge(cg, Slice(newer), Slice(older));
+  std::string merged;
+  codec_.Merge(cg, Slice(newer), Slice(older), &merged);
   std::vector<ColumnValuePair> decoded;
   ASSERT_TRUE(codec_.Decode(cg, Slice(merged), &decoded).ok());
   const std::vector<ColumnValuePair> expected = {
@@ -74,7 +79,8 @@ TEST_F(RowCodecTest, MergePaperExample) {
   const ColumnSet cg = MakeColumnRange(1, 4);
   const std::string full = codec.Encode(cg, {{1, 'a'}, {2, 'b'}, {3, 'c'}, {4, 'd'}});
   const std::string partial = codec.Encode(cg, {{2, 'B'}, {3, 'C'}});
-  const std::string merged = codec.Merge(cg, Slice(partial), Slice(full));
+  std::string merged;
+  codec.Merge(cg, Slice(partial), Slice(full), &merged);
   EXPECT_TRUE(codec.IsComplete(cg, Slice(merged)));
   std::vector<ColumnValuePair> decoded;
   ASSERT_TRUE(codec.Decode(cg, Slice(merged), &decoded).ok());
@@ -83,13 +89,13 @@ TEST_F(RowCodecTest, MergePaperExample) {
   EXPECT_EQ(decoded, expected);
 }
 
-TEST_F(RowCodecTest, ProjectSelectsChildColumns) {
+TEST_F(RowCodecTest, ReprojectSelectsChildColumns) {
   const ColumnSet parent = MakeColumnRange(1, 8);
   const ColumnSet child = {3, 4};
   std::vector<ColumnValuePair> values;
   for (int c = 1; c <= 8; ++c) values.push_back({c, static_cast<uint64_t>(c)});
   const std::string encoded = codec_.Encode(parent, values);
-  const std::string projected = codec_.Project(parent, child, Slice(encoded));
+  const std::string projected = codec_.Reproject(parent, child, Slice(encoded));
   std::vector<ColumnValuePair> decoded;
   ASSERT_TRUE(codec_.Decode(child, Slice(projected), &decoded).ok());
   const std::vector<ColumnValuePair> expected = {{3, 3}, {4, 4}};
@@ -97,11 +103,11 @@ TEST_F(RowCodecTest, ProjectSelectsChildColumns) {
   EXPECT_TRUE(codec_.IsComplete(child, Slice(projected)));
 }
 
-TEST_F(RowCodecTest, ProjectPartialMayBeEmpty) {
+TEST_F(RowCodecTest, ReprojectPartialMayBeEmpty) {
   const ColumnSet parent = MakeColumnRange(1, 8);
   const ColumnSet child = {7, 8};
   const std::string partial = codec_.Encode(parent, {{1, 1}, {2, 2}});
-  const std::string projected = codec_.Project(parent, child, Slice(partial));
+  const std::string projected = codec_.Reproject(parent, child, Slice(partial));
   EXPECT_EQ(codec_.PresentCount(child, Slice(projected)), 0);
 }
 
@@ -171,7 +177,9 @@ TEST_P(RowCodecMergeProperty, FoldMatchesDirectResolution) {
   std::string acc = codec.Encode(cg, versions.back());
   for (int v = static_cast<int>(versions.size()) - 2; v >= 0; --v) {
     const std::string older = codec.Encode(cg, versions[v]);
-    acc = codec.Merge(cg, Slice(acc), Slice(older));
+    std::string merged;
+    codec.Merge(cg, Slice(acc), Slice(older), &merged);
+    acc = std::move(merged);
   }
 
   std::vector<ColumnValuePair> decoded;
@@ -183,6 +191,165 @@ TEST_P(RowCodecMergeProperty, FoldMatchesDirectResolution) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RowCodecMergeProperty, ::testing::Range(0, 25));
+
+// ------------------------------------- byte-level codec vs the reference --
+
+// The reference semantics the byte-level paths must reproduce exactly.
+std::string ReferenceReproject(const RowCodec& codec, const ColumnSet& from,
+                               const ColumnSet& to, const Slice& data) {
+  std::vector<ColumnValuePair> values;
+  EXPECT_TRUE(codec.Decode(from, data, &values).ok());
+  std::vector<ColumnValuePair> kept;
+  for (const ColumnValuePair& v : values) {
+    if (ColumnSetContains(to, v.column)) kept.push_back(v);
+  }
+  return codec.Encode(to, kept);
+}
+
+std::string ReferenceMerge(const RowCodec& codec, const ColumnSet& cg,
+                           const Slice& newer, const Slice& older) {
+  std::vector<ColumnValuePair> newer_values;
+  std::vector<ColumnValuePair> older_values;
+  EXPECT_TRUE(codec.Decode(cg, newer, &newer_values).ok());
+  EXPECT_TRUE(codec.Decode(cg, older, &older_values).ok());
+  std::map<int, ColumnValue> merged;
+  for (const ColumnValuePair& v : older_values) merged[v.column] = v.value;
+  for (const ColumnValuePair& v : newer_values) merged[v.column] = v.value;
+  std::vector<ColumnValuePair> pairs;
+  for (const auto& [column, value] : merged) pairs.push_back({column, value});
+  return codec.Encode(cg, pairs);
+}
+
+class CodecDifferential : public ::testing::TestWithParam<int> {
+ protected:
+  CodecDifferential() : rng_(GetParam() + 1) {
+    // 1-20 columns mixing 4- and 8-byte types.
+    const int columns = static_cast<int>(rng_.Uniform(20)) + 1;
+    std::vector<ColumnSpec> specs;
+    for (int c = 1; c <= columns; ++c) {
+      static constexpr ColumnType kTypes[] = {ColumnType::kInt32, ColumnType::kInt64,
+                                              ColumnType::kFloat, ColumnType::kDouble};
+      specs.push_back({"c" + std::to_string(c), kTypes[rng_.Uniform(4)]});
+    }
+    schema_ = Schema(std::move(specs));
+    codec_ = std::make_unique<RowCodec>(&schema_);
+  }
+
+  /// `universe` with each column dropped with probability 1/drop_one_in
+  /// (0 keeps every column).
+  ColumnSet RandomSubset(const ColumnSet& universe, uint64_t drop_one_in) {
+    ColumnSet out;
+    for (const int c : universe) {
+      if (drop_one_in == 0 || !rng_.OneIn(drop_one_in)) out.push_back(c);
+    }
+    return out;
+  }
+
+  /// A non-empty `to` set related to `from` as `relation` says.
+  ColumnSet RelatedSet(const ColumnSet& from, int relation) {
+    const ColumnSet all = schema_.AllColumns();
+    ColumnSet out;
+    switch (relation) {
+      case 0:  // identical
+        return from;
+      case 1:  // subset
+        out = RandomSubset(from, 2);
+        break;
+      case 2:  // superset
+        for (const int c : all) {
+          if (ColumnSetContains(from, c) || rng_.OneIn(2)) out.push_back(c);
+        }
+        break;
+      case 3:  // disjoint
+        for (const int c : all) {
+          if (!ColumnSetContains(from, c)) out.push_back(c);
+        }
+        break;
+      default:  // arbitrary overlap
+        out = RandomSubset(all, 2);
+        break;
+    }
+    if (out.empty()) out.push_back(all[rng_.Uniform(all.size())]);
+    return out;
+  }
+
+  /// A row of `cg`: complete, partial, or with an empty presence bitmap.
+  std::string RandomRow(const ColumnSet& cg, int kind) {
+    std::vector<ColumnValuePair> values;
+    if (kind != 2) {
+      for (const int c : RandomSubset(cg, kind == 0 ? 0 : 2)) {
+        values.push_back({c, rng_.Next()});
+      }
+    }
+    return codec_->Encode(cg, values);
+  }
+
+  Random rng_;
+  Schema schema_;
+  std::unique_ptr<RowCodec> codec_;
+};
+
+TEST_P(CodecDifferential, PlanProjectionMatchesReference) {
+  const ColumnSet all = schema_.AllColumns();
+  std::string out = "stale bytes the plan must replace";
+  for (int trial = 0; trial < 60; ++trial) {
+    ColumnSet from = RandomSubset(all, 3);
+    if (from.empty()) from = all;
+    const ColumnSet to = RelatedSet(from, trial % 5);
+    const ProjectionPlan plan = codec_->PlanProjection(from, to);
+    EXPECT_EQ(plan.identity(), from == to);
+    for (int kind = 0; kind < 3; ++kind) {
+      const std::string row = RandomRow(from, kind);
+      const std::string expected = ReferenceReproject(*codec_, from, to, Slice(row));
+      const int present = plan.Apply(Slice(row), &out);
+      ASSERT_EQ(out, expected) << "from " << ColumnSetToString(from) << " to "
+                               << ColumnSetToString(to) << " kind " << kind;
+      EXPECT_EQ(present, codec_->PresentCount(to, Slice(expected)));
+      EXPECT_EQ(codec_->Reproject(from, to, Slice(row)), expected);
+    }
+  }
+}
+
+TEST_P(CodecDifferential, ByteMergeMatchesReference) {
+  const ColumnSet all = schema_.AllColumns();
+  std::string out = "stale bytes the merge must replace";
+  for (int trial = 0; trial < 60; ++trial) {
+    ColumnSet cg = RandomSubset(all, 3);
+    if (cg.empty()) cg = all;
+    for (int newer_kind = 0; newer_kind < 3; ++newer_kind) {
+      for (int older_kind = 0; older_kind < 3; ++older_kind) {
+        const std::string newer = RandomRow(cg, newer_kind);
+        const std::string older = RandomRow(cg, older_kind);
+        codec_->Merge(cg, Slice(newer), Slice(older), &out);
+        ASSERT_EQ(out, ReferenceMerge(*codec_, cg, Slice(newer), Slice(older)))
+            << "cg " << ColumnSetToString(cg) << " kinds " << newer_kind << "/"
+            << older_kind;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemas, CodecDifferential, ::testing::Range(0, 20));
+
+TEST_F(RowCodecTest, ByteLevelPathsStopAtTruncatedValues) {
+  // A value running past the end of the row ends the walk, as in Decode:
+  // cutting 6 bytes loses column 8 and half of column 7.
+  const ColumnSet cg = MakeColumnRange(1, 8);
+  std::vector<ColumnValuePair> values;
+  for (int c = 1; c <= 8; ++c) values.push_back({c, static_cast<uint64_t>(c)});
+  const std::string full = codec_.Encode(cg, values);
+  const Slice truncated(full.data(), full.size() - 6);
+
+  const ColumnSet to = {2, 7, 8};
+  EXPECT_EQ(codec_.Reproject(cg, to, truncated), codec_.Encode(to, {{2, 2}}));
+
+  const std::string older = codec_.Encode(cg, {{7, 70}, {8, 80}});
+  std::string merged;
+  codec_.Merge(cg, truncated, Slice(older), &merged);
+  values[6].value = 70;
+  values[7].value = 80;
+  EXPECT_EQ(merged, codec_.Encode(cg, values));
+}
 
 // ------------------------------------------------------ ColumnSet helpers --
 

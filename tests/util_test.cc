@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "util/codec.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
+#include "util/crc32c_internal.h"
 #include "util/env.h"
 #include "util/hash.h"
 #include "util/histogram.h"
@@ -182,6 +185,54 @@ TEST(Crc32cTest, KnownValues) {
   EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x8a9136aau);
   memset(buf, 0xff, sizeof(buf));
   EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x62a8ab43u);
+}
+
+TEST(Crc32cTest, Rfc3720Vectors) {
+  // RFC 3720 appendix B.4: ascending and descending byte sequences.
+  char buf[32];
+  for (int i = 0; i < 32; ++i) buf[i] = static_cast<char>(i);
+  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x46dd794eu);
+  for (int i = 0; i < 32; ++i) buf[i] = static_cast<char>(31 - i);
+  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x113fdb5cu);
+}
+
+// The dispatched routine (a CRC32C instruction where the CPU has one) must
+// equal the table routine for every length across a few blocks, from every
+// start alignment: the hardware loops split input into an unaligned head,
+// 8-byte words and a tail, and each split point is covered here.
+TEST(Crc32cTest, DispatchedMatchesTableAtEveryLengthAndAlignment) {
+  const bool hardware = crc32c::internal::HardwareAccelerated();
+  std::printf("crc32c: %s\n", hardware ? "hardware instruction" : "table fallback");
+  constexpr size_t kMaxLen = 4160;
+  Random rng(3720);
+  std::string buf(kMaxLen + 8, '\0');
+  for (char& ch : buf) ch = static_cast<char>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const char* data = buf.data() + offset;
+      ASSERT_EQ(crc32c::Extend(0x12345678u, data, len),
+                crc32c::internal::ExtendPortable(0x12345678u, data, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, ExtendSplitAtRandomPointsEqualsWhole) {
+  Random rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string data(rng.Uniform(5000), '\0');
+    for (char& ch : data) ch = static_cast<char>(rng.Next());
+    const uint32_t whole = crc32c::Value(data.data(), data.size());
+    uint32_t crc = 0;
+    size_t pos = 0;
+    while (pos < data.size()) {
+      const size_t piece = std::min<size_t>(rng.Uniform(300) + 1, data.size() - pos);
+      crc = crc32c::Extend(crc, data.data() + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(crc, whole) << "trial " << trial;
+    EXPECT_EQ(crc32c::internal::ExtendPortable(0, data.data(), data.size()), whole);
+  }
 }
 
 TEST(Crc32cTest, ExtendEqualsWhole) {
