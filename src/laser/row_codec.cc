@@ -49,14 +49,6 @@ Status RowCodec::Decode(const ColumnSet& cg, const Slice& data,
 
 namespace {
 
-/// True iff every bit set in `mask` is set in `bitmap` (same length).
-bool HasAllBits(const char* bitmap, const std::string& mask) {
-  for (size_t b = 0; b < mask.size(); ++b) {
-    if ((bitmap[b] & mask[b]) != mask[b]) return false;
-  }
-  return true;
-}
-
 /// Walks the present values of one encoded row in CG order. Mirrors
 /// RowCodec::Decode: a row shorter than its bitmap has no values, and a
 /// value running past the end stops the walk (it and every later column
@@ -65,7 +57,7 @@ class PresentCursor {
  public:
   PresentCursor(const Slice& data, size_t bitmap_bytes)
       : bitmap_(data.size() >= bitmap_bytes ? data.data() : nullptr),
-        p_(data.data() + bitmap_bytes),
+        p_(bitmap_ != nullptr ? data.data() + bitmap_bytes : data.data()),
         end_(data.data() + data.size()) {}
 
   /// Value bytes of column `i` (width `width`) if present, else nullptr.
@@ -89,18 +81,21 @@ class PresentCursor {
 
 }  // namespace
 
-bool RowCodec::IsComplete(const ColumnSet& cg, const Slice& data) const {
-  const size_t bitmap_bytes = row_bitmap::Bytes(cg.size());
-  if (data.size() < bitmap_bytes) return false;
-  const unsigned char* bitmap = reinterpret_cast<const unsigned char*>(data.data());
-  const size_t full_bytes = cg.size() / 8;
+bool row_bitmap::AllSet(const char* bitmap, size_t columns) {
+  const unsigned char* bytes = reinterpret_cast<const unsigned char*>(bitmap);
+  const size_t full_bytes = columns / 8;
   for (size_t b = 0; b < full_bytes; ++b) {
-    if (bitmap[b] != 0xff) return false;
+    if (bytes[b] != 0xff) return false;
   }
-  const size_t tail_bits = cg.size() % 8;
+  const size_t tail_bits = columns % 8;
   if (tail_bits == 0) return true;
   const unsigned tail_mask = (1u << tail_bits) - 1;
-  return (bitmap[full_bytes] & tail_mask) == tail_mask;
+  return (bytes[full_bytes] & tail_mask) == tail_mask;
+}
+
+bool RowCodec::IsComplete(const ColumnSet& cg, const Slice& data) const {
+  return data.size() >= row_bitmap::Bytes(cg.size()) &&
+         row_bitmap::AllSet(data.data(), cg.size());
 }
 
 int RowCodec::PresentCount(const ColumnSet& cg, const Slice& data) const {
@@ -147,7 +142,6 @@ ProjectionPlan::ProjectionPlan(const Schema& schema, const ColumnSet& from,
     : identity_(from == to),
       from_bitmap_bytes_(row_bitmap::Bytes(from.size())),
       to_bitmap_bytes_(row_bitmap::Bytes(to.size())),
-      from_full_bitmap_(from_bitmap_bytes_, '\0'),
       from_full_size_(from_bitmap_bytes_),
       complete_bitmap_(to_bitmap_bytes_, '\0'),
       complete_size_(to_bitmap_bytes_),
@@ -161,7 +155,6 @@ ProjectionPlan::ProjectionPlan(const Schema& schema, const ColumnSet& from,
     const bool kept = t < to.size() && to[t] == from[i];
     const uint32_t width = static_cast<uint32_t>(schema.value_size(from[i]));
     from_columns_.push_back({kept ? static_cast<int>(t) : -1, width});
-    row_bitmap::Set(from_full_bitmap_.data(), i);
     if (kept) {
       row_bitmap::Set(complete_bitmap_.data(), t);
       ++complete_present_;
@@ -179,7 +172,8 @@ ProjectionPlan::ProjectionPlan(const Schema& schema, const ColumnSet& from,
 }
 
 int ProjectionPlan::Apply(const Slice& data, std::string* out) const {
-  if (data.size() >= from_full_size_ && HasAllBits(data.data(), from_full_bitmap_)) {
+  if (data.size() >= from_full_size_ &&
+      row_bitmap::AllSet(data.data(), from_columns_.size())) {
     out->resize(complete_size_);
     char* dst = out->data();
     memcpy(dst, complete_bitmap_.data(), to_bitmap_bytes_);

@@ -27,6 +27,8 @@ inline bool Test(const char* bitmap, size_t i) { return (bitmap[i / 8] >> (i % 8
 inline void Set(char* bitmap, size_t i) {
   bitmap[i / 8] |= static_cast<char>(1 << (i % 8));
 }
+/// True iff bits [0, columns) are all set; later bits are ignored.
+bool AllSet(const char* bitmap, size_t columns);
 }  // namespace row_bitmap
 
 /// Byte layout for re-encoding rows of one CG (`from`) as rows of another
@@ -64,8 +66,7 @@ class ProjectionPlan {
   size_t from_bitmap_bytes_;
   size_t to_bitmap_bytes_;
   std::vector<SourceColumn> from_columns_;
-  std::string from_full_bitmap_;  // `from` bitmap with every column present
-  size_t from_full_size_;         // bytes of a complete `from` row
+  size_t from_full_size_;  // bytes of a complete `from` row
   // Output of a complete source row: bitmap, then the runs' bytes.
   std::string complete_bitmap_;
   std::vector<CopyRun> complete_runs_;
