@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "util/coding.h"
 
@@ -11,8 +12,7 @@ namespace {
 
 /// Trims a sorted decoded-key prefix to the scan bounds: keys[0..n) stays
 /// strictly below `limit_exclusive` and at most `hi_inclusive` (empty =
-/// unbounded). Shared by the zip-splice exposure and the pending-drain paths
-/// so their bounds semantics cannot drift apart.
+/// unbounded).
 size_t TrimToBounds(const uint64_t* keys, size_t n, const Slice& limit_exclusive,
                     const Slice& hi_inclusive) {
   if (!hi_inclusive.empty()) {
@@ -24,6 +24,25 @@ size_t TrimToBounds(const uint64_t* keys, size_t n, const Slice& limit_exclusive
     n = static_cast<size_t>(std::lower_bound(keys, keys + n, limit) - keys);
   }
   return n;
+}
+
+// Fixed-width value loads from a complete row (memcpy loads: little-endian
+// hosts only, see coding.h).
+template <typename T>
+ColumnValue Load(const char* src) {
+  T v;
+  memcpy(&v, src, sizeof(v));
+  return v;
+}
+
+ColumnValue LoadValue(const char* src, size_t width) {
+  return width == 4 ? Load<uint32_t>(src) : Load<uint64_t>(src);
+}
+
+// Column-major gather: out[r] = the value at `offset` of complete row r.
+template <typename T>
+void GatherColumn(const std::vector<const char*>& rows, size_t offset, ColumnValue* out) {
+  for (size_t r = 0; r < rows.size(); ++r) out[r] = Load<T>(rows[r] + offset);
 }
 
 }  // namespace
@@ -41,16 +60,21 @@ ContributionIterator::ContributionIterator(std::unique_ptr<Iterator> iter,
       snapshot_(snapshot),
       pushdown_(pushdown) {
   proj_position_of_source_column_.reserve(source_columns_.size());
+  size_t offset = row_bitmap::Bytes(source_columns_.size());
   for (int col : source_columns_) {
+    const size_t width = codec_->ValueWidth(col);
     auto it = std::lower_bound(projection_.begin(), projection_.end(), col);
     if (it != projection_.end() && *it == col) {
       const int pos = static_cast<int>(it - projection_.begin());
       proj_position_of_source_column_.push_back(pos);
       covered_positions_.push_back(pos);
+      complete_row_columns_.push_back({offset, width});
     } else {
       proj_position_of_source_column_.push_back(-1);
     }
+    offset += width;
   }
+  full_row_size_ = offset;
   for (size_t pos = 0, next_covered = 0; pos < projection_.size(); ++pos) {
     if (next_covered < covered_positions_.size() &&
         covered_positions_[next_covered] == static_cast<int>(pos)) {
@@ -59,10 +83,6 @@ ContributionIterator::ContributionIterator(std::unique_ptr<Iterator> iter,
       uncovered_positions_.push_back(static_cast<int>(pos));
     }
   }
-  column_widths_.reserve(source_columns_.size());
-  for (int col : source_columns_) column_widths_.push_back(codec_->ValueWidth(col));
-  full_row_size_ = codec_->FullRowSize(source_columns_);
-  bitmap_bytes_ = (source_columns_.size() + 7) / 8;
   // Uncovered positions stay kAbsent forever: BuildNext only resets and
   // writes covered ones.
   states_.resize(projection_.size());
@@ -101,49 +121,22 @@ void ContributionIterator::TopUpZipScratch(const Slice& hi_inclusive) {
   const bool has_hi = !hi_inclusive.empty();
   const uint64_t hi = has_hi ? DecodeKey64(hi_inclusive) : 0;
   while (zip_keys_.size() - zip_pos_ < kZipScratchRows) {
-    if (run_pos_ >= run_.size()) {
-      run_.clear();
-      run_pos_ = 0;
-      if (iter_->NextRun(&run_, kRunEntries) == 0) return;  // source drained
-    }
-    if (!run_.keys_decoded) return;  // odd keys: leave them to the fold
-    const uint64_t user_key = run_.user_keys[run_pos_];
-    if (resolved_guard_active_ && user_key == resolved_guard_key_) {
+    if (!EntryValid()) return;  // source drained
+    if (ShadowedAt(run_pos_)) {
       ++run_pos_;  // shadowed older version of an already-resolved key
       continue;
     }
-    const uint64_t tag = run_.tags[run_pos_];
-    if (static_cast<ValueType>(tag & 0xff) != kTypeFullRow ||
-        (tag >> 8) > snapshot_) {
-      return;
-    }
-    const Slice value = run_.values[run_pos_];
-    if (value.size() != full_row_size_) return;
+    if (!CompleteRowAt(run_pos_)) return;
+    const uint64_t user_key = run_.user_keys[run_pos_];
     if (has_hi && user_key > hi) return;  // never pull blocks past the scan
 
     zip_keys_.push_back(user_key);
-    const char* base = value.data() + bitmap_bytes_;
-    size_t offset = 0;
-    size_t ci = 0;
-    for (size_t i = 0; i < source_columns_.size(); ++i) {
-      const size_t width = column_widths_[i];
-      if (proj_position_of_source_column_[i] >= 0) {
-        if (width == 4) {
-          uint32_t v;
-          memcpy(&v, base + offset, sizeof(v));  // LE hosts only
-          zip_cols_[ci].push_back(v);
-        } else {
-          uint64_t v;
-          memcpy(&v, base + offset, sizeof(v));
-          zip_cols_[ci].push_back(v);
-        }
-        ++ci;
-      }
-      offset += width;
+    const char* row = run_.values[run_pos_].data();
+    for (size_t ci = 0; ci < complete_row_columns_.size(); ++ci) {
+      const CompleteRowColumn& column = complete_row_columns_[ci];
+      zip_cols_[ci].push_back(LoadValue(row + column.offset, column.width));
     }
-    resolved_guard_key_ = user_key;
-    resolved_guard_active_ = true;
-    ++run_pos_;
+    CommitCompleteRow(user_key);
   }
 }
 
@@ -151,7 +144,7 @@ size_t ContributionIterator::AppendColumnRunTo(ColumnRunView* view,
                                                const Slice& limit_exclusive,
                                                const Slice& hi_inclusive,
                                                size_t max_rows) {
-  size_t pending = zip_keys_.size() - zip_pos_;
+  const size_t pending = zip_keys_.size() - zip_pos_;
   if (pending < max_rows && pending < kZipScratchRows) {
     if (zip_pos_ > 0) {
       // Compact the consumed prefix (usually the whole vector) so the
@@ -164,15 +157,21 @@ size_t ContributionIterator::AppendColumnRunTo(ColumnRunView* view,
       zip_pos_ = 0;
     }
     TopUpZipScratch(hi_inclusive);
-    pending = zip_keys_.size();
   }
 
   // Expose only the prefix inside the caller's bounds; surplus rows stay
   // decoded for later rounds (a tighter limit now must not leak rows the
   // level merge still has to combine with other sources).
+  return ExposeZipScratch(view, limit_exclusive, hi_inclusive, max_rows);
+}
+
+size_t ContributionIterator::ExposeZipScratch(ColumnRunView* view,
+                                              const Slice& limit_exclusive,
+                                              const Slice& hi_inclusive,
+                                              size_t max_rows) {
   const uint64_t* keys = zip_keys_.data() + zip_pos_;
-  const size_t n = TrimToBounds(keys, std::min(pending, max_rows),
-                                limit_exclusive, hi_inclusive);
+  const size_t pending = std::min(zip_keys_.size() - zip_pos_, max_rows);
+  const size_t n = TrimToBounds(keys, pending, limit_exclusive, hi_inclusive);
   view->keys = keys;
   view->rows = n;
   view->cols.resize(zip_cols_.size());
@@ -209,20 +208,10 @@ size_t ContributionIterator::EmitZipPending(ScanBatch* batch,
                                             const Slice& limit_exclusive,
                                             const Slice& hi_inclusive,
                                             size_t max_rows) {
-  size_t n = zip_keys_.size() - zip_pos_;
-  if (n == 0) return 0;
-  const uint64_t* keys = zip_keys_.data() + zip_pos_;
-  n = TrimToBounds(keys, std::min(n, max_rows), limit_exclusive, hi_inclusive);
-  if (n == 0) return 0;
-  const size_t row0 = batch->size();
-  batch->AppendDecodedKeys(keys, n);
-  for (size_t ci = 0; ci < zip_cols_.size(); ++ci) {
-    batch->SpliceColumnRun(static_cast<size_t>(covered_positions_[ci]), row0,
-                           zip_cols_[ci].data() + zip_pos_, n);
-  }
-  for (const int pos : uncovered_positions_) {
-    batch->NullColumnRun(static_cast<size_t>(pos), row0, n);
-  }
+  if (zip_pos_ == zip_keys_.size()) return 0;
+  const size_t n =
+      ExposeZipScratch(&pending_view_, limit_exclusive, hi_inclusive, max_rows);
+  batch->SpliceRun(pending_view_, n, covered_positions_, uncovered_positions_);
   zip_pos_ += n;
   return n;
 }
@@ -242,12 +231,7 @@ size_t ContributionIterator::FastEmitStretch(ScanBatch* batch,
   // because its successor is out of reach. The refill happens only HERE,
   // before any value pointer is taken — a mid-stretch refill would release
   // the block value_ptrs_ points into.
-  if (run_pos_ >= run_.size()) {
-    run_.clear();
-    run_pos_ = 0;
-    if (iter_->NextRun(&run_, kRunEntries) == 0) return 0;  // source drained
-  }
-  if (!run_.keys_decoded) return 0;  // odd keys: the generic fold handles them
+  if (!EntryValid()) return 0;  // source drained
   const bool has_limit = !limit_exclusive.empty();
   const uint64_t limit = has_limit ? DecodeKey64(limit_exclusive) : 0;
   const bool has_hi = !hi_inclusive.empty();
@@ -255,25 +239,17 @@ size_t ContributionIterator::FastEmitStretch(ScanBatch* batch,
   const size_t row0 = batch->keys.size();
   value_ptrs_.clear();
   while (value_ptrs_.size() < max_rows && run_pos_ < run_.size()) {
-    const uint64_t user_key = run_.user_keys[run_pos_];
-    if (resolved_guard_active_ && user_key == resolved_guard_key_) {
+    if (ShadowedAt(run_pos_)) {
       ++run_pos_;
       continue;
     }
-    const uint64_t tag = run_.tags[run_pos_];
-    if (static_cast<ValueType>(tag & 0xff) != kTypeFullRow ||
-        (tag >> 8) > snapshot_) {
-      break;
-    }
+    if (!CompleteRowAt(run_pos_)) break;
+    const uint64_t user_key = run_.user_keys[run_pos_];
     if (has_limit && user_key >= limit) break;
     if (has_hi && user_key > hi) break;
-    const Slice value = run_.values[run_pos_];
-    if (value.size() != full_row_size_) break;
     batch->keys.push_back(user_key);
-    value_ptrs_.push_back(value.data() + bitmap_bytes_);
-    resolved_guard_key_ = user_key;
-    resolved_guard_active_ = true;
-    ++run_pos_;
+    value_ptrs_.push_back(run_.values[run_pos_].data());
+    CommitCompleteRow(user_key);
   }
   const size_t n = value_ptrs_.size();
   if (n == 0) return 0;
@@ -281,34 +257,19 @@ size_t ContributionIterator::FastEmitStretch(ScanBatch* batch,
   // Pass 2 — values, column-major: each projected column's output vector is
   // written sequentially (presence is one memset per column), the shape a
   // vectorizer and the cache both like.
-  size_t offset = 0;
-  for (size_t i = 0; i < source_columns_.size(); ++i) {
-    const size_t width = column_widths_[i];
-    const int pos = proj_position_of_source_column_[i];
-    if (pos >= 0) {
-      ScanBatch::Column& column = batch->columns[pos];
-      memset(column.present.data() + row0, 1, n);
-      ColumnValue* out = column.values.data() + row0;
-      if (width == 4) {
-        for (size_t r = 0; r < n; ++r) {
-          uint32_t v;
-          memcpy(&v, value_ptrs_[r] + offset, sizeof(v));  // LE hosts only
-          out[r] = v;
-        }
-      } else {
-        for (size_t r = 0; r < n; ++r) {
-          uint64_t v;
-          memcpy(&v, value_ptrs_[r] + offset, sizeof(v));
-          out[r] = v;
-        }
-      }
+  for (size_t ci = 0; ci < complete_row_columns_.size(); ++ci) {
+    const CompleteRowColumn& source = complete_row_columns_[ci];
+    ScanBatch::Column& column = batch->columns[covered_positions_[ci]];
+    memset(column.present.data() + row0, 1, n);
+    ColumnValue* out = column.values.data() + row0;
+    if (source.width == 4) {
+      GatherColumn<uint32_t>(value_ptrs_, source.offset, out);
+    } else {
+      GatherColumn<uint64_t>(value_ptrs_, source.offset, out);
     }
-    offset += width;
   }
   for (const int pos : uncovered_positions_) {
-    ScanBatch::Column& column = batch->columns[pos];
-    memset(column.present.data() + row0, 0, n);
-    memset(column.values.data() + row0, 0, n * sizeof(ColumnValue));
+    batch->NullColumnRun(static_cast<size_t>(pos), row0, n);
   }
   return n;
 }
@@ -324,7 +285,7 @@ size_t ContributionIterator::AppendRunTo(ScanBatch* batch,
   // nothing re-enters the merge layers' virtual dispatch per row, and
   // tombstone-only keys are dropped here (no older source can resurrect
   // them). Single-version full rows (the steady state after compaction)
-  // take TryFastEmit: block bytes decode straight into the batch columns.
+  // take FastEmitStretch: block bytes decode straight into the batch columns.
   size_t appended = 0;
   while (appended < max_rows && valid_) {
     const Slice key(current_key_);
@@ -390,46 +351,22 @@ void ContributionIterator::BuildNext() {
   // buffer drains — the run-boundary entry resolves on this path too instead
   // of dropping to the generic fold.
   while (true) {
-    if (run_pos_ >= run_.size()) {
-      run_.clear();
-      run_pos_ = 0;
-      if (iter_->NextRun(&run_, kRunEntries) == 0) return;  // source drained
-    }
-    if (!run_.keys_decoded) break;  // odd keys: the generic fold handles them
-    const uint64_t user_key = run_.user_keys[run_pos_];
-    if (resolved_guard_active_ && user_key == resolved_guard_key_) {
+    if (!EntryValid()) return;  // source drained
+    if (ShadowedAt(run_pos_)) {
       ++run_pos_;  // shadowed version of an already-resolved key
       continue;
     }
-    const uint64_t tag = run_.tags[run_pos_];
-    const Slice value = run_.values[run_pos_];
-    if (static_cast<ValueType>(tag & 0xff) != kTypeFullRow ||
-        (tag >> 8) > snapshot_ || value.size() != full_row_size_) {
-      break;
-    }
+    if (!CompleteRowAt(run_pos_)) break;  // the generic fold handles it
+    const uint64_t user_key = run_.user_keys[run_pos_];
     current_key_ = EncodeKey64(user_key);
-    const char* base = value.data() + bitmap_bytes_;
-    size_t offset = 0;
-    for (size_t i = 0; i < source_columns_.size(); ++i) {
-      const size_t width = column_widths_[i];
-      const int pos = proj_position_of_source_column_[i];
-      if (pos >= 0) {
-        if (width == 4) {
-          uint32_t v;
-          memcpy(&v, base + offset, sizeof(v));  // LE hosts only
-          values_[pos] = v;
-        } else {
-          uint64_t v;
-          memcpy(&v, base + offset, sizeof(v));
-          values_[pos] = v;
-        }
-        states_[pos] = ColumnState::kValue;
-      }
-      offset += width;
+    const char* row = run_.values[run_pos_].data();
+    for (size_t ci = 0; ci < complete_row_columns_.size(); ++ci) {
+      const CompleteRowColumn& column = complete_row_columns_[ci];
+      const int pos = covered_positions_[ci];
+      values_[pos] = LoadValue(row + column.offset, column.width);
+      states_[pos] = ColumnState::kValue;
     }
-    resolved_guard_key_ = user_key;
-    resolved_guard_active_ = true;
-    ++run_pos_;
+    CommitCompleteRow(user_key);
     any_value_ = true;
     valid_ = true;
     return;
@@ -460,9 +397,8 @@ void ContributionIterator::BuildNext() {
       if (!terminated && parsed.sequence <= snapshot_) {
         switch (parsed.type) {
           case kTypeDeletion:
-            for (size_t i = 0; i < source_columns_.size(); ++i) {
-              const int pos = proj_position_of_source_column_[i];
-              if (pos >= 0 && states_[pos] == ColumnState::kAbsent) {
+            for (const int pos : covered_positions_) {
+              if (states_[pos] == ColumnState::kAbsent) {
                 states_[pos] = ColumnState::kTombstone;
                 touched = true;
               }
@@ -522,57 +458,25 @@ void ContributionIterator::BuildNext() {
 }
 
 ColumnMergingIterator::ColumnMergingIterator(
-    std::vector<std::unique_ptr<ContributionSource>> children,
+    std::vector<std::unique_ptr<ContributionIterator>> children,
     size_t projection_size)
     : children_(std::move(children)) {
   states_.resize(projection_size);
   values_.resize(projection_size);
-  // Union of the children's covered positions; exact only when every child
-  // reports one.
-  std::vector<bool> seen(projection_size, false);
-  covered_exact_ = true;
+  union_index_of_position_.assign(projection_size, -1);
   for (const auto& child : children_) {
-    const std::vector<int>* covered = child->covered_positions();
-    if (covered == nullptr) {
-      covered_exact_ = false;
-      break;
-    }
-    for (const int pos : *covered) seen[static_cast<size_t>(pos)] = true;
-  }
-  if (covered_exact_) {
-    for (size_t pos = 0; pos < seen.size(); ++pos) {
-      if (seen[pos]) {
-        covered_union_.push_back(static_cast<int>(pos));
-      } else {
-        uncovered_union_.push_back(static_cast<int>(pos));
-      }
-    }
-    union_index_of_position_.assign(projection_size, -1);
-    for (size_t ui = 0; ui < covered_union_.size(); ++ui) {
-      union_index_of_position_[static_cast<size_t>(covered_union_[ui])] =
-          static_cast<int>(ui);
+    for (const int pos : child->covered_positions()) {
+      union_index_of_position_[static_cast<size_t>(pos)] = 0;
     }
   }
-}
-
-const std::vector<int>* ColumnMergingIterator::covered_positions() const {
-  return covered_exact_ ? &covered_union_ : nullptr;
-}
-
-const std::vector<ColumnState>& ColumnMergingIterator::states() const {
-  if (!row_materialized_) {
-    const_cast<ColumnMergingIterator*>(this)->CombineTied();
-    row_materialized_ = true;
+  for (size_t pos = 0; pos < projection_size; ++pos) {
+    if (union_index_of_position_[pos] < 0) {
+      uncovered_union_.push_back(static_cast<int>(pos));
+    } else {
+      union_index_of_position_[pos] = static_cast<int>(covered_union_.size());
+      covered_union_.push_back(static_cast<int>(pos));
+    }
   }
-  return states_;
-}
-
-const std::vector<ColumnValue>& ColumnMergingIterator::values() const {
-  if (!row_materialized_) {
-    const_cast<ColumnMergingIterator*>(this)->CombineTied();
-    row_materialized_ = true;
-  }
-  return values_;
 }
 
 void ColumnMergingIterator::SeekToFirst() {
@@ -589,7 +493,7 @@ void ColumnMergingIterator::Seek(const Slice& target_user_key) {
 
 void ColumnMergingIterator::Next() {
   assert(valid_);
-  AdvanceTied(&counters_, /*materialize=*/true);
+  AdvanceTied(&counters_);
 }
 
 size_t ColumnMergingIterator::AppendRunTo(ScanBatch* batch,
@@ -603,13 +507,7 @@ size_t ColumnMergingIterator::AppendRunTo(ScanBatch* batch,
     if (!limit_exclusive.empty() && key.compare(limit_exclusive) >= 0) break;
     if (!hi_inclusive.empty() && key.compare(hi_inclusive) > 0) break;
     if (any_value_) {
-      if (row_materialized_) {
-        AppendContributionRow(batch, DecodeKey64(key), states_, values_);
-      } else {
-        // Lockstep row still sitting in the children: stream it straight
-        // into the batch without materializing the positional fold.
-        EmitTiedRow(batch);
-      }
+      AppendContributionRow(batch, DecodeKey64(key), states_, values_);
       ++appended;
     }
     // Zip: in the lockstep steady state the children's next rows are whole
@@ -617,7 +515,7 @@ size_t ColumnMergingIterator::AppendRunTo(ScanBatch* batch,
     // folding row-at-a-time, chaining rounds (each bounded by the scratch
     // size) until a child diverges or the bounds cut in. The per-row advance
     // below then lands every child on the first row the zip could not prove.
-    if (covered_exact_ && tied_.size() == children_.size()) {
+    if (tied_.size() == children_.size()) {
       while (appended < max_rows) {
         const size_t n = ZipSplice(batch, limit_exclusive, hi_inclusive,
                                    max_rows - appended, counters);
@@ -625,7 +523,7 @@ size_t ColumnMergingIterator::AppendRunTo(ScanBatch* batch,
         appended += n;
       }
     }
-    AdvanceTied(counters, /*materialize=*/false);
+    AdvanceTied(counters);
   }
   return appended;
 }
@@ -635,49 +533,13 @@ size_t ColumnMergingIterator::ZipSplice(ScanBatch* batch,
                                         const Slice& hi_inclusive,
                                         size_t max_rows,
                                         ScanPathCounters* counters) {
-  // Every child prepares (or re-exposes) its decoded column run; the splice
-  // length starts as the shortest run and shrinks to the longest common-key
-  // prefix. A child that cannot prove even one row vetoes the round — the
-  // caller's per-row fold resolves the conflicting key and zip is retried
-  // after it.
-  zip_views_.resize(children_.size());
-  size_t cap = max_rows;
-  for (size_t i = 0; i < children_.size(); ++i) {
-    const size_t n = children_[i]->AppendColumnRunTo(
-        &zip_views_[i], limit_exclusive, hi_inclusive, cap);
-    if (n == 0) return 0;
-    cap = std::min(cap, n);
-  }
-
-  // The vectorized key agreement: one memcmp over each child's key vector
-  // against child 0's; only on mismatch is the divergence point located.
-  size_t rows = cap;
-  const uint64_t* keys0 = zip_views_[0].keys;
-  for (size_t i = 1; i < children_.size() && rows > 0; ++i) {
-    const uint64_t* keys = zip_views_[i].keys;
-    if (memcmp(keys0, keys, rows * sizeof(uint64_t)) == 0) continue;
-    size_t j = 0;
-    while (j < rows && keys0[j] == keys[j]) ++j;
-    rows = j;
-  }
+  // A child that cannot prove even one row vetoes the round — the caller's
+  // per-row fold resolves the conflicting key and zip is retried after it.
+  const size_t rows =
+      AppendColumnRunTo(&zip_run_, limit_exclusive, hi_inclusive, max_rows);
   if (rows == 0) return 0;
-
-  // Splice: keys once, then each child's covered columns column-major (the
-  // children's covered lists partition covered_union_, so each batch column
-  // is written exactly once), then the uncovered remainder nulled.
-  const size_t row0 = batch->size();
-  batch->AppendDecodedKeys(keys0, rows);
-  for (size_t i = 0; i < children_.size(); ++i) {
-    const std::vector<int>& covered = *children_[i]->covered_positions();
-    for (size_t ci = 0; ci < covered.size(); ++ci) {
-      batch->SpliceColumnRun(static_cast<size_t>(covered[ci]), row0,
-                             zip_views_[i].cols[ci], rows);
-    }
-    children_[i]->ConsumeColumnRun(rows);
-  }
-  for (const int pos : uncovered_union_) {
-    batch->NullColumnRun(static_cast<size_t>(pos), row0, rows);
-  }
+  batch->SpliceRun(zip_run_, rows, covered_union_, uncovered_union_);
+  ConsumeColumnRun(rows);
   counters->zip_rows += rows;
   ++counters->zip_splices;
   counters->source_advances += rows * children_.size();
@@ -691,36 +553,20 @@ size_t ColumnMergingIterator::AppendColumnRunTo(ColumnRunView* view,
   // The lift engages only from the lockstep state (every child tied on the
   // current key): each child's prepared run then starts right after its
   // current row, so the composed rows follow THIS source's current row as
-  // the contract demands. The composed length is the longest common-key
-  // prefix of the children's runs — per-index key equality is what makes
-  // "splice child columns side by side" equal to the row-at-a-time merge.
-  if (!covered_exact_ || tied_.size() != children_.size()) return 0;
-  zip_views_.resize(children_.size());
-  size_t cap = max_rows;
-  for (size_t i = 0; i < children_.size(); ++i) {
-    const size_t n = children_[i]->AppendColumnRunTo(
-        &zip_views_[i], limit_exclusive, hi_inclusive, cap);
-    if (n == 0) return 0;
-    cap = std::min(cap, n);
-  }
-  size_t rows = cap;
-  const uint64_t* keys0 = zip_views_[0].keys;
-  for (size_t i = 1; i < children_.size() && rows > 0; ++i) {
-    const uint64_t* keys = zip_views_[i].keys;
-    if (memcmp(keys0, keys, rows * sizeof(uint64_t)) == 0) continue;
-    size_t j = 0;
-    while (j < rows && keys0[j] == keys[j]) ++j;
-    rows = j;
-  }
+  // the contract demands.
+  if (tied_.size() != children_.size()) return 0;
+  const size_t rows = ZipCommonPrefix(
+      children_.size(), [this](size_t i) { return children_[i].get(); },
+      limit_exclusive, hi_inclusive, max_rows, &zip_views_);
   if (rows == 0) return 0;
 
   // Compose without copying: keys are child 0's vector, and each union
   // column borrows the pointer of the unique child covering that position.
-  view->keys = keys0;
+  view->keys = zip_views_[0].keys;
   view->rows = rows;
   view->cols.resize(covered_union_.size());
   for (size_t i = 0; i < children_.size(); ++i) {
-    const std::vector<int>& covered = *children_[i]->covered_positions();
+    const std::vector<int>& covered = children_[i]->covered_positions();
     for (size_t ci = 0; ci < covered.size(); ++ci) {
       const int ui = union_index_of_position_[static_cast<size_t>(covered[ci])];
       view->cols[static_cast<size_t>(ui)] = zip_views_[i].cols[ci];
@@ -744,8 +590,7 @@ void ColumnMergingIterator::SkipTo(const Slice& limit_exclusive,
   BuildCurrent();
 }
 
-void ColumnMergingIterator::AdvanceTied(ScanPathCounters* counters,
-                                        bool materialize) {
+void ColumnMergingIterator::AdvanceTied(ScanPathCounters* counters) {
   // The children holding the current key sit in tied_ (outside the heap).
   const bool all_tied = tied_.size() == children_.size();
   for (const int index : tied_) {
@@ -773,13 +618,7 @@ void ColumnMergingIterator::AdvanceTied(ScanPathCounters* counters,
     }
     if (lockstep) {
       current_key_.assign(key.data(), key.size());
-      if (materialize || !covered_exact_) {
-        CombineTied();
-        row_materialized_ = true;
-      } else {
-        any_value_ = AnyTiedValue();
-        row_materialized_ = false;
-      }
+      CombineTied();
       valid_ = true;
       return;
     }
@@ -799,78 +638,17 @@ void ColumnMergingIterator::BuildCurrent() {
   current_key_.assign(key.data(), key.size());
   heap_.PopTies(&tied_, &counters_);
   CombineTied();
-  row_materialized_ = true;
   valid_ = true;
 }
 
-bool ColumnMergingIterator::AnyTiedValue() const {
-  for (const int index : tied_) {
-    const auto& child_states = children_[index]->states();
-    const std::vector<int>* covered = children_[index]->covered_positions();
-    if (covered != nullptr) {
-      for (const int pos : *covered) {
-        if (child_states[pos] == ColumnState::kValue) return true;
-      }
-    } else {
-      for (const ColumnState state : child_states) {
-        if (state == ColumnState::kValue) return true;
-      }
-    }
-  }
-  return false;
-}
-
-void ColumnMergingIterator::EmitTiedRow(ScanBatch* batch) const {
-  // REQUIRES: every child tied (lockstep) and covered_exact_, so the
-  // children's covered lists partition covered_union_ and each batch column
-  // is written exactly once.
-  const size_t row = batch->keys.size();
-  batch->keys.push_back(DecodeKey64(Slice(current_key_)));
-  for (const int index : tied_) {
-    const auto& child_states = children_[index]->states();
-    const auto& child_values = children_[index]->values();
-    for (const int pos : *children_[index]->covered_positions()) {
-      ScanBatch::Column& column = batch->columns[pos];
-      const bool present = child_states[pos] == ColumnState::kValue;
-      column.present[row] = present ? 1 : 0;
-      column.values[row] = present ? child_values[pos] : 0;
-    }
-  }
-  for (const int pos : uncovered_union_) {
-    ScanBatch::Column& column = batch->columns[pos];
-    column.present[row] = 0;
-    column.values[row] = 0;
-  }
-}
-
 void ColumnMergingIterator::CombineTied() {
-  if (covered_exact_) {
-    for (const int pos : covered_union_) states_[pos] = ColumnState::kAbsent;
-  } else {
-    std::fill(states_.begin(), states_.end(), ColumnState::kAbsent);
-  }
+  // Groups within a level are disjoint, so the newest-wins fold writes each
+  // position from the unique child covering it.
+  for (const int pos : covered_union_) states_[pos] = ColumnState::kAbsent;
   any_value_ = false;
   for (const int index : tied_) {
-    const auto& child_states = children_[index]->states();
-    const auto& child_values = children_[index]->values();
-    const std::vector<int>* covered = children_[index]->covered_positions();
-    if (covered != nullptr) {
-      for (const int pos : *covered) {
-        if (child_states[pos] != ColumnState::kAbsent) {
-          // Groups within a level are disjoint: no position is written twice.
-          states_[pos] = child_states[pos];
-          values_[pos] = child_values[pos];
-          if (child_states[pos] == ColumnState::kValue) any_value_ = true;
-        }
-      }
-    } else {
-      for (size_t pos = 0; pos < child_states.size(); ++pos) {
-        if (child_states[pos] != ColumnState::kAbsent) {
-          states_[pos] = child_states[pos];
-          values_[pos] = child_values[pos];
-          if (child_states[pos] == ColumnState::kValue) any_value_ = true;
-        }
-      }
+    if (FoldContribution(*children_[index], &states_, &values_)) {
+      any_value_ = true;
     }
   }
 }

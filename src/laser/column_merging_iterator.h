@@ -77,8 +77,8 @@ class ContributionIterator final : public ContributionSource {
     if (pushdown_ != nullptr) pushdown_->ClearWindow();
   }
 
-  const std::vector<int>* covered_positions() const override {
-    return &covered_positions_;
+  const std::vector<int>& covered_positions() const override {
+    return covered_positions_;
   }
 
   Status status() const override { return iter_->status(); }
@@ -116,6 +116,38 @@ class ContributionIterator final : public ContributionSource {
     resolved_guard_active_ = false;
   }
 
+  /// True when run entry `i` is an older version of a key already resolved
+  /// by a committed full row (see the resolved guard below).
+  bool ShadowedAt(size_t i) const {
+    return resolved_guard_active_ && run_.keys_decoded &&
+           run_.user_keys[i] == resolved_guard_key_;
+  }
+
+  /// The one eligibility test of the decoded paths (BuildNext's fast path,
+  /// FastEmitStretch, TopUpZipScratch): run entry `i` has a decoded key and
+  /// is a committed full row at or below the snapshot in the complete
+  /// encoding — so it resolves its key alone, with every covered value at
+  /// its complete_row_columns_ offset.
+  bool CompleteRowAt(size_t i) const {
+    const uint64_t tag = run_.tags[i];
+    return run_.keys_decoded && static_cast<ValueType>(tag & 0xff) == kTypeFullRow &&
+           (tag >> 8) <= snapshot_ && run_.values[i].size() == full_row_size_;
+  }
+
+  /// Consumes the complete row at the run cursor: its key is resolved, and
+  /// the guard makes every consumer path skip its older versions.
+  void CommitCompleteRow(uint64_t user_key) {
+    resolved_guard_key_ = user_key;
+    resolved_guard_active_ = true;
+    ++run_pos_;
+  }
+
+  /// Exposes the unconsumed zip-scratch rows inside the bounds (at most
+  /// `max_rows`) through `view`, without decoding anything. Returns the
+  /// number exposed.
+  size_t ExposeZipScratch(ColumnRunView* view, const Slice& limit_exclusive,
+                          const Slice& hi_inclusive, size_t max_rows);
+
   /// Tops up the zip scratch: moves consecutive zip-eligible entries out of
   /// the run buffer (refilling it as needed) into decoded per-column
   /// vectors, and skips the already-resolved older versions a committed full
@@ -132,6 +164,11 @@ class ContributionIterator final : public ContributionSource {
   /// from the run buffer — key pass first, then a column-major decode that
   /// writes each batch column sequentially with memset presence. Returns
   /// rows emitted; 0 means the entry at the cursor needs the generic fold.
+  ///
+  /// It decodes straight into the batch rather than through the zip
+  /// scratch because it carries most rows of CH-Q1 (86% in laserbench's
+  /// tpcc_ch workload), and staging those rows in the scratch first made
+  /// CH-Q1's median latency 12-18% worse.
   size_t FastEmitStretch(ScanBatch* batch, const Slice& limit_exclusive,
                          const Slice& hi_inclusive, size_t max_rows);
 
@@ -147,11 +184,15 @@ class ContributionIterator final : public ContributionSource {
   // projection positions this source does NOT cover (batch rows emitted by
   // this source alone carry null there).
   std::vector<int> uncovered_positions_;
-  // on-disk width of each source column, and the full-row encoding size
-  // (bitmap + every value) used to validate the fast path.
-  std::vector<size_t> column_widths_;
+  // Where each covered column's value sits in a complete row (presence
+  // bitmap, then every source column's value); parallel to
+  // covered_positions_. full_row_size_ is the complete row's size.
+  struct CompleteRowColumn {
+    size_t offset;  // bytes from the start of the row
+    size_t width;   // value bytes: 4 or 8
+  };
+  std::vector<CompleteRowColumn> complete_row_columns_;
   size_t full_row_size_ = 0;
-  size_t bitmap_bytes_ = 0;
   std::vector<const char*> value_ptrs_;  // FastEmitStretch scratch
   const SequenceNumber snapshot_;
   ZoneMapScanFilter* const pushdown_;
@@ -173,18 +214,19 @@ class ContributionIterator final : public ContributionSource {
   std::vector<uint64_t> zip_keys_;
   std::vector<std::vector<ColumnValue>> zip_cols_;
   size_t zip_pos_ = 0;
+  ColumnRunView pending_view_;  // EmitZipPending's window (reused)
   uint64_t resolved_guard_key_ = 0;
   bool resolved_guard_active_ = false;
 };
 
-/// Merges the ContributionSources of one level (disjoint column groups) by
-/// user key; each column position is filled by the unique group covering it.
-/// Children are kept in a SourceMinHeap, so finding the next key costs
+/// Merges the ContributionIterators of one level (disjoint column groups)
+/// by user key; each column position is filled by the unique group covering
+/// it. Children are kept in a SourceMinHeap, so finding the next key costs
 /// O(log k) instead of a linear sweep over the groups.
 class ColumnMergingIterator final : public ContributionSource {
  public:
   /// `projection_size` is |Π| (all children use the same positional layout).
-  ColumnMergingIterator(std::vector<std::unique_ptr<ContributionSource>> children,
+  ColumnMergingIterator(std::vector<std::unique_ptr<ContributionIterator>> children,
                         size_t projection_size);
 
   bool Valid() const override { return valid_; }
@@ -193,14 +235,17 @@ class ColumnMergingIterator final : public ContributionSource {
   void Next() override;
 
   Slice user_key() const override { return Slice(current_key_); }
-  const std::vector<ColumnState>& states() const override;
-  const std::vector<ColumnValue>& values() const override;
-  const std::vector<int>* covered_positions() const override;
+  const std::vector<ColumnState>& states() const override { return states_; }
+  const std::vector<ColumnValue>& values() const override { return values_; }
+  /// The union of the children's covered positions.
+  const std::vector<int>& covered_positions() const override {
+    return covered_union_;
+  }
 
   /// Fused batch fold over the level's groups, with two fast paths layered
   /// on the heap merge:
   ///   - lockstep: while the CG cursors agree on keys the heap stays out of
-  ///     the way and rows stream from the children straight into the batch;
+  ///     the way; each row is combined from the tied children directly;
   ///   - zip: in lockstep steady state each child decodes its whole column
   ///     *run* into per-child scratch (AppendColumnRunTo) and the runs are
   ///     spliced column-major into the batch after one memcmp-style pass
@@ -243,12 +288,11 @@ class ColumnMergingIterator final : public ContributionSource {
   Status status() const override;
 
  private:
-  /// One zip round: asks every child for its prepared column run, finds the
-  /// longest common-key prefix across the k runs (vectorized equality over
-  /// the decoded key vectors), splices it into `batch`, and consumes it from
+  /// One zip round: composes the children's common-key run prefix
+  /// (AppendColumnRunTo), splices it into `batch`, and consumes it from
   /// every child. Returns rows spliced; 0 means some child could not zip or
   /// the runs diverge at their first key. REQUIRES: every child tied
-  /// (lockstep) and covered_exact_.
+  /// (lockstep).
   size_t ZipSplice(ScanBatch* batch, const Slice& limit_exclusive,
                    const Slice& hi_inclusive, size_t max_rows,
                    ScanPathCounters* counters);
@@ -261,38 +305,25 @@ class ColumnMergingIterator final : public ContributionSource {
   /// states_/values_/any_value_. REQUIRES: tied_ non-empty.
   void CombineTied();
 
-  /// True iff any tied child resolves some position to a value (early-exit
-  /// scan; no writes).
-  bool AnyTiedValue() const;
-
-  /// Appends the current (lockstep, unmaterialized) row straight from the
-  /// children into `batch`. REQUIRES: every child tied and covered_exact_.
-  void EmitTiedRow(ScanBatch* batch) const;
-
   /// Advances the tied children and rebuilds the current row. In the
   /// lockstep case (every child tied and still agreeing on the next key)
-  /// the heap stays untouched; `materialize` false defers the combine.
-  void AdvanceTied(ScanPathCounters* counters, bool materialize);
+  /// the heap stays untouched.
+  void AdvanceTied(ScanPathCounters* counters);
 
-  std::vector<std::unique_ptr<ContributionSource>> children_;
+  std::vector<std::unique_ptr<ContributionIterator>> children_;
   SourceMinHeap heap_;
   ScanPathCounters counters_;  // local: the level merge above tracks its own
   std::vector<int> tied_;      // children contributing the current key
   std::vector<ColumnRunView> zip_views_;  // per-child run windows (reused)
+  ColumnRunView zip_run_;                 // ZipSplice's composed run (reused)
   bool valid_ = false;
   bool any_value_ = false;
-  // False while the current lockstep row exists only in the children;
-  // states()/values() combine it on demand.
-  mutable bool row_materialized_ = true;
   std::string current_key_;
-  mutable std::vector<ColumnState> states_;
-  mutable std::vector<ColumnValue> values_;
-  // Union of the children's covered positions and its complement within Π
-  // (nullptr semantics bubble up: if any child covers "any", covered_exact_
-  // is false, we report null, and the lazy/direct paths stay off).
+  std::vector<ColumnState> states_;
+  std::vector<ColumnValue> values_;
+  // Union of the children's covered positions and its complement within Π.
   std::vector<int> covered_union_;
   std::vector<int> uncovered_union_;
-  bool covered_exact_ = false;
   // projection position -> index within covered_union_ (or -1): routes each
   // child's zip columns into the composed union-layout view.
   std::vector<int> union_index_of_position_;

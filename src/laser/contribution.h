@@ -19,13 +19,13 @@
 #ifndef LASER_LASER_CONTRIBUTION_H_
 #define LASER_LASER_CONTRIBUTION_H_
 
-#include <cassert>
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "laser/scan_batch.h"
 #include "laser/schema.h"
-#include "util/coding.h"
 #include "util/slice.h"
 #include "util/status.h"
 
@@ -45,19 +45,6 @@ struct ScanPathCounters {
   uint64_t heap_resifts = 0;      ///< k-way-merge heap repair operations
   uint64_t zip_rows = 0;          ///< rows spliced by the column-run zip path
   uint64_t zip_splices = 0;       ///< successful zip splice rounds
-};
-
-/// A read-only window over a source's prepared column run (the zip path's
-/// hand-off unit): `rows` decoded user keys, and for each covered projection
-/// position — `cols` is parallel to the source's covered_positions() — a
-/// flat array of `rows` decoded values, every one present (the run admits
-/// only single-version full rows). Pointers reference source-owned scratch;
-/// they are invalidated by the source's next AppendColumnRunTo, Next, or
-/// Seek.
-struct ColumnRunView {
-  const uint64_t* keys = nullptr;
-  size_t rows = 0;
-  std::vector<const ColumnValue*> cols;
 };
 
 /// Appends one resolved row to `batch`: positions in the kValue state carry
@@ -94,12 +81,12 @@ class ContributionSource {
   /// Values for positions whose state is kValue. REQUIRES: Valid().
   virtual const std::vector<ColumnValue>& values() const = 0;
 
-  /// The projection positions this source can ever set (every other position
-  /// of states() is permanently kAbsent), or nullptr meaning "any". Lets
-  /// merge layers fold a narrow column group in O(|group|) instead of
-  /// scanning all of Π — the difference between O(k·|Π|) and O(|Π|) per row
-  /// when a level is split into many small groups.
-  virtual const std::vector<int>* covered_positions() const { return nullptr; }
+  /// The projection positions this source can ever set, ascending; every
+  /// other position of states() is permanently kAbsent. Lets merge layers
+  /// fold a narrow column group in O(|group|) instead of scanning all of Π —
+  /// the difference between O(k·|Π|) and O(|Π|) per row when a level is
+  /// split into many small groups.
+  virtual const std::vector<int>& covered_positions() const = 0;
 
   /// Drains this source into `batch`, appending up to `max_rows` resolved
   /// rows while the user key stays strictly below `limit_exclusive` (empty =
@@ -111,29 +98,7 @@ class ContributionSource {
   /// it consumed.
   virtual size_t AppendRunTo(ScanBatch* batch, const Slice& limit_exclusive,
                              const Slice& hi_inclusive, size_t max_rows,
-                             ScanPathCounters* counters) {
-    size_t appended = 0;
-    while (appended < max_rows && Valid()) {
-      const Slice key = user_key();
-      if (!limit_exclusive.empty() && key.compare(limit_exclusive) >= 0) break;
-      if (!hi_inclusive.empty() && key.compare(hi_inclusive) > 0) break;
-      const std::vector<ColumnState>& row_states = states();
-      bool any_value = false;
-      for (const ColumnState state : row_states) {
-        if (state == ColumnState::kValue) {
-          any_value = true;
-          break;
-        }
-      }
-      if (any_value) {
-        AppendContributionRow(batch, DecodeKey64(key), row_states, values());
-        ++appended;
-      }
-      Next();
-      ++counters->source_advances;
-    }
-    return appended;
-  }
+                             ScanPathCounters* counters) = 0;
 
   /// Skips (without emitting) every row with user key strictly below
   /// `limit_exclusive` (empty = unbounded) and at most `hi_inclusive` (empty
@@ -143,15 +108,7 @@ class ContributionSource {
   /// can never cover) — the same advance contract as AppendRunTo, minus the
   /// decode.
   virtual void SkipTo(const Slice& limit_exclusive, const Slice& hi_inclusive,
-                      ScanPathCounters* counters) {
-    while (Valid()) {
-      const Slice key = user_key();
-      if (!limit_exclusive.empty() && key.compare(limit_exclusive) >= 0) break;
-      if (!hi_inclusive.empty() && key.compare(hi_inclusive) > 0) break;
-      Next();
-      ++counters->source_advances;
-    }
-  }
+                      ScanPathCounters* counters) = 0;
 
   /// Arms (until DisarmBlockSkipping) any zone-map block filter this source
   /// tree owns, for a window in which the caller's merge proves this source
@@ -161,47 +118,89 @@ class ContributionSource {
   /// provably fail the scan's predicates. Merge layers must arm exactly
   /// around sole-contributor drains: per-row tie resolution across sources
   /// sharing columns must run disarmed (a skipped block there could hide a
-  /// version an upstream predicate re-check needs). Default: no-op.
+  /// version an upstream predicate re-check needs).
   virtual void ArmBlockSkipping(const Slice& limit_exclusive,
-                                const Slice& hi_inclusive) {
-    (void)limit_exclusive;
-    (void)hi_inclusive;
-  }
-  virtual void DisarmBlockSkipping() {}
+                                const Slice& hi_inclusive) = 0;
+  virtual void DisarmBlockSkipping() = 0;
 
   /// Zip support (the run-granularity merge mode): exposes, via `view`, up
   /// to `max_rows` decoded rows that FOLLOW the current row, each provably a
   /// single-version full row at or below the snapshot — so its contribution
   /// is "every covered position has this value" with no folding left to do.
   /// Exposed rows satisfy user key < `limit_exclusive` (empty = unbounded)
-  /// and <= `hi_inclusive` (empty = unbounded). Returns view->rows; 0 means
-  /// the next entry cannot be proven zip-eligible (version conflict, partial
-  /// row, tombstone, snapshot skip, bounds) or the source does not zip.
+  /// and <= `hi_inclusive` (empty = unbounded). view->cols is parallel to
+  /// covered_positions(); its pointers are invalidated by this source's next
+  /// AppendColumnRunTo, Next or Seek. Returns view->rows; 0 means the next
+  /// entry cannot be proven zip-eligible (version conflict, partial row,
+  /// tombstone, snapshot skip, bounds).
   ///
   /// The rows are NOT consumed: the current row and per-row accessors are
   /// unaffected, and un-consumed rows are re-exposed (without re-decoding)
   /// by the next call. REQUIRES: Valid().
-  virtual size_t AppendColumnRunTo(ColumnRunView* view,
-                                   const Slice& limit_exclusive,
-                                   const Slice& hi_inclusive, size_t max_rows) {
-    (void)view;
-    (void)limit_exclusive;
-    (void)hi_inclusive;
-    (void)max_rows;
-    return 0;
-  }
+  virtual size_t AppendColumnRunTo(ColumnRunView* view, const Slice& limit_exclusive,
+                                   const Slice& hi_inclusive, size_t max_rows) = 0;
 
   /// Marks the first `rows` rows of the last prepared column run as consumed
   /// (the caller spliced them into a batch). They are now behind this
   /// source's cursor: the next Next() advances to the first unconsumed row.
   /// REQUIRES: rows <= the last AppendColumnRunTo return value.
-  virtual void ConsumeColumnRun(size_t rows) {
-    (void)rows;
-    assert(rows == 0);  // sources without zip support never expose rows
-  }
+  virtual void ConsumeColumnRun(size_t rows) = 0;
 
   virtual Status status() const = 0;
 };
+
+/// The newest-wins tie fold: every covered position of `source` that is
+/// still kAbsent in `states` takes the source's state and value. Folding the
+/// sources tied on a key newest first resolves each position with its
+/// first non-absent contribution. Returns true if it set some position to
+/// kValue. (A template so a merge over concrete sources calls them
+/// directly.)
+template <typename Source>
+bool FoldContribution(const Source& source, std::vector<ColumnState>* states,
+                      std::vector<ColumnValue>* values) {
+  const std::vector<ColumnState>& source_states = source.states();
+  const std::vector<ColumnValue>& source_values = source.values();
+  bool any_value = false;
+  for (const int pos : source.covered_positions()) {
+    if ((*states)[pos] == ColumnState::kAbsent &&
+        source_states[pos] != ColumnState::kAbsent) {
+      (*states)[pos] = source_states[pos];
+      (*values)[pos] = source_values[pos];
+      if (source_states[pos] == ColumnState::kValue) any_value = true;
+    }
+  }
+  return any_value;
+}
+
+/// The zip path's key agreement: asks the `k` sources source_at(0..k) for
+/// their prepared column runs (AppendColumnRunTo into (*views)[i], each
+/// capped by the shortest run so far) and returns the length of the longest
+/// common-key prefix of the runs — one memcmp per source against source 0,
+/// the divergence located only on a mismatch. Per-index key equality is what
+/// lets a merge splice the runs side by side. Returns 0 when some source
+/// cannot zip or the runs diverge at their first key.
+template <typename SourceAt>
+size_t ZipCommonPrefix(size_t k, SourceAt source_at, const Slice& limit_exclusive,
+                       const Slice& hi_inclusive, size_t max_rows,
+                       std::vector<ColumnRunView>* views) {
+  views->resize(k);
+  size_t rows = max_rows;
+  for (size_t i = 0; i < k; ++i) {
+    const size_t n = source_at(i)->AppendColumnRunTo(&(*views)[i], limit_exclusive,
+                                                     hi_inclusive, rows);
+    if (n == 0) return 0;
+    rows = std::min(rows, n);
+  }
+  const uint64_t* keys0 = (*views)[0].keys;
+  for (size_t i = 1; i < k && rows > 0; ++i) {
+    const uint64_t* keys = (*views)[i].keys;
+    if (memcmp(keys0, keys, rows * sizeof(uint64_t)) == 0) continue;
+    size_t j = 0;
+    while (j < rows && keys0[j] == keys[j]) ++j;
+    rows = j;
+  }
+  return rows;
+}
 
 }  // namespace laser
 

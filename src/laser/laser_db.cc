@@ -1485,7 +1485,7 @@ std::unique_ptr<ScanIterator> LaserDB::NewScan(uint64_t lo_key, uint64_t hi_key,
   // scan must stitch whatever layout each level actually has.
   for (int level = 1; level < version->num_levels(); ++level) {
     const auto& groups = version->design().groups(level);
-    std::vector<std::unique_ptr<ContributionSource>> level_sources;
+    std::vector<std::unique_ptr<ContributionIterator>> level_sources;
     for (int g : version->design().OverlappingGroups(level, projection)) {
       if (version->files(level, g).empty()) continue;
       ZoneMapScanFilter* filter = add_filter(groups[g]);

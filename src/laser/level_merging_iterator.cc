@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "util/coding.h"
 
@@ -93,12 +92,10 @@ size_t LevelMergingIterator::FillRows(ScanBatch* batch, const Slice& hi_inclusiv
       ContributionSource* top = heap_.top_source();
       const bool pushdown = !predicate_positions_.empty() || arm_windows_always_;
       if (pushdown) {
-        const std::vector<int>* covered = top->covered_positions();
+        const std::vector<int>& covered = top->covered_positions();
         // With no predicates (arm_windows_always_) the includes() check is
         // vacuously true and the fast-forward never triggers.
-        if (covered != nullptr &&
-            !std::includes(covered->begin(), covered->end(),
-                           predicate_positions_.begin(),
+        if (!std::includes(covered.begin(), covered.end(), predicate_positions_.begin(),
                            predicate_positions_.end())) {
           // Some predicated column can never be present in this window:
           // every row it could emit is null there and fails the scan's
@@ -133,32 +130,12 @@ size_t LevelMergingIterator::CombineTiedRow(ScanBatch* batch,
 
   // Sources pop in ascending priority order (newest first); the first
   // non-absent state per column wins (per-column chains preserve sequence
-  // order across levels). A source advertising covered positions is folded
-  // over just those.
+  // order across levels).
   std::fill(states_.begin(), states_.end(), ColumnState::kAbsent);
   bool any_value = false;
   for (const int index : tied_) {
-    const auto& states = sources_[index]->states();
-    const auto& values = sources_[index]->values();
-    const std::vector<int>* covered = sources_[index]->covered_positions();
-    if (covered != nullptr) {
-      for (const int pos : *covered) {
-        if (states_[pos] == ColumnState::kAbsent &&
-            states[pos] != ColumnState::kAbsent) {
-          states_[pos] = states[pos];
-          values_[pos] = values[pos];
-          if (states[pos] == ColumnState::kValue) any_value = true;
-        }
-      }
-    } else {
-      for (size_t pos = 0; pos < states.size(); ++pos) {
-        if (states_[pos] == ColumnState::kAbsent &&
-            states[pos] != ColumnState::kAbsent) {
-          states_[pos] = states[pos];
-          values_[pos] = values[pos];
-          if (states[pos] == ColumnState::kValue) any_value = true;
-        }
-      }
+    if (FoldContribution(*sources_[index], &states_, &values_)) {
+      any_value = true;
     }
   }
 
@@ -180,18 +157,13 @@ size_t LevelMergingIterator::CombineTiedRow(ScanBatch* batch,
   // source consumes them — multi-level overlap stops falling back to a
   // per-row fold per key. The window is bounded by the heap's next key: the
   // non-tied sources have not moved, so nothing can interleave below it.
-  if (appended < max_rows && tied_.size() >= 2) {
-    const std::vector<int>* newest_covered =
-        sources_[tied_[0]]->covered_positions();
-    if (newest_covered != nullptr &&
-        newest_covered->size() == projection_size_) {
-      const Slice limit = heap_.empty() ? Slice() : heap_.top_key();
-      while (appended < max_rows) {
-        const size_t n =
-            ZipTiedRun(batch, limit, hi_inclusive, max_rows - appended);
-        if (n == 0) break;
-        appended += n;
-      }
+  if (appended < max_rows &&
+      sources_[tied_[0]]->covered_positions().size() == projection_size_) {
+    const Slice limit = heap_.empty() ? Slice() : heap_.top_key();
+    while (appended < max_rows) {
+      const size_t n = ZipTiedRun(batch, limit, hi_inclusive, max_rows - appended);
+      if (n == 0) break;
+      appended += n;
     }
   }
 
@@ -208,38 +180,15 @@ size_t LevelMergingIterator::ZipTiedRun(ScanBatch* batch,
                                         const Slice& limit_exclusive,
                                         const Slice& hi_inclusive,
                                         size_t max_rows) {
-  zip_views_.resize(tied_.size());
-  size_t cap = max_rows;
-  for (size_t i = 0; i < tied_.size(); ++i) {
-    const size_t n = sources_[tied_[i]]->AppendColumnRunTo(
-        &zip_views_[i], limit_exclusive, hi_inclusive, cap);
-    if (n == 0) return 0;
-    cap = std::min(cap, n);
-  }
-
-  // Longest common-key prefix across the tied runs (vectorized equality,
-  // divergence located only on mismatch). Per-index key equality is what
-  // makes "newest shadows the rest" hold row by row: at every spliced index
-  // all tied sources sit on the SAME user key, and lifecycle order says the
-  // newest source's committed full row wins it outright.
-  size_t rows = cap;
-  const uint64_t* keys0 = zip_views_[0].keys;
-  for (size_t i = 1; i < tied_.size() && rows > 0; ++i) {
-    const uint64_t* keys = zip_views_[i].keys;
-    if (memcmp(keys0, keys, rows * sizeof(uint64_t)) == 0) continue;
-    size_t j = 0;
-    while (j < rows && keys0[j] == keys[j]) ++j;
-    rows = j;
-  }
+  // Per-index key equality is what makes "newest shadows the rest" hold row
+  // by row: at every spliced index all tied sources sit on the SAME user
+  // key, and lifecycle order says the newest source's committed full row
+  // wins it outright. It covers all of Π, so no position is nulled.
+  const size_t rows = ZipCommonPrefix(
+      tied_.size(), [this](size_t i) { return sources_[tied_[i]].get(); },
+      limit_exclusive, hi_inclusive, max_rows, &zip_views_);
   if (rows == 0) return 0;
-
-  const size_t row0 = batch->size();
-  batch->AppendDecodedKeys(keys0, rows);
-  const std::vector<int>& covered = *sources_[tied_[0]]->covered_positions();
-  for (size_t ci = 0; ci < covered.size(); ++ci) {
-    batch->SpliceColumnRun(static_cast<size_t>(covered[ci]), row0,
-                           zip_views_[0].cols[ci], rows);
-  }
+  batch->SpliceRun(zip_views_[0], rows, sources_[tied_[0]]->covered_positions(), {});
   for (const int index : tied_) sources_[index]->ConsumeColumnRun(rows);
   counters_.rows_merged += rows;
   counters_.zip_rows += rows;

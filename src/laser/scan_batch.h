@@ -17,6 +17,16 @@
 
 namespace laser {
 
+/// A read-only window over a prepared column run (the zip path's hand-off
+/// unit): `rows` decoded user keys and, for each of some list of projection
+/// positions, a flat array of `rows` values, every one present. Pointers
+/// reference the producer's scratch and are invalidated when it moves.
+struct ColumnRunView {
+  const uint64_t* keys = nullptr;
+  size_t rows = 0;
+  std::vector<const ColumnValue*> cols;
+};
+
 /// Columnar batch of scan results. Row i has primary key `keys[i]`; for
 /// projection position j, `columns[j].present[i]` says whether the row has a
 /// value there (0 = null: deleted or never written) and `columns[j].values[i]`
@@ -64,23 +74,25 @@ struct ScanBatch {
     }
   }
 
-  // -- column-major splice helpers (the zip path's write primitives) --
-  // All REQUIRE EnsureColumnCapacity(row0 + n) was called; they write by
-  // index, never grow, and touch exactly the rows [row0, row0 + n).
+  // -- column-major splice primitives (the zip path's writes) --
+  // Both REQUIRE column capacity for every row they write
+  // (EnsureColumnCapacity); they write by index and never grow.
 
-  /// Appends `n` already-decoded primary keys.
-  void AppendDecodedKeys(const uint64_t* decoded, size_t n) {
-    keys.insert(keys.end(), decoded, decoded + n);
-  }
-
-  /// Writes `n` present values into projection position `pos` starting at
-  /// row `row0` (one memcpy for the values, one memset for the presence).
-  void SpliceColumnRun(size_t pos, size_t row0, const ColumnValue* run_values,
-                       size_t n) {
-    Column& column = columns[pos];
-    assert(row0 + n <= column.values.size());
-    memcpy(column.values.data() + row0, run_values, n * sizeof(ColumnValue));
-    memset(column.present.data() + row0, 1, n);
+  /// Appends the first `n` rows of `run`: its keys, then run.cols[i] into
+  /// projection position positions[i] (every value present), then nulls in
+  /// every position of `nulled`. `positions` and `nulled` together must
+  /// name each projection position once.
+  void SpliceRun(const ColumnRunView& run, size_t n, const std::vector<int>& positions,
+                 const std::vector<int>& nulled) {
+    const size_t row0 = keys.size();
+    keys.insert(keys.end(), run.keys, run.keys + n);
+    for (size_t i = 0; i < positions.size(); ++i) {
+      Column& column = columns[static_cast<size_t>(positions[i])];
+      assert(row0 + n <= column.values.size());
+      memcpy(column.values.data() + row0, run.cols[i], n * sizeof(ColumnValue));
+      memset(column.present.data() + row0, 1, n);
+    }
+    for (const int pos : nulled) NullColumnRun(static_cast<size_t>(pos), row0, n);
   }
 
   /// Nulls rows [row0, row0 + n) of projection position `pos`.

@@ -29,7 +29,8 @@ namespace laser {
 class SourceMinHeap {
  public:
   /// Rebuilds the heap from every valid source. O(k).
-  void Assign(const std::vector<std::unique_ptr<ContributionSource>>& sources) {
+  template <typename Source>
+  void Assign(const std::vector<std::unique_ptr<Source>>& sources) {
     sources_.clear();
     sources_.reserve(sources.size());
     for (const auto& source : sources) sources_.push_back(source.get());

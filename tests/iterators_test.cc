@@ -283,7 +283,7 @@ TEST_F(StitchTest, ColumnMergingStitchesDisjointGroups) {
   d2.emplace_back(IK(1, 4), codec_.Encode(g2, {{3, 13}, {4, 14}}));
   d2.emplace_back(IK(3, 4), codec_.Encode(g2, {{3, 33}, {4, 34}}));
 
-  std::vector<std::unique_ptr<ContributionSource>> children;
+  std::vector<std::unique_ptr<ContributionIterator>> children;
   children.push_back(MakeSource(std::move(d1), g1, proj));
   children.push_back(MakeSource(std::move(d2), g2, proj));
   ColumnMergingIterator merged(std::move(children), proj.size());
