@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "laser/laser_db.h"
 #include "laser/sharded_laser_db.h"
 #include "tests/recovery_harness.h"
+#include "tests/test_util.h"
 #include "util/env_fault.h"
 
 namespace laser {
@@ -258,9 +261,9 @@ TEST(GroupCommitCrashTest, MultiWriterCrashAtEveryOperation) {
   constexpr int kWritesPerThread = 10;
   constexpr int kColumns = RecoveryHarness::kColumns;
 
-  auto make_options = [](FaultInjectionEnv* fault) {
+  auto make_options = [](Env* env) {
     LaserOptions options;
-    options.env = fault;
+    options.env = env;
     options.path = "/db";
     options.schema = Schema::UniformInt32(kColumns);
     options.num_levels = 4;
@@ -274,11 +277,14 @@ TEST(GroupCommitCrashTest, MultiWriterCrashAtEveryOperation) {
   auto key_of = [](int t, int i) { return 1000u * (t + 1) + i; };
 
   // Each thread inserts its own key range and stops at its first failure;
-  // acked[t] counts its acknowledged prefix.
-  auto run_writers = [&](LaserDB* db, std::array<int, kThreads>* acked) {
+  // acked[t] counts its acknowledged prefix. `entered`, when given, counts
+  // the threads that have reached their first Insert.
+  auto run_writers = [&](LaserDB* db, std::array<int, kThreads>* acked,
+                         std::atomic<int>* entered = nullptr) {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t, db] {
+        if (entered != nullptr) entered->fetch_add(1);
         for (int i = 0; i < kWritesPerThread; ++i) {
           const uint64_t key = key_of(t, i);
           if (!db->Insert(key, test::TestRow(key, kColumns)).ok()) break;
@@ -297,15 +303,28 @@ TEST(GroupCommitCrashTest, MultiWriterCrashAtEveryOperation) {
   {
     auto base = NewMemEnv();
     FaultInjectionEnv fault(base.get());
+    // The first WAL sync of the writers is held until all of them have
+    // entered Insert, and a moment longer, as a slow disk would: the others
+    // then queue behind that leader and the next group coalesces them, on
+    // any thread schedule.
+    std::atomic<int> entered{0};
+    std::atomic<bool> held{false};
+    test::SyncHookEnv env(&fault, [&](const std::string& fname) {
+      if (!HasSuffix(fname, ".wal") || entered.load() == 0 || held.exchange(true)) {
+        return;
+      }
+      while (entered.load() < kThreads) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    });
     std::unique_ptr<LaserDB> db;
-    ASSERT_TRUE(LaserDB::Open(make_options(&fault), &db).ok());
+    ASSERT_TRUE(LaserDB::Open(make_options(&env), &db).ok());
     std::array<int, kThreads> acked{};
-    run_writers(db.get(), &acked);
+    run_writers(db.get(), &acked, &entered);
+    EXPECT_TRUE(held.load());
     for (int t = 0; t < kThreads; ++t) ASSERT_EQ(acked[t], kWritesPerThread);
     // Grouping must actually have happened at least once for this test to
     // mean anything: strictly fewer commit groups than writes means some
-    // group carried several writers' batches. With 4 writers on one queue
-    // and the leader's commit window, coalescing is effectively certain.
+    // group carried several writers' batches.
     EXPECT_LT(db->stats().wal_group_commits.load(),
               static_cast<uint64_t>(kThreads * kWritesPerThread));
     total_ops = fault.mutating_ops();

@@ -23,78 +23,6 @@ namespace {
 
 constexpr int kColumns = 4;
 
-// ---------------------------------------------------------------------------
-// An Env decorator whose WritableFile::Sync sleeps before forwarding,
-// stretching the fsync window so concurrent writers pile up behind the
-// group-commit leader — the way a real disk does.
-// ---------------------------------------------------------------------------
-
-class SlowSyncFile : public WritableFile {
- public:
-  SlowSyncFile(std::unique_ptr<WritableFile> base, int sync_micros)
-      : base_(std::move(base)), sync_micros_(sync_micros) {}
-
-  Status Append(const Slice& data) override { return base_->Append(data); }
-  Status Flush() override { return base_->Flush(); }
-  Status Sync() override {
-    std::this_thread::sleep_for(std::chrono::microseconds(sync_micros_));
-    return base_->Sync();
-  }
-  Status Close() override { return base_->Close(); }
-
- private:
-  std::unique_ptr<WritableFile> base_;
-  const int sync_micros_;
-};
-
-class SlowSyncEnv : public Env {
- public:
-  SlowSyncEnv(Env* base, int sync_micros) : base_(base), sync_micros_(sync_micros) {}
-
-  Status NewSequentialFile(const std::string& fname,
-                           std::unique_ptr<SequentialFile>* result) override {
-    return base_->NewSequentialFile(fname, result);
-  }
-  Status NewRandomAccessFile(const std::string& fname,
-                             std::unique_ptr<RandomAccessFile>* result) override {
-    return base_->NewRandomAccessFile(fname, result);
-  }
-  Status NewWritableFile(const std::string& fname,
-                         std::unique_ptr<WritableFile>* result) override {
-    std::unique_ptr<WritableFile> file;
-    LASER_RETURN_IF_ERROR(base_->NewWritableFile(fname, &file));
-    *result = std::make_unique<SlowSyncFile>(std::move(file), sync_micros_);
-    return Status::OK();
-  }
-  bool FileExists(const std::string& fname) override {
-    return base_->FileExists(fname);
-  }
-  Status GetChildren(const std::string& dir,
-                     std::vector<std::string>* result) override {
-    return base_->GetChildren(dir, result);
-  }
-  Status RemoveFile(const std::string& fname) override {
-    return base_->RemoveFile(fname);
-  }
-  Status CreateDir(const std::string& dirname) override {
-    return base_->CreateDir(dirname);
-  }
-  Status RemoveDir(const std::string& dirname) override {
-    return base_->RemoveDir(dirname);
-  }
-  Status GetFileSize(const std::string& fname, uint64_t* size) override {
-    return base_->GetFileSize(fname, size);
-  }
-  Status RenameFile(const std::string& src, const std::string& target) override {
-    return base_->RenameFile(src, target);
-  }
-  uint64_t NowMicros() override { return base_->NowMicros(); }
-
- private:
-  Env* const base_;
-  const int sync_micros_;
-};
-
 LaserOptions HammerOptions(Env* env, const std::string& path, WalSyncPolicy policy) {
   LaserOptions options;
   options.env = env;
@@ -156,7 +84,10 @@ TEST(GroupCommitTest, ConcurrentWritersEveryPolicy) {
 
 TEST(GroupCommitTest, SlowSyncsCoalesceConcurrentWriters) {
   auto base = NewMemEnv();
-  SlowSyncEnv env(base.get(), /*sync_micros=*/300);
+  // Every sync sleeps 300 us, as a slow disk would.
+  test::SyncHookEnv env(base.get(), [](const std::string&) {
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+  });
   std::unique_ptr<LaserDB> db;
   ASSERT_TRUE(LaserDB::Open(
                   HammerOptions(&env, "/gc_slow", WalSyncPolicy::kSyncEveryGroup), &db)
