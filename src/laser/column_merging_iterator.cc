@@ -50,22 +50,21 @@ void GatherColumn(const std::vector<const char*>& rows, size_t offset, ColumnVal
 ContributionIterator::ContributionIterator(std::unique_ptr<Iterator> iter,
                                            const RowCodec* codec,
                                            ColumnSet source_columns,
-                                           ColumnSet projection,
+                                           const ColumnSet& projection,
                                            SequenceNumber snapshot,
                                            ZoneMapScanFilter* pushdown)
     : iter_(std::move(iter)),
       codec_(codec),
       source_columns_(std::move(source_columns)),
-      projection_(std::move(projection)),
       snapshot_(snapshot),
       pushdown_(pushdown) {
   proj_position_of_source_column_.reserve(source_columns_.size());
   size_t offset = row_bitmap::Bytes(source_columns_.size());
   for (int col : source_columns_) {
     const size_t width = codec_->ValueWidth(col);
-    auto it = std::lower_bound(projection_.begin(), projection_.end(), col);
-    if (it != projection_.end() && *it == col) {
-      const int pos = static_cast<int>(it - projection_.begin());
+    auto it = std::lower_bound(projection.begin(), projection.end(), col);
+    if (it != projection.end() && *it == col) {
+      const int pos = static_cast<int>(it - projection.begin());
       proj_position_of_source_column_.push_back(pos);
       covered_positions_.push_back(pos);
       complete_row_columns_.push_back({offset, width});
@@ -75,7 +74,7 @@ ContributionIterator::ContributionIterator(std::unique_ptr<Iterator> iter,
     offset += width;
   }
   full_row_size_ = offset;
-  for (size_t pos = 0, next_covered = 0; pos < projection_.size(); ++pos) {
+  for (size_t pos = 0, next_covered = 0; pos < projection.size(); ++pos) {
     if (next_covered < covered_positions_.size() &&
         covered_positions_[next_covered] == static_cast<int>(pos)) {
       ++next_covered;
@@ -85,8 +84,8 @@ ContributionIterator::ContributionIterator(std::unique_ptr<Iterator> iter,
   }
   // Uncovered positions stay kAbsent forever: BuildNext only resets and
   // writes covered ones.
-  states_.resize(projection_.size());
-  values_.resize(projection_.size());
+  states_.resize(projection.size());
+  values_.resize(projection.size());
   zip_cols_.resize(covered_positions_.size());
 }
 

@@ -34,7 +34,7 @@ class ContributionIterator final : public ContributionSource {
   /// merge layer via ArmBlockSkipping so the underlying block cursor only
   /// skips inside proven sole-contributor windows.
   ContributionIterator(std::unique_ptr<Iterator> iter, const RowCodec* codec,
-                       ColumnSet source_columns, ColumnSet projection,
+                       ColumnSet source_columns, const ColumnSet& projection,
                        SequenceNumber snapshot,
                        ZoneMapScanFilter* pushdown = nullptr);
 
@@ -129,9 +129,10 @@ class ContributionIterator final : public ContributionSource {
   /// encoding — so it resolves its key alone, with every covered value at
   /// its complete_row_columns_ offset.
   bool CompleteRowAt(size_t i) const {
+    if (!run_.keys_decoded) return false;  // tags are only filled for decoded keys
     const uint64_t tag = run_.tags[i];
-    return run_.keys_decoded && static_cast<ValueType>(tag & 0xff) == kTypeFullRow &&
-           (tag >> 8) <= snapshot_ && run_.values[i].size() == full_row_size_;
+    return static_cast<ValueType>(tag & 0xff) == kTypeFullRow && (tag >> 8) <= snapshot_ &&
+           run_.values[i].size() == full_row_size_;
   }
 
   /// Consumes the complete row at the run cursor: its key is resolved, and
@@ -175,7 +176,6 @@ class ContributionIterator final : public ContributionSource {
   std::unique_ptr<Iterator> iter_;
   const RowCodec* codec_;
   const ColumnSet source_columns_;
-  const ColumnSet projection_;
   // position of each source column in the projection, or -1.
   std::vector<int> proj_position_of_source_column_;
   // the projection positions this source covers (the non-negative entries
