@@ -131,8 +131,8 @@ class ContributionIterator final : public ContributionSource {
   bool CompleteRowAt(size_t i) const {
     if (!run_.keys_decoded) return false;  // tags are only filled for decoded keys
     const uint64_t tag = run_.tags[i];
-    return static_cast<ValueType>(tag & 0xff) == kTypeFullRow && (tag >> 8) <= snapshot_ &&
-           run_.values[i].size() == full_row_size_;
+    return static_cast<ValueType>(tag & 0xff) == kTypeFullRow &&
+           (tag >> 8) <= snapshot_ && run_.values[i].size() == full_row_size_;
   }
 
   /// Consumes the complete row at the run cursor: its key is resolved, and

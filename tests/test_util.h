@@ -91,7 +91,9 @@ class SyncHookEnv : public Env {
   Status GetChildren(const std::string& dir, std::vector<std::string>* result) override {
     return base_->GetChildren(dir, result);
   }
-  Status RemoveFile(const std::string& fname) override { return base_->RemoveFile(fname); }
+  Status RemoveFile(const std::string& fname) override {
+    return base_->RemoveFile(fname);
+  }
   Status CreateDir(const std::string& dirname) override {
     return base_->CreateDir(dirname);
   }
