@@ -395,7 +395,9 @@ class ScanIterator {
 
   /// Drains the remaining scan, folding count/sum/min/max of every projected
   /// column over the matching rows, without materializing rows for the
-  /// caller. Consumes the iterator (batch style). Returns status().
+  /// caller. `out->rows` is the number of rows the same scan would emit
+  /// through NextBatch: a row holding no projected value is not one.
+  /// Consumes the iterator (batch style). Returns status().
   Status AggregateAll(ScanAggregates* out);
 
   bool Valid() const;

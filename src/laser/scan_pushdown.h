@@ -81,7 +81,7 @@ struct ScanSpec {
 /// (parallel to the projection) the count/sum/min/max of present values.
 /// minima is UINT64_MAX and maxima 0 where counts is 0.
 struct ScanAggregates {
-  uint64_t rows = 0;  // matching rows (including rows null in every column)
+  uint64_t rows = 0;  // rows the same scan would emit (see AggregateAll)
   std::vector<uint64_t> counts;
   std::vector<uint64_t> sums;
   std::vector<uint64_t> minima;
@@ -280,8 +280,9 @@ class ZoneMapScanFilter final : public BlockReadFilter {
   /// Folds `zone` into fold_ if its summaries prove the fold exact; returns
   /// whether it did. Exactness gates: one non-deletion entry per user key
   /// (single_version), every entry visible at the snapshot, every projected
-  /// column summarized, and every predicate column all-null-free with a
-  /// value range no row can fail.
+  /// column summarized and one of them present in every entry (so every
+  /// entry is a row the merge emits), and every predicate column
+  /// all-null-free with a value range no row can fail.
   bool TryFold(const ZoneMapEntry& zone) {
     if (!zone.single_version || zone.num_entries == 0) return false;
     if (zone.largest_seq > fold_snapshot_) return false;
@@ -294,10 +295,15 @@ class ZoneMapScanFilter final : public BlockReadFilter {
         return false;
       }
     }
-    // Validate before mutating: every projected column must be summarized.
+    // Validate before mutating: every projected column must be summarized,
+    // and an entry holding no projected value is no row of the scan.
+    bool every_entry_emitted = false;
     for (int column : fold_projection_) {
-      if (FindColumn(zone, column) == nullptr) return false;
+      const ZoneMapColumn* col = FindColumn(zone, column);
+      if (col == nullptr) return false;
+      every_entry_emitted |= col->count == zone.num_entries;
     }
+    if (!every_entry_emitted) return false;
     fold_.rows += zone.num_entries;
     for (size_t pos = 0; pos < fold_projection_.size(); ++pos) {
       const ZoneMapColumn* col = FindColumn(zone, fold_projection_[pos]);

@@ -397,6 +397,39 @@ TEST_P(ScanRangeNarrowingTest, MidMorphTree) {
   }
 }
 
+// AggregateAll counts the rows the same scan would emit. In a compacted
+// row-format tree whose odd keys are partial rows without column 1, a scan of
+// {1} emits only the 350 full rows; blocks answered from their zone maps must
+// not count the partial rows, which hold no projected value.
+TEST(ScanAggregateRowsTest, RowsWithoutProjectedValuesAreNotCounted) {
+  constexpr uint64_t kRows = 700;
+  auto env = NewMemEnv();
+  ASSERT_TRUE(env->CreateDir("/db").ok());
+  LaserOptions options = test::TinyTreeOptions(env.get(), "/db", kColumns, kLevels);
+  options.cg_config = CgConfig::RowOnly(kColumns, kLevels);
+  options.use_wal = false;
+  options.disable_auto_compactions = true;
+  options.background_threads = 1;
+  std::unique_ptr<LaserDB> db;
+  ASSERT_TRUE(LaserDB::Open(options, &db).ok());
+  Model model;
+  for (uint64_t key = 0; key < kRows; ++key) {
+    if (key % 2 == 0) {
+      ASSERT_TRUE(db->Insert(key, BaseRow(key)).ok());
+      for (int c = 1; c <= kColumns; ++c) model[key][c] = BaseValue(key, c);
+    } else {
+      ASSERT_TRUE(db->Update(key, {{2, key}}).ok());
+      model[key][2] = key;
+    }
+  }
+  ASSERT_TRUE(db->CompactUntilStable().ok());
+
+  const ColumnSet projection = {1};
+  const Rows want = ModelScan(model, 0, kRows - 1, projection, ScanSpec());
+  ASSERT_EQ(want.keys.size(), kRows / 2);
+  ExpectScanMatches(db.get(), 0, kRows - 1, projection, ScanSpec(), want);
+}
+
 std::string EngineName(const ::testing::TestParamInfo<bool>& info) {
   return info.param ? "Sharded" : "Single";
 }
