@@ -1334,6 +1334,30 @@ std::unique_ptr<ZoneMapScanFilter> MakeSourceFilter(
                                              std::move(unconditional));
 }
 
+/// Adds to `hull` the part inside [lo, hi] of every block of `file` that may
+/// supply a value of `pred`'s column passing it (key-range narrowing in
+/// scan_pushdown.h): the whole file when it has no zone maps, nothing when
+/// its folded zone rules the column out.
+void AddToKeyHull(const FileMetaData& file, const ScanPredicate& pred, uint64_t lo,
+                  uint64_t hi, KeyHull* hull) {
+  const uint64_t smallest = DecodeKey64(file.smallest_user_key());
+  const uint64_t largest = DecodeKey64(file.largest_user_key());
+  if (largest < lo || smallest > hi) return;
+  const ZoneMaps* zones = file.reader->zone_maps();
+  if (zones == nullptr || zones->blocks.empty()) {
+    hull->Add(std::max(smallest, lo), std::min(largest, hi));
+    return;
+  }
+  const ZoneMapEntry* file_zone = file.reader->file_zone();
+  if (file_zone != nullptr && !ZoneMayHoldMatch(*file_zone, pred)) return;
+  for (const ZoneMapEntry& block : zones->blocks) {
+    if (block.last_user_key < lo || block.first_user_key > hi) continue;
+    if (ZoneMayHoldMatch(block, pred)) {
+      hull->Add(std::max(block.first_user_key, lo), std::min(block.last_user_key, hi));
+    }
+  }
+}
+
 }  // namespace
 
 std::unique_ptr<ScanIterator> LaserDB::NewScan(uint64_t lo_key, uint64_t hi_key,
@@ -1373,6 +1397,30 @@ std::unique_ptr<ScanIterator> LaserDB::NewScan(uint64_t lo_key, uint64_t hi_key,
     version = version_;
     snapshot = last_sequence_.load();
   }
+
+  // Key-range narrowing (scan_pushdown.h): a matching row's key lies in
+  // every predicate's key hull, read off the zone maps of the sources that
+  // can supply the predicate's column. Memtables have no zone maps, so any
+  // memtable row turns narrowing off.
+  bool narrow = mem->num_entries() == 0;
+  for (MemTable* m : imms) narrow &= m->num_entries() == 0;
+  for (size_t i = 0; narrow && i < spec.predicates.size() && lo_key <= hi_key; ++i) {
+    const ScanPredicate& pred = spec.predicates[i];
+    KeyHull hull;
+    for (const auto& file : version->files(0, 0)) {
+      AddToKeyHull(*file, pred, lo_key, hi_key, &hull);
+    }
+    for (int level = 1; level < version->num_levels(); ++level) {
+      const int g = version->design().GroupOf(level, pred.column);
+      for (const auto& file : version->files(level, g)) {
+        AddToKeyHull(*file, pred, lo_key, hi_key, &hull);
+      }
+    }
+    lo_key = std::max(lo_key, hull.lo);
+    hi_key = std::min(hi_key, hull.hi);
+  }
+  // An empty range opens no SST source: the scan emits nothing.
+  const bool empty_range = lo_key > hi_key;
 
   const ColumnSet all_columns = options_.schema.AllColumns();
   const std::string lo_encoded = EncodeKey64(lo_key);
@@ -1456,7 +1504,7 @@ std::unique_ptr<ScanIterator> LaserDB::NewScan(uint64_t lo_key, uint64_t hi_key,
   // other) — but a file whose key range is disjoint from [lo, hi] cannot
   // contribute and is not opened at all.
   const auto& l0 = version->files(0, 0);
-  for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
+  for (auto it = l0.rbegin(); !empty_range && it != l0.rend(); ++it) {
     if (!(*it)->OverlapsUserRange(Slice(lo_encoded), Slice(hi_encoded))) continue;
     ZoneMapScanFilter* filter = add_filter(all_columns);
     // File-level zone check: a file whose folded zone proves an
@@ -1483,7 +1531,7 @@ std::unique_ptr<ScanIterator> LaserDB::NewScan(uint64_t lo_key, uint64_t hi_key,
   // The pinned Version's per-level design is authoritative — mid-morph it
   // may disagree with both options_.cg_config and the morph target, and the
   // scan must stitch whatever layout each level actually has.
-  for (int level = 1; level < version->num_levels(); ++level) {
+  for (int level = 1; !empty_range && level < version->num_levels(); ++level) {
     const auto& groups = version->design().groups(level);
     std::vector<std::unique_ptr<ContributionIterator>> level_sources;
     for (int g : version->design().OverlappingGroups(level, projection)) {

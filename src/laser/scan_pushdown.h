@@ -30,6 +30,32 @@
 //    straddling key could resurrect a stale value *for the predicate column
 //    itself* from the neighbor, which the null argument does not cover.
 //
+// Key-range narrowing (`LaserDB::NewScan`): with no memtable rows, a scan
+// with predicates first shrinks its key range [lo, hi] to the keys where a
+// matching row can live, and everything after planning (coverage census, L0
+// pruning, seek, upper bound) uses the narrowed range.
+//  * Rule. For each predicate p, the candidate sources are every L0 file
+//    overlapping [lo, hi] and, at each level >= 1, the files of the one
+//    column group holding p's column. A block of a candidate source adds its
+//    [first_user_key, last_user_key] to p's key hull when `ZoneMayHoldMatch`
+//    holds: its zone does not summarize the column, or it has values and
+//    `PredicateMayMatchRange` holds. A block with no values for the column
+//    adds nothing (none of its entries can supply it); a file without zone
+//    maps adds its whole key range; a file whose folded zone rules the
+//    column out adds none of its blocks. The scan range becomes [lo, hi]
+//    intersected with EACH predicate's own hull, never a per-block
+//    combination of predicates: a row's columns can come from different
+//    levels. An empty intersection is a scan with no rows.
+//  * Why it is exact. Take a matching row and let v be the winning value of
+//    p's column (present, since null fails every predicate). Some block of a
+//    candidate source stores v, so that block's zone has min <= v <= max (or
+//    does not summarize the column), and its key range, which contains the
+//    row's key, is in p's hull. So every matching row's key lies in every
+//    hull. Inside the narrowed range the merge and the row-level filter
+//    still re-check every row, so nothing extra is emitted either.
+//  * Memtables have no zone maps: any non-empty memtable or immutable
+//    memtable turns narrowing off.
+//
 // Aggregation folds (AggregateAll) reuse the same machinery in the opposite
 // direction: inside a sole-contributor window, a block whose zone proves
 // every entry is a distinct, snapshot-visible, all-predicates-matching row
@@ -155,6 +181,41 @@ inline bool PredicateMayMatchRange(const ScanPredicate& pred, uint64_t min,
   return true;  // unreachable
 }
 
+inline bool ZoneColumnBefore(const ZoneMapColumn& col, int column) {
+  return static_cast<int>(col.column) < column;
+}
+
+/// The summary of `column` in `zone`, or nullptr when the zone does not
+/// summarize it (a column it cannot bound).
+inline const ZoneMapColumn* FindZoneColumn(const ZoneMapEntry& zone, int column) {
+  const std::vector<ZoneMapColumn>& cols = zone.cols;  // sorted by column id
+  const auto it = std::lower_bound(cols.begin(), cols.end(), column, ZoneColumnBefore);
+  if (it == cols.end() || static_cast<int>(it->column) != column) return nullptr;
+  return &*it;
+}
+
+/// Could the region `zone` summarizes supply a value of `pred`'s column that
+/// passes `pred`? False only when the zone summarizes the column and proves
+/// it: no values at all, or none in a range that can match. Decides which
+/// blocks add to a predicate's key hull (see key-range narrowing above).
+inline bool ZoneMayHoldMatch(const ZoneMapEntry& zone, const ScanPredicate& pred) {
+  const ZoneMapColumn* col = FindZoneColumn(zone, pred.column);
+  if (col == nullptr) return true;  // column not summarized: no verdict
+  return col->has_values && PredicateMayMatchRange(pred, col->min, col->max);
+}
+
+/// Smallest inclusive user-key range covering every range added to it;
+/// empty (lo > hi) until the first Add.
+struct KeyHull {
+  uint64_t lo = UINT64_MAX;
+  uint64_t hi = 0;
+
+  void Add(uint64_t first, uint64_t last) {
+    lo = std::min(lo, first);
+    hi = std::max(hi, last);
+  }
+};
+
 /// BlockReadFilter over one scan source: skips a summarized region when it
 /// lies entirely inside the current sole-contributor window and some
 /// conjunct provably fails for every row. One instance per SST-backed
@@ -263,7 +324,7 @@ class ZoneMapScanFilter final : public BlockReadFilter {
         continue;
       }
       const ScanPredicate& pred = predicates_[i];
-      const ZoneMapColumn* col = FindColumn(zone, pred.column);
+      const ZoneMapColumn* col = FindZoneColumn(zone, pred.column);
       if (col == nullptr) continue;  // column not summarized: no verdict
       // One conjunct that cannot match anywhere in the region fails every
       // row (AND semantics); an all-null column fails by itself.
@@ -287,7 +348,7 @@ class ZoneMapScanFilter final : public BlockReadFilter {
     if (!zone.single_version || zone.num_entries == 0) return false;
     if (zone.largest_seq > fold_snapshot_) return false;
     for (const ScanPredicate& pred : predicates_) {
-      const ZoneMapColumn* col = FindColumn(zone, pred.column);
+      const ZoneMapColumn* col = FindZoneColumn(zone, pred.column);
       // Any null in a predicated column fails that row — the block then
       // holds non-matching rows and cannot be folded wholesale.
       if (col == nullptr || col->count != zone.num_entries ||
@@ -299,14 +360,14 @@ class ZoneMapScanFilter final : public BlockReadFilter {
     // and an entry holding no projected value is no row of the scan.
     bool every_entry_emitted = false;
     for (int column : fold_projection_) {
-      const ZoneMapColumn* col = FindColumn(zone, column);
+      const ZoneMapColumn* col = FindZoneColumn(zone, column);
       if (col == nullptr) return false;
       every_entry_emitted |= col->count == zone.num_entries;
     }
     if (!every_entry_emitted) return false;
     fold_.rows += zone.num_entries;
     for (size_t pos = 0; pos < fold_projection_.size(); ++pos) {
-      const ZoneMapColumn* col = FindColumn(zone, fold_projection_[pos]);
+      const ZoneMapColumn* col = FindZoneColumn(zone, fold_projection_[pos]);
       if (col->count == 0) continue;
       fold_.counts[pos] += col->count;
       fold_.sums[pos] += col->sum;
@@ -314,14 +375,6 @@ class ZoneMapScanFilter final : public BlockReadFilter {
       if (col->max > fold_.maxima[pos]) fold_.maxima[pos] = col->max;
     }
     return true;
-  }
-
-  static const ZoneMapColumn* FindColumn(const ZoneMapEntry& zone,
-                                         int column) {
-    for (const ZoneMapColumn& col : zone.cols) {
-      if (static_cast<int>(col.column) == column) return &col;
-    }
-    return nullptr;
   }
 
   const std::vector<ScanPredicate> predicates_;

@@ -169,6 +169,18 @@ void ExpectScanMatches(Db* db, uint64_t lo, uint64_t hi, const ColumnSet& projec
   }
 }
 
+/// Drains one scan of `kProjection` through NextBatch; returns its row count.
+template <typename Db>
+size_t CountRows(Db* db, uint64_t lo, uint64_t hi, const ScanSpec& spec) {
+  auto scan = db->NewScan(lo, hi, kProjection, spec);
+  EXPECT_NE(scan, nullptr);
+  size_t rows = 0;
+  ScanBatch batch;
+  while (scan->NextBatch(&batch) > 0) rows += batch.size();
+  EXPECT_TRUE(scan->status().ok());
+  return rows;
+}
+
 /// The engine under test, one LaserDB or a 2-shard ShardedLaserDB over the
 /// same per-shard options, with the model of what it holds.
 class ScanRangeNarrowingTest : public ::testing::TestWithParam<bool> {
@@ -238,6 +250,15 @@ class ScanRangeNarrowingTest : public ::testing::TestWithParam<bool> {
     return stats.data_block_reads.load();
   }
 
+  /// Data blocks one NextBatch drain of the scan reads; checks its row count.
+  uint64_t BlocksRead(uint64_t lo, uint64_t hi, const ScanSpec& spec) {
+    const uint64_t before = DataBlockReads();
+    const size_t rows = sharded_ ? CountRows(sharded_.get(), lo, hi, spec)
+                                 : CountRows(db_.get(), lo, hi, spec);
+    EXPECT_EQ(rows, ModelScan(model_, lo, hi, kProjection, spec).keys.size());
+    return DataBlockReads() - before;
+  }
+
   /// The whole table in a shuffled key order, compacted every 500 rows into
   /// a multi-level tree, with the last rows left in an L0 file that spans
   /// the key range (olap_scan's settled shape, scaled down).
@@ -292,6 +313,15 @@ TEST_P(ScanRangeNarrowingTest, ClusteredShuffledLoad) {
   CheckSweep();
   Compact();
   CheckSweep();
+
+  // The narrowed scan reads fewer blocks than the same scan once memtable
+  // rows outside its range (one per shard) turn narrowing off.
+  const ScanSpec spec = Spec({Between(1, 700, 799)});
+  const uint64_t narrowed = BlocksRead(500, 1500, spec);
+  Update(0, {{2, 1}});
+  Update(kKeys - 1, {{2, 1}});
+  const uint64_t unnarrowed = BlocksRead(500, 1500, spec);
+  EXPECT_LT(narrowed, unnarrowed);
 }
 
 TEST_P(ScanRangeNarrowingTest, PartialUpdateMakesRowMatchOrStopMatching) {
