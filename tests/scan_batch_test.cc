@@ -723,6 +723,8 @@ TEST(ScanPushdownTest, MixingBatchAndRowModesIsAnError) {
 // Row/batch consumers over the same tree must never fold (they need the rows).
 TEST(ScanPushdownTest, AggregateAllFoldsFromZoneMaps) {
   struct FoldCase {
+    FoldCase(test::DesignParam d, ColumnSet p)
+        : design(std::move(d)), projection(std::move(p)) {}
     test::DesignParam design;
     ColumnSet projection;
   };

@@ -404,7 +404,9 @@ TEST_P(SstTest, HashGetOverloadMatchesSliceGet) {
         reader->Get(key, BloomKeyHash(key), kMaxSequenceNumber, &b, &outcome);
     EXPECT_EQ(via_slice, via_hash) << i;
     EXPECT_EQ(a.size(), b.size()) << i;
-    if (via_hash) EXPECT_EQ(outcome, FilterOutcome::kPass) << i;
+    if (via_hash) {
+      EXPECT_EQ(outcome, FilterOutcome::kPass) << i;
+    }
   }
   // The hash overload must not bump the reader's own stats: the caller
   // attributes probes per level.
