@@ -12,10 +12,13 @@
 //   - L3 split into width-1 and width-4 column groups (the in-level zip).
 // A fixed list of scans runs over it: a narrow AggregateAll, wide NextBatch
 // at batch sizes 1, 7 and 1024, a pushed-down BETWEEN, a row cursor, and
-// scans confined to a cold range and to the hot range. Each scan's output is
-// digested (keys, values and presence, FNV-1a) and checked, with the deltas
-// of the scan-path and block counters it caused, against values recorded
-// from the reference implementation. A refactor of the merge must leave
+// scans confined to a cold range and to the hot range. A rolling rewrite
+// then leaves every level holding a random subset of the low keys, each
+// with older versions further down, and one more scan reads that
+// interleaved range. Each scan's output is digested (keys, values and
+// presence, FNV-1a) and checked, with the deltas of the scan-path and block
+// counters it caused, against values recorded from the reference
+// implementation. A refactor of the merge must leave
 // this file alone: same rows, same work.
 
 #include <gtest/gtest.h>
@@ -38,6 +41,7 @@ constexpr uint64_t kHotLo = 1000;
 constexpr uint64_t kHotHi = 1399;
 constexpr uint64_t kColdLo = 2000;
 constexpr uint64_t kColdHi = 2999;
+constexpr uint64_t kRollingKeys = 1000;
 
 // Columns 1-8 are int32, 9-10 int64.
 Schema MixedWidthSchema() {
@@ -182,6 +186,19 @@ class ScanPathGoldenTest : public ::testing::Test {
     for (int i = 0; i < 80; ++i) Overlay(&rng, rng.Uniform(kBaseKeys + 80));
   }
 
+  // Rewrites [0, kRollingKeys) as full rows twice, in a scrambled key order,
+  // compacting every 250 rows, so each level holds a random subset of those
+  // keys over older versions of them.
+  void RollingRewrite() {
+    Random rng(22);
+    for (uint64_t i = 0; i < 2 * kRollingKeys; ++i) {
+      ASSERT_TRUE(db_->Insert((i * 331) % kRollingKeys, RandomRow(&rng)).ok());
+      if ((i + 1) % 250 == 0) {
+        ASSERT_TRUE(db_->CompactUntilStable().ok());
+      }
+    }
+  }
+
   // The engine counters a scan is checked against, as a ScanGolden whose
   // name, rows and digest stay empty.
   ScanGolden Snapshot() {
@@ -301,6 +318,9 @@ TEST_F(ScanPathGoldenTest, ScansMatchReference) {
   actual.push_back(RowScan("row_cursor", 0, last, {1, 4, 6, 9}));
   actual.push_back(BatchScan("cg_split", kColdLo, kColdHi, {1, 2, 6, 7, 9}, 1024));
   actual.push_back(BatchScan("tied_levels", kHotLo, kHotHi, wide, 1024));
+  RollingRewrite();
+  actual.push_back(
+      BatchScan("interleaved", 0, kRollingKeys - 1, {2, 3, 6, 7, 9}, 1024));
 
   // Both zip routes must carry rows: the in-level splice across L3's column
   // groups, and the tied zip of the hot range across levels.
@@ -319,6 +339,7 @@ TEST_F(ScanPathGoldenTest, ScansMatchReference) {
       {"row_cursor", 2996, 0x9d28be49eab384d4, 2996, 9933, 5346, 0, 0, 346, 0, 0},
       {"cg_split", 983, 0x70b33b7d63679c3b, 983, 3391, 758, 485, 247, 112, 0, 0},
       {"tied_levels", 394, 0x4ed1d1a725ecb467, 394, 914, 959, 217, 49, 79, 0, 0},
+      {"interleaved", 1000, 0xc0283c23e8846338, 1000, 2406, 2949, 384, 130, 180, 0, 0},
   };
   EXPECT_EQ(actual, expected) << "actual scans:\n" << ToString(actual);
 }
