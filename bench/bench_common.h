@@ -154,6 +154,7 @@ struct EngineStatsSnapshot {
   uint64_t scan_heap_resifts = 0;
   uint64_t scan_zip_rows = 0;
   uint64_t scan_zip_splices = 0;
+  uint64_t scan_tie_fold_rows = 0;
   uint64_t block_cache_hits = 0;
   uint64_t block_cache_misses = 0;
   uint64_t data_block_reads = 0;
@@ -172,6 +173,7 @@ struct EngineStatsSnapshot {
     snap.scan_heap_resifts = stats.scan_heap_resifts.load();
     snap.scan_zip_rows = stats.scan_zip_rows.load();
     snap.scan_zip_splices = stats.scan_zip_splices.load();
+    snap.scan_tie_fold_rows = stats.scan_tie_fold_rows.load();
     snap.block_cache_hits = stats.block_cache_hits.load();
     snap.block_cache_misses = stats.block_cache_misses.load();
     snap.data_block_reads = stats.data_block_reads.load();
@@ -216,6 +218,9 @@ inline void AppendEngineStatsFields(
   fields->emplace_back(
       "scan_zip_splices",
       static_cast<double>(now.scan_zip_splices - since.scan_zip_splices));
+  fields->emplace_back(
+      "scan_tie_fold_rows",
+      static_cast<double>(now.scan_tie_fold_rows - since.scan_tie_fold_rows));
   fields->emplace_back("block_cache_hit_rate", lookups > 0 ? hits / lookups : 0.0);
   fields->emplace_back(
       "data_block_reads",

@@ -145,9 +145,11 @@ size_t ContributionIterator::AppendColumnRunTo(ColumnRunView* view,
                                                size_t max_rows) {
   const size_t pending = zip_keys_.size() - zip_pos_;
   if (pending < max_rows && pending < kZipScratchRows) {
-    if (zip_pos_ > 0) {
-      // Compact the consumed prefix (usually the whole vector) so the
-      // scratch stays bounded.
+    if (zip_pos_ == zip_keys_.size() || zip_pos_ >= kZipScratchRows) {
+      // Drop the consumed prefix only once it is the whole scratch (free) or
+      // a full scratch's worth, so each erase moves at most kZipScratchRows
+      // rows per kZipScratchRows consumed and the scratch stays bounded at
+      // twice that.
       zip_keys_.erase(zip_keys_.begin(),
                       zip_keys_.begin() + static_cast<ptrdiff_t>(zip_pos_));
       for (auto& col : zip_cols_) {
@@ -585,6 +587,10 @@ void ColumnMergingIterator::SkipTo(const Slice& limit_exclusive,
   for (auto& child : children_) {
     child->SkipTo(limit_exclusive, hi_inclusive, counters);
   }
+  SyncLeaves();
+}
+
+void ColumnMergingIterator::SyncLeaves() {
   heap_.Assign(children_);
   BuildCurrent();
 }
@@ -633,7 +639,7 @@ void ColumnMergingIterator::BuildCurrent() {
   tied_.clear();
   if (heap_.empty()) return;
 
-  const Slice key = heap_.top_key();
+  const Slice key = heap_.top_source()->user_key();
   current_key_.assign(key.data(), key.size());
   heap_.PopTies(&tied_, &counters_);
   CombineTied();

@@ -256,12 +256,10 @@ class ColumnMergingIterator final : public ContributionSource {
                      const Slice& hi_inclusive, size_t max_rows,
                      ScanPathCounters* counters) override;
 
-  /// Lifts the children's zip contract across the level boundary: when every
-  /// child is tied in lockstep (a full-coverage row), their prepared column
-  /// runs are composed — keys from child 0, value columns routed to the
-  /// union layout — into a single view the LEVEL merge can splice or shadow
-  /// against other levels. Returns 0 whenever any child cannot zip or the
-  /// children's upcoming keys diverge at the first row.
+  /// Composes the children's zip runs when every child is tied in lockstep
+  /// (a full-coverage row): keys from child 0, value columns routed to the
+  /// union layout — the view ZipSplice splices. Returns 0 whenever any child
+  /// cannot zip or the children's upcoming keys diverge at the first row.
   size_t AppendColumnRunTo(ColumnRunView* view, const Slice& limit_exclusive,
                            const Slice& hi_inclusive, size_t max_rows) override;
   void ConsumeColumnRun(size_t rows) override;
@@ -284,6 +282,15 @@ class ColumnMergingIterator final : public ContributionSource {
   void DisarmBlockSkipping() override {
     for (auto& child : children_) child->DisarmBlockSkipping();
   }
+
+  /// The children are the level merge's run-merge leaves: a level's groups
+  /// hold different key subsets once they compact apart, so the merge walks
+  /// each group's run on its own.
+  void AppendLeaves(std::vector<ContributionSource*>* out) override {
+    for (auto& child : children_) out->push_back(child.get());
+  }
+  /// Rebuilds the heap and the current row from the children's positions.
+  void SyncLeaves() override;
 
   Status status() const override;
 

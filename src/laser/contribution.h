@@ -43,8 +43,9 @@ struct ScanPathCounters {
   uint64_t rows_merged = 0;       ///< rows emitted by the merge layer
   uint64_t source_advances = 0;   ///< contribution-source Next()/run steps
   uint64_t heap_resifts = 0;      ///< k-way-merge heap repair operations
-  uint64_t zip_rows = 0;          ///< rows spliced by the column-run zip path
-  uint64_t zip_splices = 0;       ///< successful zip splice rounds
+  uint64_t zip_rows = 0;          ///< rows emitted at run granularity (zips, run merge)
+  uint64_t zip_splices = 0;       ///< successful zip splice / run-merge rounds
+  uint64_t tie_fold_rows = 0;     ///< rows resolved by the per-row cross-level fold
 };
 
 /// Appends one resolved row to `batch`: positions in the kValue state carry
@@ -145,6 +146,17 @@ class ContributionSource {
   /// source's cursor: the next Next() advances to the first unconsumed row.
   /// REQUIRES: rows <= the last AppendColumnRunTo return value.
   virtual void ConsumeColumnRun(size_t rows) = 0;
+
+  /// The cursors a cross-level run merge walks for this source, appended to
+  /// `out` in priority order: the source itself, or, for a level stitched
+  /// from several column groups, each group's cursor. The run merge reads
+  /// and advances those leaves directly (current row, AppendColumnRunTo,
+  /// ConsumeColumnRun, Next), then calls SyncLeaves so this source's own row
+  /// reflects where they stopped.
+  virtual void AppendLeaves(std::vector<ContributionSource*>* out) {
+    out->push_back(this);
+  }
+  virtual void SyncLeaves() {}
 
   virtual Status status() const = 0;
 };

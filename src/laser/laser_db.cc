@@ -1598,6 +1598,8 @@ ScanIterator::~ScanIterator() {
     stats_->scan_zip_rows.fetch_add(c.zip_rows, std::memory_order_relaxed);
     stats_->scan_zip_splices.fetch_add(c.zip_splices,
                                        std::memory_order_relaxed);
+    stats_->scan_tie_fold_rows.fetch_add(c.tie_fold_rows,
+                                         std::memory_order_relaxed);
     stats_->scan_batches_emitted.fetch_add(batches_emitted_,
                                            std::memory_order_relaxed);
     uint64_t blocks_skipped = 0;

@@ -2,10 +2,25 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "util/coding.h"
 
 namespace laser {
+
+namespace {
+
+/// True when `source`'s current row holds a value in every position it
+/// covers: it resolves those positions alone, like a zip-run row.
+bool HoldsEveryValue(const ContributionSource& source) {
+  const std::vector<ColumnState>& states = source.states();
+  for (const int pos : source.covered_positions()) {
+    if (states[pos] != ColumnState::kValue) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 LevelMergingIterator::LevelMergingIterator(
     std::vector<std::unique_ptr<ContributionSource>> sources,
@@ -16,6 +31,10 @@ LevelMergingIterator::LevelMergingIterator(
   states_.resize(projection_size_);
   values_.resize(projection_size_);
   row_.resize(projection_size_);
+  for (size_t s = 0; s < sources_.size(); ++s) {
+    sources_[s]->AppendLeaves(&leaves_);
+    leaf_source_.resize(leaves_.size(), s);
+  }
 }
 
 void LevelMergingIterator::SeekToFirst() {
@@ -77,54 +96,297 @@ size_t LevelMergingIterator::AppendRows(ScanBatch* batch,
 
 size_t LevelMergingIterator::FillRows(ScanBatch* batch, const Slice& hi_inclusive,
                                       size_t max_rows) {
+  const bool has_hi = !hi_inclusive.empty();
+  const uint64_t hi = has_hi ? DecodeKey64(hi_inclusive) : 0;
   size_t appended = 0;
   while (appended < max_rows && !heap_.empty()) {
-    const Slice top_key = heap_.top_key();
-    if (!hi_inclusive.empty() && top_key.compare(hi_inclusive) > 0) break;
-    const Slice second = heap_.second_key();
-    if (second.empty() || top_key != second) {
-      // The top source is the sole contributor until `second`: hand the
-      // whole run off to it batch-at-a-time, then repair the heap once.
-      // When that source is a level's ColumnMergingIterator the handoff is
-      // where the zip path engages — its CG cursors splice column runs
-      // straight into the batch, bounded by the same `second`/`hi` keys, so
-      // a single contributing level streams at run granularity end to end.
-      ContributionSource* top = heap_.top_source();
-      const bool pushdown = !predicate_positions_.empty() || arm_windows_always_;
-      if (pushdown) {
-        const std::vector<int>& covered = top->covered_positions();
-        // With no predicates (arm_windows_always_) the includes() check is
-        // vacuously true and the fast-forward never triggers.
-        if (!std::includes(covered.begin(), covered.end(), predicate_positions_.begin(),
-                           predicate_positions_.end())) {
-          // Some predicated column can never be present in this window:
-          // every row it could emit is null there and fails the scan's
-          // conjunction — fast-forward past the run without decoding it.
-          top->SkipTo(second, hi_inclusive, &counters_);
-          heap_.ReheapTop(&counters_);
-          continue;
-        }
-        // Sole-contributor window: the only place a zone-map verdict about
-        // a block is a verdict about the merged rows, so block skipping is
-        // armed exactly around this drain.
-        top->ArmBlockSkipping(second, hi_inclusive);
-      }
-      const size_t n = top->AppendRunTo(batch, second, hi_inclusive,
-                                        max_rows - appended, &counters_);
-      if (pushdown) top->DisarmBlockSkipping();
+    const uint64_t top_key = heap_.top_key();
+    if (has_hi && top_key > hi) break;
+    uint64_t second = 0;
+    const bool bounded = heap_.SecondKey(&second);
+    if (bounded && second == top_key) {
+      // Tied sources: merge at run granularity from here; the per-row fold
+      // takes the keys the runs cannot prove (and single-row fills).
+      size_t n = 0;
+      if (max_rows - appended > 1) n = MergeRuns(batch, hi_inclusive, max_rows - appended);
+      if (n == 0) n = CombineTiedRow(batch);
       appended += n;
-      counters_.rows_merged += n;
-      heap_.ReheapTop(&counters_);
-    } else {
-      appended += CombineTiedRow(batch, hi_inclusive, max_rows - appended);
+      continue;
     }
+    // The top source is the sole contributor until `second`: hand the whole
+    // run off to it batch-at-a-time, then repair the heap once. When that
+    // source is a level's ColumnMergingIterator the handoff is where the zip
+    // path engages — its CG cursors splice column runs straight into the
+    // batch, bounded by the same limit/hi keys, so a single contributing
+    // level streams at run granularity end to end.
+    char limit_bytes[8];
+    Slice limit;
+    if (bounded) {
+      EncodeBigEndian64(limit_bytes, second);
+      limit = Slice(limit_bytes, sizeof(limit_bytes));
+    }
+    ContributionSource* top = heap_.top_source();
+    const bool pushdown = !predicate_positions_.empty() || arm_windows_always_;
+    if (pushdown) {
+      const std::vector<int>& covered = top->covered_positions();
+      // With no predicates (arm_windows_always_) the includes() check is
+      // vacuously true and the fast-forward never triggers.
+      if (!std::includes(covered.begin(), covered.end(), predicate_positions_.begin(),
+                         predicate_positions_.end())) {
+        // Some predicated column can never be present in this window:
+        // every row it could emit is null there and fails the scan's
+        // conjunction — fast-forward past the run without decoding it.
+        top->SkipTo(limit, hi_inclusive, &counters_);
+        heap_.ReheapTop(&counters_);
+        continue;
+      }
+      // Sole-contributor window: the only place a zone-map verdict about
+      // a block is a verdict about the merged rows, so block skipping is
+      // armed exactly around this drain.
+      top->ArmBlockSkipping(limit, hi_inclusive);
+    }
+    const size_t n =
+        top->AppendRunTo(batch, limit, hi_inclusive, max_rows - appended, &counters_);
+    if (pushdown) top->DisarmBlockSkipping();
+    appended += n;
+    counters_.rows_merged += n;
+    heap_.ReheapTop(&counters_);
   }
   return appended;
 }
 
-size_t LevelMergingIterator::CombineTiedRow(ScanBatch* batch,
-                                            const Slice& hi_inclusive,
-                                            size_t max_rows) {
+size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, const Slice& hi_inclusive,
+                                       size_t max_rows) {
+  const uint64_t first = heap_.top_key();
+  const size_t width = projection_size_;
+  const size_t num_leaves = leaves_.size();
+  // `end` is the window's last key; it only shrinks.
+  uint64_t end = hi_inclusive.empty() ? UINT64_MAX : DecodeKey64(hi_inclusive);
+
+  // Current rows first (cheap, and they decide whether there is a window at
+  // all): one that does not resolve all it covers ends the window before it.
+  leaf_head_key_.resize(num_leaves);
+  for (size_t l = 0; l < num_leaves; ++l) {
+    const ContributionSource& leaf = *leaves_[l];
+    if (!leaf.Valid()) continue;
+    const uint64_t key = DecodeKey64(leaf.user_key());
+    leaf_head_key_[l] = key;
+    if (key > end || HoldsEveryValue(leaf)) continue;
+    if (key == first) return 0;
+    end = key - 1;
+  }
+
+  // Then the runs: past its last exposed row a stream is unknown, so the
+  // window ends at the smallest such row.
+  leaf_views_.resize(num_leaves);
+  for (size_t l = 0; l < num_leaves; ++l) {
+    if (!leaves_[l]->Valid() || leaf_head_key_[l] > end) continue;
+    ColumnRunView& view = leaf_views_[l];
+    const size_t n = leaves_[l]->AppendColumnRunTo(&view, Slice(), hi_inclusive, max_rows);
+    end = std::min(end, n > 0 ? view.keys[n - 1] : leaf_head_key_[l]);
+  }
+
+  // Lanes: one per stream in the window, except that a column group whose
+  // stream matches its level's first lane key for key joins that lane.
+  lanes_.clear();
+  lane_head_.clear();
+  lane_col_.clear();
+  leaf_lane_.assign(num_leaves, -1);
+  source_lane_.assign(sources_.size(), -1);
+  for (size_t l = 0; l < num_leaves; ++l) {
+    ContributionSource* leaf = leaves_[l];
+    if (!leaf->Valid() || leaf_head_key_[l] > end) continue;
+    const ColumnRunView& view = leaf_views_[l];
+    const uint64_t head = leaf_head_key_[l];
+    const size_t run =
+        static_cast<size_t>(std::upper_bound(view.keys, view.keys + view.rows, end) - view.keys);
+    int lane = source_lane_[leaf_source_[l]];
+    if (lane < 0 || lanes_[lane].head_key != head || lanes_[lane].rows != run + 1 ||
+        (run > 0 && memcmp(lanes_[lane].keys, view.keys, run * sizeof(uint64_t)) != 0)) {
+      lane = static_cast<int>(lanes_.size());
+      lanes_.push_back({head, view.keys, run + 1, 0, head});
+      lane_head_.resize(lane_head_.size() + width, nullptr);
+      lane_col_.resize(lane_col_.size() + width, nullptr);
+      if (source_lane_[leaf_source_[l]] < 0) source_lane_[leaf_source_[l]] = lane;
+    }
+    leaf_lane_[l] = lane;
+    const std::vector<int>& covered = leaf->covered_positions();
+    const ColumnValue* values = leaf->values().data();
+    for (size_t ci = 0; ci < covered.size(); ++ci) {
+      const size_t at = static_cast<size_t>(lane) * width + static_cast<size_t>(covered[ci]);
+      lane_head_[at] = values + covered[ci];
+      lane_col_[at] = view.cols[ci];
+    }
+  }
+  const size_t num_lanes = lanes_.size();
+
+  // Classes: split the positions by which lanes cover them, one lane at a
+  // time; then list each lane's classes.
+  class_of_.assign(width, 0);
+  size_t classes = 1;
+  for (size_t lane = 0; lane < num_lanes; ++lane) {
+    class_remap_.assign(2 * classes, -1);
+    int next = 0;
+    for (size_t pos = 0; pos < width; ++pos) {
+      const bool covered = lane_head_[lane * width + pos] != nullptr;
+      int& to = class_remap_[2 * static_cast<size_t>(class_of_[pos]) + (covered ? 1 : 0)];
+      if (to < 0) to = next++;
+      class_of_[pos] = to;
+    }
+    classes = static_cast<size_t>(next);
+  }
+  class_first_pos_.assign(classes, -1);
+  for (size_t pos = width; pos-- > 0;) class_first_pos_[class_of_[pos]] = static_cast<int>(pos);
+  lane_classes_.clear();
+  for (size_t lane = 0; lane < num_lanes; ++lane) {
+    lanes_[lane].classes_begin = lane_classes_.size();
+    for (size_t c = 0; c < classes; ++c) {
+      if (lane_head_[lane * width + static_cast<size_t>(class_first_pos_[c])] != nullptr) {
+        lane_classes_.push_back(static_cast<int>(c));
+      }
+    }
+    lanes_[lane].classes_end = lane_classes_.size();
+  }
+
+  // The merge: repeatedly take the smallest key across the lanes. A lane
+  // alone below the runner-up emits that whole stretch as one segment; a key
+  // several lanes hold takes each class from its newest holder, and the
+  // older holders' rows are consumed as shadowed.
+  if (segments_.size() < classes) segments_.resize(classes);
+  for (size_t c = 0; c < classes; ++c) segments_[c].clear();
+  winner_lane_.resize(classes);
+  winner_row_.resize(classes);
+  active_.resize(num_lanes);
+  for (size_t lane = 0; lane < num_lanes; ++lane) active_[lane] = lane;
+  const auto advance = [this](size_t ai, size_t rows) {
+    Lane& lane = lanes_[active_[ai]];
+    lane.next += rows;
+    if (lane.next == lane.rows) {
+      active_.erase(active_.begin() + static_cast<ptrdiff_t>(ai));
+      return false;
+    }
+    lane.cur = lane.keys[lane.next - 1];
+    return true;
+  };
+  const size_t row0 = batch->keys.size();
+  size_t rows = 0;
+  while (rows < max_rows && !active_.empty()) {
+    size_t top = 0;
+    uint64_t min1 = lanes_[active_[0]].cur;
+    uint64_t min2 = 0;
+    bool has_second = false;
+    for (size_t ai = 1; ai < active_.size(); ++ai) {
+      const uint64_t key = lanes_[active_[ai]].cur;
+      if (key < min1) {
+        min2 = min1;
+        min1 = key;
+        top = ai;
+        has_second = true;
+      } else if (!has_second || key < min2) {
+        min2 = key;
+        has_second = true;
+      }
+    }
+    if (!has_second || min1 < min2) {
+      const size_t lane_index = active_[top];
+      const Lane& lane = lanes_[lane_index];
+      // Stream rows [lane.next, stop) lie below the runner-up.
+      const uint64_t* run_from = lane.keys + (lane.next > 0 ? lane.next - 1 : 0);
+      const uint64_t* run_end = lane.keys + (lane.rows - 1);
+      const uint64_t* run_stop =
+          has_second ? std::lower_bound(run_from, run_end, min2) : run_end;
+      const size_t stop = std::min(static_cast<size_t>(run_stop - lane.keys) + 1,
+                                   lane.next + (max_rows - rows));
+      const size_t count = stop - lane.next;
+      if (lane.next == 0) batch->keys.push_back(lane.head_key);
+      batch->keys.insert(batch->keys.end(), lane.keys + (lane.next > 0 ? lane.next - 1 : 0),
+                         lane.keys + (stop - 1));
+      size_t lc = lane.classes_begin;
+      for (size_t c = 0; c < classes; ++c) {
+        const bool covered = lc < lane.classes_end && lane_classes_[lc] == static_cast<int>(c);
+        if (covered) ++lc;
+        AddSegment(c, covered ? static_cast<int>(lane_index) : -1, lane.next, count);
+      }
+      advance(top, count);
+      rows += count;
+      continue;
+    }
+    std::fill(winner_lane_.begin(), winner_lane_.begin() + static_cast<ptrdiff_t>(classes), -1);
+    for (size_t ai = 0; ai < active_.size();) {
+      const size_t lane_index = active_[ai];
+      const Lane& lane = lanes_[lane_index];
+      if (lane.cur != min1) {
+        ++ai;
+        continue;
+      }
+      for (size_t lc = lane.classes_begin; lc < lane.classes_end; ++lc) {
+        const size_t c = static_cast<size_t>(lane_classes_[lc]);
+        if (winner_lane_[c] >= 0) continue;
+        winner_lane_[c] = static_cast<int>(lane_index);
+        winner_row_[c] = lane.next;
+      }
+      if (advance(ai, 1)) ++ai;
+    }
+    batch->keys.push_back(min1);
+    for (size_t c = 0; c < classes; ++c) AddSegment(c, winner_lane_[c], winner_row_[c], 1);
+    ++rows;
+  }
+
+  // Gather: each projected column is written once, segment by segment.
+  for (size_t pos = 0; pos < width; ++pos) {
+    size_t out = row0;
+    for (const Segment& seg : segments_[class_of_[pos]]) {
+      if (seg.lane < 0) {
+        batch->NullColumnRun(pos, out, seg.count);
+        out += seg.count;
+        continue;
+      }
+      const size_t at = static_cast<size_t>(seg.lane) * width + pos;
+      size_t row = seg.row;
+      size_t count = seg.count;
+      if (row == 0) {
+        batch->CopyColumnRun(pos, out++, lane_head_[at], 1);
+        ++row;
+        --count;
+      }
+      if (count > 0) batch->CopyColumnRun(pos, out, lane_col_[at] + (row - 1), count);
+      out += count;
+    }
+  }
+
+  // Advance every leaf past the stream rows its lane consumed, then let the
+  // sources and the heap catch up.
+  for (size_t l = 0; l < num_leaves; ++l) {
+    if (leaf_lane_[l] < 0) continue;
+    const size_t consumed = lanes_[static_cast<size_t>(leaf_lane_[l])].next;
+    if (consumed == 0) continue;
+    leaves_[l]->ConsumeColumnRun(consumed - 1);
+    leaves_[l]->Next();
+    counters_.source_advances += consumed;
+  }
+  for (size_t s = 0; s < sources_.size(); ++s) {
+    if (source_lane_[s] >= 0) sources_[s]->SyncLeaves();
+  }
+  heap_.Assign(sources_);
+  counters_.rows_merged += rows;
+  counters_.zip_rows += rows;
+  ++counters_.zip_splices;
+  return rows;
+}
+
+void LevelMergingIterator::AddSegment(size_t cls, int lane, size_t row, size_t count) {
+  std::vector<Segment>& segments = segments_[cls];
+  if (!segments.empty()) {
+    Segment& last = segments.back();
+    if (last.lane == lane && (lane < 0 || last.row + last.count == row)) {
+      last.count += count;
+      return;
+    }
+  }
+  segments.push_back({lane, row, count});
+}
+
+size_t LevelMergingIterator::CombineTiedRow(ScanBatch* batch) {
   heap_.PopTies(&tied_, &counters_);
   assert(tied_.size() >= 2);
 
@@ -141,30 +403,12 @@ size_t LevelMergingIterator::CombineTiedRow(ScanBatch* batch,
 
   // Decode before advancing: the key slice points into source storage.
   const uint64_t key = DecodeKey64(sources_[tied_[0]]->user_key());
-
   size_t appended = 0;
   if (any_value) {
     AppendContributionRow(batch, key, states_, values_);
     appended = 1;
     ++counters_.rows_merged;
-  }
-
-  // Tied-zip lift: before the per-row advance, the tied sources' UPCOMING
-  // runs often keep overlapping (several levels carrying the same hot key
-  // range). When the newest tied source fully covers Π, its zip-eligible
-  // rows shadow everything the older tied sources hold at the same keys, so
-  // whole common-key prefixes splice from the newest source while every tied
-  // source consumes them — multi-level overlap stops falling back to a
-  // per-row fold per key. The window is bounded by the heap's next key: the
-  // non-tied sources have not moved, so nothing can interleave below it.
-  if (appended < max_rows &&
-      sources_[tied_[0]]->covered_positions().size() == projection_size_) {
-    const Slice limit = heap_.empty() ? Slice() : heap_.top_key();
-    while (appended < max_rows) {
-      const size_t n = ZipTiedRun(batch, limit, hi_inclusive, max_rows - appended);
-      if (n == 0) break;
-      appended += n;
-    }
+    ++counters_.tie_fold_rows;
   }
 
   // Fully deleted keys emit nothing; the sources still advance past them.
@@ -174,27 +418,6 @@ size_t LevelMergingIterator::CombineTiedRow(ScanBatch* batch,
     if (sources_[index]->Valid()) heap_.Push(index, &counters_);
   }
   return appended;
-}
-
-size_t LevelMergingIterator::ZipTiedRun(ScanBatch* batch,
-                                        const Slice& limit_exclusive,
-                                        const Slice& hi_inclusive,
-                                        size_t max_rows) {
-  // Per-index key equality is what makes "newest shadows the rest" hold row
-  // by row: at every spliced index all tied sources sit on the SAME user
-  // key, and lifecycle order says the newest source's committed full row
-  // wins it outright. It covers all of Π, so no position is nulled.
-  const size_t rows = ZipCommonPrefix(
-      tied_.size(), [this](size_t i) { return sources_[tied_[i]].get(); },
-      limit_exclusive, hi_inclusive, max_rows, &zip_views_);
-  if (rows == 0) return 0;
-  batch->SpliceRun(zip_views_[0], rows, sources_[tied_[0]]->covered_positions(), {});
-  for (const int index : tied_) sources_[index]->ConsumeColumnRun(rows);
-  counters_.rows_merged += rows;
-  counters_.zip_rows += rows;
-  ++counters_.zip_splices;
-  counters_.source_advances += rows * tied_.size();
-  return rows;
 }
 
 Status LevelMergingIterator::status() const {

@@ -11,8 +11,13 @@
 // linear O(k) sweep per row. When the sole contributor is a level's
 // ColumnMergingIterator, the handoff continues at run granularity inside it
 // (the zip path: per-CG column runs spliced after a key-vector equality
-// check). The per-row API survives as a thin adapter that prefetches one
-// row at a time from the batched core.
+// check). When sources tie on a key — levels that each hold a random subset
+// of the keys, over older versions further down — the run merge
+// (MergeRuns) walks every column-group cursor's decoded key run at once and
+// gathers each column into the batch from a selection of (cursor, row)
+// pairs; the per-row fold (CombineTiedRow) resolves only the keys a run
+// cannot prove. The per-row API survives as a thin adapter that prefetches
+// one row at a time from the batched core.
 
 #ifndef LASER_LASER_LEVEL_MERGING_ITERATOR_H_
 #define LASER_LASER_LEVEL_MERGING_ITERATOR_H_
@@ -85,24 +90,31 @@ class LevelMergingIterator {
   /// The heap-driven merge loop; ignores the per-row prefetch state.
   size_t FillRows(ScanBatch* batch, const Slice& hi_inclusive, size_t max_rows);
 
-  /// Combines the ≥2 sources tied at the smallest key into one row
-  /// (first-non-absent-wins in priority order), then — when the newest tied
-  /// source fully covers Π — chains zip rounds over the tied sources'
-  /// upcoming runs (ZipTiedRun) before advancing them all. Returns rows
-  /// appended (bounded by `max_rows` and `hi_inclusive`). REQUIRES:
-  /// !heap_.empty(), a genuine key tie at the top, and max_rows >= 1.
-  size_t CombineTiedRow(ScanBatch* batch, const Slice& hi_inclusive,
-                        size_t max_rows);
+  /// The run merge, entered when sources tie at the heap's top key. Every
+  /// leaf cursor (ContributionSource::AppendLeaves) contributes its stream:
+  /// its current row, then the decoded rows AppendColumnRunTo exposes after
+  /// it. The window runs from the top key to the first key some stream
+  /// cannot prove — a current row that is not a value in every covered
+  /// position (partial row, tombstone), or the end of a run (a row that
+  /// needs the per-row fold, a snapshot skip, the scratch cap) — and to
+  /// `hi_inclusive`. Within it every stream row resolves each covered
+  /// position alone, so each key's columns come from the newest stream
+  /// holding it that covers them and older equal keys are consumed as
+  /// shadowed. Appends up to `max_rows` rows, advances every leaf past what
+  /// it consumed, and rebuilds the heap. Returns rows appended; 0 means the
+  /// top key itself needs the per-row fold.
+  size_t MergeRuns(ScanBatch* batch, const Slice& hi_inclusive, size_t max_rows);
 
-  /// One tied-zip round: every tied source exposes its prepared column run
-  /// below the heap's next key; over the longest common-key prefix each row
-  /// of every older source is an older version of the newest source's row at
-  /// that index, so the newest source's full-coverage columns are spliced
-  /// wholesale and every tied source consumes the prefix. Returns rows
-  /// spliced; 0 means some tied source cannot zip or the runs diverge
-  /// immediately. REQUIRES: the newest tied source covers all of Π.
-  size_t ZipTiedRun(ScanBatch* batch, const Slice& limit_exclusive,
-                    const Slice& hi_inclusive, size_t max_rows);
+  /// Appends `count` rows of class `cls` taken from stream rows
+  /// [row, row + count) of lane `lane` (-1: null), extending the class's
+  /// last segment when it continues it.
+  void AddSegment(size_t cls, int lane, size_t row, size_t count);
+
+  /// The per-row fold: combines the >= 2 sources tied at the smallest key
+  /// into one row (first-non-absent-wins in priority order) and advances
+  /// them. Returns rows appended (0 when the key resolves to no value).
+  /// REQUIRES: !heap_.empty() and a genuine key tie at the top.
+  size_t CombineTiedRow(ScanBatch* batch);
 
   /// Pulls the next row into the per-row adapter state.
   void PrefetchRow();
@@ -118,7 +130,49 @@ class LevelMergingIterator {
   std::vector<int> tied_;
   std::vector<ColumnState> states_;
   std::vector<ColumnValue> values_;
-  std::vector<ColumnRunView> zip_views_;  // per-tied-source run windows
+
+  // The run merge's leaf cursors, in priority order, and each one's source.
+  std::vector<ContributionSource*> leaves_;
+  std::vector<size_t> leaf_source_;
+
+  // -- run-merge scratch, rebuilt per window (reused; no per-row allocation) --
+  // A lane is one stream, or the streams of several column groups of one
+  // level that hold exactly the same keys in the window (merged as one).
+  // Stream row 0 is the current row, row i >= 1 is run row i - 1.
+  struct Lane {
+    uint64_t head_key;
+    const uint64_t* keys;  // run keys, trimmed to the window
+    size_t rows;           // stream rows in the window
+    size_t next = 0;       // stream rows consumed
+    uint64_t cur = 0;      // key of stream row `next`
+    size_t classes_begin = 0, classes_end = 0;  // into lane_classes_
+  };
+  // A stretch of consecutive output rows of one class, taken from
+  // consecutive stream rows of one lane (lane -1: null).
+  struct Segment {
+    int lane;
+    size_t row;
+    size_t count;
+  };
+  std::vector<uint64_t> leaf_head_key_;
+  std::vector<ColumnRunView> leaf_views_;
+  std::vector<int> leaf_lane_;    // -1: not in the window
+  std::vector<int> source_lane_;  // a source's first lane in the window
+  std::vector<Lane> lanes_;
+  // [lane * |Π| + pos]: the lane's current-row value and run column at a
+  // position it covers, null where it covers nothing.
+  std::vector<const ColumnValue*> lane_head_;
+  std::vector<const ColumnValue*> lane_col_;
+  // Positions covered by the same lanes form a class; each class resolves
+  // from one lane per key.
+  std::vector<int> class_of_;
+  std::vector<int> class_remap_;
+  std::vector<int> class_first_pos_;
+  std::vector<int> lane_classes_;
+  std::vector<std::vector<Segment>> segments_;  // per class
+  std::vector<int> winner_lane_;                // per class
+  std::vector<size_t> winner_row_;              // per class
+  std::vector<size_t> active_;                  // lanes with rows left
 
   // Per-row adapter state.
   bool row_valid_ = false;

@@ -1,9 +1,10 @@
 // SourceMinHeap: the k-way-merge engine shared by the column- and
 // level-merging iterators. A binary min-heap over contribution sources,
 // ordered by (current user key, priority index), replaces the former linear
-// O(k) FindSmallest/Combine sweeps with O(log k) repair per advance. Key
-// slices are cached per source so heap comparisons never re-enter the
-// sources' virtual dispatch.
+// O(k) FindSmallest/Combine sweeps with O(log k) repair per advance. Each
+// source's key is decoded to its uint64 value once per advance, so heap
+// comparisons are integer compares that never re-enter the sources' virtual
+// dispatch.
 
 #ifndef LASER_LASER_SOURCE_HEAP_H_
 #define LASER_LASER_SOURCE_HEAP_H_
@@ -13,7 +14,7 @@
 #include <vector>
 
 #include "laser/contribution.h"
-#include "util/slice.h"
+#include "util/coding.h"
 
 namespace laser {
 
@@ -22,10 +23,10 @@ namespace laser {
 /// popping a run of key ties yields them newest-first — the order the
 /// first-non-absent-wins fold requires.
 ///
-/// Key slices point into each source's current-key storage and are refreshed
-/// whenever the heap is told a source advanced (ReheapTop/Push). Sources
-/// popped via PopTies are out of the heap and must be re-Pushed (or dropped)
-/// after they advance.
+/// Keys are the sources' 8-byte user keys decoded to uint64 (big-endian, so
+/// integer order is key order), refreshed whenever the heap is told a source
+/// advanced (ReheapTop/Push). Sources popped via PopTies are out of the heap
+/// and must be re-Pushed (or dropped) after they advance.
 class SourceMinHeap {
  public:
   /// Rebuilds the heap from every valid source. O(k).
@@ -34,11 +35,11 @@ class SourceMinHeap {
     sources_.clear();
     sources_.reserve(sources.size());
     for (const auto& source : sources) sources_.push_back(source.get());
-    keys_.assign(sources_.size(), Slice());
+    keys_.assign(sources_.size(), 0);
     heap_.clear();
     for (size_t i = 0; i < sources_.size(); ++i) {
       if (sources_[i]->Valid()) {
-        keys_[i] = sources_[i]->user_key();
+        keys_[i] = DecodeKey64(sources_[i]->user_key());
         heap_.push_back(static_cast<int>(i));
       }
     }
@@ -52,22 +53,26 @@ class SourceMinHeap {
   /// Index of the smallest source. REQUIRES: !empty().
   int top() const { return heap_[0]; }
   ContributionSource* top_source() const { return sources_[heap_[0]]; }
-  Slice top_key() const { return keys_[heap_[0]]; }
+  uint64_t top_key() const { return keys_[heap_[0]]; }
 
-  /// Key of the second-smallest source (the merge's run limit), or an empty
-  /// slice when the top source is alone. O(1): the runner-up is one of the
-  /// root's children.
-  Slice second_key() const {
-    if (heap_.size() < 2) return Slice();
-    if (heap_.size() == 2) return keys_[heap_[1]];
-    return Less(heap_[1], heap_[2]) ? keys_[heap_[1]] : keys_[heap_[2]];
+  /// Sets `*key` to the key of the second-smallest source (the merge's run
+  /// limit) and returns true, or returns false when the top source is alone.
+  /// O(1): the runner-up is one of the root's children.
+  bool SecondKey(uint64_t* key) const {
+    if (heap_.size() < 2) return false;
+    if (heap_.size() == 2) {
+      *key = keys_[heap_[1]];
+    } else {
+      *key = Less(heap_[1], heap_[2]) ? keys_[heap_[1]] : keys_[heap_[2]];
+    }
+    return true;
   }
 
   /// Repairs the root after its source advanced (or went invalid). O(log k).
   void ReheapTop(ScanPathCounters* counters) {
     const int index = heap_[0];
     if (sources_[index]->Valid()) {
-      keys_[index] = sources_[index]->user_key();
+      keys_[index] = DecodeKey64(sources_[index]->user_key());
     } else {
       heap_[0] = heap_.back();
       heap_.pop_back();
@@ -83,7 +88,7 @@ class SourceMinHeap {
   /// caller combines them, advances each, and re-Pushes the survivors.
   void PopTies(std::vector<int>* out, ScanPathCounters* counters) {
     out->clear();
-    const Slice key = top_key();  // stays valid: popping never advances sources
+    const uint64_t key = top_key();
     while (!heap_.empty() && keys_[heap_[0]] == key) {
       out->push_back(heap_[0]);
       heap_[0] = heap_.back();
@@ -97,7 +102,7 @@ class SourceMinHeap {
 
   /// Re-inserts source `index` after it advanced. REQUIRES: source valid.
   void Push(int index, ScanPathCounters* counters) {
-    keys_[index] = sources_[index]->user_key();
+    keys_[index] = DecodeKey64(sources_[index]->user_key());
     heap_.push_back(index);
     SiftUp(heap_.size() - 1);
     ++counters->heap_resifts;
@@ -105,8 +110,7 @@ class SourceMinHeap {
 
  private:
   bool Less(int a, int b) const {
-    const int c = keys_[a].compare(keys_[b]);
-    if (c != 0) return c < 0;
+    if (keys_[a] != keys_[b]) return keys_[a] < keys_[b];
     return a < b;
   }
 
@@ -134,7 +138,7 @@ class SourceMinHeap {
   }
 
   std::vector<ContributionSource*> sources_;  // borrowed; index = priority
-  std::vector<Slice> keys_;                   // cached current keys
+  std::vector<uint64_t> keys_;                // decoded current keys
   std::vector<int> heap_;                     // indices into sources_
 };
 

@@ -44,6 +44,7 @@ void Stats::AddCountersTo(Stats* out) const {
   add(scan_heap_resifts, out->scan_heap_resifts);
   add(scan_zip_rows, out->scan_zip_rows);
   add(scan_zip_splices, out->scan_zip_splices);
+  add(scan_tie_fold_rows, out->scan_tie_fold_rows);
   add(blocks_skipped_zonemap, out->blocks_skipped_zonemap);
   add(files_skipped_zonemap, out->files_skipped_zonemap);
   add(rows_filtered_pushdown, out->rows_filtered_pushdown);
@@ -85,7 +86,7 @@ std::string Stats::ToString() const {
            "flushed=%lluB compacted=%lluB "
            "compactions=%llu stalls=%lluus wal_groups=%llu/%llu wal_syncs=%llu "
            "scan_rows=%llu scan_batches=%llu scan_advances=%llu scan_resifts=%llu "
-           "scan_zip_rows=%llu scan_zip_splices=%llu "
+           "scan_zip_rows=%llu scan_zip_splices=%llu scan_tie_fold_rows=%llu "
            "zonemap_skips=%llu zonemap_file_skips=%llu pushdown_filtered=%llu "
            "aggs_pushed=%llu cache_shards=%llu",
            static_cast<unsigned long long>(data_block_reads.load()),
@@ -109,6 +110,7 @@ std::string Stats::ToString() const {
            static_cast<unsigned long long>(scan_heap_resifts.load()),
            static_cast<unsigned long long>(scan_zip_rows.load()),
            static_cast<unsigned long long>(scan_zip_splices.load()),
+           static_cast<unsigned long long>(scan_tie_fold_rows.load()),
            static_cast<unsigned long long>(blocks_skipped_zonemap.load()),
            static_cast<unsigned long long>(files_skipped_zonemap.load()),
            static_cast<unsigned long long>(rows_filtered_pushdown.load()),

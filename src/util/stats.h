@@ -89,6 +89,7 @@ class Stats {
   std::atomic<uint64_t> scan_heap_resifts{0};     ///< k-way-merge heap repairs
   std::atomic<uint64_t> scan_zip_rows{0};         ///< rows spliced run-at-a-time
   std::atomic<uint64_t> scan_zip_splices{0};      ///< successful zip rounds
+  std::atomic<uint64_t> scan_tie_fold_rows{0};    ///< rows of the per-row tie fold
 
   // -- scan pushdown (predicates, zone maps, pushed aggregates) --
   std::atomic<uint64_t> blocks_skipped_zonemap{0};   ///< data blocks never read
@@ -162,6 +163,7 @@ class Stats {
     scan_heap_resifts = 0;
     scan_zip_rows = 0;
     scan_zip_splices = 0;
+    scan_tie_fold_rows = 0;
     blocks_skipped_zonemap = 0;
     files_skipped_zonemap = 0;
     rows_filtered_pushdown = 0;
