@@ -331,15 +331,15 @@ TEST_F(ScanPathGoldenTest, ScansMatchReference) {
   // emits: a block holding rows with no projected value is decoded, not
   // folded from its zone map.
   const std::vector<ScanGolden> expected = {
-      {"agg_narrow", 2976, 0xaa7c03b62aa652c5, 2917, 3488, 1868, 286, 79, 125, 3, 3},
+      {"agg_narrow", 2976, 0xaa7c03b62aa652c5, 2973, 3544, 1399, 403, 31, 127, 1, 1},
       {"wide_1", 3013, 0xb494e7cc325e860c, 3013, 9903, 5550, 0, 0, 346, 0, 0},
-      {"wide_7", 3013, 0xb494e7cc325e860c, 3013, 9903, 3590, 1353, 661, 346, 0, 0},
-      {"wide_1024", 3013, 0xb494e7cc325e860c, 3013, 9903, 3256, 1590, 617, 346, 0, 0},
-      {"between", 481, 0xf8faf3cba42c67a3, 2996, 6180, 2908, 1642, 615, 227, 0, 0},
+      {"wide_7", 3013, 0xb494e7cc325e860c, 3013, 10895, 2209, 1666, 664, 346, 0, 0},
+      {"wide_1024", 3013, 0xb494e7cc325e860c, 3013, 10899, 1892, 1900, 552, 346, 0, 0},
+      {"between", 481, 0xf8faf3cba42c67a3, 2996, 6477, 1615, 1955, 542, 227, 0, 0},
       {"row_cursor", 2996, 0x9d28be49eab384d4, 2996, 9933, 5346, 0, 0, 346, 0, 0},
-      {"cg_split", 983, 0x70b33b7d63679c3b, 983, 3391, 758, 485, 247, 112, 0, 0},
-      {"tied_levels", 394, 0x4ed1d1a725ecb467, 394, 914, 959, 217, 49, 79, 0, 0},
-      {"interleaved", 1000, 0xc0283c23e8846338, 1000, 2406, 2949, 384, 130, 180, 0, 0},
+      {"cg_split", 983, 0x70b33b7d63679c3b, 983, 3401, 677, 514, 238, 112, 0, 0},
+      {"tied_levels", 394, 0x4ed1d1a725ecb467, 394, 1847, 146, 377, 23, 79, 0, 0},
+      {"interleaved", 1000, 0xc0283c23e8846338, 1000, 4929, 12, 998, 7, 180, 0, 0},
   };
   EXPECT_EQ(actual, expected) << "actual scans:\n" << ToString(actual);
 }
