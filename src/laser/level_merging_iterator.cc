@@ -299,8 +299,9 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, const Slice& hi_inclusi
                                    lane.next + (max_rows - rows));
       const size_t count = stop - lane.next;
       if (lane.next == 0) batch->keys.push_back(lane.head_key);
-      batch->keys.insert(batch->keys.end(), lane.keys + (lane.next > 0 ? lane.next - 1 : 0),
-                         lane.keys + (stop - 1));
+      for (const uint64_t* key = run_from; key < lane.keys + (stop - 1); ++key) {
+        batch->keys.push_back(*key);
+      }
       size_t lc = lane.classes_begin;
       for (size_t c = 0; c < classes; ++c) {
         const bool covered = lc < lane.classes_end && lane_classes_[lc] == static_cast<int>(c);
@@ -334,23 +335,28 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, const Slice& hi_inclusi
 
   // Gather: each projected column is written once, segment by segment.
   for (size_t pos = 0; pos < width; ++pos) {
-    size_t out = row0;
+    ScanBatch::Column& column = batch->columns[pos];
+    assert(row0 + rows <= column.values.size());
+    ColumnValue* values = column.values.data() + row0;
+    uint8_t* present = column.present.data() + row0;
     for (const Segment& seg : segments_[class_of_[pos]]) {
       if (seg.lane < 0) {
-        batch->NullColumnRun(pos, out, seg.count);
-        out += seg.count;
-        continue;
+        std::fill_n(values, seg.count, 0);
+        std::fill_n(present, seg.count, 0);
+      } else {
+        const size_t at = static_cast<size_t>(seg.lane) * width + pos;
+        size_t i = 0;
+        size_t row = seg.row;
+        if (row == 0) {
+          values[i++] = *lane_head_[at];
+          ++row;
+        }
+        const ColumnValue* run = lane_col_[at] + (row - 1);
+        for (size_t j = 0; i < seg.count; ++i, ++j) values[i] = run[j];
+        std::fill_n(present, seg.count, 1);
       }
-      const size_t at = static_cast<size_t>(seg.lane) * width + pos;
-      size_t row = seg.row;
-      size_t count = seg.count;
-      if (row == 0) {
-        batch->CopyColumnRun(pos, out++, lane_head_[at], 1);
-        ++row;
-        --count;
-      }
-      if (count > 0) batch->CopyColumnRun(pos, out, lane_col_[at] + (row - 1), count);
-      out += count;
+      values += seg.count;
+      present += seg.count;
     }
   }
 

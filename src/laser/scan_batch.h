@@ -74,8 +74,8 @@ struct ScanBatch {
     }
   }
 
-  // -- column-major splice primitives (the zip path's and run merge's writes) --
-  // All REQUIRE column capacity for every row they write
+  // -- column-major splice primitives (the zip path's writes) --
+  // Both REQUIRE column capacity for every row they write
   // (EnsureColumnCapacity); they write by index and never grow.
 
   /// Appends the first `n` rows of `run`: its keys, then run.cols[i] into
@@ -87,18 +87,12 @@ struct ScanBatch {
     const size_t row0 = keys.size();
     keys.insert(keys.end(), run.keys, run.keys + n);
     for (size_t i = 0; i < positions.size(); ++i) {
-      CopyColumnRun(static_cast<size_t>(positions[i]), row0, run.cols[i], n);
+      Column& column = columns[static_cast<size_t>(positions[i])];
+      assert(row0 + n <= column.values.size());
+      memcpy(column.values.data() + row0, run.cols[i], n * sizeof(ColumnValue));
+      memset(column.present.data() + row0, 1, n);
     }
     for (const int pos : nulled) NullColumnRun(static_cast<size_t>(pos), row0, n);
-  }
-
-  /// Writes `n` present values from `src` to rows [row0, row0 + n) of
-  /// projection position `pos`.
-  void CopyColumnRun(size_t pos, size_t row0, const ColumnValue* src, size_t n) {
-    Column& column = columns[pos];
-    assert(row0 + n <= column.values.size());
-    memcpy(column.values.data() + row0, src, n * sizeof(ColumnValue));
-    memset(column.present.data() + row0, 1, n);
   }
 
   /// Nulls rows [row0, row0 + n) of projection position `pos`.
