@@ -31,8 +31,10 @@ constexpr uint64_t kKeySpace = 1500;
 Schema MixedWidthSchema() {
   std::vector<ColumnSpec> specs;
   for (int c = 1; c <= 10; ++c) {
-    specs.push_back({"a" + std::to_string(c),
-                     c <= 8 ? ColumnType::kInt32 : ColumnType::kInt64});
+    // Appending, not "a" + to_string(c): GCC 12 -Wrestrict false positive.
+    std::string name = "a";
+    name += std::to_string(c);
+    specs.push_back({std::move(name), c <= 8 ? ColumnType::kInt32 : ColumnType::kInt64});
   }
   return Schema(std::move(specs));
 }

@@ -675,7 +675,10 @@ class RunZoneSkipTest : public ::testing::Test {
   /// One run SST holding keys [lo, hi]: column 1 = key * 10, column 2 = 500.
   std::shared_ptr<FileMetaData> BuildFile(uint64_t number, uint64_t lo,
                                           uint64_t hi) {
-    const std::string name = "/" + std::to_string(number) + ".sst";
+    // Appending, not "/" + to_string(number): GCC 12 -Wrestrict false positive.
+    std::string name = "/";
+    name += std::to_string(number);
+    name += ".sst";
     std::unique_ptr<WritableFile> file;
     EXPECT_TRUE(env_->NewWritableFile(name, &file).ok());
     SstBuildOptions options;
