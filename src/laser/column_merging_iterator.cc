@@ -45,6 +45,36 @@ void GatherColumn(const std::vector<const char*>& rows, size_t offset, ColumnVal
   for (size_t r = 0; r < rows.size(); ++r) out[r] = Load<T>(rows[r] + offset);
 }
 
+/// The in-level zip's key agreement: asks the `k` sources source_at(0..k) for
+/// their prepared column runs (AppendColumnRunTo into (*views)[i], each
+/// capped by the shortest run so far) and returns the length of the longest
+/// common-key prefix of the runs — one memcmp per source against source 0,
+/// the divergence located only on a mismatch. Per-index key equality is what
+/// lets a merge splice the runs side by side. Returns 0 when some source
+/// cannot zip or the runs diverge at their first key.
+template <typename SourceAt>
+size_t ZipCommonPrefix(size_t k, SourceAt source_at, const Slice& limit_exclusive,
+                       const Slice& hi_inclusive, size_t max_rows,
+                       std::vector<ColumnRunView>* views) {
+  views->resize(k);
+  size_t rows = max_rows;
+  for (size_t i = 0; i < k; ++i) {
+    const size_t n = source_at(i)->AppendColumnRunTo(&(*views)[i], limit_exclusive,
+                                                     hi_inclusive, rows);
+    if (n == 0) return 0;
+    rows = std::min(rows, n);
+  }
+  const uint64_t* keys0 = (*views)[0].keys;
+  for (size_t i = 1; i < k && rows > 0; ++i) {
+    const uint64_t* keys = (*views)[i].keys;
+    if (memcmp(keys0, keys, rows * sizeof(uint64_t)) == 0) continue;
+    size_t j = 0;
+    while (j < rows && keys0[j] == keys[j]) ++j;
+    rows = j;
+  }
+  return rows;
+}
+
 }  // namespace
 
 ContributionIterator::ContributionIterator(std::unique_ptr<Iterator> iter,

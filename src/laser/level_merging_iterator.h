@@ -56,8 +56,8 @@ class LevelMergingIterator {
   ///
   /// This is the scan's single column-capacity growth site: it calls
   /// ScanBatch::EnsureColumnCapacity once up front, and every downstream
-  /// fill (per-row fold, stretch emit, zip splice) writes by index within
-  /// that bound.
+  /// fill (per-row fold, stretch emit, zip splice, run-merge gather) writes
+  /// by index within that bound.
   size_t AppendRows(ScanBatch* batch, const Slice& hi_inclusive, size_t max_rows);
 
   // -- per-row adapter --
