@@ -6,7 +6,7 @@
 //   - a memtable and an L0 file holding partial updates and tombstones;
 //   - L1 in row format, holding a hot key range rewritten after the bulk
 //     load, so scans over it tie L1 with the older levels key by key (the
-//     cross-level tie fold and the tied zip);
+//     cross-level run merge, and the per-row fold where it cannot run);
 //   - L2 split in two column groups, one of which covers the narrow
 //     projection;
 //   - L3 split into width-1 and width-4 column groups (the in-level zip).
@@ -324,8 +324,8 @@ TEST_F(ScanPathGoldenTest, ScansMatchReference) {
   actual.push_back(
       BatchScan("interleaved", 0, kRollingKeys - 1, {2, 3, 6, 7, 9}, 1024));
 
-  // Both zip routes must carry rows: the in-level splice across L3's column
-  // groups, and the tied zip of the hot range across levels.
+  // Both run routes must carry rows: the in-level splice across L3's column
+  // groups, and the run merge of the hot range across levels.
   EXPECT_GT(actual[6].zip_rows, 0u) << db_->DebugString();
   EXPECT_GT(actual[7].zip_rows, 0u) << db_->DebugString();
 
