@@ -302,11 +302,10 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, const Slice& hi_inclusi
       for (const uint64_t* key = run_from; key < lane.keys + (stop - 1); ++key) {
         batch->keys.push_back(*key);
       }
-      size_t lc = lane.classes_begin;
       for (size_t c = 0; c < classes; ++c) {
-        const bool covered = lc < lane.classes_end && lane_classes_[lc] == static_cast<int>(c);
-        if (covered) ++lc;
-        AddSegment(c, covered ? static_cast<int>(lane_index) : -1, lane.next, count);
+        const size_t at = lane_index * width + static_cast<size_t>(class_first_pos_[c]);
+        AddSegment(c, lane_head_[at] != nullptr ? static_cast<int>(lane_index) : -1,
+                   lane.next, count);
       }
       advance(top, count);
       rows += count;
