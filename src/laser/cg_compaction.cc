@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 
 #include "lsm/merging_iterator.h"
 #include "lsm/run_iterator.h"
@@ -182,6 +183,97 @@ std::vector<SstBuildOptions::ZoneColumnSpec> ZoneColumnsFor(
   return specs;
 }
 
+SstBuildOptions BuildOptionsFor(const JobContext& ctx, const ColumnSet& columns,
+                                int level) {
+  SstBuildOptions build_options;
+  build_options.block_size = ctx.options->block_size;
+  build_options.restart_interval = ctx.options->restart_interval;
+  build_options.compression = ctx.options->compression;
+  build_options.bloom_bits_per_key = ctx.options->bloom_bits_for_level(level);
+  build_options.zone_columns = ZoneColumnsFor(ctx.codec, columns);
+  return build_options;
+}
+
+/// The SST files one job creates. A finished file goes to the I/O queue to be
+/// synced and closed while the job writes the next one. The job keeps the
+/// file object until its sync has run and frees it itself, so the I/O thread
+/// never frees memory.
+class JobFiles {
+ public:
+  explicit JobFiles(const JobContext& ctx) : ctx_(ctx) {}
+  /// A queued sync must not outlive its file.
+  ~JobFiles() { Wait(); }
+
+  JobFiles(const JobFiles&) = delete;
+  JobFiles& operator=(const JobFiles&) = delete;
+
+  /// Allocates the next file number and creates its SST.
+  Status Create(uint64_t* number, std::unique_ptr<WritableFile>* file) {
+    *number = ctx_.next_file_number();
+    LASER_RETURN_IF_ERROR(ctx_.options->env->NewWritableFile(Path(*number), file));
+    created_.push_back(*number);
+    return Status::OK();
+  }
+
+  /// Queues a finished file's sync and close. First frees the files whose
+  /// syncs have run: a job may write dozens of outputs, and each writable
+  /// file holds a write buffer.
+  void Sync(std::unique_ptr<WritableFile> file) {
+    while (!syncing_.empty() && ctx_.io->Done(syncing_.front().first)) {
+      syncing_.pop_front();
+    }
+    const uint64_t ticket = ctx_.io->SyncAndClose(file.get(), &sync_error_);
+    syncing_.emplace_back(ticket, std::move(file));
+  }
+
+  /// Blocks until every queued sync has run; returns the first failure.
+  Status Wait() {
+    if (!syncing_.empty()) ctx_.io->Wait(syncing_.back().first);
+    syncing_.clear();
+    return sync_error_;
+  }
+
+  /// Ends the job: waits for its syncs, and when `s` or a sync failed,
+  /// removes every file the job created. Returns the job's status.
+  Status Finish(Status s) {
+    const Status synced = Wait();
+    if (s.ok()) s = synced;
+    if (!s.ok()) {
+      for (const uint64_t number : created_) {
+        ctx_.options->env->RemoveFile(Path(number));
+      }
+    }
+    return s;
+  }
+
+  std::string Path(uint64_t number) const {
+    return ctx_.db_path + "/" + SstFileName(number);
+  }
+
+ private:
+  const JobContext& ctx_;
+  std::vector<uint64_t> created_;
+  std::deque<std::pair<uint64_t, std::unique_ptr<WritableFile>>> syncing_;  // by ticket
+  Status sync_error_;
+};
+
+/// Opens the reader for a finished SST and describes it.
+Status DescribeOutput(const JobContext& ctx, const SstBuilder& builder, uint64_t number,
+                      const std::string& path, std::shared_ptr<FileMetaData>* output) {
+  auto meta = std::make_shared<FileMetaData>();
+  meta->file_number = number;
+  meta->file_size = builder.FileSize();
+  meta->smallest = builder.smallest_key();
+  meta->largest = builder.largest_key();
+  meta->props = builder.properties();
+  std::unique_ptr<SstReader> reader;
+  LASER_RETURN_IF_ERROR(SstReader::Open(ctx.options->env, path, number, ctx.cache,
+                                        ctx.stats, &reader));
+  meta->reader = std::move(reader);
+  *output = std::move(meta);
+  return Status::OK();
+}
+
 /// Writes a stream of internal entries into target-sized SSTs, cutting only
 /// at user-key boundaries so one key's versions never straddle files.
 class OutputWriter {
@@ -189,9 +281,11 @@ class OutputWriter {
   /// `columns` is the full column set of the CG being written (used for
   /// zone-map summaries); `target_level` picks the level's filter
   /// allocation (Monkey hands each level its own bits-per-key).
-  OutputWriter(const JobContext& ctx, const ColumnSet& columns,
+  OutputWriter(const JobContext& ctx, JobFiles* job_files, const ColumnSet& columns,
                int target_level)
-      : ctx_(ctx), columns_(columns), target_level_(target_level) {}
+      : ctx_(ctx),
+        job_files_(job_files),
+        build_options_(BuildOptionsFor(ctx, columns, target_level)) {}
 
   Status Add(const Slice& internal_key, const Slice& value) {
     const Slice user_key = ExtractUserKey(internal_key);
@@ -219,22 +313,15 @@ class OutputWriter {
 
  private:
   Status StartNew() {
-    current_number_ = ctx_.next_file_number();
     std::unique_ptr<WritableFile> file;
-    LASER_RETURN_IF_ERROR(ctx_.options->env->NewWritableFile(
-        ctx_.db_path + "/" + SstFileName(current_number_), &file));
-    SstBuildOptions build_options;
-    build_options.block_size = ctx_.options->block_size;
-    build_options.restart_interval = ctx_.options->restart_interval;
-    build_options.compression = ctx_.options->compression;
-    build_options.bloom_bits_per_key =
-        ctx_.options->bloom_bits_for_level(target_level_);
-    build_options.zone_columns = ZoneColumnsFor(ctx_.codec, columns_);
-    builder_ = std::make_unique<SstBuilder>(build_options, std::move(file));
+    LASER_RETURN_IF_ERROR(job_files_->Create(&current_number_, &file));
+    builder_ = std::make_unique<SstBuilder>(build_options_, std::move(file));
     pending_bytes_ = 0;
     return Status::OK();
   }
 
+  /// Finishes the open file and queues its sync without waiting: the next
+  /// output is written while the device syncs this one.
   Status FinishCurrent() {
     if (builder_ == nullptr) return Status::OK();
     if (builder_->NumEntries() == 0) {
@@ -242,20 +329,11 @@ class OutputWriter {
       return Status::OK();
     }
     LASER_RETURN_IF_ERROR(builder_->Finish());
+    job_files_->Sync(builder_->ReleaseFile());
 
-    auto meta = std::make_shared<FileMetaData>();
-    meta->file_number = current_number_;
-    meta->file_size = builder_->FileSize();
-    meta->smallest = builder_->smallest_key();
-    meta->largest = builder_->largest_key();
-    meta->props = builder_->properties();
-
-    std::unique_ptr<SstReader> reader;
-    LASER_RETURN_IF_ERROR(SstReader::Open(
-        ctx_.options->env, ctx_.db_path + "/" + SstFileName(current_number_),
-        current_number_, ctx_.cache, ctx_.stats, &reader));
-    meta->reader = std::move(reader);
-
+    std::shared_ptr<FileMetaData> meta;
+    LASER_RETURN_IF_ERROR(DescribeOutput(ctx_, *builder_, current_number_,
+                                         job_files_->Path(current_number_), &meta));
     total_bytes_ += meta->file_size;
     total_entries_ += meta->props.num_entries;
     files_.push_back(std::move(meta));
@@ -264,8 +342,8 @@ class OutputWriter {
   }
 
   const JobContext& ctx_;
-  const ColumnSet columns_;
-  const int target_level_;
+  JobFiles* const job_files_;
+  const SstBuildOptions build_options_;
   std::unique_ptr<SstBuilder> builder_;
   uint64_t current_number_ = 0;
   uint64_t pending_bytes_ = 0;
@@ -275,14 +353,13 @@ class OutputWriter {
   uint64_t total_entries_ = 0;
 };
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Compaction and flush execution
 // ---------------------------------------------------------------------------
 
-Status RunCompaction(const JobContext& ctx, const CompactionJob& job,
-                     CompactionResult* result) {
+/// Merges the job's inputs into its outputs; RunCompaction ends the job.
+Status WriteCompactionOutputs(const JobContext& ctx, const CompactionJob& job,
+                              JobFiles* files, CompactionResult* result) {
   // All column sets come from the job (snapshotted at pick time from the
   // Version being compacted) — never from options: mid-morph the live layout
   // differs per level and the options config describes neither side.
@@ -327,7 +404,7 @@ Status RunCompaction(const JobContext& ctx, const CompactionJob& job,
     auto merged = NewMergingIterator(std::move(streams));
 
     VersionMerger merger(ctx.codec, child_cols, ctx.snapshots, job.to_bottom_level);
-    OutputWriter writer(ctx, child_cols, output_level);
+    OutputWriter writer(ctx, files, child_cols, output_level);
 
     // The versions of the current user key live in versions[0, num_versions);
     // slots past that keep their string buffers for the next key, so the
@@ -401,7 +478,44 @@ Status RunCompaction(const JobContext& ctx, const CompactionJob& job,
     result->bytes_written += bytes;
     result->entries_written += entries;
   }
+  return Status::OK();
+}
 
+/// Writes the memtable into one new L0 SST and waits for its sync.
+Status WriteFlushOutput(const JobContext& ctx, const MemTable& imm, JobFiles* files,
+                        std::shared_ptr<FileMetaData>* output) {
+  uint64_t number = 0;
+  std::unique_ptr<WritableFile> file;
+  LASER_RETURN_IF_ERROR(files->Create(&number, &file));
+  // L0 files hold full rows over the whole schema.
+  SstBuilder builder(BuildOptionsFor(ctx, ctx.options->schema.AllColumns(), 0),
+                     std::move(file));
+  auto iter = imm.NewIterator();
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    builder.Add(iter->key(), iter->value());
+  }
+  LASER_RETURN_IF_ERROR(builder.Finish());
+  files->Sync(builder.ReleaseFile());
+  LASER_RETURN_IF_ERROR(files->Wait());
+  if (builder.NumEntries() == 0) {
+    // Nothing to flush (an empty memtable was rotated, or WAL replay found
+    // only an empty tail).
+    ctx.options->env->RemoveFile(files->Path(number));
+    return Status::OK();
+  }
+  return DescribeOutput(ctx, builder, number, files->Path(number), output);
+}
+
+}  // namespace
+
+Status RunCompaction(const JobContext& ctx, const CompactionJob& job,
+                     CompactionResult* result) {
+  JobFiles files(ctx);
+  const Status s = files.Finish(WriteCompactionOutputs(ctx, job, &files, result));
+  if (!s.ok()) {
+    result->outputs.clear();
+    return s;
+  }
   if (ctx.stats != nullptr) {
     ctx.stats->bytes_compacted.fetch_add(result->bytes_written,
                                          std::memory_order_relaxed);
@@ -416,48 +530,11 @@ Status RunCompaction(const JobContext& ctx, const CompactionJob& job,
 
 Status RunFlush(const JobContext& ctx, const MemTable& imm,
                 std::shared_ptr<FileMetaData>* output) {
-  const uint64_t file_number = ctx.next_file_number();
-  std::unique_ptr<WritableFile> file;
-  LASER_RETURN_IF_ERROR(ctx.options->env->NewWritableFile(
-      ctx.db_path + "/" + SstFileName(file_number), &file));
-
-  SstBuildOptions build_options;
-  build_options.block_size = ctx.options->block_size;
-  build_options.restart_interval = ctx.options->restart_interval;
-  build_options.compression = ctx.options->compression;
-  build_options.bloom_bits_per_key = ctx.options->bloom_bits_for_level(0);
-  // L0 files hold full rows over the whole schema.
-  build_options.zone_columns =
-      ZoneColumnsFor(ctx.codec, ctx.options->schema.AllColumns());
-  SstBuilder builder(build_options, std::move(file));
-
-  auto iter = imm.NewIterator();
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-    builder.Add(iter->key(), iter->value());
-  }
-  if (builder.NumEntries() == 0) {
-    // Nothing to flush (possible after WAL replay of an empty tail).
-    *output = nullptr;
-    builder.Finish();
-    ctx.options->env->RemoveFile(ctx.db_path + "/" + SstFileName(file_number));
-    return Status::OK();
-  }
-  LASER_RETURN_IF_ERROR(builder.Finish());
-
-  auto meta = std::make_shared<FileMetaData>();
-  meta->file_number = file_number;
-  meta->file_size = builder.FileSize();
-  meta->smallest = builder.smallest_key();
-  meta->largest = builder.largest_key();
-  meta->props = builder.properties();
-
-  std::unique_ptr<SstReader> reader;
-  LASER_RETURN_IF_ERROR(
-      SstReader::Open(ctx.options->env, ctx.db_path + "/" + SstFileName(file_number),
-                      file_number, ctx.cache, ctx.stats, &reader));
-  meta->reader = std::move(reader);
-
-  if (ctx.stats != nullptr) {
+  *output = nullptr;
+  JobFiles files(ctx);
+  std::shared_ptr<FileMetaData> meta;
+  LASER_RETURN_IF_ERROR(files.Finish(WriteFlushOutput(ctx, imm, &files, &meta)));
+  if (meta != nullptr && ctx.stats != nullptr) {
     ctx.stats->bytes_flushed.fetch_add(meta->file_size, std::memory_order_relaxed);
     ctx.stats->flush_jobs.fetch_add(1, std::memory_order_relaxed);
   }

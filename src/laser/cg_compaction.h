@@ -20,6 +20,7 @@
 #include "lsm/compaction_picker.h"
 #include "lsm/version.h"
 #include "memtable/memtable.h"
+#include "util/io_queue.h"
 #include "util/stats.h"
 
 namespace laser {
@@ -82,6 +83,9 @@ struct JobContext {
   std::function<uint64_t()> next_file_number;
   /// Alive snapshot sequences, descending.
   std::vector<SequenceNumber> snapshots;
+  /// Syncs and closes each finished output while the job writes the next.
+  /// Required by RunCompaction and RunFlush.
+  IoQueue* io = nullptr;
 };
 
 /// Output of one compaction job.
@@ -92,11 +96,13 @@ struct CompactionResult {
   uint64_t entries_written = 0;
 };
 
-/// Executes a compaction job (outside the engine mutex).
+/// Executes a compaction job (outside the engine mutex). Returns only after
+/// every output is synced; on failure it has removed every file it created.
 Status RunCompaction(const JobContext& ctx, const CompactionJob& job,
                      CompactionResult* result);
 
-/// Flushes an immutable memtable to a row-format L0 SST.
+/// Flushes an immutable memtable to a row-format L0 SST, synced before it
+/// returns.
 Status RunFlush(const JobContext& ctx, const MemTable& imm,
                 std::shared_ptr<FileMetaData>* output);
 

@@ -42,7 +42,8 @@ LaserDB::LaserDB(const LaserOptions& options)
       all_columns_(options_.schema.AllColumns()),
       codec_(&options_.schema),
       picker_(&options_),
-      manifest_(options_.env, options_.path) {
+      manifest_(options_.env, options_.path),
+      io_(std::make_unique<IoQueue>(env_)) {
   if (options_.block_cache_bytes > 0) {
     cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes,
                                           options_.block_cache_shards);
@@ -274,6 +275,7 @@ LaserDB::~LaserDB() {
     std::unique_lock<std::mutex> lock(mu_);
     CollectObsoleteFiles();
   }
+  io_.reset();  // runs every queued unlink, then joins the I/O thread
   if (mem_ != nullptr) mem_->Unref();
   for (MemTable* imm : imm_) imm->Unref();
 }
@@ -698,6 +700,7 @@ JobContext LaserDB::MakeJobContext() {
   ctx.cache = cache_.get();
   ctx.stats = &stats_;
   ctx.next_file_number = [this] { return next_file_number_.fetch_add(1); };
+  ctx.io = io_.get();
   {
     std::unique_lock<std::mutex> lock(mu_);
     ctx.snapshots.assign(snapshots_.rbegin(), snapshots_.rend());
@@ -774,7 +777,7 @@ void LaserDB::BackgroundFlush() {
       imm_prepared_xids_.erase(imm_prepared_xids_.begin());
       imm->Unref();
       if (options_.use_wal) {
-        env_->RemoveFile(db_path_ + "/" + WalFileName(wal_number));
+        io_->RemoveFile(db_path_ + "/" + WalFileName(wal_number));
       }
     } else {
       bg_error_ = s;
@@ -793,7 +796,6 @@ void LaserDB::BackgroundCompact(CompactionJob job) {
 
   {
     std::unique_lock<std::mutex> lock(mu_);
-    bool installed = false;
     if (s.ok()) {
       auto next = version_->Clone();
       if (job.morph) {
@@ -809,7 +811,6 @@ void LaserDB::BackgroundCompact(CompactionJob job) {
         }
       }
       version_ = std::move(next);
-      installed = true;
       // Morph complete? Clear the target before persisting so the manifest
       // records the finished state in the same snapshot.
       if (target_design_.num_levels() > 0 && version_->design() == target_design_) {
@@ -844,18 +845,11 @@ void LaserDB::BackgroundCompact(CompactionJob job) {
       result.outputs.clear();
       CollectObsoleteFiles();
     } else {
+      // A failed job has removed its own outputs. After a failed
+      // SaveManifest the live version references the outputs, and the
+      // parents must stay on disk so a reopen from the stale manifest can
+      // still find its files.
       bg_error_ = s;
-      // Only unlink the outputs if the new version was never installed:
-      // after installation the live version references them (even when
-      // SaveManifest failed), and the parents must also stay on disk so a
-      // reopen from the stale manifest can still find its files.
-      if (!installed) {
-        for (const auto& run : result.outputs) {
-          for (const auto& f : run) {
-            env_->RemoveFile(db_path_ + "/" + SstFileName(f->file_number));
-          }
-        }
-      }
     }
     for (const auto& claim : job.Claims()) busy_.erase(claim);
     --running_jobs_;
@@ -871,7 +865,7 @@ void LaserDB::CollectObsoleteFiles() {
       // destroyed) the reader, so only the on-disk file is left to reclaim.
       // Unlinking a possibly still-open file is fine on POSIX and MemEnv.
       const uint64_t number = it->second;
-      env_->RemoveFile(db_path_ + "/" + SstFileName(number));
+      io_->RemoveFile(db_path_ + "/" + SstFileName(number));
       if (cache_ != nullptr) cache_->EraseFile(number);
       it = obsolete_.erase(it);
     } else {
@@ -927,25 +921,33 @@ Status LaserDB::Flush() {
   LASER_RETURN_IF_ERROR(SubmitWrite(&req));
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return imm_.empty() || !bg_error_.ok(); });
-  return bg_error_;
+  const Status s = bg_error_;
+  lock.unlock();
+  io_->Drain();
+  return s;
 }
 
 Status LaserDB::CompactUntilStable() {
   LASER_RETURN_IF_ERROR(Flush());
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    if (!bg_error_.ok()) return bg_error_;
-    // Schedule work even when auto compactions are disabled.
-    ScheduleCompactions();
-    const CgConfig* target =
-        target_design_.num_levels() > 0 ? &target_design_ : nullptr;
-    if (running_jobs_ == 0 && imm_.empty() &&
-        !picker_.NeedsCompaction(*version_, target)) {
-      CollectObsoleteFiles();
-      return Status::OK();
+  Status s;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (bg_error_.ok()) {
+      // Schedule work even when auto compactions are disabled.
+      ScheduleCompactions();
+      const CgConfig* target =
+          target_design_.num_levels() > 0 ? &target_design_ : nullptr;
+      if (running_jobs_ == 0 && imm_.empty() &&
+          !picker_.NeedsCompaction(*version_, target)) {
+        CollectObsoleteFiles();
+        break;
+      }
+      cv_.wait(lock);
     }
-    cv_.wait(lock);
+    s = bg_error_;
   }
+  io_->Drain();
+  return s;
 }
 
 void LaserDB::WaitForBackgroundWork() {
@@ -954,6 +956,8 @@ void LaserDB::WaitForBackgroundWork() {
     return (running_jobs_ == 0 && imm_.empty()) || !bg_error_.ok();
   });
   CollectObsoleteFiles();
+  lock.unlock();
+  io_->Drain();
 }
 
 SequenceNumber LaserDB::LastSequence() const {

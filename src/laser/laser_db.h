@@ -37,6 +37,7 @@
 #include "lsm/manifest.h"
 #include "lsm/version.h"
 #include "memtable/memtable.h"
+#include "util/io_queue.h"
 #include "util/thread_pool.h"
 #include "wal/log_writer.h"
 
@@ -142,14 +143,17 @@ class LaserDB {
 
   // -- maintenance --
 
-  /// Rotates the memtable and waits for all pending flushes.
+  /// Rotates the memtable and waits for all pending flushes, including the
+  /// removal of the logs they made obsolete.
   Status Flush();
 
   /// Runs compactions until no level/CG exceeds capacity (works with
   /// disable_auto_compactions too). Returns the first background error.
+  /// Every obsolete file no reader pins is gone from disk when it returns.
   Status CompactUntilStable();
 
-  /// Waits for all scheduled background work to finish.
+  /// Waits for all scheduled background work to finish, then for the
+  /// removal of every obsolete file no reader pins.
   void WaitForBackgroundWork();
 
   // -- adaptive design (§6: online advisor -> in-flight morphing) --
@@ -261,7 +265,9 @@ class LaserDB {
 
   JobContext MakeJobContext();
 
-  /// Unlinks obsolete files whose metadata has been released everywhere.
+  /// Queues the unlink of every obsolete file whose metadata has been
+  /// released everywhere, behind the install that made it obsolete. Callers
+  /// that promise a clean directory drain io_ after releasing mu_.
   /// REQUIRES: mu_ held.
   void CollectObsoleteFiles();
 
@@ -284,6 +290,10 @@ class LaserDB {
   CompactionPicker picker_;
   Manifest manifest_;
   std::unique_ptr<ThreadPool> pool_;
+  /// Background file syscalls, in FIFO order: each finished flush or
+  /// compaction output is synced here before its job installs it, and each
+  /// obsolete SST or WAL is unlinked here after the install that retired it.
+  std::unique_ptr<IoQueue> io_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

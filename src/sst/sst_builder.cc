@@ -265,8 +265,7 @@ Status SstBuilder::Finish() {
   if (!status_.ok()) return status_;
   offset_ += footer_encoding.size();
 
-  status_ = file_->Sync();
-  if (status_.ok()) status_ = file_->Close();
+  status_ = file_->Flush();
   return status_;
 }
 

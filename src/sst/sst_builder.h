@@ -53,8 +53,14 @@ class SstBuilder {
   /// Adds an entry. REQUIRES: internal key ordering, no duplicates.
   void Add(const Slice& internal_key, const Slice& value);
 
-  /// Finalizes the file (filter, properties, index, footer) and syncs it.
+  /// Finalizes the file (filter, properties, index, footer) and flushes it
+  /// to the OS, so a reader sees the whole file. It does not sync or close
+  /// the file: durability is the caller's (see ReleaseFile).
   Status Finish();
+
+  /// Hands the file over, e.g. to be synced and closed off the caller's
+  /// thread. REQUIRES: Finish() returned OK.
+  std::unique_ptr<WritableFile> ReleaseFile() { return std::move(file_); }
 
   /// Final file size. REQUIRES: Finish() returned OK.
   uint64_t FileSize() const { return offset_; }

@@ -70,11 +70,17 @@ void FaultInjectionEnv::FailOperation(uint64_t k) {
   fail_at_ = ops_ + k;
 }
 
+void FaultInjectionEnv::FailOperation(OpKind kind, const std::string& fname) {
+  std::lock_guard<std::mutex> lock(mu_);
+  fail_op_ = OpRecord{kind, fname};
+}
+
 void FaultInjectionEnv::ClearFaults() {
   std::lock_guard<std::mutex> lock(mu_);
   killed_ = false;
   kill_at_.reset();
   fail_at_.reset();
+  fail_op_.reset();
 }
 
 bool FaultInjectionEnv::killed() const {
@@ -104,6 +110,10 @@ Status FaultInjectionEnv::BeginMutation(OpKind kind, const std::string& fname) {
   history_.push_back(OpRecord{kind, fname});
   if (fail_at_.has_value() && index == *fail_at_) {
     fail_at_.reset();
+    return Status::IOError("injected fault: " + fname);
+  }
+  if (fail_op_.has_value() && fail_op_->kind == kind && fail_op_->fname == fname) {
+    fail_op_.reset();
     return Status::IOError("injected fault: " + fname);
   }
   return Status::OK();

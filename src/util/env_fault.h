@@ -6,8 +6,9 @@
 //      crash points deterministically and replay the same schedule.
 //   2. Faults: CrashAfterOps(n) simulates power loss — n more mutating ops
 //      succeed, then every operation fails until ClearFaults();
-//      FailOperation(k) fails exactly one upcoming mutating op, modelling a
-//      transient I/O error that the caller must surface as a Status.
+//      FailOperation(k) fails exactly one upcoming mutating op (or the next
+//      op of a given kind on a given file), modelling a transient I/O error
+//      that the caller must surface as a Status.
 //   3. Durability: appended bytes become durable only when the file is
 //      synced. DropUnsyncedData() reverts the backing filesystem to the
 //      durable image — what a process sees after crash + reboot.
@@ -78,6 +79,11 @@ class FaultInjectionEnv final : public Env {
   /// one); operations before and after it succeed.
   void FailOperation(uint64_t k);
 
+  /// Fails exactly the next `kind` operation on `fname`, at whatever index it
+  /// comes — for an op whose place in the stream is not fixed, such as a sync
+  /// run by a background I/O thread.
+  void FailOperation(OpKind kind, const std::string& fname);
+
   /// Clears kill switch and pending one-shot failures.
   void ClearFaults();
 
@@ -140,6 +146,7 @@ class FaultInjectionEnv final : public Env {
   bool killed_ = false;
   std::optional<uint64_t> kill_at_;   // absolute op index that kills
   std::optional<uint64_t> fail_at_;   // absolute op index that fails once
+  std::optional<OpRecord> fail_op_;   // (kind, fname) that fails once
   std::vector<OpRecord> history_;
   std::map<std::string, std::string> durable_;
   /// Every file name ever created/renamed through this Env (union with

@@ -58,11 +58,22 @@ class PosixRandomAccessFile final : public RandomAccessFile {
       : fname_(std::move(fname)), fd_(fd) {}
   ~PosixRandomAccessFile() override { ::close(fd_); }
 
+  /// Reads until `n` bytes or EOF: pread may return short, or fail with
+  /// EINTR, before either.
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
-    ssize_t r = ::pread(fd_, scratch, n, static_cast<off_t>(offset));
-    if (r < 0) return PosixError(fname_, errno);
-    *result = Slice(scratch, static_cast<size_t>(r));
+    size_t done = 0;
+    while (done < n) {
+      ssize_t r = ::pread(fd_, scratch + done, n - done,
+                          static_cast<off_t>(offset + done));
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        return PosixError(fname_, errno);
+      }
+      if (r == 0) break;  // EOF
+      done += static_cast<size_t>(r);
+    }
+    *result = Slice(scratch, done);
     return Status::OK();
   }
 

@@ -17,6 +17,7 @@ class CgCompactionTest : public ::testing::Test {
 
   void SetUp() override {
     env_ = NewMemEnv();
+    io_ = std::make_unique<IoQueue>(env_.get());
     ASSERT_TRUE(env_->CreateDir("/db").ok());
     options_.env = env_.get();
     options_.path = "/db";
@@ -42,6 +43,7 @@ class CgCompactionTest : public ::testing::Test {
     ctx.cache = nullptr;
     ctx.stats = &stats_;
     ctx.next_file_number = [this] { return next_file_++; };
+    ctx.io = io_.get();
     return ctx;
   }
 
@@ -83,6 +85,7 @@ class CgCompactionTest : public ::testing::Test {
   }
 
   std::unique_ptr<Env> env_;
+  std::unique_ptr<IoQueue> io_;
   LaserOptions options_;
   std::unique_ptr<RowCodec> codec_;
   Stats stats_;

@@ -10,6 +10,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -231,6 +232,37 @@ TEST_P(CrashMatrixTest, CrashAtEveryFilesystemOperation) {
       test::RecoveryHarness::VerifyMatchesSomeSnapshot(db.get(), outcome.snapshots);
     }
   }
+}
+
+// Two profiling runs of the script agree on what the harness promises: the
+// op index of every manifest rename, and per phase, the count of each kind
+// of op.
+TEST_P(CrashMatrixTest, ProfilingRunsAgreeOnRenamesAndPhaseOpCounts) {
+  auto profile = [&](std::vector<uint64_t>* renames,
+                     std::map<std::string, size_t>* phase_counts) {
+    RecoveryHarness harness(GetParam());
+    std::unique_ptr<LaserDB> db;
+    ASSERT_TRUE(harness.Open(&db).ok());
+    const ScriptOutcome outcome = harness.RunScript(db.get());
+    ASSERT_TRUE(outcome.completed);
+    const std::vector<OpRecord> history = harness.fault_env()->history();
+    for (uint64_t i = 0; i < history.size(); ++i) {
+      if (history[i].kind == OpKind::kRename) renames->push_back(i);
+    }
+    for (const PhaseSpan& span : outcome.phases) {
+      for (uint64_t i = span.begin; i < span.end; ++i) {
+        const int kind = static_cast<int>(history[i].kind);
+        ++(*phase_counts)[span.name + "/" + std::to_string(kind)];
+      }
+    }
+  };
+  std::vector<uint64_t> renames_a, renames_b;
+  std::map<std::string, size_t> counts_a, counts_b;
+  profile(&renames_a, &counts_a);
+  profile(&renames_b, &counts_b);
+  EXPECT_FALSE(renames_a.empty());
+  EXPECT_EQ(renames_a, renames_b);
+  EXPECT_EQ(counts_a, counts_b);
 }
 
 INSTANTIATE_TEST_SUITE_P(

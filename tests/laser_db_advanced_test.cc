@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <set>
 #include <thread>
 
 #include "laser/laser_db.h"
@@ -43,7 +45,20 @@ class LaserDbAdvancedTest : public ::testing::Test {
   }
 
   std::unique_ptr<Env> env_;
+  std::unique_ptr<Env> wrapped_env_;  // outlives db_
   std::unique_ptr<LaserDB> db_;
+};
+
+/// Slows every unlink, so a wait that returned before the I/O thread had
+/// run its queued unlinks would leave files on disk.
+class SlowRemoveEnv final : public test::SyncHookEnv {
+ public:
+  explicit SlowRemoveEnv(Env* base) : SyncHookEnv(base, [](const std::string&) {}) {}
+
+  Status RemoveFile(const std::string& fname) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return SyncHookEnv::RemoveFile(fname);
+  }
 };
 
 TEST_F(LaserDbAdvancedTest, SnapshotKeepsOldVersionsAcrossCompaction) {
@@ -79,29 +94,78 @@ TEST_F(LaserDbAdvancedTest, SnapshotKeepsOldVersionsAcrossCompaction) {
 }
 
 TEST_F(LaserDbAdvancedTest, ObsoleteFilesAreDeletedFromDisk) {
-  for (uint64_t k = 0; k < 3000; ++k) ASSERT_TRUE(db_->Insert(k, Row(k)).ok());
-  ASSERT_TRUE(db_->CompactUntilStable().ok());
-
-  // Every .sst in the directory must be referenced by the current version.
-  std::vector<std::string> children;
-  ASSERT_TRUE(env_->GetChildren("/adv", &children).ok());
-  std::set<std::string> on_disk;
-  for (const auto& name : children) {
-    if (name.size() > 4 && name.substr(name.size() - 4) == ".sst") {
-      on_disk.insert(name);
-    }
-  }
-  auto version = db_->current_version();
-  std::set<std::string> referenced;
-  for (int level = 0; level < version->num_levels(); ++level) {
-    for (int group = 0; group < version->num_groups(level); ++group) {
-      for (const auto& f : version->files(level, group)) {
-        referenced.insert(SstFileName(f->file_number));
+  auto ssts_on_disk = [&] {
+    std::vector<std::string> children;
+    EXPECT_TRUE(env_->GetChildren("/adv", &children).ok());
+    std::set<std::string> on_disk;
+    for (const auto& name : children) {
+      if (name.size() > 4 && name.substr(name.size() - 4) == ".sst") {
+        on_disk.insert(name);
       }
     }
-  }
-  EXPECT_EQ(on_disk, referenced);
-  EXPECT_FALSE(on_disk.empty());
+    return on_disk;
+  };
+  auto live_ssts = [&] {
+    auto version = db_->current_version();
+    std::set<std::string> referenced;
+    for (int level = 0; level < version->num_levels(); ++level) {
+      for (int group = 0; group < version->num_groups(level); ++group) {
+        for (const auto& f : version->files(level, group)) {
+          referenced.insert(SstFileName(f->file_number));
+        }
+      }
+    }
+    return referenced;
+  };
+  auto overwrite = [&](uint64_t value_base) {
+    for (uint64_t k = 0; k < 3000; ++k) {
+      ASSERT_TRUE(db_->Insert(k, Row(k + value_base)).ok());
+    }
+  };
+  const ColumnSet all = MakeColumnRange(1, kColumns);
+  wrapped_env_ = std::make_unique<SlowRemoveEnv>(env_.get());
+  LaserOptions options = MakeOptions();
+  options.env = wrapped_env_.get();
+  Reopen(options);
+
+  // Unlinks run on the I/O thread, and both waits drain it: every .sst in
+  // the directory must then be referenced by the current version.
+  overwrite(0);
+  ASSERT_TRUE(db_->CompactUntilStable().ok());
+  EXPECT_EQ(ssts_on_disk(), live_ssts()) << "after CompactUntilStable";
+  EXPECT_FALSE(ssts_on_disk().empty());
+  overwrite(1);
+  db_->WaitForBackgroundWork();
+  EXPECT_EQ(ssts_on_disk(), live_ssts()) << "after WaitForBackgroundWork";
+
+  // A scan opened before a compaction keeps the files it retires until the
+  // scan is released; the next drain then removes them.
+  auto scan = db_->NewScan(0, 3000, all);
+  ASSERT_NE(scan, nullptr);
+  const std::set<std::string> pinned = live_ssts();
+  overwrite(2);
+  ASSERT_TRUE(db_->CompactUntilStable().ok());
+  std::set<std::string> expected = live_ssts();
+  size_t retired = 0;
+  for (const std::string& name : pinned) retired += expected.insert(name).second;
+  EXPECT_GT(retired, 0u) << "the compaction retired no pinned file";
+  EXPECT_EQ(ssts_on_disk(), expected) << "pinned files must stay";
+  scan.reset();
+  EXPECT_EQ(ssts_on_disk(), expected) << "nothing is unlinked before a drain";
+  db_->WaitForBackgroundWork();
+  EXPECT_EQ(ssts_on_disk(), live_ssts()) << "released files outlived the drain";
+
+  // Closing the DB while its unlinks are queued (the close itself queues
+  // the released scan's files) leaves no unreferenced SST. Checked before
+  // any reopen, whose recovery would delete a leftover.
+  scan = db_->NewScan(0, 3000, all);
+  ASSERT_NE(scan, nullptr);
+  overwrite(3);
+  ASSERT_TRUE(db_->CompactUntilStable().ok());
+  scan.reset();
+  const std::set<std::string> live = live_ssts();
+  db_.reset();
+  EXPECT_EQ(ssts_on_disk(), live) << "after close";
 }
 
 TEST_F(LaserDbAdvancedTest, WriteStallsAreRecordedUnderLoad) {

@@ -481,6 +481,26 @@ TEST_P(EnvTest, RandomAccessRead) {
   EXPECT_EQ(result.ToString(), "89");  // short read at EOF
 }
 
+TEST_P(EnvTest, RandomAccessReadStraddlingEof) {
+  // Larger than one write buffer, so the file is written in several calls.
+  std::string contents(200 * 1024, '\0');
+  for (size_t i = 0; i < contents.size(); ++i) contents[i] = static_cast<char>(i * 7);
+  const std::string fname = dir_ + "/straddle";
+  ASSERT_TRUE(env_->WriteStringToFile(Slice(contents), fname).ok());
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(env_->NewRandomAccessFile(fname, &file).ok());
+
+  std::string scratch(128 * 1024, 'x');
+  Slice result;
+  const uint64_t offset = contents.size() - 3000;
+  ASSERT_TRUE(file->Read(offset, scratch.size(), &result, scratch.data()).ok());
+  EXPECT_EQ(result.ToString(), contents.substr(offset));  // every byte to EOF
+  ASSERT_TRUE(file->Read(contents.size(), 10, &result, scratch.data()).ok());
+  EXPECT_TRUE(result.empty());  // at EOF: empty, not an error
+  ASSERT_TRUE(file->Read(contents.size() + 10, 10, &result, scratch.data()).ok());
+  EXPECT_TRUE(result.empty());  // past EOF likewise
+}
+
 TEST_P(EnvTest, RenameIsAtomicReplace) {
   const std::string a = dir_ + "/a";
   const std::string b = dir_ + "/b";
