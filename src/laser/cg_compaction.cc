@@ -196,8 +196,8 @@ SstBuildOptions BuildOptionsFor(const JobContext& ctx, const ColumnSet& columns,
 
 /// The SST files one job creates. A finished file goes to the I/O queue to be
 /// synced and closed while the job writes the next one. The job keeps the
-/// file object until its sync has run and frees it itself, so the I/O thread
-/// never frees memory.
+/// file object until its sync has run and frees it itself, so the I/O
+/// helpers never free memory.
 class JobFiles {
  public:
   explicit JobFiles(const JobContext& ctx) : ctx_(ctx) {}
@@ -228,7 +228,7 @@ class JobFiles {
 
   /// Blocks until every queued sync has run; returns the first failure.
   Status Wait() {
-    if (!syncing_.empty()) ctx_.io->Wait(syncing_.back().first);
+    for (const auto& [ticket, file] : syncing_) ctx_.io->Wait(ticket);
     syncing_.clear();
     return sync_error_;
   }
@@ -481,7 +481,10 @@ Status WriteCompactionOutputs(const JobContext& ctx, const CompactionJob& job,
   return Status::OK();
 }
 
-/// Writes the memtable into one new L0 SST and waits for its sync.
+/// Writes the memtable into one new L0 SST and syncs it on this thread. A
+/// flush has nothing to overlap its one sync with, and writers may be
+/// stalled on it, so it does not queue behind compaction work on the I/O
+/// helpers.
 Status WriteFlushOutput(const JobContext& ctx, const MemTable& imm, JobFiles* files,
                         std::shared_ptr<FileMetaData>* output) {
   uint64_t number = 0;
@@ -495,8 +498,7 @@ Status WriteFlushOutput(const JobContext& ctx, const MemTable& imm, JobFiles* fi
     builder.Add(iter->key(), iter->value());
   }
   LASER_RETURN_IF_ERROR(builder.Finish());
-  files->Sync(builder.ReleaseFile());
-  LASER_RETURN_IF_ERROR(files->Wait());
+  LASER_RETURN_IF_ERROR(SyncThenClose(builder.ReleaseFile().get()));
   if (builder.NumEntries() == 0) {
     // Nothing to flush (an empty memtable was rotated, or WAL replay found
     // only an empty tail).

@@ -84,7 +84,7 @@ struct JobContext {
   /// Alive snapshot sequences, descending.
   std::vector<SequenceNumber> snapshots;
   /// Syncs and closes each finished output while the job writes the next.
-  /// Required by RunCompaction and RunFlush.
+  /// Required by RunCompaction.
   IoQueue* io = nullptr;
 };
 

@@ -43,7 +43,7 @@ LaserDB::LaserDB(const LaserOptions& options)
       codec_(&options_.schema),
       picker_(&options_),
       manifest_(options_.env, options_.path),
-      io_(std::make_unique<IoQueue>(env_)) {
+      io_(std::make_unique<IoQueue>(env_, options_.background_threads)) {
   if (options_.block_cache_bytes > 0) {
     cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes,
                                           options_.block_cache_shards);
@@ -275,7 +275,7 @@ LaserDB::~LaserDB() {
     std::unique_lock<std::mutex> lock(mu_);
     CollectObsoleteFiles();
   }
-  io_.reset();  // runs every queued unlink, then joins the I/O thread
+  io_.reset();  // runs every queued unlink, then joins the I/O helpers
   if (mem_ != nullptr) mem_->Unref();
   for (MemTable* imm : imm_) imm->Unref();
 }
@@ -777,7 +777,7 @@ void LaserDB::BackgroundFlush() {
       imm_prepared_xids_.erase(imm_prepared_xids_.begin());
       imm->Unref();
       if (options_.use_wal) {
-        io_->RemoveFile(db_path_ + "/" + WalFileName(wal_number));
+        env_->RemoveFile(db_path_ + "/" + WalFileName(wal_number));
       }
     } else {
       bg_error_ = s;
@@ -921,10 +921,7 @@ Status LaserDB::Flush() {
   LASER_RETURN_IF_ERROR(SubmitWrite(&req));
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return imm_.empty() || !bg_error_.ok(); });
-  const Status s = bg_error_;
-  lock.unlock();
-  io_->Drain();
-  return s;
+  return bg_error_;
 }
 
 Status LaserDB::CompactUntilStable() {

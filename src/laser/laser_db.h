@@ -143,8 +143,7 @@ class LaserDB {
 
   // -- maintenance --
 
-  /// Rotates the memtable and waits for all pending flushes, including the
-  /// removal of the logs they made obsolete.
+  /// Rotates the memtable and waits for all pending flushes.
   Status Flush();
 
   /// Runs compactions until no level/CG exceeds capacity (works with
@@ -290,9 +289,9 @@ class LaserDB {
   CompactionPicker picker_;
   Manifest manifest_;
   std::unique_ptr<ThreadPool> pool_;
-  /// Background file syscalls, in FIFO order: each finished flush or
-  /// compaction output is synced here before its job installs it, and each
-  /// obsolete SST or WAL is unlinked here after the install that retired it.
+  /// Compaction file syscalls, one helper per background thread: each
+  /// finished output is synced here before its job installs it, and each
+  /// obsolete SST is unlinked here after the install that retired it.
   std::unique_ptr<IoQueue> io_;
 
   mutable std::mutex mu_;

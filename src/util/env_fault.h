@@ -81,7 +81,7 @@ class FaultInjectionEnv final : public Env {
 
   /// Fails exactly the next `kind` operation on `fname`, at whatever index it
   /// comes — for an op whose place in the stream is not fixed, such as a sync
-  /// run by a background I/O thread.
+  /// run by a background I/O helper.
   void FailOperation(OpKind kind, const std::string& fname);
 
   /// Clears kill switch and pending one-shot failures.

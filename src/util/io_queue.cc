@@ -1,9 +1,19 @@
 #include "util/io_queue.h"
 
+#include <algorithm>
+
 namespace laser {
 
-IoQueue::IoQueue(Env* env) : env_(env), slots_(kCapacity) {
-  thread_ = std::thread([this] { Loop(); });
+Status SyncThenClose(WritableFile* file) {
+  Status s = file->Sync();
+  const Status closed = file->Close();
+  return s.ok() ? closed : s;
+}
+
+IoQueue::IoQueue(Env* env, int threads) : env_(env), slots_(kCapacity) {
+  for (int i = 0; i < std::max(1, threads); ++i) {
+    threads_.emplace_back([this] { Loop(); });
+  }
 }
 
 IoQueue::~IoQueue() {
@@ -11,16 +21,16 @@ IoQueue::~IoQueue() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  work_cv_.notify_one();
-  thread_.join();
+  work_cv_.notify_all();
+  for (std::thread& thread : threads_) thread.join();
 }
 
 uint64_t IoQueue::SyncAndClose(WritableFile* file, Status* first_error) {
   return Push(file, first_error, nullptr);
 }
 
-uint64_t IoQueue::RemoveFile(const std::string& fname) {
-  return Push(nullptr, nullptr, &fname);
+void IoQueue::RemoveFile(const std::string& fname) {
+  Push(nullptr, nullptr, &fname);
 }
 
 uint64_t IoQueue::Push(WritableFile* file, Status* first_error,
@@ -37,14 +47,19 @@ uint64_t IoQueue::Push(WritableFile* file, Status* first_error,
   return ticket;
 }
 
+bool IoQueue::DoneLocked(uint64_t ticket) const {
+  return ticket <= done_ ||
+         (ticket <= started_ && slots_[(ticket - 1) % kCapacity].finished);
+}
+
 void IoQueue::Wait(uint64_t ticket) {
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this, ticket] { return done_ >= ticket; });
+  done_cv_.wait(lock, [this, ticket] { return DoneLocked(ticket); });
 }
 
 bool IoQueue::Done(uint64_t ticket) {
   std::lock_guard<std::mutex> lock(mu_);
-  return done_ >= ticket;
+  return DoneLocked(ticket);
 }
 
 void IoQueue::Drain() {
@@ -56,22 +71,24 @@ void IoQueue::Drain() {
 void IoQueue::Loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    work_cv_.wait(lock, [this] { return stop_ || done_ < queued_; });
-    if (done_ == queued_) return;  // stopping, and nothing is left
-    // The slot stays ours until done_ moves past it, so it is read unlocked.
-    const Slot& slot = slots_[done_ % kCapacity];
+    work_cv_.wait(lock, [this] { return stop_ || started_ < queued_; });
+    if (started_ == queued_) return;  // stopping, and nothing is left
+    // The slot stays this helper's until done_ moves past it, so it is read
+    // unlocked.
+    Slot& slot = slots_[started_++ % kCapacity];
     lock.unlock();
     Status s;
     if (slot.file != nullptr) {
-      s = slot.file->Sync();
-      Status closed = slot.file->Close();
-      if (s.ok()) s = closed;
+      s = SyncThenClose(slot.file);
     } else {
       env_->RemoveFile(slot.fname);
     }
     lock.lock();
     if (!s.ok() && slot.first_error->ok()) *slot.first_error = s;
-    ++done_;
+    slot.finished = true;
+    while (done_ < started_ && slots_[done_ % kCapacity].finished) {
+      slots_[done_++ % kCapacity].finished = false;
+    }
     done_cv_.notify_all();
   }
 }

@@ -1,13 +1,18 @@
-// The per-database I/O thread (IoQueue): tasks run in FIFO order, a sync
-// failure reaches the job that queued it, and the ring and the destructor
-// run every queued task. At the engine level: a compaction whose output sync
+// The per-database I/O helpers (IoQueue): with one helper tasks run in FIFO
+// order, with several a wait covers only its own task, a sync failure
+// reaches the job that queued it, and the ring and the destructor run every
+// queued task. At the engine level: a compaction whose output sync
 // fails is never installed, removes its own outputs, keeps its parents, and
 // poisons the engine, and a reopen holds exactly the acknowledged writes.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "laser/laser_db.h"
@@ -106,12 +111,12 @@ TEST_F(IoQueueTest, RunsTasksInFifoOrder) {
   ASSERT_TRUE(c->Close().ok());
   const size_t begin = fault_->history().size();
 
-  IoQueue io(fault_.get());
+  IoQueue io(fault_.get(), 1);
   Status error;
   io.RemoveFile("/q/a");
   io.SyncAndClose(b.get(), &error);
-  const uint64_t last = io.RemoveFile("/q/c");
-  io.Wait(last);
+  io.RemoveFile("/q/c");
+  io.Drain();
 
   EXPECT_TRUE(error.ok()) << error.ToString();
   EXPECT_EQ(OpsSince(begin), "remove:/q/a sync:/q/b close:/q/b remove:/q/c");
@@ -127,7 +132,7 @@ TEST_F(IoQueueTest, SyncFailureReachesTheCallerAndTheFileIsStillClosed) {
   fault_->FailOperation(OpKind::kSync, "/q/b");
   const size_t begin = fault_->history().size();
 
-  IoQueue io(fault_.get());
+  IoQueue io(fault_.get(), 1);
   Status first_error;
   io.SyncAndClose(a.get(), &first_error);
   io.Wait(io.SyncAndClose(b.get(), &first_error));
@@ -144,30 +149,89 @@ TEST_F(IoQueueTest, SyncFailureReachesTheCallerAndTheFileIsStillClosed) {
 }
 
 TEST_F(IoQueueTest, RingWrapsAndDestructorRunsEveryQueuedTask) {
-  auto name = [](uint64_t i) {
-    std::string fname = "/q/f";
-    fname += std::to_string(i);
-    return fname;
-  };
-  // Three times the ring: the producer blocks on a full ring and resumes.
-  const uint64_t n = 3 * IoQueue::kCapacity;
-  for (uint64_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(fault_->WriteStringToFile(Slice("x"), name(i)).ok());
-  }
-  const uint64_t half = n / 2;
-  {
-    IoQueue io(fault_.get());
-    for (uint64_t i = 0; i < half; ++i) io.RemoveFile(name(i));
-    io.Drain();
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    auto name = [threads](uint64_t i) {
+      std::string fname = "/q/t";
+      fname += std::to_string(threads);
+      fname += 'f';
+      fname += std::to_string(i);
+      return fname;
+    };
+    // Three times the ring: the producer blocks on a full ring and resumes.
+    const uint64_t n = 3 * IoQueue::kCapacity;
+    for (uint64_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(fault_->WriteStringToFile(Slice("x"), name(i)).ok());
+    }
+    const uint64_t half = n / 2;
+    {
+      IoQueue io(fault_.get(), threads);
+      for (uint64_t i = 0; i < half; ++i) io.RemoveFile(name(i));
+      io.Drain();
+      std::vector<std::string> children;
+      ASSERT_TRUE(fault_->GetChildren("/q", &children).ok());
+      EXPECT_EQ(children.size(), n - half);
+      for (uint64_t i = half; i < n; ++i) io.RemoveFile(name(i));
+      // No wait: the destructor must run what is still queued.
+    }
     std::vector<std::string> children;
     ASSERT_TRUE(fault_->GetChildren("/q", &children).ok());
-    EXPECT_EQ(children.size(), n - half);
-    for (uint64_t i = half; i < n; ++i) io.RemoveFile(name(i));
-    // No wait: the destructor must run what is still queued.
+    EXPECT_TRUE(children.empty());
   }
-  std::vector<std::string> children;
-  ASSERT_TRUE(fault_->GetChildren("/q", &children).ok());
-  EXPECT_TRUE(children.empty());
+}
+
+/// A file whose Sync blocks until Release(): it stands for a slow device.
+class BlockingFile final : public WritableFile {
+ public:
+  Status Append(const Slice&) override { return Status::OK(); }
+  Status Flush() override { return Status::OK(); }
+  Status Sync() override {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return released_; });
+    return Status::OK();
+  }
+  Status Close() override { return Status::OK(); }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool released_ = false;
+};
+
+TEST_F(IoQueueTest, WaitCoversOnlyItsOwnTaskWithSeveralHelpers) {
+  // Two jobs' syncs run side by side: the second job's wait returns while
+  // the first job's sync is still running.
+  BlockingFile slow;
+  auto fast = Create("/q/fast");
+  IoQueue io(fault_.get(), 2);
+  Status slow_error;
+  Status fast_error;
+  const uint64_t slow_ticket = io.SyncAndClose(&slow, &slow_error);
+  const uint64_t fast_ticket = io.SyncAndClose(fast.get(), &fast_error);
+  // Polled with a deadline, not Wait(): a queue whose waits covered earlier
+  // tasks would block here until the slow sync is released.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!io.Done(fast_ticket) && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(io.Done(fast_ticket)) << "the fast sync waited for the slow one";
+  EXPECT_TRUE(fast_error.ok()) << fast_error.ToString();
+  EXPECT_FALSE(io.Done(slow_ticket));
+
+  // An unlink queued behind both runs too; Drain still waits for the slow
+  // sync queued before it.
+  ASSERT_TRUE(fault_->WriteStringToFile(Slice("x"), "/q/old").ok());
+  io.RemoveFile("/q/old");
+  slow.Release();
+  io.Drain();
+  EXPECT_TRUE(io.Done(slow_ticket));
+  EXPECT_TRUE(slow_error.ok()) << slow_error.ToString();
+  EXPECT_FALSE(fault_->FileExists("/q/old"));
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ class CgCompactionTest : public ::testing::Test {
 
   void SetUp() override {
     env_ = NewMemEnv();
-    io_ = std::make_unique<IoQueue>(env_.get());
+    io_ = std::make_unique<IoQueue>(env_.get(), 1);
     ASSERT_TRUE(env_->CreateDir("/db").ok());
     options_.env = env_.get();
     options_.path = "/db";

@@ -49,8 +49,8 @@ class LaserDbAdvancedTest : public ::testing::Test {
   std::unique_ptr<LaserDB> db_;
 };
 
-/// Slows every unlink, so a wait that returned before the I/O thread had
-/// run its queued unlinks would leave files on disk.
+/// Slows every unlink, so a wait that returned before the I/O helpers had
+/// run their queued unlinks would leave files on disk.
 class SlowRemoveEnv final : public test::SyncHookEnv {
  public:
   explicit SlowRemoveEnv(Env* base) : SyncHookEnv(base, [](const std::string&) {}) {}

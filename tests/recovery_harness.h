@@ -6,15 +6,17 @@
 // Determinism: one background thread, auto compactions off (the script
 // flushes and compacts explicitly), a write buffer large enough that the
 // memtable never rotates on its own, and a single scripted writer so every
-// commit group holds exactly one write. The engine's I/O thread syncs a
-// job's finished outputs while the job writes the next one, and unlinks
-// obsolete files while the next job runs, so ops inside one phase may
-// interleave differently from run to run. What holds on every run: each
-// phase performs the same multiset of ops (Flush and CompactUntilStable
-// drain the I/O thread before they return), and every manifest rename has
-// the same op index (a job installs only after its syncs, which queue
-// behind every earlier unlink). "Crash after op k" therefore always crashes
-// inside the same phase, with a durable image the contracts below cover.
+// commit group holds exactly one write. The engine's I/O helper (one, as
+// there is one background thread) syncs a compaction's finished outputs
+// while the job writes the next one, and unlinks obsolete files while the
+// next job runs, so ops inside one phase may interleave differently from run
+// to run. What holds on every run: each phase performs the same multiset of
+// ops (a flush does its file I/O on its own thread, and CompactUntilStable
+// drains the helper before it returns), and every manifest rename has the
+// same op index (a job installs only after its syncs, which the one helper
+// runs after every earlier unlink). "Crash after op k" therefore always
+// crashes inside the same phase, with a durable image the contracts below
+// cover.
 //
 // The harness runs under any WalSyncPolicy. Under kSyncEveryWrite and
 // kSyncEveryGroup, acknowledged == synced, so a crash must preserve exactly
