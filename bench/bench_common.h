@@ -144,118 +144,46 @@ class BenchJson {
   std::vector<Row> rows_;
 };
 
-/// Point-in-time copy of the scan-path and cache counters, so benches can
-/// attribute counter deltas to one measured cell instead of emitting
-/// run-cumulative values.
-struct EngineStatsSnapshot {
-  uint64_t scan_rows_merged = 0;
-  uint64_t scan_batches_emitted = 0;
-  uint64_t scan_source_advances = 0;
-  uint64_t scan_heap_resifts = 0;
-  uint64_t scan_zip_rows = 0;
-  uint64_t scan_zip_splices = 0;
-  uint64_t scan_tie_fold_rows = 0;
-  uint64_t block_cache_hits = 0;
-  uint64_t block_cache_misses = 0;
-  uint64_t data_block_reads = 0;
-  uint64_t blocks_skipped_zonemap = 0;
-  uint64_t rows_filtered_pushdown = 0;
-  uint64_t aggs_pushed = 0;
-  uint64_t bloom_checks = 0;
-  uint64_t bloom_negatives = 0;
-  uint64_t bloom_false_positives = 0;
-
-  static EngineStatsSnapshot Capture(const Stats& stats) {
-    EngineStatsSnapshot snap;
-    snap.scan_rows_merged = stats.scan_rows_merged.load();
-    snap.scan_batches_emitted = stats.scan_batches_emitted.load();
-    snap.scan_source_advances = stats.scan_source_advances.load();
-    snap.scan_heap_resifts = stats.scan_heap_resifts.load();
-    snap.scan_zip_rows = stats.scan_zip_rows.load();
-    snap.scan_zip_splices = stats.scan_zip_splices.load();
-    snap.scan_tie_fold_rows = stats.scan_tie_fold_rows.load();
-    snap.block_cache_hits = stats.block_cache_hits.load();
-    snap.block_cache_misses = stats.block_cache_misses.load();
-    snap.data_block_reads = stats.data_block_reads.load();
-    snap.blocks_skipped_zonemap = stats.blocks_skipped_zonemap.load();
-    snap.rows_filtered_pushdown = stats.rows_filtered_pushdown.load();
-    snap.aggs_pushed = stats.aggs_pushed.load();
-    snap.bloom_checks = stats.bloom_checks.load();
-    snap.bloom_negatives = stats.bloom_negatives.load();
-    snap.bloom_false_positives = stats.bloom_false_positives.load();
-    return snap;
-  }
-};
-
 /// Scan-path and cache counters appended to bench JSON rows so nightly
 /// artifacts expose merge work and cache behavior, not just latency: a perf
 /// regression shows up as a counter shift even when wall-clock is noisy.
-/// Values are deltas since `since` — pass a default-constructed snapshot
-/// for whole-run totals (e.g. one DB per measured row).
-inline void AppendEngineStatsFields(
-    const Stats& stats, std::vector<std::pair<std::string, double>>* fields,
-    const EngineStatsSnapshot& since = EngineStatsSnapshot()) {
-  const EngineStatsSnapshot now = EngineStatsSnapshot::Capture(stats);
-  const double hits = static_cast<double>(now.block_cache_hits - since.block_cache_hits);
-  const double misses =
-      static_cast<double>(now.block_cache_misses - since.block_cache_misses);
-  const double lookups = hits + misses;
-  fields->emplace_back(
-      "scan_rows_merged",
-      static_cast<double>(now.scan_rows_merged - since.scan_rows_merged));
-  fields->emplace_back("scan_batches_emitted",
-                       static_cast<double>(now.scan_batches_emitted -
-                                           since.scan_batches_emitted));
-  fields->emplace_back("scan_source_advances",
-                       static_cast<double>(now.scan_source_advances -
-                                           since.scan_source_advances));
-  fields->emplace_back(
-      "scan_heap_resifts",
-      static_cast<double>(now.scan_heap_resifts - since.scan_heap_resifts));
-  fields->emplace_back(
-      "scan_zip_rows",
-      static_cast<double>(now.scan_zip_rows - since.scan_zip_rows));
-  fields->emplace_back(
-      "scan_zip_splices",
-      static_cast<double>(now.scan_zip_splices - since.scan_zip_splices));
-  fields->emplace_back(
-      "scan_tie_fold_rows",
-      static_cast<double>(now.scan_tie_fold_rows - since.scan_tie_fold_rows));
-  fields->emplace_back("block_cache_hit_rate", lookups > 0 ? hits / lookups : 0.0);
-  fields->emplace_back(
-      "data_block_reads",
-      static_cast<double>(now.data_block_reads - since.data_block_reads));
-  fields->emplace_back("blocks_skipped_zonemap",
-                       static_cast<double>(now.blocks_skipped_zonemap -
-                                           since.blocks_skipped_zonemap));
-  fields->emplace_back("rows_filtered_pushdown",
-                       static_cast<double>(now.rows_filtered_pushdown -
-                                           since.rows_filtered_pushdown));
-  fields->emplace_back(
-      "aggs_pushed",
-      static_cast<double>(now.aggs_pushed - since.aggs_pushed));
+/// Values are deltas since `since` (taken with Stats::Snapshot, so counter
+/// deltas are attributed to one measured cell); pass a default-constructed
+/// snapshot for whole-run totals (e.g. one DB per measured row).
+inline void AppendEngineStatsFields(const Stats& stats,
+                                    std::vector<std::pair<std::string, double>>* fields,
+                                    const StatsSnapshot& since = StatsSnapshot()) {
+  const StatsSnapshot d = stats.Snapshot() - since;
+  const auto add = [fields](const char* name, double value) {
+    fields->emplace_back(name, value);
+  };
+  const double hits = static_cast<double>(d.block_cache_hits);
+  const double lookups = hits + static_cast<double>(d.block_cache_misses);
+  add("scan_rows_merged", d.scan_rows_merged);
+  add("scan_batches_emitted", d.scan_batches_emitted);
+  add("scan_source_advances", d.scan_source_advances);
+  add("scan_heap_resifts", d.scan_heap_resifts);
+  add("scan_zip_rows", d.scan_zip_rows);
+  add("scan_zip_splices", d.scan_zip_splices);
+  add("scan_tie_fold_rows", d.scan_tie_fold_rows);
+  add("block_cache_hit_rate", lookups > 0 ? hits / lookups : 0.0);
+  add("data_block_reads", d.data_block_reads);
+  add("blocks_skipped_zonemap", d.blocks_skipped_zonemap);
+  add("rows_filtered_pushdown", d.rows_filtered_pushdown);
+  add("aggs_pushed", d.aggs_pushed);
   // Filter telemetry. bloom_fpr is the measured false-positive rate over
   // the probes that could have short-circuited (negatives + false
   // positives); probes that legitimately found the key don't dilute it.
-  const double bloom_neg =
-      static_cast<double>(now.bloom_negatives - since.bloom_negatives);
-  const double bloom_fp = static_cast<double>(now.bloom_false_positives -
-                                              since.bloom_false_positives);
-  fields->emplace_back(
-      "bloom_checks",
-      static_cast<double>(now.bloom_checks - since.bloom_checks));
-  fields->emplace_back("bloom_negatives", bloom_neg);
-  fields->emplace_back("bloom_false_positives", bloom_fp);
-  fields->emplace_back(
-      "bloom_fpr", bloom_neg + bloom_fp > 0 ? bloom_fp / (bloom_neg + bloom_fp) : 0.0);
-  // Gauge: serialized filter bytes live in the current version.
-  fields->emplace_back("filter_bytes",
-                       static_cast<double>(stats.filter_bytes_total.load()));
-  // Configuration gauge, not a delta: the block cache's effective (possibly
-  // clamped) shard count.
-  fields->emplace_back(
-      "block_cache_shards",
-      static_cast<double>(stats.block_cache_effective_shards.load()));
+  const double bloom_neg = static_cast<double>(d.bloom_negatives);
+  const double bloom_fp = static_cast<double>(d.bloom_false_positives);
+  add("bloom_checks", d.bloom_checks);
+  add("bloom_negatives", bloom_neg);
+  add("bloom_false_positives", bloom_fp);
+  add("bloom_fpr", bloom_neg + bloom_fp > 0 ? bloom_fp / (bloom_neg + bloom_fp) : 0.0);
+  // Gauges, not deltas: serialized filter bytes live in the current
+  // version, and the block cache's effective (possibly clamped) shard count.
+  add("filter_bytes", d.filter_bytes_total);
+  add("block_cache_shards", d.block_cache_effective_shards);
 }
 
 /// Engine options for the narrow-table experiments (30 columns, T=2,

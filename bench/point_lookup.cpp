@@ -146,7 +146,7 @@ struct Cell {
   double load_seconds = 0;
   double hit_seconds = 0;
   double neg_seconds = 0;
-  EngineStatsSnapshot neg_base;
+  StatsSnapshot neg_base;
 
   double hit_lookups_per_sec = 0;
   double neg_lookups_per_sec = 0;
@@ -317,7 +317,7 @@ bool RunPhases(Cell* cells[2], uint64_t rows, uint64_t hit_probes,
 
   // Zero-result phase: no probe may resolve.
   for (int c = 0; c < 2; ++c) {
-    cells[c]->neg_base = EngineStatsSnapshot::Capture(cells[c]->db->stats());
+    cells[c]->neg_base = cells[c]->db->stats().Snapshot();
   }
   for (int rep = 0; rep < kReps; ++rep) {
     for (int c = 0; c < 2; ++c) {
@@ -347,11 +347,9 @@ bool RunPhases(Cell* cells[2], uint64_t rows, uint64_t hit_probes,
 void FinishCell(Cell* cell, uint64_t rows, int size_ratio, uint64_t hit_probes,
                 uint64_t neg_probes, BenchJson* json) {
   const Stats& stats = cell->db->stats();
-  const EngineStatsSnapshot neg_now = EngineStatsSnapshot::Capture(stats);
-  const double neg =
-      static_cast<double>(neg_now.bloom_negatives - cell->neg_base.bloom_negatives);
-  const double fp = static_cast<double>(neg_now.bloom_false_positives -
-                                        cell->neg_base.bloom_false_positives);
+  const StatsSnapshot neg_phase = stats.Snapshot() - cell->neg_base;
+  const double neg = static_cast<double>(neg_phase.bloom_negatives);
+  const double fp = static_cast<double>(neg_phase.bloom_false_positives);
 
   cell->hit_lookups_per_sec = hit_probes / cell->hit_seconds;
   cell->neg_lookups_per_sec = neg_probes / cell->neg_seconds;

@@ -168,8 +168,7 @@ int main(int argc, char** argv) {
         uint64_t mode_checksum[2] = {0, 0};
         for (const bool batched : {false, true}) {
           // Counter deltas are attributed to this cell only.
-          const EngineStatsSnapshot cell_start =
-              EngineStatsSnapshot::Capture(db->stats());
+          const StatsSnapshot cell_start = db->stats().Snapshot();
           // Best of kRepeats: the CI/dev VMs are small and shared, so a
           // single timing carries scheduler noise; the fastest repeat is the
           // least-perturbed measurement of the same deterministic work.
@@ -298,8 +297,7 @@ int main(int argc, char** argv) {
     const uint64_t skipped_before = db->stats().blocks_skipped_zonemap.load();
 
     for (int plan = 0; plan < 2; ++plan) {  // 0 = postfilter, 1 = pushdown
-      const EngineStatsSnapshot cell_start =
-          EngineStatsSnapshot::Capture(db->stats());
+      const StatsSnapshot cell_start = db->stats().Snapshot();
       double best_seconds = 0;
       uint64_t checksum = 0;
       uint64_t matches = 0;

@@ -94,7 +94,7 @@ bool RunCell(const std::string& path, const TpccSpec& spec, int shards,
 
   Stats before_stats;
   db->AggregateStats(&before_stats);
-  const EngineStatsSnapshot before = EngineStatsSnapshot::Capture(before_stats);
+  const StatsSnapshot before = before_stats.Snapshot();
 
   const uint64_t t0 = env->NowMicros();
   std::vector<std::thread> threads;

@@ -68,11 +68,10 @@ namespace {
 /// Groups columns by identical per-column counts: each distinct nonzero
 /// count becomes one (column set, count) bucket.
 std::map<uint64_t, ColumnSet> BucketByCount(
-    const std::atomic<uint64_t> (&by_column)[Stats::kStatsColumns]) {
+    const uint64_t (&by_column)[Stats::kStatsColumns]) {
   std::map<uint64_t, ColumnSet> buckets;
   for (int i = 0; i < Stats::kStatsColumns; ++i) {
-    const uint64_t n = by_column[i].load(std::memory_order_relaxed);
-    if (n > 0) buckets[n].push_back(i + 1);
+    if (by_column[i] > 0) buckets[by_column[i]].push_back(i + 1);
   }
   return buckets;
 }
@@ -80,18 +79,18 @@ std::map<uint64_t, ColumnSet> BucketByCount(
 }  // namespace
 
 void BuildTraceFromStats(const Stats& stats, WorkloadTrace* trace) {
-  trace->AddInsert(stats.inserts.load(std::memory_order_relaxed));
+  // One copy of the counters, so every term below reads the same values
+  // while writers keep counting.
+  const StatsSnapshot s = stats.Snapshot();
+  trace->AddInsert(s.inserts);
 
   // Range scans: one co-access set per equal-count bucket, all at the
   // global average selectivity.
-  const uint64_t scans = stats.range_scans.load(std::memory_order_relaxed);
   const double avg_selected =
-      scans > 0 ? static_cast<double>(
-                      stats.scan_rows_emitted.load(std::memory_order_relaxed)) /
-                      static_cast<double>(scans)
-                : 0.0;
-  for (const auto& [count, columns] : BucketByCount(
-           stats.scan_projected_by_column)) {
+      s.range_scans > 0 ? static_cast<double>(s.scan_rows_emitted) /
+                              static_cast<double>(s.range_scans)
+                        : 0.0;
+  for (const auto& [count, columns] : BucketByCount(s.scan_projected_by_column)) {
     trace->AddRangeScan(columns, avg_selected, count);
   }
 
@@ -100,23 +99,17 @@ void BuildTraceFromStats(const Stats& stats, WorkloadTrace* trace) {
   uint64_t level_total = 0;
   int busiest = 0;
   for (int l = 0; l < Stats::kStatsLevels; ++l) {
-    const uint64_t n = stats.point_reads_by_level[l].load(std::memory_order_relaxed);
-    level_total += n;
-    if (n > stats.point_reads_by_level[busiest].load(std::memory_order_relaxed)) {
-      busiest = l;
-    }
+    level_total += s.point_reads_by_level[l];
+    if (s.point_reads_by_level[l] > s.point_reads_by_level[busiest]) busiest = l;
   }
-  for (const auto& [count, columns] : BucketByCount(
-           stats.point_projected_by_column)) {
+  for (const auto& [count, columns] : BucketByCount(s.point_projected_by_column)) {
     if (level_total == 0) {
       trace->AddPointRead(columns, 0, count);
       continue;
     }
     uint64_t assigned = 0;
     for (int l = 0; l < Stats::kStatsLevels; ++l) {
-      const uint64_t share =
-          count * stats.point_reads_by_level[l].load(std::memory_order_relaxed) /
-          level_total;
+      const uint64_t share = count * s.point_reads_by_level[l] / level_total;
       if (share > 0) trace->AddPointRead(columns, l, share);
       assigned += share;
     }
@@ -126,8 +119,7 @@ void BuildTraceFromStats(const Stats& stats, WorkloadTrace* trace) {
   // Updates: per-column singletons (the engine sees individual update ops,
   // and CoAccessSets() excludes updates anyway).
   for (int i = 0; i < Stats::kStatsColumns; ++i) {
-    const uint64_t n = stats.updated_by_column[i].load(std::memory_order_relaxed);
-    if (n > 0) trace->AddUpdate({i + 1}, n);
+    if (s.updated_by_column[i] > 0) trace->AddUpdate({i + 1}, s.updated_by_column[i]);
   }
 }
 

@@ -1,8 +1,9 @@
 // WorkloadTrace: per-level workload statistics (§6.1) consumed by the design
 // advisor — the number of point reads served at each level with their
 // projections, range scans with projections and selectivities, updates with
-// their column sets, and the insert count. LaserDB can populate one online
-// via SetTraceCollector, or benches can fill it from a workload spec.
+// their column sets, and the insert count. The engine fills one from its
+// Stats counters (BuildTraceFromStats, below); benches can also fill one from
+// a workload spec.
 
 #ifndef LASER_COST_TRACE_H_
 #define LASER_COST_TRACE_H_

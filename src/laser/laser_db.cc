@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 
+#include "cost/trace.h"
 #include "laser/column_merging_iterator.h"
 #include "lsm/run_iterator.h"
 #include "sst/bloom.h"
@@ -55,8 +56,7 @@ LaserDB::LaserDB(const LaserOptions& options)
   // Configuration gauge: the per-level filter allocation Finalize() derived
   // (×1000 so fractional Monkey bits survive the integer slot).
   for (int level = 0; level < options_.num_levels; ++level) {
-    const int slot = std::min(level, Stats::kStatsLevels - 1);
-    stats_.bloom_millibits_by_level[slot].store(
+    stats_.bloom_millibits_by_level[Stats::LevelSlot(level)].store(
         static_cast<uint64_t>(options_.bloom_bits_for_level(level) * 1000.0),
         std::memory_order_relaxed);
   }
@@ -284,20 +284,29 @@ LaserDB::~LaserDB() {
 // Write path
 // ---------------------------------------------------------------------------
 
-void LaserDB::SetTraceCollector(WorkloadTrace* trace) {
-  trace_.store(trace, std::memory_order_release);
+namespace {
+
+/// Counts one acknowledged write op into the advisor's telemetry.
+void CountWrite(Stats* stats, ValueType type,
+                const std::vector<ColumnValuePair>& values) {
+  if (type == kTypeFullRow) {
+    stats->inserts.fetch_add(1, std::memory_order_relaxed);
+  } else if (type == kTypePartialRow) {
+    stats->updates.fetch_add(1, std::memory_order_relaxed);
+    for (const auto& pair : values) {
+      stats->updated_by_column[Stats::ColumnSlot(pair.column)].fetch_add(
+          1, std::memory_order_relaxed);
+    }
+  }
 }
+
+}  // namespace
 
 Status LaserDB::Insert(uint64_t key, const std::vector<ColumnValue>& row) {
   WriteRequest req;
   LASER_RETURN_IF_ERROR(EncodeOp(kTypeFullRow, key, &row, nullptr, &req));
   Status s = SubmitWrite(&req);
-  if (s.ok()) {
-    stats_.inserts.fetch_add(1, std::memory_order_relaxed);
-    if (WorkloadTrace* trace = trace_.load(std::memory_order_acquire)) {
-      trace->AddInsert();
-    }
-  }
+  if (s.ok()) CountWrite(&stats_, kTypeFullRow, {});
   return s;
 }
 
@@ -305,19 +314,7 @@ Status LaserDB::Update(uint64_t key, const std::vector<ColumnValuePair>& values)
   WriteRequest req;
   LASER_RETURN_IF_ERROR(EncodeOp(kTypePartialRow, key, nullptr, &values, &req));
   Status s = SubmitWrite(&req);
-  if (s.ok()) {
-    stats_.updates.fetch_add(1, std::memory_order_relaxed);
-    for (const auto& pair : values) {
-      stats_.updated_by_column[Stats::ColumnSlot(pair.column)].fetch_add(
-          1, std::memory_order_relaxed);
-    }
-    if (WorkloadTrace* trace = trace_.load(std::memory_order_acquire)) {
-      ColumnSet columns;
-      columns.reserve(values.size());
-      for (const auto& pair : values) columns.push_back(pair.column);
-      trace->AddUpdate(columns);
-    }
-  }
+  if (s.ok()) CountWrite(&stats_, kTypePartialRow, values);
   return s;
 }
 
@@ -335,25 +332,7 @@ Status LaserDB::Write(const WriteBatch& batch) {
   }
   Status s = SubmitWrite(&req);
   if (s.ok()) {
-    WorkloadTrace* trace = trace_.load(std::memory_order_acquire);
-    for (const WriteBatch::Op& op : batch.ops()) {
-      if (op.type == kTypeFullRow) {
-        stats_.inserts.fetch_add(1, std::memory_order_relaxed);
-        if (trace != nullptr) trace->AddInsert();
-      } else if (op.type == kTypePartialRow) {
-        stats_.updates.fetch_add(1, std::memory_order_relaxed);
-        for (const auto& pair : op.values) {
-          stats_.updated_by_column[Stats::ColumnSlot(pair.column)].fetch_add(
-              1, std::memory_order_relaxed);
-        }
-        if (trace != nullptr) {
-          ColumnSet columns;
-          columns.reserve(op.values.size());
-          for (const auto& pair : op.values) columns.push_back(pair.column);
-          trace->AddUpdate(columns);
-        }
-      }
-    }
+    for (const WriteBatch::Op& op : batch.ops()) CountWrite(&stats_, op.type, op.values);
   }
   return s;
 }
@@ -886,25 +865,21 @@ Status LaserDB::SaveManifest() {
 }
 
 void LaserDB::RefreshFilterGauges() {
+  // Deep levels fold into the clamp slot.
+  uint64_t by_slot[Stats::kStatsLevels] = {};
   uint64_t total = 0;
   for (int level = 0; level < version_->num_levels(); ++level) {
-    uint64_t level_bytes = 0;
     for (int group = 0; group < version_->num_groups(level); ++group) {
       for (const auto& f : version_->files(level, group)) {
-        level_bytes += f->reader != nullptr ? f->reader->filter_bytes()
-                                            : f->props.filter_bytes;
+        const uint64_t bytes = f->reader != nullptr ? f->reader->filter_bytes()
+                                                    : f->props.filter_bytes;
+        by_slot[Stats::LevelSlot(level)] += bytes;
+        total += bytes;
       }
     }
-    const int slot = std::min(level, Stats::kStatsLevels - 1);
-    // Accumulate (not assign) into the clamp slot so deep levels fold.
-    if (slot == level) {
-      stats_.filter_bytes_by_level[slot].store(level_bytes,
-                                               std::memory_order_relaxed);
-    } else {
-      stats_.filter_bytes_by_level[slot].fetch_add(level_bytes,
-                                                   std::memory_order_relaxed);
-    }
-    total += level_bytes;
+  }
+  for (int slot = 0; slot < Stats::kStatsLevels; ++slot) {
+    stats_.filter_bytes_by_level[slot].store(by_slot[slot], std::memory_order_relaxed);
   }
   stats_.filter_bytes_total.store(total, std::memory_order_relaxed);
 }
@@ -1283,15 +1258,12 @@ Status LaserDB::Read(uint64_t key, const ColumnSet& projection,
 
   resolver.Finish(result);
   if (result->found) {
-    const int slot = std::min(resolver.resolve_level(), Stats::kStatsLevels - 1);
-    stats_.point_reads_by_level[slot].fetch_add(1, std::memory_order_relaxed);
+    stats_.point_reads_by_level[Stats::LevelSlot(resolver.resolve_level())].fetch_add(
+        1, std::memory_order_relaxed);
     for (int column : projection) {
       stats_.point_projected_by_column[Stats::ColumnSlot(column)].fetch_add(
           1, std::memory_order_relaxed);
     }
-  }
-  if (WorkloadTrace* trace = trace_.load(std::memory_order_acquire)) {
-    if (result->found) trace->AddPointRead(projection, resolver.resolve_level());
   }
 
   mem->Unref();
@@ -1560,15 +1532,14 @@ std::unique_ptr<ScanIterator> LaserDB::NewScan(uint64_t lo_key, uint64_t hi_key,
   pinned.insert(pinned.end(), imms.begin(), imms.end());
   return std::make_unique<ScanIterator>(
       hi_key, std::move(projection), std::move(pinned), std::move(version),
-      std::move(impl), &stats_, trace_.load(std::memory_order_acquire),
-      std::move(spec), std::move(filters));
+      std::move(impl), &stats_, std::move(spec), std::move(filters));
 }
 
 ScanIterator::ScanIterator(uint64_t hi_key, ColumnSet projection,
                            std::vector<MemTable*> pinned_memtables,
                            std::shared_ptr<const Version> pinned_version,
                            std::unique_ptr<LevelMergingIterator> impl,
-                           Stats* stats, WorkloadTrace* trace, ScanSpec spec,
+                           Stats* stats, ScanSpec spec,
                            std::vector<std::unique_ptr<ZoneMapScanFilter>> filters)
     : projection_(std::move(projection)),
       hi_key_encoded_(EncodeKey64(hi_key)),
@@ -1577,8 +1548,7 @@ ScanIterator::ScanIterator(uint64_t hi_key, ColumnSet projection,
       pinned_version_(std::move(pinned_version)),
       filters_(std::move(filters)),
       impl_(std::move(impl)),
-      stats_(stats),
-      trace_(trace) {
+      stats_(stats) {
   pred_positions_.reserve(spec_.predicates.size());
   for (const ScanPredicate& pred : spec_.predicates) {
     const auto it =
@@ -1589,45 +1559,30 @@ ScanIterator::ScanIterator(uint64_t hi_key, ColumnSet projection,
 }
 
 ScanIterator::~ScanIterator() {
-  if (stats_ != nullptr) {
-    const ScanPathCounters& c = impl_->counters();
-    stats_->scan_rows_merged.fetch_add(c.rows_merged, std::memory_order_relaxed);
-    stats_->scan_source_advances.fetch_add(c.source_advances,
-                                           std::memory_order_relaxed);
-    stats_->scan_heap_resifts.fetch_add(c.heap_resifts,
-                                        std::memory_order_relaxed);
-    stats_->scan_zip_rows.fetch_add(c.zip_rows, std::memory_order_relaxed);
-    stats_->scan_zip_splices.fetch_add(c.zip_splices,
-                                       std::memory_order_relaxed);
-    stats_->scan_tie_fold_rows.fetch_add(c.tie_fold_rows,
-                                         std::memory_order_relaxed);
-    stats_->scan_batches_emitted.fetch_add(batches_emitted_,
-                                           std::memory_order_relaxed);
-    uint64_t blocks_skipped = 0;
-    uint64_t files_skipped = 0;
-    for (const auto& filter : filters_) {
-      blocks_skipped += filter->blocks_skipped();
-      files_skipped += filter->files_skipped();
-    }
-    stats_->blocks_skipped_zonemap.fetch_add(blocks_skipped,
-                                             std::memory_order_relaxed);
-    stats_->files_skipped_zonemap.fetch_add(files_skipped,
-                                            std::memory_order_relaxed);
-    stats_->rows_filtered_pushdown.fetch_add(rows_filtered_,
-                                             std::memory_order_relaxed);
-    stats_->aggs_pushed.fetch_add(aggs_pushed_, std::memory_order_relaxed);
-    stats_->aggs_from_zonemap.fetch_add(aggs_from_zonemap_,
-                                        std::memory_order_relaxed);
-    stats_->scan_rows_emitted.fetch_add(rows_emitted_,
-                                        std::memory_order_relaxed);
-    // Per scan (not per row): the trace weights scans by rows separately.
-    for (int column : projection_) {
-      stats_->scan_projected_by_column[Stats::ColumnSlot(column)].fetch_add(
-          1, std::memory_order_relaxed);
-    }
+  const ScanPathCounters& c = impl_->counters();
+  stats_->scan_rows_merged.fetch_add(c.rows_merged, std::memory_order_relaxed);
+  stats_->scan_source_advances.fetch_add(c.source_advances, std::memory_order_relaxed);
+  stats_->scan_heap_resifts.fetch_add(c.heap_resifts, std::memory_order_relaxed);
+  stats_->scan_zip_rows.fetch_add(c.zip_rows, std::memory_order_relaxed);
+  stats_->scan_zip_splices.fetch_add(c.zip_splices, std::memory_order_relaxed);
+  stats_->scan_tie_fold_rows.fetch_add(c.tie_fold_rows, std::memory_order_relaxed);
+  stats_->scan_batches_emitted.fetch_add(batches_emitted_, std::memory_order_relaxed);
+  uint64_t blocks_skipped = 0;
+  uint64_t files_skipped = 0;
+  for (const auto& filter : filters_) {
+    blocks_skipped += filter->blocks_skipped();
+    files_skipped += filter->files_skipped();
   }
-  if (trace_ != nullptr) {
-    trace_->AddRangeScan(projection_, static_cast<double>(rows_emitted_));
+  stats_->blocks_skipped_zonemap.fetch_add(blocks_skipped, std::memory_order_relaxed);
+  stats_->files_skipped_zonemap.fetch_add(files_skipped, std::memory_order_relaxed);
+  stats_->rows_filtered_pushdown.fetch_add(rows_filtered_, std::memory_order_relaxed);
+  stats_->aggs_pushed.fetch_add(aggs_pushed_, std::memory_order_relaxed);
+  stats_->aggs_from_zonemap.fetch_add(aggs_from_zonemap_, std::memory_order_relaxed);
+  stats_->scan_rows_emitted.fetch_add(rows_emitted_, std::memory_order_relaxed);
+  // Per scan (not per row): the trace weights scans by rows separately.
+  for (int column : projection_) {
+    stats_->scan_projected_by_column[Stats::ColumnSlot(column)].fetch_add(
+        1, std::memory_order_relaxed);
   }
   for (MemTable* m : pinned_memtables_) m->Unref();
 }

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "cost/design_advisor_daemon.h"
-#include "cost/trace.h"
 #include "laser/cg_compaction.h"
 #include "laser/level_merging_iterator.h"
 #include "laser/options.h"
@@ -38,6 +37,7 @@
 #include "lsm/version.h"
 #include "memtable/memtable.h"
 #include "util/io_queue.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 #include "wal/log_writer.h"
 
@@ -177,13 +177,6 @@ class LaserDB {
   /// same mapping the embedded advisor daemon uses. Exposed so external
   /// advisor hosts (ShardedLaserDB, tools) score with identical terms.
   static LsmShape ShapeFromOptions(const LaserOptions& options);
-
-  // -- workload profiling (§6.1) --
-
-  /// Starts recording operations into `trace` (reads are attributed to the
-  /// level where they resolved; scans record their projection and observed
-  /// selectivity). Pass nullptr to stop. The trace must outlive profiling.
-  void SetTraceCollector(WorkloadTrace* trace);
 
   // -- introspection (used by benches and tests) --
 
@@ -346,7 +339,6 @@ class LaserDB {
   /// unlinks the on-disk file once the metadata has expired.
   std::vector<std::pair<std::weak_ptr<FileMetaData>, uint64_t>> obsolete_;
   std::multiset<SequenceNumber> snapshots_;
-  std::atomic<WorkloadTrace*> trace_{nullptr};
 };
 
 /// Pinned read point; released on destruction.
@@ -381,12 +373,10 @@ class ScanIterator {
   ScanIterator(uint64_t hi_key, ColumnSet projection,
                std::vector<MemTable*> pinned_memtables,
                std::shared_ptr<const Version> pinned_version,
-               std::unique_ptr<LevelMergingIterator> impl, Stats* stats = nullptr,
-               WorkloadTrace* trace = nullptr, ScanSpec spec = {},
-               std::vector<std::unique_ptr<ZoneMapScanFilter>> filters = {});
-  /// Flushes scan-path counters into the engine stats and reports the scan
-  /// to the trace collector (if any) with the number of rows actually
-  /// emitted as its selectivity.
+               std::unique_ptr<LevelMergingIterator> impl, Stats* stats, ScanSpec spec,
+               std::vector<std::unique_ptr<ZoneMapScanFilter>> filters);
+  /// Flushes scan-path counters into the engine stats, with the number of
+  /// rows actually emitted as the scan's selectivity.
   ~ScanIterator();
 
   ScanIterator(const ScanIterator&) = delete;
@@ -446,7 +436,6 @@ class ScanIterator {
   std::vector<std::unique_ptr<ZoneMapScanFilter>> filters_;
   std::unique_ptr<LevelMergingIterator> impl_;
   Stats* stats_;
-  WorkloadTrace* trace_;
   uint64_t rows_emitted_ = 0;
   uint64_t batches_emitted_ = 0;
   uint64_t rows_filtered_ = 0;

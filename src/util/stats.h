@@ -1,7 +1,13 @@
 // Engine-wide instrumentation counters. The paper's cost model (§5) is
 // expressed in block fetches; every read path increments these so benches can
 // validate measured I/O against Equations 4-7 directly, independent of disk
-// speed.
+// speed. The per-level and per-column counters are also the engine's only
+// workload telemetry: BuildTraceFromStats turns them into the design
+// advisor's trace (§6.1).
+//
+// Every field is defined once, as one row of LASER_STATS_FIELDS. Reset,
+// AddCountersTo, ToString and StatsSnapshot are derived from that table, so
+// adding a counter is a one-line change.
 
 #ifndef LASER_UTIL_STATS_H_
 #define LASER_UTIL_STATS_H_
@@ -12,6 +18,96 @@
 
 namespace laser {
 
+/// How a Stats field behaves under Reset, shard aggregation and snapshot
+/// differences.
+enum class StatKind {
+  kCounter,   ///< zeroed by Reset; shards sum; snapshots subtract
+  kSumGauge,  ///< a level kept across Reset; shards sum; snapshots keep the later
+  kMaxGauge,  ///< shared configuration; kept across Reset; shards take the max
+};
+
+// The table: SCALAR(kind, name) is one std::atomic<uint64_t>, ARRAY(kind,
+// name, n) a C array of n of them. Per-level arrays (n = kStatsLevels) clamp
+// deeper levels into the last slot, L0 and the memtable being level 0;
+// per-column arrays (n = kStatsColumns) are indexed by Stats::ColumnSlot.
+// Rows are in declaration order.
+// clang-format off
+#define LASER_STATS_FIELDS(SCALAR, ARRAY)                                          \
+  /* -- read path -- */                                                          \
+  SCALAR(kCounter, data_block_reads)      /* data blocks fetched */              \
+  SCALAR(kCounter, index_block_reads)     /* index blocks fetched */             \
+  SCALAR(kCounter, block_cache_hits)                                             \
+  SCALAR(kCounter, block_cache_misses)                                           \
+  SCALAR(kCounter, bloom_checks)                                                 \
+  SCALAR(kCounter, bloom_negatives)       /* lookups short-circuited */          \
+  /* Filter said "maybe" but the block probe found no version of the key.        \
+     Only the point-read walk in LaserDB::Read can tell, so only it counts. */   \
+  SCALAR(kCounter, bloom_false_positives)                                        \
+  SCALAR(kCounter, point_reads)                                                  \
+  SCALAR(kCounter, range_scans)                                                  \
+  /* Point reads resolved at each level: the advisor's read histogram. */        \
+  ARRAY(kCounter, point_reads_by_level, kStatsLevels)                            \
+  /* -- per-column workload telemetry (accumulated once per scan, point read     \
+     or update op, not per row) -- */                                            \
+  /* Scans whose projection included the column. */                              \
+  ARRAY(kCounter, scan_projected_by_column, kStatsColumns)                       \
+  /* Found point reads whose projection included the column. */                  \
+  ARRAY(kCounter, point_projected_by_column, kStatsColumns)                      \
+  /* Update ops that wrote the column. */                                        \
+  ARRAY(kCounter, updated_by_column, kStatsColumns)                              \
+  SCALAR(kCounter, inserts)               /* full-row inserts */                 \
+  SCALAR(kCounter, updates)               /* partial-row update ops */           \
+  /* Rows handed to scan consumers after pushdown filtering (selectivity =       \
+     scan_rows_emitted / range_scans). */                                        \
+  SCALAR(kCounter, scan_rows_emitted)                                            \
+  /* -- per-level filter telemetry (see RecordBloomProbe) -- */                  \
+  ARRAY(kCounter, bloom_checks_by_level, kStatsLevels)                           \
+  ARRAY(kCounter, bloom_negatives_by_level, kStatsLevels)                        \
+  ARRAY(kCounter, bloom_false_positives_by_level, kStatsLevels)                  \
+  /* -- scan path (batched merge; flushed per scan, not per row) -- */           \
+  SCALAR(kCounter, scan_rows_merged)      /* rows emitted by merges */           \
+  SCALAR(kCounter, scan_batches_emitted)  /* non-empty NextBatch fills */        \
+  SCALAR(kCounter, scan_source_advances)  /* contribution-source steps */        \
+  SCALAR(kCounter, scan_heap_resifts)     /* k-way-merge heap repairs */         \
+  SCALAR(kCounter, scan_zip_rows)         /* rows spliced run-at-a-time */       \
+  SCALAR(kCounter, scan_zip_splices)      /* successful zip rounds */            \
+  SCALAR(kCounter, scan_tie_fold_rows)    /* rows of the per-row tie fold */     \
+  /* -- scan pushdown (predicates, zone maps, pushed aggregates) -- */           \
+  SCALAR(kCounter, blocks_skipped_zonemap)  /* data blocks never read */         \
+  SCALAR(kCounter, files_skipped_zonemap)   /* files never opened */             \
+  SCALAR(kCounter, rows_filtered_pushdown)  /* rows dropped by predicates */     \
+  SCALAR(kCounter, aggs_pushed)             /* aggregates folded in-scan */      \
+  /* Blocks whose aggregates were folded straight from the zone map: every       \
+     row provably matched, so the block was never read or decoded. */           \
+  SCALAR(kCounter, aggs_from_zonemap)                                            \
+  /* -- adaptive design (online advisor + in-flight morphing) -- */              \
+  SCALAR(kCounter, design_morph_compactions)  /* level re-layout jobs */         \
+  /* Morph installs after which every level matches the persisted target. */     \
+  SCALAR(kCounter, design_morphs_completed)                                      \
+  /* -- configuration gauge (set once at open): the block cache's shard count    \
+     after the min-bytes-per-shard clamp, which tiny caches fall below. -- */    \
+  SCALAR(kMaxGauge, block_cache_effective_shards)                                \
+  /* -- filter-memory gauges (refreshed at every version install): live          \
+     serialized filter bytes per level and their sum -- */                       \
+  ARRAY(kSumGauge, filter_bytes_by_level, kStatsLevels)                          \
+  SCALAR(kSumGauge, filter_bytes_total)                                          \
+  /* Configured bits-per-key per level x1000, so fractional Monkey               \
+     allocations survive the integer slot. */                                    \
+  ARRAY(kMaxGauge, bloom_millibits_by_level, kStatsLevels)                       \
+  /* -- write path -- */                                                         \
+  SCALAR(kCounter, bytes_written_wal)                                            \
+  SCALAR(kCounter, wal_syncs)             /* fsyncs issued on the WAL */         \
+  SCALAR(kCounter, wal_group_commits)     /* commit groups the leader ran */     \
+  SCALAR(kCounter, wal_group_writes)      /* WriteBatches across all groups */   \
+  SCALAR(kCounter, bytes_flushed)         /* memtable -> L0 bytes */             \
+  SCALAR(kCounter, bytes_compacted)       /* compaction output bytes */          \
+  SCALAR(kCounter, compaction_jobs)                                              \
+  SCALAR(kCounter, flush_jobs)                                                   \
+  SCALAR(kCounter, write_stall_micros)    /* time writers waited */
+// clang-format on
+
+struct StatsSnapshot;
+
 /// Thread-safe counters; cheap relaxed increments.
 class Stats {
  public:
@@ -21,21 +117,17 @@ class Stats {
   /// into the last slot).
   static constexpr int kStatsColumns = 128;
 
-  // -- read path --
-  std::atomic<uint64_t> data_block_reads{0};   ///< data blocks fetched
-  std::atomic<uint64_t> index_block_reads{0};  ///< index blocks fetched
-  std::atomic<uint64_t> block_cache_hits{0};
-  std::atomic<uint64_t> block_cache_misses{0};
-  std::atomic<uint64_t> bloom_checks{0};
-  std::atomic<uint64_t> bloom_negatives{0};  ///< lookups short-circuited
-  /// Filter said "maybe" but the block probe found no version of the key.
-  /// Only the point-read walk in LaserDB::Read can tell, so only it counts.
-  std::atomic<uint64_t> bloom_false_positives{0};
-  std::atomic<uint64_t> point_reads{0};
-  std::atomic<uint64_t> range_scans{0};
-  /// Point reads resolved at each level (0 = memtable/L0; clamps like the
-  /// filter arrays). Feeds the advisor's per-level read histogram.
-  std::atomic<uint64_t> point_reads_by_level[kStatsLevels] = {};
+#define LASER_STATS_DECLARE_SCALAR(kind, name) std::atomic<uint64_t> name{0};
+#define LASER_STATS_DECLARE_ARRAY(kind, name, n) std::atomic<uint64_t> name[n] = {};
+  LASER_STATS_FIELDS(LASER_STATS_DECLARE_SCALAR, LASER_STATS_DECLARE_ARRAY)
+#undef LASER_STATS_DECLARE_SCALAR
+#undef LASER_STATS_DECLARE_ARRAY
+
+  /// Clamps a 0-based level into the per-level arrays.
+  static int LevelSlot(int level) {
+    if (level < 0) return 0;
+    return level < kStatsLevels ? level : kStatsLevels - 1;
+  }
 
   /// Clamps a 1-based column id into the per-column arrays.
   static int ColumnSlot(int column) {
@@ -44,31 +136,10 @@ class Stats {
     return column - 1;
   }
 
-  // -- per-column workload telemetry (feeds BuildTraceFromStats; accumulated
-  //    once per scan / point read / update op, not per row) --
-  /// Scans whose projection included the column.
-  std::atomic<uint64_t> scan_projected_by_column[kStatsColumns] = {};
-  /// Found point reads whose projection included the column.
-  std::atomic<uint64_t> point_projected_by_column[kStatsColumns] = {};
-  /// Update ops that wrote the column.
-  std::atomic<uint64_t> updated_by_column[kStatsColumns] = {};
-  std::atomic<uint64_t> inserts{0};  ///< full-row inserts
-  std::atomic<uint64_t> updates{0};  ///< partial-row update ops
-  /// Rows handed to scan consumers after pushdown filtering (selectivity =
-  /// scan_rows_emitted / range_scans).
-  std::atomic<uint64_t> scan_rows_emitted{0};
-
-  // -- per-level filter telemetry (level >= kStatsLevels folds into the
-  //    last slot; L0 probes are level 0) --
-  std::atomic<uint64_t> bloom_checks_by_level[kStatsLevels] = {};
-  std::atomic<uint64_t> bloom_negatives_by_level[kStatsLevels] = {};
-  std::atomic<uint64_t> bloom_false_positives_by_level[kStatsLevels] = {};
-
   /// One filter probe from the point-read walk, attributed to `level`.
   /// Mirrors into the aggregate counters.
   void RecordBloomProbe(int level, bool negative, bool false_positive) {
-    if (level < 0) level = 0;
-    if (level >= kStatsLevels) level = kStatsLevels - 1;
+    level = LevelSlot(level);
     bloom_checks.fetch_add(1, std::memory_order_relaxed);
     bloom_checks_by_level[level].fetch_add(1, std::memory_order_relaxed);
     if (negative) {
@@ -77,118 +148,53 @@ class Stats {
     }
     if (false_positive) {
       bloom_false_positives.fetch_add(1, std::memory_order_relaxed);
-      bloom_false_positives_by_level[level].fetch_add(
-          1, std::memory_order_relaxed);
+      bloom_false_positives_by_level[level].fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  // -- scan path (batched merge; flushed per scan, not per row) --
-  std::atomic<uint64_t> scan_rows_merged{0};      ///< rows emitted by merges
-  std::atomic<uint64_t> scan_batches_emitted{0};  ///< non-empty NextBatch fills
-  std::atomic<uint64_t> scan_source_advances{0};  ///< contribution-source steps
-  std::atomic<uint64_t> scan_heap_resifts{0};     ///< k-way-merge heap repairs
-  std::atomic<uint64_t> scan_zip_rows{0};         ///< rows spliced run-at-a-time
-  std::atomic<uint64_t> scan_zip_splices{0};      ///< successful zip rounds
-  std::atomic<uint64_t> scan_tie_fold_rows{0};    ///< rows of the per-row tie fold
+  /// Zeroes every counter; gauges keep their level.
+  void Reset();
 
-  // -- scan pushdown (predicates, zone maps, pushed aggregates) --
-  std::atomic<uint64_t> blocks_skipped_zonemap{0};   ///< data blocks never read
-  std::atomic<uint64_t> files_skipped_zonemap{0};    ///< files never opened
-  std::atomic<uint64_t> rows_filtered_pushdown{0};   ///< rows dropped by preds
-  std::atomic<uint64_t> aggs_pushed{0};              ///< aggregates folded in-scan
-  /// Blocks whose aggregates were folded straight from the zone map — every
-  /// row provably matched, so count/sum/min/max contributed without the
-  /// block ever being read or decoded.
-  std::atomic<uint64_t> aggs_from_zonemap{0};
-
-  // -- adaptive design (online advisor + in-flight morphing) --
-  std::atomic<uint64_t> design_morph_compactions{0};  ///< level re-layout jobs
-  /// Morph installs after which the tree's per-level design matches the
-  /// persisted target at every level (the morph converged).
-  std::atomic<uint64_t> design_morphs_completed{0};
-
-  // -- configuration gauges (set once at open; not part of Reset) --
-  /// Shard count the block cache actually runs with after the min-bytes-per-
-  /// shard clamp — tiny caches silently degrade below the requested count,
-  /// so the effective value is surfaced here and in bench JSON.
-  std::atomic<uint64_t> block_cache_effective_shards{0};
-
-  // -- filter-memory gauges (refreshed at every version install) --
-  /// Serialized filter bytes currently live per level, and their sum: the
-  /// real memory the filter budget bought, visible next to SST bytes.
-  std::atomic<uint64_t> filter_bytes_by_level[kStatsLevels] = {};
-  std::atomic<uint64_t> filter_bytes_total{0};
-  /// Configured bits-per-key per level ×1000 (gauge; fractional Monkey
-  /// allocations survive the integer slot).
-  std::atomic<uint64_t> bloom_millibits_by_level[kStatsLevels] = {};
-
-  // -- write path --
-  std::atomic<uint64_t> bytes_written_wal{0};
-  std::atomic<uint64_t> wal_syncs{0};          ///< fsyncs issued on the WAL
-  std::atomic<uint64_t> wal_group_commits{0};  ///< commit groups the leader ran
-  std::atomic<uint64_t> wal_group_writes{0};   ///< WriteBatches across all groups
-  std::atomic<uint64_t> bytes_flushed{0};       ///< memtable -> L0 bytes
-  std::atomic<uint64_t> bytes_compacted{0};     ///< compaction output bytes
-  std::atomic<uint64_t> compaction_jobs{0};
-  std::atomic<uint64_t> flush_jobs{0};
-  std::atomic<uint64_t> write_stall_micros{0};  ///< time writers waited
-
-  void Reset() {
-    data_block_reads = 0;
-    index_block_reads = 0;
-    block_cache_hits = 0;
-    block_cache_misses = 0;
-    bloom_checks = 0;
-    bloom_negatives = 0;
-    bloom_false_positives = 0;
-    for (int i = 0; i < kStatsLevels; ++i) {
-      bloom_checks_by_level[i] = 0;
-      bloom_negatives_by_level[i] = 0;
-      bloom_false_positives_by_level[i] = 0;
-    }
-    point_reads = 0;
-    range_scans = 0;
-    for (int i = 0; i < kStatsLevels; ++i) point_reads_by_level[i] = 0;
-    for (int i = 0; i < kStatsColumns; ++i) {
-      scan_projected_by_column[i] = 0;
-      point_projected_by_column[i] = 0;
-      updated_by_column[i] = 0;
-    }
-    inserts = 0;
-    updates = 0;
-    scan_rows_emitted = 0;
-    scan_rows_merged = 0;
-    scan_batches_emitted = 0;
-    scan_source_advances = 0;
-    scan_heap_resifts = 0;
-    scan_zip_rows = 0;
-    scan_zip_splices = 0;
-    scan_tie_fold_rows = 0;
-    blocks_skipped_zonemap = 0;
-    files_skipped_zonemap = 0;
-    rows_filtered_pushdown = 0;
-    aggs_pushed = 0;
-    aggs_from_zonemap = 0;
-    design_morph_compactions = 0;
-    design_morphs_completed = 0;
-    bytes_written_wal = 0;
-    wal_syncs = 0;
-    wal_group_commits = 0;
-    wal_group_writes = 0;
-    bytes_flushed = 0;
-    bytes_compacted = 0;
-    compaction_jobs = 0;
-    flush_jobs = 0;
-    write_stall_micros = 0;
-  }
-
-  /// Accumulates every counter into `*out` (the effective-shards gauge takes
-  /// the max, not the sum). Used by ShardedLaserDB to aggregate per-shard
-  /// engine stats into one view.
+  /// Accumulates every field into `*out` by its kind: counters and sum
+  /// gauges add, max gauges keep the larger value. Used by ShardedLaserDB to
+  /// aggregate per-shard engine stats into one view.
   void AddCountersTo(Stats* out) const;
 
+  /// Plain-value copy of every field.
+  StatsSnapshot Snapshot() const;
+
+  /// Every scalar field as `name=value`, then one bracket per level that has
+  /// filter bits, filter bytes or probes.
   std::string ToString() const;
 };
+
+/// Point-in-time values of every Stats field, so a bench or test can
+/// attribute counter deltas to one measured interval:
+/// `stats.Snapshot() - since`.
+struct StatsSnapshot {
+#define LASER_STATS_DECLARE_SCALAR(kind, name) uint64_t name = 0;
+#define LASER_STATS_DECLARE_ARRAY(kind, name, n) uint64_t name[Stats::n] = {};
+  LASER_STATS_FIELDS(LASER_STATS_DECLARE_SCALAR, LASER_STATS_DECLARE_ARRAY)
+#undef LASER_STATS_DECLARE_SCALAR
+#undef LASER_STATS_DECLARE_ARRAY
+
+  /// Counters subtract `since`; gauges are levels, not flows, so they keep
+  /// this (the later) reading.
+  StatsSnapshot operator-(const StatsSnapshot& since) const;
+};
+
+/// Calls `f(kind, name, n, slots...)` once per table row, in order. Each of
+/// `slots` points at the row's n slots in the matching one of `objs` (Stats
+/// or StatsSnapshot objects); a scalar has n == 1.
+template <typename F, typename... Objs>
+void ForEachStat(F&& f, Objs&... objs) {
+#define LASER_STATS_VISIT_SCALAR(kind, name) f(StatKind::kind, #name, 1, &objs.name...);
+#define LASER_STATS_VISIT_ARRAY(kind, name, n) \
+  f(StatKind::kind, #name, Stats::n, objs.name...);
+  LASER_STATS_FIELDS(LASER_STATS_VISIT_SCALAR, LASER_STATS_VISIT_ARRAY)
+#undef LASER_STATS_VISIT_SCALAR
+#undef LASER_STATS_VISIT_ARRAY
+}
 
 }  // namespace laser
 

@@ -428,7 +428,15 @@ TEST_F(LaserDbAdvancedTest, StatsAccumulateAcrossOperations) {
   EXPECT_GT(db_->stats().bytes_compacted.load(), 0u);
   EXPECT_GT(db_->stats().bytes_written_wal.load(), 0u);
   const std::string rendered = db_->stats().ToString();
-  EXPECT_NE(rendered.find("compactions="), std::string::npos);
+  EXPECT_NE(rendered.find("compaction_jobs="), std::string::npos);
+  // Every scalar row of the stats table is rendered as `name=value`.
+  ForEachStat(
+      [&rendered](StatKind, const char* name, int n, const std::atomic<uint64_t>*) {
+        if (n == 1) {
+          EXPECT_NE(rendered.find(std::string(name) + "="), std::string::npos) << name;
+        }
+      },
+      db_->stats());
 }
 
 TEST_F(LaserDbAdvancedTest, EmptyDatabaseBehaves) {
@@ -443,14 +451,13 @@ TEST_F(LaserDbAdvancedTest, EmptyDatabaseBehaves) {
   EXPECT_EQ(db_->LastSequence(), 0u);
 }
 
-TEST_F(LaserDbAdvancedTest, OnlineTraceCollectionFeedsAdvisor) {
+TEST_F(LaserDbAdvancedTest, OnlineTelemetryFeedsAdvisor) {
   for (uint64_t k = 0; k < 3000; ++k) ASSERT_TRUE(db_->Insert(k, Row(k)).ok());
   ASSERT_TRUE(db_->CompactUntilStable().ok());
 
-  WorkloadTrace trace(kLevels);
-  db_->SetTraceCollector(&trace);
-
-  // Profiled phase: inserts, updates, reads, one scan.
+  // Profiled phase: inserts, updates, reads, one scan. The Stats deltas are
+  // what BuildTraceFromStats hands the advisor.
+  const StatsSnapshot before = db_->stats().Snapshot();
   for (uint64_t k = 3000; k < 3100; ++k) {
     ASSERT_TRUE(db_->Insert(k, Row(k)).ok());
   }
@@ -465,25 +472,29 @@ TEST_F(LaserDbAdvancedTest, OnlineTraceCollectionFeedsAdvisor) {
     uint64_t rows = 0;
     for (; scan->Valid(); scan->Next()) ++rows;
     EXPECT_EQ(rows, 501u);
-  }  // scan reported on destruction
-  db_->SetTraceCollector(nullptr);
+  }  // scan counted on destruction
+  const StatsSnapshot d = db_->stats().Snapshot() - before;
 
-  EXPECT_EQ(trace.inserts(), 100u);
-  EXPECT_EQ(trace.updates().at({2}), 1u);
-  const auto reads = trace.point_reads();
-  ASSERT_TRUE(reads.count({1, 2}));
+  EXPECT_EQ(d.inserts, 100u);
+  EXPECT_EQ(d.updates, 1u);
+  EXPECT_EQ(d.updated_by_column[Stats::ColumnSlot(2)], 1u);
+  EXPECT_EQ(d.updated_by_column[Stats::ColumnSlot(3)], 0u);
+  for (int column : {1, 2}) {
+    EXPECT_EQ(d.point_projected_by_column[Stats::ColumnSlot(column)], 51u) << column;
+  }
+  EXPECT_EQ(d.point_projected_by_column[Stats::ColumnSlot(3)], 1u);
   // Old keys resolved in deep levels; the fresh key resolved in level 0.
   uint64_t deep = 0;
-  for (size_t level = 1; level < reads.at({1, 2}).size(); ++level) {
-    deep += reads.at({1, 2})[level];
+  for (int level = 1; level < Stats::kStatsLevels; ++level) {
+    deep += d.point_reads_by_level[level];
   }
   EXPECT_GT(deep, 0u);
-  ASSERT_TRUE(reads.count(MakeColumnRange(1, kColumns)));
-  EXPECT_GT(reads.at(MakeColumnRange(1, kColumns))[0], 0u);
-  const auto scans = trace.range_scans();
-  ASSERT_TRUE(scans.count({3}));
-  EXPECT_EQ(scans.at({3}).count, 1u);
-  EXPECT_NEAR(scans.at({3}).total_selected, 501.0, 0.01);
+  EXPECT_GT(d.point_reads_by_level[0], 0u);
+  EXPECT_EQ(deep + d.point_reads_by_level[0], 51u);
+  EXPECT_EQ(d.range_scans, 1u);
+  EXPECT_EQ(d.scan_projected_by_column[Stats::ColumnSlot(3)], 1u);
+  EXPECT_EQ(d.scan_projected_by_column[Stats::ColumnSlot(1)], 0u);
+  EXPECT_EQ(d.scan_rows_emitted, 501u);
 }
 
 TEST_F(LaserDbAdvancedTest, DeleteNonexistentThenInsert) {

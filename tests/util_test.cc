@@ -19,6 +19,7 @@
 #include "util/histogram.h"
 #include "util/random.h"
 #include "util/slice.h"
+#include "util/stats.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -536,6 +537,75 @@ INSTANTIATE_TEST_SUITE_P(MemAndPosix, EnvTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "MemEnv" : "PosixEnv";
                          });
+
+// ----------------------------------------------------------------- Stats --
+
+// Walks the field table: every slot of two Stats gets a distinct value, then
+// each derived operation is checked slot by slot against the row's kind.
+TEST(StatsTest, TableDerivesAddResetAndSnapshotDifference) {
+  Stats a;
+  Stats b;
+  uint64_t slot = 0;
+  int max_gauge_rows = 0;
+  ForEachStat(
+      [&](StatKind kind, const char*, int n, std::atomic<uint64_t>* x,
+          std::atomic<uint64_t>* y) {
+        if (kind == StatKind::kMaxGauge) ++max_gauge_rows;
+        for (int i = 0; i < n; ++i, ++slot) {
+          x[i] = 1000 + 3 * slot;
+          // Alternate the larger side so a max gauge must choose per slot.
+          y[i] = slot % 2 == 0 ? x[i] + 7 : x[i] - 5;
+        }
+      },
+      a, b);
+  EXPECT_EQ(max_gauge_rows, 2);
+  const StatsSnapshot a0 = a.Snapshot();
+  const StatsSnapshot b0 = b.Snapshot();
+  ForEachStat(
+      [](StatKind, const char* name, int n, const std::atomic<uint64_t>* live,
+         const uint64_t* copy) {
+        for (int i = 0; i < n; ++i) EXPECT_EQ(copy[i], live[i].load()) << name << i;
+      },
+      a, a0);
+
+  // AddCountersTo sums counters and sum gauges, and takes the max of max gauges.
+  a.AddCountersTo(&b);
+  const StatsSnapshot sum = b.Snapshot();
+  ForEachStat(
+      [](StatKind kind, const char* name, int n, const uint64_t* x, const uint64_t* y,
+         const uint64_t* out) {
+        for (int i = 0; i < n; ++i) {
+          const uint64_t want =
+              kind == StatKind::kMaxGauge ? std::max(x[i], y[i]) : x[i] + y[i];
+          EXPECT_EQ(out[i], want) << name << i;
+        }
+      },
+      a0, b0, sum);
+
+  // A snapshot difference subtracts counters and keeps the later gauges.
+  const StatsSnapshot diff = sum - b0;
+  ForEachStat(
+      [](StatKind kind, const char* name, int n, const uint64_t* now,
+         const uint64_t* then, const uint64_t* out) {
+        for (int i = 0; i < n; ++i) {
+          const uint64_t want = kind == StatKind::kCounter ? now[i] - then[i] : now[i];
+          EXPECT_EQ(out[i], want) << name << i;
+        }
+      },
+      sum, b0, diff);
+
+  // Reset zeroes every counter and no gauge.
+  a.Reset();
+  const StatsSnapshot reset = a.Snapshot();
+  ForEachStat(
+      [](StatKind kind, const char* name, int n, const uint64_t* before,
+         const uint64_t* after) {
+        for (int i = 0; i < n; ++i) {
+          EXPECT_EQ(after[i], kind == StatKind::kCounter ? 0 : before[i]) << name << i;
+        }
+      },
+      a0, reset);
+}
 
 // ------------------------------------------------------------ ThreadPool --
 
