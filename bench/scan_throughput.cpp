@@ -110,7 +110,8 @@ int main(int argc, char** argv) {
   designs.push_back({"row-only", CgConfig::RowOnly(kColumns, kLevels)});
   // cg-size-2/3: the paper's OLAP-leaning lower-level granularity and the
   // worst k-way stitch case — 15 (resp. 10) CG cursors per level advance in
-  // lockstep on wide scans, the shape the zip splice path exists for.
+  // lockstep on wide scans, the shape the run merge's one-lane windows
+  // take.
   designs.push_back({"cg-size-2", CgConfig::EquiWidth(kColumns, kLevels, 2)});
   designs.push_back({"cg-size-3", CgConfig::EquiWidth(kColumns, kLevels, 3)});
   designs.push_back({"cg-size-6", CgConfig::EquiWidth(kColumns, kLevels, 6)});

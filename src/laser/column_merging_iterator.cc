@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <numeric>
 
 #include "util/coding.h"
 
@@ -43,36 +44,6 @@ ColumnValue LoadValue(const char* src, size_t width) {
 template <typename T>
 void GatherColumn(const std::vector<const char*>& rows, size_t offset, ColumnValue* out) {
   for (size_t r = 0; r < rows.size(); ++r) out[r] = Load<T>(rows[r] + offset);
-}
-
-/// The in-level zip's key agreement: asks the `k` sources source_at(0..k) for
-/// their prepared column runs (AppendColumnRunTo into (*views)[i], each
-/// capped by the shortest run so far) and returns the length of the longest
-/// common-key prefix of the runs — one memcmp per source against source 0,
-/// the divergence located only on a mismatch. Per-index key equality is what
-/// lets a merge splice the runs side by side. Returns 0 when some source
-/// cannot zip or the runs diverge at their first key.
-template <typename SourceAt>
-size_t ZipCommonPrefix(size_t k, SourceAt source_at, const Slice& limit_exclusive,
-                       const Slice& hi_inclusive, size_t max_rows,
-                       std::vector<ColumnRunView>* views) {
-  views->resize(k);
-  size_t rows = max_rows;
-  for (size_t i = 0; i < k; ++i) {
-    const size_t n = source_at(i)->AppendColumnRunTo(&(*views)[i], limit_exclusive,
-                                                     hi_inclusive, rows);
-    if (n == 0) return 0;
-    rows = std::min(rows, n);
-  }
-  const uint64_t* keys0 = (*views)[0].keys;
-  for (size_t i = 1; i < k && rows > 0; ++i) {
-    const uint64_t* keys = (*views)[i].keys;
-    if (memcmp(keys0, keys, rows * sizeof(uint64_t)) == 0) continue;
-    size_t j = 0;
-    while (j < rows && keys0[j] == keys[j]) ++j;
-    rows = j;
-  }
-  return rows;
 }
 
 }  // namespace
@@ -170,7 +141,6 @@ void ContributionIterator::TopUpZipScratch(const Slice& hi_inclusive) {
 }
 
 size_t ContributionIterator::AppendColumnRunTo(ColumnRunView* view,
-                                               const Slice& limit_exclusive,
                                                const Slice& hi_inclusive,
                                                size_t max_rows) {
   const size_t pending = zip_keys_.size() - zip_pos_;
@@ -190,10 +160,7 @@ size_t ContributionIterator::AppendColumnRunTo(ColumnRunView* view,
     TopUpZipScratch(hi_inclusive);
   }
 
-  // Expose only the prefix inside the caller's bounds; surplus rows stay
-  // decoded for later rounds (a tighter limit now must not leak rows the
-  // level merge still has to combine with other sources).
-  return ExposeZipScratch(view, limit_exclusive, hi_inclusive, max_rows);
+  return ExposeZipScratch(view, Slice(), hi_inclusive, max_rows);
 }
 
 size_t ContributionIterator::ExposeZipScratch(ColumnRunView* view,
@@ -328,7 +295,7 @@ size_t ContributionIterator::AppendRunTo(ScanBatch* batch,
     }
     ++counters->source_advances;
 
-    // Stream eligible stretches into the batch: rows a zip round left
+    // Stream eligible stretches into the batch: rows a run merge left
     // decoded in the scratch drain first (they precede the run buffer), then
     // stretches directly from the run buffer. The first non-eligible key is
     // left for the generic fold below, which restores the per-row
@@ -358,7 +325,7 @@ void ContributionIterator::BuildNext() {
   // not-yet-consumed entry at the cursor.
   valid_ = false;
   any_value_ = false;
-  // Rows a zip round decoded but did not splice come first: they sit ahead
+  // Rows a run merge decoded but did not consume come first: they sit ahead
   // of the run cursor and are already fully resolved (single-version full
   // rows — every covered position has a value).
   if (zip_pos_ < zip_keys_.size()) {
@@ -494,20 +461,11 @@ ColumnMergingIterator::ColumnMergingIterator(
     : children_(std::move(children)) {
   states_.resize(projection_size);
   values_.resize(projection_size);
-  union_index_of_position_.assign(projection_size, -1);
   for (const auto& child : children_) {
-    for (const int pos : child->covered_positions()) {
-      union_index_of_position_[static_cast<size_t>(pos)] = 0;
-    }
+    const std::vector<int>& covered = child->covered_positions();
+    covered_union_.insert(covered_union_.end(), covered.begin(), covered.end());
   }
-  for (size_t pos = 0; pos < projection_size; ++pos) {
-    if (union_index_of_position_[pos] < 0) {
-      uncovered_union_.push_back(static_cast<int>(pos));
-    } else {
-      union_index_of_position_[pos] = static_cast<int>(covered_union_.size());
-      covered_union_.push_back(static_cast<int>(pos));
-    }
-  }
+  std::sort(covered_union_.begin(), covered_union_.end());
 }
 
 void ColumnMergingIterator::SeekToFirst() {
@@ -541,74 +499,9 @@ size_t ColumnMergingIterator::AppendRunTo(ScanBatch* batch,
       AppendContributionRow(batch, DecodeKey64(key), states_, values_);
       ++appended;
     }
-    // Zip: in the lockstep steady state the children's next rows are whole
-    // column runs that agree on keys — splice them run-at-a-time instead of
-    // folding row-at-a-time, chaining rounds (each bounded by the scratch
-    // size) until a child diverges or the bounds cut in. The per-row advance
-    // below then lands every child on the first row the zip could not prove.
-    if (tied_.size() == children_.size()) {
-      while (appended < max_rows) {
-        const size_t n = ZipSplice(batch, limit_exclusive, hi_inclusive,
-                                   max_rows - appended, counters);
-        if (n == 0) break;
-        appended += n;
-      }
-    }
     AdvanceTied(counters);
   }
   return appended;
-}
-
-size_t ColumnMergingIterator::ZipSplice(ScanBatch* batch,
-                                        const Slice& limit_exclusive,
-                                        const Slice& hi_inclusive,
-                                        size_t max_rows,
-                                        ScanPathCounters* counters) {
-  // A child that cannot prove even one row vetoes the round — the caller's
-  // per-row fold resolves the conflicting key and zip is retried after it.
-  const size_t rows =
-      AppendColumnRunTo(&zip_run_, limit_exclusive, hi_inclusive, max_rows);
-  if (rows == 0) return 0;
-  batch->SpliceRun(zip_run_, rows, covered_union_, uncovered_union_);
-  ConsumeColumnRun(rows);
-  counters->zip_rows += rows;
-  ++counters->zip_splices;
-  counters->source_advances += rows * children_.size();
-  return rows;
-}
-
-size_t ColumnMergingIterator::AppendColumnRunTo(ColumnRunView* view,
-                                                const Slice& limit_exclusive,
-                                                const Slice& hi_inclusive,
-                                                size_t max_rows) {
-  // The lift engages only from the lockstep state (every child tied on the
-  // current key): each child's prepared run then starts right after its
-  // current row, so the composed rows follow THIS source's current row as
-  // the contract demands.
-  if (tied_.size() != children_.size()) return 0;
-  const size_t rows = ZipCommonPrefix(
-      children_.size(), [this](size_t i) { return children_[i].get(); },
-      limit_exclusive, hi_inclusive, max_rows, &zip_views_);
-  if (rows == 0) return 0;
-
-  // Compose without copying: keys are child 0's vector, and each union
-  // column borrows the pointer of the unique child covering that position.
-  view->keys = zip_views_[0].keys;
-  view->rows = rows;
-  view->cols.resize(covered_union_.size());
-  for (size_t i = 0; i < children_.size(); ++i) {
-    const std::vector<int>& covered = children_[i]->covered_positions();
-    for (size_t ci = 0; ci < covered.size(); ++ci) {
-      const int ui = union_index_of_position_[static_cast<size_t>(covered[ci])];
-      view->cols[static_cast<size_t>(ui)] = zip_views_[i].cols[ci];
-    }
-  }
-  return rows;
-}
-
-void ColumnMergingIterator::ConsumeColumnRun(size_t rows) {
-  if (rows == 0) return;
-  for (auto& child : children_) child->ConsumeColumnRun(rows);
 }
 
 void ColumnMergingIterator::SkipTo(const Slice& limit_exclusive,
@@ -621,6 +514,7 @@ void ColumnMergingIterator::SkipTo(const Slice& limit_exclusive,
 }
 
 void ColumnMergingIterator::SyncLeaves() {
+  if (CombineLockstep()) return;
   heap_.Assign(children_);
   BuildCurrent();
 }
@@ -632,36 +526,36 @@ void ColumnMergingIterator::AdvanceTied(ScanPathCounters* counters) {
     children_[index]->Next();
     ++counters->source_advances;
   }
-  if (all_tied) {
-    // Lockstep fast path: full rows land in every group of a level, so the
-    // children usually move in unison — when they still agree on the next
-    // key the heap (currently empty) can stay out of the way entirely.
-    bool lockstep = true;
-    Slice key;
-    for (size_t i = 0; i < children_.size(); ++i) {
-      if (!children_[i]->Valid()) {
-        lockstep = false;
-        break;
-      }
-      const Slice child_key = children_[i]->user_key();
-      if (i == 0) {
-        key = child_key;
-      } else if (child_key != key) {
-        lockstep = false;
-        break;
-      }
-    }
-    if (lockstep) {
-      current_key_.assign(key.data(), key.size());
-      CombineTied();
-      valid_ = true;
-      return;
-    }
-  }
+  if (all_tied && CombineLockstep()) return;
   for (const int index : tied_) {
     if (children_[index]->Valid()) heap_.Push(index, counters);
   }
   BuildCurrent();
+}
+
+bool ColumnMergingIterator::CombineLockstep() {
+  // Full rows land in every group of a level, so the children usually move
+  // in unison — when they agree on the next key the heap can stay out of the
+  // way entirely.
+  Slice key;
+  for (size_t i = 0; i < children_.size(); ++i) {
+    if (!children_[i]->Valid()) return false;
+    const Slice child_key = children_[i]->user_key();
+    if (i == 0) {
+      key = child_key;
+    } else if (child_key != key) {
+      return false;
+    }
+  }
+  if (tied_.size() != children_.size()) {  // else all are tied already
+    heap_.Clear();
+    tied_.resize(children_.size());
+    std::iota(tied_.begin(), tied_.end(), 0);
+  }
+  current_key_.assign(key.data(), key.size());
+  CombineTied();
+  valid_ = true;
+  return true;
 }
 
 void ColumnMergingIterator::BuildCurrent() {

@@ -54,15 +54,23 @@ class ContributionIterator final : public ContributionSource {
                      const Slice& hi_inclusive, size_t max_rows,
                      ScanPathCounters* counters) override;
 
-  /// Zip support: decodes provably single-version full rows following the
-  /// current row into per-child scratch (keys + column-major values for the
-  /// covered positions) and exposes them through `view`. The scratch
-  /// persists across calls — rows the merger does not consume are re-exposed
-  /// without re-decoding — and spans NextRun refills, so splice lengths are
-  /// not capped by the 32-entry run buffer.
-  size_t AppendColumnRunTo(ColumnRunView* view, const Slice& limit_exclusive,
-                           const Slice& hi_inclusive, size_t max_rows) override;
-  void ConsumeColumnRun(size_t rows) override;
+  /// The run merge's read-ahead: exposes, via `view`, up to `max_rows`
+  /// decoded rows that FOLLOW the current row, each a single-version full
+  /// row at or below the snapshot with user key <= `hi_inclusive` (empty =
+  /// unbounded); view->cols is parallel to covered_positions(). The decoded
+  /// scratch persists across calls (rows the merge does not consume are
+  /// re-exposed, not re-decoded) and spans NextRun refills. The pointers are
+  /// invalidated by the next AppendColumnRunTo, Next or Seek. Returns
+  /// view->rows; 0 means the next entry needs the per-row fold (version
+  /// conflict, partial row, tombstone, snapshot skip) or lies past the
+  /// bound. The rows are NOT consumed. REQUIRES: Valid().
+  size_t AppendColumnRunTo(ColumnRunView* view, const Slice& hi_inclusive,
+                           size_t max_rows);
+
+  /// Marks the first `rows` rows of the last exposed run as consumed (the
+  /// caller merged them into a batch): the next Next() advances to the first
+  /// unconsumed row. REQUIRES: rows <= the last AppendColumnRunTo result.
+  void ConsumeColumnRun(size_t rows);
 
   /// Pushdown fast-forward: re-seeks the underlying iterator past the whole
   /// window in one index probe instead of decoding and discarding its rows.
@@ -81,6 +89,10 @@ class ContributionIterator final : public ContributionSource {
     return covered_positions_;
   }
 
+  void AppendLeaves(std::vector<ContributionIterator*>* out) override {
+    out->push_back(this);
+  }
+
   Status status() const override { return iter_->status(); }
 
  private:
@@ -88,8 +100,8 @@ class ContributionIterator final : public ContributionSource {
   /// of 140-byte rows).
   static constexpr size_t kRunEntries = 32;
 
-  /// Cap on the decoded zip scratch (rows). One zip round can splice up to
-  /// this many rows, so it spans several run-buffer refills.
+  /// Cap on the decoded zip scratch (rows). One run-merge window can take up
+  /// to this many rows of a cursor, so it spans several run-buffer refills.
   static constexpr size_t kZipScratchRows = 256;
 
   /// Advances over the underlying iterator to build the next contribution
@@ -205,7 +217,7 @@ class ContributionIterator final : public ContributionSource {
   IteratorRun run_;
   size_t run_pos_ = 0;
 
-  // -- zip scratch: decoded single-version full rows awaiting splice/drain --
+  // -- zip scratch: decoded single-version full rows awaiting merge/drain --
   // zip_keys_[zip_pos_..] are the unconsumed rows; zip_cols_ is parallel to
   // covered_positions(). When the last committed row's older versions are
   // still ahead of the run cursor (a full row shadows them), the resolved
@@ -242,27 +254,14 @@ class ColumnMergingIterator final : public ContributionSource {
     return covered_union_;
   }
 
-  /// Fused batch fold over the level's groups, with two fast paths layered
-  /// on the heap merge:
-  ///   - lockstep: while the CG cursors agree on keys the heap stays out of
-  ///     the way; each row is combined from the tied children directly;
-  ///   - zip: in lockstep steady state each child decodes its whole column
-  ///     *run* into per-child scratch (AppendColumnRunTo) and the runs are
-  ///     spliced column-major into the batch after one memcmp-style pass
-  ///     over the k key vectors — instead of k per-row key parses — falling
-  ///     back to the per-row fold at the first divergence (version
-  ///     conflicts, partial rows, tombstones).
+  /// The per-row fold over the level's groups: one combined row per key.
+  /// While the CG cursors agree on keys (lockstep) the heap stays out of the
+  /// way and each row is combined from the tied children directly. Runs of
+  /// full rows do not come through here: the level merge walks the children
+  /// as run-merge leaves (AppendLeaves).
   size_t AppendRunTo(ScanBatch* batch, const Slice& limit_exclusive,
                      const Slice& hi_inclusive, size_t max_rows,
                      ScanPathCounters* counters) override;
-
-  /// Composes the children's zip runs when every child is tied in lockstep
-  /// (a full-coverage row): keys from child 0, value columns routed to the
-  /// union layout — the view ZipSplice splices. Returns 0 whenever any child
-  /// cannot zip or the children's upcoming keys diverge at the first row.
-  size_t AppendColumnRunTo(ColumnRunView* view, const Slice& limit_exclusive,
-                           const Slice& hi_inclusive, size_t max_rows) override;
-  void ConsumeColumnRun(size_t rows) override;
 
   /// Forwards the window skip to every child, then rebuilds the heap and the
   /// current row from the children's new positions.
@@ -286,24 +285,16 @@ class ColumnMergingIterator final : public ContributionSource {
   /// The children are the level merge's run-merge leaves: a level's groups
   /// hold different key subsets once they compact apart, so the merge walks
   /// each group's run on its own.
-  void AppendLeaves(std::vector<ContributionSource*>* out) override {
+  void AppendLeaves(std::vector<ContributionIterator*>* out) override {
     for (auto& child : children_) out->push_back(child.get());
   }
-  /// Rebuilds the heap and the current row from the children's positions.
+  /// Rebuilds the current row (and the heap, unless the children are in
+  /// lockstep) from the children's positions.
   void SyncLeaves() override;
 
   Status status() const override;
 
  private:
-  /// One zip round: composes the children's common-key run prefix
-  /// (AppendColumnRunTo), splices it into `batch`, and consumes it from
-  /// every child. Returns rows spliced; 0 means some child could not zip or
-  /// the runs diverge at their first key. REQUIRES: every child tied
-  /// (lockstep).
-  size_t ZipSplice(ScanBatch* batch, const Slice& limit_exclusive,
-                   const Slice& hi_inclusive, size_t max_rows,
-                   ScanPathCounters* counters);
-
   /// Pops the children tied at the smallest key and combines their disjoint
   /// column states into the current row.
   void BuildCurrent();
@@ -317,23 +308,21 @@ class ColumnMergingIterator final : public ContributionSource {
   /// the heap stays untouched.
   void AdvanceTied(ScanPathCounters* counters);
 
+  /// The lockstep state: when every child is valid and on one key, ties them
+  /// all, empties the heap and combines the current row. Returns false, with
+  /// nothing changed, otherwise.
+  bool CombineLockstep();
+
   std::vector<std::unique_ptr<ContributionIterator>> children_;
   SourceMinHeap heap_;
   ScanPathCounters counters_;  // local: the level merge above tracks its own
   std::vector<int> tied_;      // children contributing the current key
-  std::vector<ColumnRunView> zip_views_;  // per-child run windows (reused)
-  ColumnRunView zip_run_;                 // ZipSplice's composed run (reused)
   bool valid_ = false;
   bool any_value_ = false;
   std::string current_key_;
   std::vector<ColumnState> states_;
   std::vector<ColumnValue> values_;
-  // Union of the children's covered positions and its complement within Π.
-  std::vector<int> covered_union_;
-  std::vector<int> uncovered_union_;
-  // projection position -> index within covered_union_ (or -1): routes each
-  // child's zip columns into the composed union-layout view.
-  std::vector<int> union_index_of_position_;
+  std::vector<int> covered_union_;  // the children's covered positions
 };
 
 }  // namespace laser

@@ -15,8 +15,8 @@
 // k-way merge proves a source is the sole contributor for a key range, the
 // source emits that whole run straight into a columnar ScanBatch without
 // re-entering the merge layer's virtual dispatch per row. Where sources tie,
-// each exposes the decoded rows after its current one (AppendColumnRunTo)
-// and the level merge walks them all at run granularity.
+// or one level is stitched from several column groups, the level merge walks
+// the column-group cursors (AppendLeaves) at run granularity instead.
 
 #ifndef LASER_LASER_CONTRIBUTION_H_
 #define LASER_LASER_CONTRIBUTION_H_
@@ -31,6 +31,8 @@
 
 namespace laser {
 
+class ContributionIterator;
+
 enum class ColumnState : uint8_t {
   kAbsent = 0,
   kValue = 1,
@@ -43,8 +45,8 @@ struct ScanPathCounters {
   uint64_t rows_merged = 0;       ///< rows emitted by the merge layer
   uint64_t source_advances = 0;   ///< contribution-source Next()/run steps
   uint64_t heap_resifts = 0;      ///< k-way-merge heap repair operations
-  uint64_t zip_rows = 0;          ///< rows emitted at run granularity (zips, run merge)
-  uint64_t zip_splices = 0;       ///< successful zip splice / run-merge rounds
+  uint64_t zip_rows = 0;          ///< rows emitted by the run merge
+  uint64_t zip_splices = 0;       ///< run-merge windows that emitted rows
   uint64_t tie_fold_rows = 0;     ///< rows resolved by the per-row cross-level fold
 };
 
@@ -124,38 +126,13 @@ class ContributionSource {
                                 const Slice& hi_inclusive) = 0;
   virtual void DisarmBlockSkipping() = 0;
 
-  /// Zip support (the run-granularity merge mode): exposes, via `view`, up
-  /// to `max_rows` decoded rows that FOLLOW the current row, each provably a
-  /// single-version full row at or below the snapshot — so its contribution
-  /// is "every covered position has this value" with no folding left to do.
-  /// Exposed rows satisfy user key < `limit_exclusive` (empty = unbounded)
-  /// and <= `hi_inclusive` (empty = unbounded). view->cols is parallel to
-  /// covered_positions(); its pointers are invalidated by this source's next
-  /// AppendColumnRunTo, Next or Seek. Returns view->rows; 0 means the next
-  /// entry cannot be proven zip-eligible (version conflict, partial row,
-  /// tombstone, snapshot skip, bounds).
-  ///
-  /// The rows are NOT consumed: the current row and per-row accessors are
-  /// unaffected, and un-consumed rows are re-exposed (without re-decoding)
-  /// by the next call. REQUIRES: Valid().
-  virtual size_t AppendColumnRunTo(ColumnRunView* view, const Slice& limit_exclusive,
-                                   const Slice& hi_inclusive, size_t max_rows) = 0;
-
-  /// Marks the first `rows` rows of the last prepared column run as consumed
-  /// (the caller spliced them into a batch). They are now behind this
-  /// source's cursor: the next Next() advances to the first unconsumed row.
-  /// REQUIRES: rows <= the last AppendColumnRunTo return value.
-  virtual void ConsumeColumnRun(size_t rows) = 0;
-
-  /// The cursors a cross-level run merge walks for this source, appended to
-  /// `out` in priority order: the source itself, or, for a level stitched
+  /// The column-group cursors a run merge walks for this source, appended
+  /// to `out` in priority order: the source itself, or, for a level stitched
   /// from several column groups, each group's cursor. The run merge reads
-  /// and advances those leaves directly (current row, AppendColumnRunTo,
-  /// ConsumeColumnRun, Next), then calls SyncLeaves so this source's own row
-  /// reflects where they stopped.
-  virtual void AppendLeaves(std::vector<ContributionSource*>* out) {
-    out->push_back(this);
-  }
+  /// and advances those leaves directly (current row, decoded run, Next),
+  /// then calls SyncLeaves so this source's own row reflects where they
+  /// stopped.
+  virtual void AppendLeaves(std::vector<ContributionIterator*>* out) = 0;
   virtual void SyncLeaves() {}
 
   virtual Status status() const = 0;

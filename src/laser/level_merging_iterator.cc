@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "laser/column_merging_iterator.h"
 #include "util/coding.h"
 
 namespace laser {
@@ -11,8 +12,8 @@ namespace laser {
 namespace {
 
 /// True when `source`'s current row holds a value in every position it
-/// covers: it resolves those positions alone, like a zip-run row.
-bool HoldsEveryValue(const ContributionSource& source) {
+/// covers: it resolves those positions alone, like a decoded-run row.
+bool HoldsEveryValue(const ContributionIterator& source) {
   const std::vector<ColumnState>& states = source.states();
   for (const int pos : source.covered_positions()) {
     if (states[pos] != ColumnState::kValue) return false;
@@ -32,9 +33,11 @@ LevelMergingIterator::LevelMergingIterator(
   values_.resize(projection_size_);
   row_.resize(projection_size_);
   for (size_t s = 0; s < sources_.size(); ++s) {
+    source_leaves_.push_back(leaves_.size());
     sources_[s]->AppendLeaves(&leaves_);
     leaf_source_.resize(leaves_.size(), s);
   }
+  source_leaves_.push_back(leaves_.size());
 }
 
 void LevelMergingIterator::SeekToFirst() {
@@ -108,24 +111,31 @@ size_t LevelMergingIterator::FillRows(ScanBatch* batch, const Slice& hi_inclusiv
       // Tied sources: merge at run granularity from here; the per-row fold
       // takes the keys the runs cannot prove (and single-row fills).
       size_t n = 0;
-      if (max_rows - appended > 1) n = MergeRuns(batch, hi_inclusive, max_rows - appended);
-      if (n == 0) n = CombineTiedRow(batch);
+      if (max_rows - appended > 1) {
+        n = MergeRuns(batch, 0, leaves_.size(), Slice(), hi_inclusive,
+                      max_rows - appended);
+      }
+      if (n > 0) {
+        heap_.Assign(sources_);
+      } else {
+        n = CombineTiedRow(batch);
+      }
       appended += n;
       continue;
     }
     // The top source is the sole contributor until `second`: hand the whole
-    // run off to it batch-at-a-time, then repair the heap once. When that
-    // source is a level's ColumnMergingIterator the handoff is where the zip
-    // path engages — its CG cursors splice column runs straight into the
-    // batch, bounded by the same limit/hi keys, so a single contributing
-    // level streams at run granularity end to end.
+    // run off to it batch-at-a-time, then repair the heap once. A level
+    // stitched from several column groups goes through the run merge over
+    // its own groups' cursors, bounded by the same limit/hi keys, so a
+    // single contributing level streams at run granularity end to end.
     char limit_bytes[8];
     Slice limit;
     if (bounded) {
       EncodeBigEndian64(limit_bytes, second);
       limit = Slice(limit_bytes, sizeof(limit_bytes));
     }
-    ContributionSource* top = heap_.top_source();
+    const size_t s = static_cast<size_t>(heap_.top());
+    ContributionSource* top = sources_[s].get();
     const bool pushdown = !predicate_positions_.empty() || arm_windows_always_;
     if (pushdown) {
       const std::vector<int>& covered = top->covered_positions();
@@ -145,29 +155,45 @@ size_t LevelMergingIterator::FillRows(ScanBatch* batch, const Slice& hi_inclusiv
       // armed exactly around this drain.
       top->ArmBlockSkipping(limit, hi_inclusive);
     }
-    const size_t n =
-        top->AppendRunTo(batch, limit, hi_inclusive, max_rows - appended, &counters_);
+    const bool stitched = source_leaves_[s + 1] - source_leaves_[s] > 1;
+    size_t n = 0;
+    char key_limit_bytes[8];
+    if (stitched && max_rows - appended > 1) {
+      n = MergeRuns(batch, source_leaves_[s], source_leaves_[s + 1], limit, hi_inclusive,
+                    max_rows - appended);
+      if (n == 0 && top_key < UINT64_MAX) {
+        // No window: the first key needs the per-row fold (a partial row or
+        // a tombstone). Fold that key alone; the run merge resumes after it.
+        EncodeBigEndian64(key_limit_bytes, top_key + 1);
+        limit = Slice(key_limit_bytes, sizeof(key_limit_bytes));
+      }
+    }
+    if (n == 0) {
+      n = top->AppendRunTo(batch, limit, hi_inclusive, max_rows - appended, &counters_);
+      counters_.rows_merged += n;
+    }
     if (pushdown) top->DisarmBlockSkipping();
     appended += n;
-    counters_.rows_merged += n;
     heap_.ReheapTop(&counters_);
   }
   return appended;
 }
 
-size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, const Slice& hi_inclusive,
-                                       size_t max_rows) {
+size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
+                                       size_t leaf_end, const Slice& limit_exclusive,
+                                       const Slice& hi_inclusive, size_t max_rows) {
   const uint64_t first = heap_.top_key();
   const size_t width = projection_size_;
   const size_t num_leaves = leaves_.size();
   // `end` is the window's last key; it only shrinks.
   uint64_t end = hi_inclusive.empty() ? UINT64_MAX : DecodeKey64(hi_inclusive);
+  if (!limit_exclusive.empty()) end = std::min(end, DecodeKey64(limit_exclusive) - 1);
 
   // Current rows first (cheap, and they decide whether there is a window at
   // all): one that does not resolve all it covers ends the window before it.
   leaf_head_key_.resize(num_leaves);
-  for (size_t l = 0; l < num_leaves; ++l) {
-    const ContributionSource& leaf = *leaves_[l];
+  for (size_t l = leaf_begin; l < leaf_end; ++l) {
+    const ContributionIterator& leaf = *leaves_[l];
     if (!leaf.Valid()) continue;
     const uint64_t key = DecodeKey64(leaf.user_key());
     leaf_head_key_[l] = key;
@@ -179,10 +205,10 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, const Slice& hi_inclusi
   // Then the runs: past its last exposed row a stream is unknown, so the
   // window ends at the smallest such row.
   leaf_views_.resize(num_leaves);
-  for (size_t l = 0; l < num_leaves; ++l) {
+  for (size_t l = leaf_begin; l < leaf_end; ++l) {
     if (!leaves_[l]->Valid() || leaf_head_key_[l] > end) continue;
     ColumnRunView& view = leaf_views_[l];
-    const size_t n = leaves_[l]->AppendColumnRunTo(&view, Slice(), hi_inclusive, max_rows);
+    const size_t n = leaves_[l]->AppendColumnRunTo(&view, hi_inclusive, max_rows);
     end = std::min(end, n > 0 ? view.keys[n - 1] : leaf_head_key_[l]);
   }
 
@@ -193,8 +219,8 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, const Slice& hi_inclusi
   lane_col_.clear();
   leaf_lane_.assign(num_leaves, -1);
   source_lane_.assign(sources_.size(), -1);
-  for (size_t l = 0; l < num_leaves; ++l) {
-    ContributionSource* leaf = leaves_[l];
+  for (size_t l = leaf_begin; l < leaf_end; ++l) {
+    ContributionIterator* leaf = leaves_[l];
     if (!leaf->Valid() || leaf_head_key_[l] > end) continue;
     const ColumnRunView& view = leaf_views_[l];
     const uint64_t head = leaf_head_key_[l];
@@ -218,6 +244,53 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, const Slice& hi_inclusi
       lane_col_[at] = view.cols[ci];
     }
   }
+  const size_t rows =
+      lanes_.size() == 1 ? GatherLane(batch, max_rows) : MergeLanes(batch, max_rows);
+
+  // Advance every leaf past the stream rows its lane consumed, then let the
+  // sources and the heap catch up.
+  for (size_t l = leaf_begin; l < leaf_end; ++l) {
+    if (leaf_lane_[l] < 0) continue;
+    const size_t consumed = lanes_[static_cast<size_t>(leaf_lane_[l])].next;
+    if (consumed == 0) continue;
+    leaves_[l]->ConsumeColumnRun(consumed - 1);
+    leaves_[l]->Next();
+    counters_.source_advances += consumed;
+  }
+  for (size_t s = 0; s < sources_.size(); ++s) {
+    if (source_lane_[s] >= 0) sources_[s]->SyncLeaves();
+  }
+  counters_.rows_merged += rows;
+  counters_.zip_rows += rows;
+  ++counters_.zip_splices;
+  return rows;
+}
+
+size_t LevelMergingIterator::GatherLane(ScanBatch* batch, size_t max_rows) {
+  // One lane holds every key of the window: its rows go into the batch as
+  // they are, column by column, with no class or segment bookkeeping.
+  Lane& lane = lanes_[0];
+  const size_t rows = std::min(lane.rows, max_rows);
+  const size_t row0 = batch->keys.size();
+  batch->keys.push_back(lane.head_key);
+  batch->keys.insert(batch->keys.end(), lane.keys, lane.keys + (rows - 1));
+  for (size_t pos = 0; pos < projection_size_; ++pos) {
+    if (lane_head_[pos] == nullptr) {
+      batch->NullColumnRun(pos, row0, rows);
+      continue;
+    }
+    ScanBatch::Column& column = batch->columns[pos];
+    assert(row0 + rows <= column.values.size());
+    column.values[row0] = *lane_head_[pos];
+    std::copy_n(lane_col_[pos], rows - 1, column.values.data() + row0 + 1);
+    memset(column.present.data() + row0, 1, rows);
+  }
+  lane.next = rows;
+  return rows;
+}
+
+size_t LevelMergingIterator::MergeLanes(ScanBatch* batch, size_t max_rows) {
+  const size_t width = projection_size_;
   const size_t num_lanes = lanes_.size();
 
   // Classes: split the positions by which lanes cover them, one lane at a
@@ -358,24 +431,6 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, const Slice& hi_inclusi
       present += seg.count;
     }
   }
-
-  // Advance every leaf past the stream rows its lane consumed, then let the
-  // sources and the heap catch up.
-  for (size_t l = 0; l < num_leaves; ++l) {
-    if (leaf_lane_[l] < 0) continue;
-    const size_t consumed = lanes_[static_cast<size_t>(leaf_lane_[l])].next;
-    if (consumed == 0) continue;
-    leaves_[l]->ConsumeColumnRun(consumed - 1);
-    leaves_[l]->Next();
-    counters_.source_advances += consumed;
-  }
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    if (source_lane_[s] >= 0) sources_[s]->SyncLeaves();
-  }
-  heap_.Assign(sources_);
-  counters_.rows_merged += rows;
-  counters_.zip_rows += rows;
-  ++counters_.zip_splices;
   return rows;
 }
 

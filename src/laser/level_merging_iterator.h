@@ -8,16 +8,16 @@
 // by key, and whenever the top source is the sole contributor for a key
 // range it drains that whole run straight into a columnar ScanBatch
 // (AppendRunTo), so merge cost is O(log k) per source advance instead of a
-// linear O(k) sweep per row. When the sole contributor is a level's
-// ColumnMergingIterator, the handoff continues at run granularity inside it
-// (the zip path: per-CG column runs spliced after a key-vector equality
-// check). When sources tie on a key — levels that each hold a random subset
-// of the keys, over older versions further down — the run merge
-// (MergeRuns) walks every column-group cursor's decoded key run at once and
+// linear O(k) sweep per row. The run merge (MergeRuns) stitches column
+// groups: it walks column-group cursors' decoded key runs at once and
 // gathers each column into the batch from a selection of (cursor, row)
-// pairs; the per-row fold (CombineTiedRow) resolves only the keys a run
-// cannot prove. The per-row API survives as a thin adapter that prefetches
-// one row at a time from the batched core.
+// pairs. It takes the windows where sources tie on a key — levels that each
+// hold a random subset of the keys, over older versions further down — over
+// every cursor, and a sole contributor stitched from several column groups
+// over that level's cursors alone. The per-row folds (CombineTiedRow across
+// sources, AppendRunTo within a level) resolve only the keys a run cannot
+// prove. The per-row API survives as a thin adapter that prefetches one row
+// at a time from the batched core.
 
 #ifndef LASER_LASER_LEVEL_MERGING_ITERATOR_H_
 #define LASER_LASER_LEVEL_MERGING_ITERATOR_H_
@@ -56,7 +56,7 @@ class LevelMergingIterator {
   ///
   /// This is the scan's single column-capacity growth site: it calls
   /// ScanBatch::EnsureColumnCapacity once up front, and every downstream
-  /// fill (per-row fold, stretch emit, zip splice, run-merge gather) writes
+  /// fill (per-row fold, stretch emit, run-merge gather) writes
   /// by index within that bound.
   size_t AppendRows(ScanBatch* batch, const Slice& hi_inclusive, size_t max_rows);
 
@@ -90,20 +90,34 @@ class LevelMergingIterator {
   /// The heap-driven merge loop; ignores the per-row prefetch state.
   size_t FillRows(ScanBatch* batch, const Slice& hi_inclusive, size_t max_rows);
 
-  /// The run merge, entered when sources tie at the heap's top key. Every
-  /// leaf cursor (ContributionSource::AppendLeaves) contributes its stream:
-  /// its current row, then the decoded rows AppendColumnRunTo exposes after
-  /// it. The window runs from the top key to the first key some stream
-  /// cannot prove — a current row that is not a value in every covered
-  /// position (partial row, tombstone), or the end of a run (a row that
-  /// needs the per-row fold, a snapshot skip, the scratch cap) — and to
-  /// `hi_inclusive`. Within it every stream row resolves each covered
-  /// position alone, so each key's columns come from the newest stream
-  /// holding it that covers them and older equal keys are consumed as
-  /// shadowed. Appends up to `max_rows` rows, advances every leaf past what
-  /// it consumed, and rebuilds the heap. Returns rows appended; 0 means the
-  /// top key itself needs the per-row fold.
-  size_t MergeRuns(ScanBatch* batch, const Slice& hi_inclusive, size_t max_rows);
+  /// The run merge from the heap's top key over leaves_[leaf_begin,
+  /// leaf_end): every leaf cursor (ContributionSource::AppendLeaves) of the
+  /// sources tied there, or of a sole contributor stitched from several
+  /// column groups. Each leaf contributes its stream: its current row, then
+  /// the decoded rows AppendColumnRunTo exposes after it. The window runs
+  /// from the top key to the first key some stream cannot prove — a current
+  /// row that is not a value in every covered position (partial row,
+  /// tombstone), or the end of a run (a row that needs the per-row fold, a
+  /// snapshot skip, the scratch cap) — and stays below `limit_exclusive` and
+  /// at most `hi_inclusive` (empty = unbounded). Within it every stream row
+  /// resolves each covered position alone, so each key's columns come from
+  /// the newest stream holding it that covers them and older equal keys are
+  /// consumed as shadowed. Appends up to `max_rows` rows and advances every
+  /// leaf past what it consumed; the caller repairs the heap. Returns rows
+  /// appended; 0 (nothing consumed) means the top key itself needs a per-row
+  /// fold.
+  size_t MergeRuns(ScanBatch* batch, size_t leaf_begin, size_t leaf_end,
+                   const Slice& limit_exclusive, const Slice& hi_inclusive,
+                   size_t max_rows);
+
+  /// MergeRuns' one-lane case: copies the lane's rows (up to `max_rows`)
+  /// into the batch. Returns rows appended.
+  size_t GatherLane(ScanBatch* batch, size_t max_rows);
+
+  /// MergeRuns' general case: merges the lanes by key, each class of
+  /// positions from its newest holder, then gathers each column from the
+  /// segments. Returns rows appended.
+  size_t MergeLanes(ScanBatch* batch, size_t max_rows);
 
   /// Appends `count` rows of class `cls` taken from stream rows
   /// [row, row + count) of lane `lane` (-1: null), extending the class's
@@ -131,9 +145,11 @@ class LevelMergingIterator {
   std::vector<ColumnState> states_;
   std::vector<ColumnValue> values_;
 
-  // The run merge's leaf cursors, in priority order, and each one's source.
-  std::vector<ContributionSource*> leaves_;
+  // The run merge's leaf cursors, in priority order, and each one's source;
+  // source s owns leaves_[source_leaves_[s], source_leaves_[s + 1]).
+  std::vector<ContributionIterator*> leaves_;
   std::vector<size_t> leaf_source_;
+  std::vector<size_t> source_leaves_;
 
   // -- run-merge scratch, rebuilt per window (reused; no per-row allocation) --
   // A lane is one stream, or the streams of several column groups of one

@@ -50,6 +50,9 @@ class SourceMinHeap {
 
   bool empty() const { return heap_.empty(); }
 
+  /// Empties the heap. The sources stay registered: Push re-inserts one.
+  void Clear() { heap_.clear(); }
+
   /// Index of the smallest source. REQUIRES: !empty().
   int top() const { return heap_[0]; }
   ContributionSource* top_source() const { return sources_[heap_[0]]; }

@@ -408,6 +408,53 @@ TEST_F(StitchTest, LevelMergingRunMergeKeepsDivergedGroupsApart) {
   }
 }
 
+// A level stitched from two column groups is the only source, and its
+// groups hold different keys behind the same first key. After the row the
+// adapter prefetched, the whole range is one run-merge window over the two
+// groups' cursors: each key's columns come from the group that holds it.
+TEST_F(StitchTest, LevelMergingRunMergeStitchesSoleLevel) {
+  const ColumnSet all = MakeColumnRange(1, 4);
+  const ColumnSet g1 = {1, 2};
+  const ColumnSet g2 = {3, 4};
+
+  std::vector<std::pair<std::string, std::string>> d1;
+  std::vector<std::pair<std::string, std::string>> d2;
+  for (const uint64_t key : {2, 3, 5}) {
+    d1.emplace_back(IK(key, 2),
+                    codec_.Encode(g1, {{1, key * 10 + 1}, {2, key * 10 + 2}}));
+  }
+  for (const uint64_t key : {2, 4, 5}) {
+    d2.emplace_back(IK(key, 2),
+                    codec_.Encode(g2, {{3, key * 10 + 3}, {4, key * 10 + 4}}));
+  }
+  std::vector<std::unique_ptr<ContributionIterator>> children;
+  children.push_back(MakeSource(std::move(d1), g1, all));
+  children.push_back(MakeSource(std::move(d2), g2, all));
+  std::vector<std::unique_ptr<ContributionSource>> sources;
+  sources.push_back(
+      std::make_unique<ColumnMergingIterator>(std::move(children), all.size()));
+  LevelMergingIterator merged(std::move(sources), all.size());
+
+  merged.SeekToFirst();
+  ScanBatch batch;
+  batch.Reset(all.size());
+  ASSERT_EQ(merged.AppendRows(&batch, Slice(), 16), 4u);
+  EXPECT_EQ(merged.counters().zip_rows, 3u);  // keys 3-5; key 2 was prefetched
+  EXPECT_EQ(merged.counters().tie_fold_rows, 0u);
+  EXPECT_EQ(batch.keys, (std::vector<uint64_t>{2, 3, 4, 5}));
+  const std::vector<std::vector<ColumnValue>> want = {
+      {21, 22, 23, 24}, {31, 32, 0, 0}, {0, 0, 43, 44}, {51, 52, 53, 54}};
+  for (size_t r = 0; r < want.size(); ++r) {
+    for (size_t pos = 0; pos < all.size(); ++pos) {
+      SCOPED_TRACE("row " + std::to_string(r) + " position " + std::to_string(pos));
+      EXPECT_EQ(batch.columns[pos].present[r] != 0, want[r][pos] != 0);
+      if (want[r][pos] != 0) {
+        EXPECT_EQ(batch.columns[pos].values[r], want[r][pos]);
+      }
+    }
+  }
+}
+
 TEST_F(StitchTest, LevelMergingSeek) {
   const ColumnSet all = MakeColumnRange(1, 4);
   std::vector<std::pair<std::string, std::string>> data;
