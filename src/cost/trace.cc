@@ -125,22 +125,24 @@ void BuildTraceFromStats(const Stats& stats, WorkloadTrace* trace) {
 
 std::string WorkloadTrace::ToString() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "inserts=" + std::to_string(inserts_) + "\n";
+  // Appends only: GCC 12 flags `"literal" + std::string&&` with a false
+  // -Wrestrict.
+  std::string out = "inserts=";
+  out.append(std::to_string(inserts_)).append("\n");
   for (const auto& [proj, by_level] : point_reads_) {
-    out += "read <" + ColumnSetToString(proj) + ">:";
-    for (uint64_t n : by_level) out += " " + std::to_string(n);
+    out.append("read <").append(ColumnSetToString(proj)).append(">:");
+    for (uint64_t n : by_level) out.append(" ").append(std::to_string(n));
     out += "\n";
   }
   for (const auto& [proj, stats] : range_scans_) {
-    out += "scan <" + ColumnSetToString(proj) +
-           ">: count=" + std::to_string(stats.count) +
-           " avg_sel=" + std::to_string(stats.count
-                                            ? stats.total_selected / stats.count
-                                            : 0) +
-           "\n";
+    const double avg_sel = stats.count ? stats.total_selected / stats.count : 0;
+    out.append("scan <").append(ColumnSetToString(proj)).append(">: count=");
+    out.append(std::to_string(stats.count)).append(" avg_sel=");
+    out.append(std::to_string(avg_sel)).append("\n");
   }
   for (const auto& [cols, n] : updates_) {
-    out += "update <" + ColumnSetToString(cols) + ">: " + std::to_string(n) + "\n";
+    out.append("update <").append(ColumnSetToString(cols)).append(">: ");
+    out.append(std::to_string(n)).append("\n");
   }
   return out;
 }

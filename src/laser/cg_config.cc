@@ -123,9 +123,9 @@ std::vector<int> CgConfig::ChildGroups(int level, int group) const {
 std::string CgConfig::ToString() const {
   std::string out;
   for (size_t level = 0; level < levels_.size(); ++level) {
-    out += "L" + std::to_string(level) + ":";
+    out.append("L").append(std::to_string(level)).append(":");
     for (const ColumnSet& group : levels_[level]) {
-      out += "<" + ColumnSetToString(group) + ">";
+      out.append("<").append(ColumnSetToString(group)).append(">");
     }
     out += "\n";
   }

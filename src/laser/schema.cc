@@ -44,7 +44,7 @@ std::string ColumnSetToString(const ColumnSet& set) {
     if (j == i) {
       out += std::to_string(set[i]);
     } else {
-      out += std::to_string(set[i]) + "-" + std::to_string(set[j]);
+      out.append(std::to_string(set[i])).append("-").append(std::to_string(set[j]));
     }
     i = j + 1;
   }
@@ -65,7 +65,8 @@ Schema Schema::UniformInt32(int c) {
   std::vector<ColumnSpec> columns;
   columns.reserve(c);
   for (int i = 1; i <= c; ++i) {
-    columns.push_back(ColumnSpec{"a" + std::to_string(i), ColumnType::kInt32});
+    columns.push_back(ColumnSpec{std::string("a").append(std::to_string(i)),
+                                 ColumnType::kInt32});
   }
   return Schema(std::move(columns));
 }

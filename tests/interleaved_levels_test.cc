@@ -295,8 +295,12 @@ class InterleavedLevelsTest : public ::testing::TestWithParam<bool> {
   template <typename Db>
   void CheckAll(Db* db) {
     for (const ScanCase& c : Cases()) {
-      SCOPED_TRACE("[" + std::to_string(c.lo) + ", " + std::to_string(c.hi) + "] width " +
-                   std::to_string(c.projection.size()));
+      SCOPED_TRACE(std::string("[")
+                       .append(std::to_string(c.lo))
+                       .append(", ")
+                       .append(std::to_string(c.hi))
+                       .append("] width ")
+                       .append(std::to_string(c.projection.size())));
       auto scans = OpenAll(db, c.lo, c.hi, c.projection);
       ExpectScansMatch(&scans, ModelScan(model_, c.lo, c.hi, c.projection),
                        c.projection.size());

@@ -198,7 +198,7 @@ TEST_F(MemTableTest, RandomizedAgainstReferenceModel) {
   SequenceNumber seq = 0;
   for (int i = 0; i < 5000; ++i) {
     const uint64_t k = rng.Uniform(300);
-    const std::string value = "v" + std::to_string(rng.Next() % 1000);
+    const std::string value = std::string("v").append(std::to_string(rng.Next() % 1000));
     ++seq;
     mem_->Add(seq, kTypeFullRow, Key(k), value);
     model[Key(k)] = {seq, value};

@@ -229,7 +229,8 @@ class CodecDifferential : public ::testing::TestWithParam<int> {
     for (int c = 1; c <= columns; ++c) {
       static constexpr ColumnType kTypes[] = {ColumnType::kInt32, ColumnType::kInt64,
                                               ColumnType::kFloat, ColumnType::kDouble};
-      specs.push_back({"c" + std::to_string(c), kTypes[rng_.Uniform(4)]});
+      specs.push_back(
+          {std::string("c").append(std::to_string(c)), kTypes[rng_.Uniform(4)]});
     }
     schema_ = Schema(std::move(specs));
     codec_ = std::make_unique<RowCodec>(&schema_);
