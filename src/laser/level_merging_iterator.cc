@@ -248,7 +248,7 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
       lanes_.size() == 1 ? GatherLane(batch, max_rows) : MergeLanes(batch, max_rows);
 
   // Advance every leaf past the stream rows its lane consumed, then let the
-  // sources and the heap catch up.
+  // sources catch up; the caller repairs the heap.
   for (size_t l = leaf_begin; l < leaf_end; ++l) {
     if (leaf_lane_[l] < 0) continue;
     const size_t consumed = lanes_[static_cast<size_t>(leaf_lane_[l])].next;

@@ -17,7 +17,7 @@
 
 namespace laser {
 
-/// A read-only window over a prepared column run (the zip path's hand-off
+/// A read-only window over a prepared column run (the run merge's hand-off
 /// unit): `rows` decoded user keys and, for each of some list of projection
 /// positions, a flat array of `rows` values, every one present. Pointers
 /// reference the producer's scratch and are invalidated when it moves.
@@ -74,7 +74,7 @@ struct ScanBatch {
     }
   }
 
-  // -- column-major splice primitives (the zip path's writes) --
+  // -- column-major splice primitives (decoded-run writes) --
   // Both REQUIRE column capacity for every row they write
   // (EnsureColumnCapacity); they write by index and never grow.
 
