@@ -1,8 +1,9 @@
 // TPC-C/CH HTAP scorecard (ROADMAP item 2): W warehouse writer threads
 // drive the NewOrder/Payment/OrderStatus mix through atomic WriteBatches
 // (cross-shard 2PC when a remote warehouse is touched) while one analytic
-// thread loops CH-style Q1 aggregates over order_line through pushdown
-// scans + AggregateAll on snapshots. Reports per-transaction throughput and
+// thread loops CH-style Q1 aggregates over order_line, each round one
+// order_line pushdown scan whose NextBatch batches the driver groups by
+// status. Reports per-transaction throughput and
 // tail latency, analytic round throughput, and commit-to-visible freshness
 // lag percentiles, sweeping shards x WalSyncPolicy on the real filesystem.
 //

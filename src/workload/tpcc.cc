@@ -319,30 +319,43 @@ Status TpccDriver::OrderStatus(uint32_t home_w, Random* rng) {
 }
 
 Status TpccDriver::RunQ1(std::vector<Q1Group>* groups) {
-  groups->clear();
   Env* env = db_->shard(0)->options().env;
+  // Projection positions of the columns folded below.
+  constexpr size_t kStatusPos = 1, kTicketPos = 2, kAmountPos = 3,
+                   kQuantityPos = 4;
   const ColumnSet projection = {kColTable, kColStatus, kColTicket, kColAmount,
                                 kColQuantity};
-  uint64_t max_ticket = 0;
-  for (int status = 0; status < kNumStatuses; ++status) {
-    ScanSpec spec;
-    spec.predicates.push_back(
-        {kColTable, PredOp::kEq, static_cast<uint64_t>(Table::kOrderLine), 0});
-    spec.predicates.push_back(
-        {kColStatus, PredOp::kEq, static_cast<uint64_t>(status), 0});
-    auto scan = db_->NewScan(0, UINT64_MAX, projection, spec);
-    if (scan == nullptr) return Status::InvalidArgument("q1 scan");
-    ScanAggregates aggs;
-    LASER_RETURN_IF_ERROR(scan->AggregateAll(&aggs));
+  ScanSpec spec;
+  spec.predicates.push_back(
+      {kColTable, PredOp::kEq, static_cast<uint64_t>(Table::kOrderLine), 0});
+  auto scan = db_->NewScan(0, UINT64_MAX, projection, spec);
+  if (scan == nullptr) return Status::InvalidArgument("q1 scan");
 
-    Q1Group group;
-    group.status = status;
-    group.rows = aggs.rows;
-    group.sum_amount = aggs.sums[3];    // projection position of kColAmount
-    group.sum_quantity = aggs.sums[4];  // ... of kColQuantity
-    group.max_ticket = aggs.counts[2] > 0 ? aggs.maxima[2] : 0;  // kColTicket
+  groups->clear();
+  for (int status = 0; status < kNumStatuses; ++status) groups->push_back({status});
+  ScanBatch batch;
+  while (const size_t n = scan->NextBatch(&batch)) {
+    const ScanBatch::Column& status = batch.columns[kStatusPos];
+    const ScanBatch::Column& ticket = batch.columns[kTicketPos];
+    const ScanBatch::Column& amount = batch.columns[kAmountPos];
+    const ScanBatch::Column& quantity = batch.columns[kQuantityPos];
+    for (size_t r = 0; r < n; ++r) {
+      // A null or out-of-domain status matches no group's predicate.
+      if (status.present[r] == 0 || status.values[r] >= kNumStatuses) continue;
+      Q1Group& group = (*groups)[status.values[r]];
+      ++group.rows;
+      if (amount.present[r] != 0) group.sum_amount += amount.values[r];
+      if (quantity.present[r] != 0) group.sum_quantity += quantity.values[r];
+      if (ticket.present[r] != 0) {
+        group.max_ticket = std::max(group.max_ticket, ticket.values[r]);
+      }
+    }
+  }
+  LASER_RETURN_IF_ERROR(scan->status());
+
+  uint64_t max_ticket = 0;
+  for (const Q1Group& group : *groups) {
     max_ticket = std::max(max_ticket, group.max_ticket);
-    groups->push_back(group);
   }
   probe_.ObserveVisible(max_ticket, env->NowMicros());
   return Status::OK();

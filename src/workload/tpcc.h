@@ -3,8 +3,8 @@
 // onto LASER's uint64 key space by the composite-key encoder (tpcc_keys.h)
 // and one unified 8-column schema, a transactional mix (NewOrder, Payment,
 // read-only OrderStatus) committed through atomic WriteBatches, CH-style Q1
-// analytics (sum/avg over order_line grouped by delivery status) running
-// through predicate-pushdown scans + AggregateAll on snapshots, a
+// analytics (sum/avg over order_line grouped by delivery status) folded
+// from one predicate-pushdown scan's batches on a snapshot, a
 // commit-to-visible freshness probe, and a deterministic consistency checker
 // for the classic TPC-C invariants.
 //
@@ -130,9 +130,10 @@ class TpccDriver {
   // -- analytics --
 
   /// CH-style Q1: for each delivery status, sum/count over every order_line
-  /// in the database via a full-domain pushdown scan + AggregateAll (no row
-  /// leaves the engine). Feeds the freshness probe with the newest ticket
-  /// observed. Single consumer (one analytic thread).
+  /// in the database. One full-domain scan pushes down the order_line
+  /// predicate; its NextBatch batches are grouped by status here (a null
+  /// status counts nowhere). Feeds the freshness probe with the newest
+  /// ticket observed. Single consumer (one analytic thread).
   Status RunQ1(std::vector<Q1Group>* groups);
 
   // -- verification (quiesced: no concurrent txns) --

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -238,7 +239,12 @@ TEST_P(TpccConsistencyTest, Q1MatchesRowModeGroundTruth) {
   spec.remote_line_fraction = 0.1;
   ShardedLaserOptions options =
       tpcc::TpccOptions(env.get(), "/tpcc_q1", spec, shards);
+  // Small levels and files, so the settled tree reaches the columnar levels
+  // (>= 2 under HtapSimple) and Q1 stitches column groups.
   options.base.write_buffer_size = 16 * 1024;
+  options.base.level0_bytes = 8 * 1024;
+  options.base.target_sst_size = 4 * 1024;
+  options.base.block_size = 1024;
   options.base.background_threads = 1;
   std::unique_ptr<ShardedLaserDB> db;
   ASSERT_TRUE(ShardedLaserDB::Open(options, &db).ok());
@@ -246,39 +252,101 @@ TEST_P(TpccConsistencyTest, Q1MatchesRowModeGroundTruth) {
   tpcc::TpccDriver driver(spec, db.get());
   ASSERT_TRUE(driver.Load().ok());
   Random rng(99);
-  for (int i = 0; i < 120; ++i) {
-    const uint32_t w = 1 + static_cast<uint32_t>(rng.Uniform(spec.warehouses));
-    ASSERT_TRUE(driver.NewOrder(w, &rng).ok());
+  auto new_orders = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const uint32_t w =
+          1 + static_cast<uint32_t>(rng.Uniform(spec.warehouses));
+      ASSERT_TRUE(driver.NewOrder(w, &rng).ok());
+    }
+  };
+  new_orders(400);
+  ASSERT_TRUE(db->Flush().ok());
+  ASSERT_TRUE(db->CompactUntilStable().ok());
+  for (int i = 0; i < shards; ++i) {
+    const auto version = db->shard(i)->current_version();
+    size_t columnar_files = 0;
+    for (int level = 2; level < version->num_levels(); ++level) {
+      for (int group = 0; group < version->num_groups(level); ++group) {
+        columnar_files += version->files(level, group).size();
+      }
+    }
+    EXPECT_GT(columnar_files, 0u) << "shard " << i << "\n"
+                                  << db->shard(i)->DebugString();
   }
+  new_orders(10);  // left in the memtables, over the settled levels
 
   std::vector<tpcc::Q1Group> groups;
   ASSERT_TRUE(driver.RunQ1(&groups).ok());
   ASSERT_EQ(groups.size(), static_cast<size_t>(tpcc::kNumStatuses));
 
   // Ground truth: row-mode scan of every order_line, folded by status.
-  uint64_t rows[tpcc::kNumStatuses] = {0};
-  uint64_t amount[tpcc::kNumStatuses] = {0};
-  uint64_t quantity[tpcc::kNumStatuses] = {0};
+  tpcc::Q1Group truth[tpcc::kNumStatuses];
   for (uint32_t w = 1; w <= spec.warehouses; ++w) {
     const tpcc::KeyRange range = tpcc::TableRange(w, Table::kOrderLine);
     auto scan = db->NewScan(range.lo, range.hi,
-                            {tpcc::kColStatus, tpcc::kColAmount,
-                             tpcc::kColQuantity});
+                            {tpcc::kColStatus, tpcc::kColTicket,
+                             tpcc::kColAmount, tpcc::kColQuantity});
     ASSERT_NE(scan, nullptr);
     for (; scan->Valid(); scan->Next()) {
-      const uint64_t status = scan->values()[0].value_or(0);
+      const auto& values = scan->values();
+      ASSERT_TRUE(values[0].has_value()) << "key " << scan->key();
+      const uint64_t status = *values[0];
       ASSERT_LT(status, static_cast<uint64_t>(tpcc::kNumStatuses));
-      ++rows[status];
-      amount[status] += scan->values()[1].value_or(0);
-      quantity[status] += scan->values()[2].value_or(0);
+      tpcc::Q1Group& group = truth[status];
+      ++group.rows;
+      group.max_ticket = std::max(group.max_ticket, values[1].value_or(0));
+      group.sum_amount += values[2].value_or(0);
+      group.sum_quantity += values[3].value_or(0);
     }
     ASSERT_TRUE(scan->status().ok());
   }
+
+  // Second reference: one pushed-down AggregateAll per status, with both the
+  // table and the status predicate.
+  tpcc::Q1Group pushed[tpcc::kNumStatuses];
   for (int s = 0; s < tpcc::kNumStatuses; ++s) {
-    EXPECT_EQ(groups[s].rows, rows[s]) << "status " << s;
-    EXPECT_EQ(groups[s].sum_amount, amount[s]) << "status " << s;
-    EXPECT_EQ(groups[s].sum_quantity, quantity[s]) << "status " << s;
+    ScanSpec scan_spec;
+    scan_spec.predicates.push_back(
+        {tpcc::kColTable, PredOp::kEq,
+         static_cast<uint64_t>(Table::kOrderLine), 0});
+    scan_spec.predicates.push_back(
+        {tpcc::kColStatus, PredOp::kEq, static_cast<uint64_t>(s), 0});
+    auto scan = db->NewScan(0, UINT64_MAX,
+                            {tpcc::kColTable, tpcc::kColStatus,
+                             tpcc::kColTicket, tpcc::kColAmount,
+                             tpcc::kColQuantity},
+                            scan_spec);
+    ASSERT_NE(scan, nullptr);
+    ScanAggregates aggs;
+    ASSERT_TRUE(scan->AggregateAll(&aggs).ok());
+    pushed[s].rows = aggs.rows;
+    pushed[s].sum_amount = aggs.sums[3];
+    pushed[s].sum_quantity = aggs.sums[4];
+    pushed[s].max_ticket = aggs.counts[2] > 0 ? aggs.maxima[2] : 0;
   }
+
+  uint64_t total_rows = 0;
+  for (int s = 0; s < tpcc::kNumStatuses; ++s) {
+    EXPECT_EQ(groups[s].status, s);
+    for (const tpcc::Q1Group* ref : {&truth[s], &pushed[s]}) {
+      const char* name = ref == &truth[s] ? "row mode" : "per-status";
+      EXPECT_EQ(groups[s].rows, ref->rows) << name << ", status " << s;
+      EXPECT_EQ(groups[s].sum_amount, ref->sum_amount)
+          << name << ", status " << s;
+      EXPECT_EQ(groups[s].sum_quantity, ref->sum_quantity)
+          << name << ", status " << s;
+      EXPECT_EQ(groups[s].max_ticket, ref->max_ticket)
+          << name << ", status " << s;
+    }
+    total_rows += groups[s].rows;
+  }
+  EXPECT_GT(total_rows, 0u);
+  // The newest NewOrder is still in a memtable and must be in some group.
+  uint64_t max_ticket = 0;
+  for (const tpcc::Q1Group& group : groups) {
+    max_ticket = std::max(max_ticket, group.max_ticket);
+  }
+  EXPECT_EQ(max_ticket, driver.probe().allocated());
 }
 
 INSTANTIATE_TEST_SUITE_P(SingleAndMultiShard, TpccConsistencyTest,
