@@ -165,7 +165,6 @@ inline void AppendEngineStatsFields(const Stats& stats,
   add("scan_heap_resifts", d.scan_heap_resifts);
   add("scan_zip_rows", d.scan_zip_rows);
   add("scan_zip_splices", d.scan_zip_splices);
-  add("scan_tie_fold_rows", d.scan_tie_fold_rows);
   add("block_cache_hit_rate", lookups > 0 ? hits / lookups : 0.0);
   add("data_block_reads", d.data_block_reads);
   add("blocks_skipped_zonemap", d.blocks_skipped_zonemap);

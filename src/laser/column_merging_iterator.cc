@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <numeric>
 
 #include "util/coding.h"
 
@@ -456,11 +455,8 @@ void ContributionIterator::BuildNext() {
 }
 
 ColumnMergingIterator::ColumnMergingIterator(
-    std::vector<std::unique_ptr<ContributionIterator>> children,
-    size_t projection_size)
+    std::vector<std::unique_ptr<ContributionIterator>> children)
     : children_(std::move(children)) {
-  states_.resize(projection_size);
-  values_.resize(projection_size);
   for (const auto& child : children_) {
     const std::vector<int>& covered = child->covered_positions();
     covered_union_.insert(covered_union_.end(), covered.begin(), covered.end());
@@ -470,38 +466,12 @@ ColumnMergingIterator::ColumnMergingIterator(
 
 void ColumnMergingIterator::SeekToFirst() {
   for (auto& child : children_) child->SeekToFirst();
-  heap_.Assign(children_);
-  BuildCurrent();
+  SyncLeaves();
 }
 
 void ColumnMergingIterator::Seek(const Slice& target_user_key) {
   for (auto& child : children_) child->Seek(target_user_key);
-  heap_.Assign(children_);
-  BuildCurrent();
-}
-
-void ColumnMergingIterator::Next() {
-  assert(valid_);
-  AdvanceTied(&counters_);
-}
-
-size_t ColumnMergingIterator::AppendRunTo(ScanBatch* batch,
-                                          const Slice& limit_exclusive,
-                                          const Slice& hi_inclusive,
-                                          size_t max_rows,
-                                          ScanPathCounters* counters) {
-  size_t appended = 0;
-  while (appended < max_rows && valid_) {
-    const Slice key(current_key_);
-    if (!limit_exclusive.empty() && key.compare(limit_exclusive) >= 0) break;
-    if (!hi_inclusive.empty() && key.compare(hi_inclusive) > 0) break;
-    if (any_value_) {
-      AppendContributionRow(batch, DecodeKey64(key), states_, values_);
-      ++appended;
-    }
-    AdvanceTied(counters);
-  }
-  return appended;
+  SyncLeaves();
 }
 
 void ColumnMergingIterator::SkipTo(const Slice& limit_exclusive,
@@ -514,70 +484,13 @@ void ColumnMergingIterator::SkipTo(const Slice& limit_exclusive,
 }
 
 void ColumnMergingIterator::SyncLeaves() {
-  if (CombineLockstep()) return;
-  heap_.Assign(children_);
-  BuildCurrent();
-}
-
-void ColumnMergingIterator::AdvanceTied(ScanPathCounters* counters) {
-  // The children holding the current key sit in tied_ (outside the heap).
-  const bool all_tied = tied_.size() == children_.size();
-  for (const int index : tied_) {
-    children_[index]->Next();
-    ++counters->source_advances;
-  }
-  if (all_tied && CombineLockstep()) return;
-  for (const int index : tied_) {
-    if (children_[index]->Valid()) heap_.Push(index, counters);
-  }
-  BuildCurrent();
-}
-
-bool ColumnMergingIterator::CombineLockstep() {
-  // Full rows land in every group of a level, so the children usually move
-  // in unison — when they agree on the next key the heap can stay out of the
-  // way entirely.
-  Slice key;
-  for (size_t i = 0; i < children_.size(); ++i) {
-    if (!children_[i]->Valid()) return false;
-    const Slice child_key = children_[i]->user_key();
-    if (i == 0) {
-      key = child_key;
-    } else if (child_key != key) {
-      return false;
-    }
-  }
-  if (tied_.size() != children_.size()) {  // else all are tied already
-    heap_.Clear();
-    tied_.resize(children_.size());
-    std::iota(tied_.begin(), tied_.end(), 0);
-  }
-  current_key_.assign(key.data(), key.size());
-  CombineTied();
-  valid_ = true;
-  return true;
-}
-
-void ColumnMergingIterator::BuildCurrent() {
   valid_ = false;
-  tied_.clear();
-  if (heap_.empty()) return;
-
-  const Slice key = heap_.top_source()->user_key();
-  current_key_.assign(key.data(), key.size());
-  heap_.PopTies(&tied_, &counters_);
-  CombineTied();
-  valid_ = true;
-}
-
-void ColumnMergingIterator::CombineTied() {
-  // Groups within a level are disjoint, so the newest-wins fold writes each
-  // position from the unique child covering it.
-  for (const int pos : covered_union_) states_[pos] = ColumnState::kAbsent;
-  any_value_ = false;
-  for (const int index : tied_) {
-    if (FoldContribution(*children_[index], &states_, &values_)) {
-      any_value_ = true;
+  for (const auto& child : children_) {
+    if (!child->Valid()) continue;
+    const Slice key = child->user_key();
+    if (!valid_ || key.compare(Slice(current_key_)) < 0) {
+      current_key_.assign(key.data(), key.size());
+      valid_ = true;
     }
   }
 }

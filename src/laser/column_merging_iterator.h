@@ -14,7 +14,6 @@
 #include "laser/contribution.h"
 #include "laser/row_codec.h"
 #include "laser/scan_pushdown.h"
-#include "laser/source_heap.h"
 #include "lsm/dbformat.h"
 #include "util/iterator.h"
 
@@ -41,18 +40,26 @@ class ContributionIterator final : public ContributionSource {
   bool Valid() const override { return valid_; }
   void SeekToFirst() override;
   void Seek(const Slice& target_user_key) override;
-  void Next() override;
+  void Next();
 
   Slice user_key() const override { return Slice(current_key_); }
-  const std::vector<ColumnState>& states() const override { return states_; }
-  const std::vector<ColumnValue>& values() const override { return values_; }
+  /// Per-projected-column state (size |Π|). REQUIRES: Valid().
+  const std::vector<ColumnState>& states() const { return states_; }
+  /// Values for positions whose state is kValue. REQUIRES: Valid().
+  const std::vector<ColumnValue>& values() const { return values_; }
 
-  /// Batched fold: streams consecutive keys from the underlying iterator
-  /// straight into the columnar batch — one tight loop per run instead of
-  /// one merge-layer round trip per row.
+  /// Drains this source into `batch`, appending up to `max_rows` resolved
+  /// rows while the user key stays strictly below `limit_exclusive` (empty =
+  /// unbounded) and at most `hi_inclusive` (empty = unbounded): one tight
+  /// loop per run instead of one merge-layer round trip per row. Rows that
+  /// resolve to no value (tombstone-only) are consumed but not emitted —
+  /// callers must only delegate a run when this source is the sole
+  /// contributor for it, so nothing older can resurrect those keys. Returns
+  /// the number of rows appended; the source always advances past every key
+  /// it consumed.
   size_t AppendRunTo(ScanBatch* batch, const Slice& limit_exclusive,
                      const Slice& hi_inclusive, size_t max_rows,
-                     ScanPathCounters* counters) override;
+                     ScanPathCounters* counters);
 
   /// The run merge's read-ahead: exposes, via `view`, up to `max_rows`
   /// decoded rows that FOLLOW the current row, each a single-version full
@@ -231,40 +238,25 @@ class ContributionIterator final : public ContributionSource {
   bool resolved_guard_active_ = false;
 };
 
-/// Merges the ContributionIterators of one level (disjoint column groups)
-/// by user key; each column position is filled by the unique group covering
-/// it. Children are kept in a SourceMinHeap, so finding the next key costs
-/// O(log k) instead of a linear sweep over the groups.
+/// One level stitched from several column groups: the level merge walks
+/// its ContributionIterators (one per group) as run-merge leaves, and this
+/// source only tracks the smallest key among them.
 class ColumnMergingIterator final : public ContributionSource {
  public:
-  /// `projection_size` is |Π| (all children use the same positional layout).
-  ColumnMergingIterator(std::vector<std::unique_ptr<ContributionIterator>> children,
-                        size_t projection_size);
+  explicit ColumnMergingIterator(
+      std::vector<std::unique_ptr<ContributionIterator>> children);
 
   bool Valid() const override { return valid_; }
   void SeekToFirst() override;
   void Seek(const Slice& target_user_key) override;
-  void Next() override;
 
   Slice user_key() const override { return Slice(current_key_); }
-  const std::vector<ColumnState>& states() const override { return states_; }
-  const std::vector<ColumnValue>& values() const override { return values_; }
   /// The union of the children's covered positions.
   const std::vector<int>& covered_positions() const override {
     return covered_union_;
   }
 
-  /// The per-row fold over the level's groups: one combined row per key.
-  /// While the CG cursors agree on keys (lockstep) the heap stays out of the
-  /// way and each row is combined from the tied children directly. Runs of
-  /// full rows do not come through here: the level merge walks the children
-  /// as run-merge leaves (AppendLeaves).
-  size_t AppendRunTo(ScanBatch* batch, const Slice& limit_exclusive,
-                     const Slice& hi_inclusive, size_t max_rows,
-                     ScanPathCounters* counters) override;
-
-  /// Forwards the window skip to every child, then rebuilds the heap and the
-  /// current row from the children's new positions.
+  /// Forwards the window skip to every child.
   void SkipTo(const Slice& limit_exclusive, const Slice& hi_inclusive,
               ScanPathCounters* counters) override;
 
@@ -282,46 +274,18 @@ class ColumnMergingIterator final : public ContributionSource {
     for (auto& child : children_) child->DisarmBlockSkipping();
   }
 
-  /// The children are the level merge's run-merge leaves: a level's groups
-  /// hold different key subsets once they compact apart, so the merge walks
-  /// each group's run on its own.
   void AppendLeaves(std::vector<ContributionIterator*>* out) override {
     for (auto& child : children_) out->push_back(child.get());
   }
-  /// Rebuilds the current row (and the heap, unless the children are in
-  /// lockstep) from the children's positions.
+  /// Recomputes the smallest key among the children.
   void SyncLeaves() override;
 
   Status status() const override;
 
  private:
-  /// Pops the children tied at the smallest key and combines their disjoint
-  /// column states into the current row.
-  void BuildCurrent();
-
-  /// Combines the children in tied_ (all positioned at the same key) into
-  /// states_/values_/any_value_. REQUIRES: tied_ non-empty.
-  void CombineTied();
-
-  /// Advances the tied children and rebuilds the current row. In the
-  /// lockstep case (every child tied and still agreeing on the next key)
-  /// the heap stays untouched.
-  void AdvanceTied(ScanPathCounters* counters);
-
-  /// The lockstep state: when every child is valid and on one key, ties them
-  /// all, empties the heap and combines the current row. Returns false, with
-  /// nothing changed, otherwise.
-  bool CombineLockstep();
-
   std::vector<std::unique_ptr<ContributionIterator>> children_;
-  SourceMinHeap heap_;
-  ScanPathCounters counters_;  // local: the level merge above tracks its own
-  std::vector<int> tied_;      // children contributing the current key
   bool valid_ = false;
-  bool any_value_ = false;
   std::string current_key_;
-  std::vector<ColumnState> states_;
-  std::vector<ColumnValue> values_;
   std::vector<int> covered_union_;  // the children's covered positions
 };
 

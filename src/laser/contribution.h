@@ -47,7 +47,6 @@ struct ScanPathCounters {
   uint64_t heap_resifts = 0;      ///< k-way-merge heap repair operations
   uint64_t zip_rows = 0;          ///< rows emitted by the run merge
   uint64_t zip_splices = 0;       ///< run-merge windows that emitted rows
-  uint64_t tie_fold_rows = 0;     ///< rows resolved by the per-row cross-level fold
 };
 
 /// Appends one resolved row to `batch`: positions in the kValue state carry
@@ -65,8 +64,10 @@ inline void AppendContributionRow(ScanBatch* batch, uint64_t key,
   }
 }
 
-/// Cursor yielding one combined contribution per user key, ordered by user
-/// key ascending. States/values are parallel to the scan's projection Π.
+/// Cursor over one source's contributions, ordered by user key ascending:
+/// a row cursor, or a level stitched from several column-group cursors. The
+/// level merge reads rows only through the column-group cursors
+/// (AppendLeaves).
 class ContributionSource {
  public:
   virtual ~ContributionSource() = default;
@@ -75,33 +76,12 @@ class ContributionSource {
   virtual void SeekToFirst() = 0;
   /// Positions at the first user key >= target.
   virtual void Seek(const Slice& target_user_key) = 0;
-  virtual void Next() = 0;
 
   /// Current user key. REQUIRES: Valid().
   virtual Slice user_key() const = 0;
-  /// Per-projected-column state (size |Π|). REQUIRES: Valid().
-  virtual const std::vector<ColumnState>& states() const = 0;
-  /// Values for positions whose state is kValue. REQUIRES: Valid().
-  virtual const std::vector<ColumnValue>& values() const = 0;
 
-  /// The projection positions this source can ever set, ascending; every
-  /// other position of states() is permanently kAbsent. Lets merge layers
-  /// fold a narrow column group in O(|group|) instead of scanning all of Π —
-  /// the difference between O(k·|Π|) and O(|Π|) per row when a level is
-  /// split into many small groups.
+  /// The projection positions this source can ever set, ascending.
   virtual const std::vector<int>& covered_positions() const = 0;
-
-  /// Drains this source into `batch`, appending up to `max_rows` resolved
-  /// rows while the user key stays strictly below `limit_exclusive` (empty =
-  /// unbounded) and at most `hi_inclusive` (empty = unbounded). Rows that
-  /// resolve to no value (tombstone-only) are consumed but not emitted —
-  /// callers must only delegate a run when this source is the sole
-  /// contributor for it, so nothing older can resurrect those keys. Returns
-  /// the number of rows appended; the source always advances past every key
-  /// it consumed.
-  virtual size_t AppendRunTo(ScanBatch* batch, const Slice& limit_exclusive,
-                             const Slice& hi_inclusive, size_t max_rows,
-                             ScanPathCounters* counters) = 0;
 
   /// Skips (without emitting) every row with user key strictly below
   /// `limit_exclusive` (empty = unbounded) and at most `hi_inclusive` (empty
@@ -130,36 +110,13 @@ class ContributionSource {
   /// to `out` in priority order: the source itself, or, for a level stitched
   /// from several column groups, each group's cursor. The run merge reads
   /// and advances those leaves directly (current row, decoded run, Next),
-  /// then calls SyncLeaves so this source's own row reflects where they
+  /// then calls SyncLeaves so this source's own key reflects where they
   /// stopped.
   virtual void AppendLeaves(std::vector<ContributionIterator*>* out) = 0;
   virtual void SyncLeaves() {}
 
   virtual Status status() const = 0;
 };
-
-/// The newest-wins tie fold: every covered position of `source` that is
-/// still kAbsent in `states` takes the source's state and value. Folding the
-/// sources tied on a key newest first resolves each position with its
-/// first non-absent contribution. Returns true if it set some position to
-/// kValue. (A template so a merge over concrete sources calls them
-/// directly.)
-template <typename Source>
-bool FoldContribution(const Source& source, std::vector<ColumnState>* states,
-                      std::vector<ColumnValue>* values) {
-  const std::vector<ColumnState>& source_states = source.states();
-  const std::vector<ColumnValue>& source_values = source.values();
-  bool any_value = false;
-  for (const int pos : source.covered_positions()) {
-    if ((*states)[pos] == ColumnState::kAbsent &&
-        source_states[pos] != ColumnState::kAbsent) {
-      (*states)[pos] = source_states[pos];
-      (*values)[pos] = source_values[pos];
-      if (source_states[pos] == ColumnState::kValue) any_value = true;
-    }
-  }
-  return any_value;
-}
 
 }  // namespace laser
 

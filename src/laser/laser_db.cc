@@ -1518,8 +1518,7 @@ std::unique_ptr<ScanIterator> LaserDB::NewScan(uint64_t lo_key, uint64_t hi_key,
     if (level_sources.size() == 1) {
       sources.push_back(std::move(level_sources[0]));
     } else {
-      sources.push_back(std::make_unique<ColumnMergingIterator>(
-          std::move(level_sources), projection.size()));
+      sources.push_back(std::make_unique<ColumnMergingIterator>(std::move(level_sources)));
     }
   }
 
@@ -1565,7 +1564,6 @@ ScanIterator::~ScanIterator() {
   stats_->scan_heap_resifts.fetch_add(c.heap_resifts, std::memory_order_relaxed);
   stats_->scan_zip_rows.fetch_add(c.zip_rows, std::memory_order_relaxed);
   stats_->scan_zip_splices.fetch_add(c.zip_splices, std::memory_order_relaxed);
-  stats_->scan_tie_fold_rows.fetch_add(c.tie_fold_rows, std::memory_order_relaxed);
   stats_->scan_batches_emitted.fetch_add(batches_emitted_, std::memory_order_relaxed);
   uint64_t blocks_skipped = 0;
   uint64_t files_skipped = 0;

@@ -9,28 +9,12 @@
 
 namespace laser {
 
-namespace {
-
-/// True when `source`'s current row holds a value in every position it
-/// covers: it resolves those positions alone, like a decoded-run row.
-bool HoldsEveryValue(const ContributionIterator& source) {
-  const std::vector<ColumnState>& states = source.states();
-  for (const int pos : source.covered_positions()) {
-    if (states[pos] != ColumnState::kValue) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 LevelMergingIterator::LevelMergingIterator(
     std::vector<std::unique_ptr<ContributionSource>> sources,
     size_t projection_size, std::vector<int> predicate_positions)
     : sources_(std::move(sources)),
       projection_size_(projection_size),
       predicate_positions_(std::move(predicate_positions)) {
-  states_.resize(projection_size_);
-  values_.resize(projection_size_);
   row_.resize(projection_size_);
   for (size_t s = 0; s < sources_.size(); ++s) {
     source_leaves_.push_back(leaves_.size());
@@ -105,22 +89,17 @@ size_t LevelMergingIterator::FillRows(ScanBatch* batch, const Slice& hi_inclusiv
   while (appended < max_rows && !heap_.empty()) {
     const uint64_t top_key = heap_.top_key();
     if (has_hi && top_key > hi) break;
+    // A one-row fill is bounded by key, not by rows: its window is the top
+    // key alone, so it reads no run, and a key deleted there cannot let the
+    // window go on to emit the next one.
+    const bool one_row = max_rows - appended == 1;
+    uint64_t end = one_row ? top_key : (has_hi ? hi : UINT64_MAX);
     uint64_t second = 0;
     const bool bounded = heap_.SecondKey(&second);
     if (bounded && second == top_key) {
-      // Tied sources: merge at run granularity from here; the per-row fold
-      // takes the keys the runs cannot prove (and single-row fills).
-      size_t n = 0;
-      if (max_rows - appended > 1) {
-        n = MergeRuns(batch, 0, leaves_.size(), Slice(), hi_inclusive,
-                      max_rows - appended);
-      }
-      if (n > 0) {
-        heap_.Assign(sources_);
-      } else {
-        n = CombineTiedRow(batch);
-      }
-      appended += n;
+      // Tied sources: merge at run granularity over every leaf.
+      appended += MergeRuns(batch, 0, leaves_.size(), end, hi_inclusive, max_rows - appended);
+      heap_.Assign(sources_);
       continue;
     }
     // The top source is the sole contributor until `second`: hand the whole
@@ -133,6 +112,7 @@ size_t LevelMergingIterator::FillRows(ScanBatch* batch, const Slice& hi_inclusiv
     if (bounded) {
       EncodeBigEndian64(limit_bytes, second);
       limit = Slice(limit_bytes, sizeof(limit_bytes));
+      end = std::min(end, second - 1);
     }
     const size_t s = static_cast<size_t>(heap_.top());
     ContributionSource* top = sources_[s].get();
@@ -155,58 +135,61 @@ size_t LevelMergingIterator::FillRows(ScanBatch* batch, const Slice& hi_inclusiv
       // armed exactly around this drain.
       top->ArmBlockSkipping(limit, hi_inclusive);
     }
-    const bool stitched = source_leaves_[s + 1] - source_leaves_[s] > 1;
-    size_t n = 0;
-    char key_limit_bytes[8];
-    if (stitched && max_rows - appended > 1) {
-      n = MergeRuns(batch, source_leaves_[s], source_leaves_[s + 1], limit, hi_inclusive,
-                    max_rows - appended);
-      if (n == 0 && top_key < UINT64_MAX) {
-        // No window: the first key needs the per-row fold (a partial row or
-        // a tombstone). Fold that key alone; the run merge resumes after it.
-        EncodeBigEndian64(key_limit_bytes, top_key + 1);
-        limit = Slice(key_limit_bytes, sizeof(key_limit_bytes));
-      }
-    }
-    if (n == 0) {
-      n = top->AppendRunTo(batch, limit, hi_inclusive, max_rows - appended, &counters_);
+    const size_t first_leaf = source_leaves_[s];
+    if (source_leaves_[s + 1] - first_leaf > 1) {
+      appended += MergeRuns(batch, first_leaf, source_leaves_[s + 1], end, hi_inclusive,
+                            max_rows - appended);
+    } else {
+      const size_t n = leaves_[first_leaf]->AppendRunTo(batch, limit, hi_inclusive,
+                                                        max_rows - appended, &counters_);
       counters_.rows_merged += n;
+      appended += n;
+      top->SyncLeaves();
     }
     if (pushdown) top->DisarmBlockSkipping();
-    appended += n;
     heap_.ReheapTop(&counters_);
   }
   return appended;
 }
 
 size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
-                                       size_t leaf_end, const Slice& limit_exclusive,
+                                       size_t leaf_end, uint64_t end,
                                        const Slice& hi_inclusive, size_t max_rows) {
-  const uint64_t first = heap_.top_key();
   const size_t width = projection_size_;
   const size_t num_leaves = leaves_.size();
-  // `end` is the window's last key; it only shrinks.
-  uint64_t end = hi_inclusive.empty() ? UINT64_MAX : DecodeKey64(hi_inclusive);
-  if (!limit_exclusive.empty()) end = std::min(end, DecodeKey64(limit_exclusive) - 1);
 
-  // Current rows first (cheap, and they decide whether there is a window at
-  // all): one that does not resolve all it covers ends the window before it.
+  // Current rows first (cheap, and they bound the window): one that does
+  // not hold a value in every position it covers is resolved on its own
+  // key, so the window ends there, at `cap`.
+  uint64_t cap = UINT64_MAX;
   leaf_head_key_.resize(num_leaves);
+  leaf_head_full_.resize(num_leaves);
   for (size_t l = leaf_begin; l < leaf_end; ++l) {
     const ContributionIterator& leaf = *leaves_[l];
     if (!leaf.Valid()) continue;
     const uint64_t key = DecodeKey64(leaf.user_key());
     leaf_head_key_[l] = key;
-    if (key > end || HoldsEveryValue(leaf)) continue;
-    if (key == first) return 0;
-    end = key - 1;
+    if (key > end) continue;
+    const std::vector<ColumnState>& states = leaf.states();
+    bool full = true;
+    for (const int pos : leaf.covered_positions()) {
+      if (states[pos] != ColumnState::kValue) {
+        full = false;
+        break;
+      }
+    }
+    leaf_head_full_[l] = full ? 1 : 0;
+    if (!full) end = cap = key;
   }
 
-  // Then the runs: past its last exposed row a stream is unknown, so the
-  // window ends at the smallest such row.
+  // Then the runs of the streams whose current row lies before `cap` (a run
+  // at or past it would lie past the window); a one-row fill reads none.
+  // Past its last exposed row a stream is unknown, so the window ends at
+  // the smallest such row.
   leaf_views_.resize(num_leaves);
-  for (size_t l = leaf_begin; l < leaf_end; ++l) {
-    if (!leaves_[l]->Valid() || leaf_head_key_[l] > end) continue;
+  for (size_t l = leaf_begin; l < leaf_end; ++l) leaf_views_[l].rows = 0;
+  for (size_t l = leaf_begin; max_rows > 1 && l < leaf_end; ++l) {
+    if (!leaves_[l]->Valid() || leaf_head_key_[l] > end || leaf_head_key_[l] >= cap) continue;
     ColumnRunView& view = leaf_views_[l];
     const size_t n = leaves_[l]->AppendColumnRunTo(&view, hi_inclusive, max_rows);
     end = std::min(end, n > 0 ? view.keys[n - 1] : leaf_head_key_[l]);
@@ -230,22 +213,34 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
     if (lane < 0 || lanes_[lane].head_key != head || lanes_[lane].rows != run + 1 ||
         (run > 0 && memcmp(lanes_[lane].keys, view.keys, run * sizeof(uint64_t)) != 0)) {
       lane = static_cast<int>(lanes_.size());
-      lanes_.push_back({head, view.keys, run + 1, 0, head});
+      lanes_.push_back({head, view.keys, run + 1, true, 0, head});
       lane_head_.resize(lane_head_.size() + width, nullptr);
       lane_col_.resize(lane_col_.size() + width, nullptr);
       if (source_lane_[leaf_source_[l]] < 0) source_lane_[leaf_source_[l]] = lane;
     }
     leaf_lane_[l] = lane;
+    if (!leaf_head_full_[l]) lanes_[lane].full_head = false;
     const std::vector<int>& covered = leaf->covered_positions();
+    const std::vector<ColumnState>& states = leaf->states();
     const ColumnValue* values = leaf->values().data();
     for (size_t ci = 0; ci < covered.size(); ++ci) {
-      const size_t at = static_cast<size_t>(lane) * width + static_cast<size_t>(covered[ci]);
-      lane_head_[at] = values + covered[ci];
-      lane_col_[at] = view.cols[ci];
+      const int pos = covered[ci];
+      const size_t at = static_cast<size_t>(lane) * width + static_cast<size_t>(pos);
+      switch (states[pos]) {
+        case ColumnState::kValue:
+          lane_head_[at] = values + pos;
+          break;
+        case ColumnState::kTombstone:
+          lane_head_[at] = &tombstone_;
+          break;
+        case ColumnState::kAbsent:
+          break;
+      }
+      if (run > 0) lane_col_[at] = view.cols[ci];
     }
   }
-  const size_t rows =
-      lanes_.size() == 1 ? GatherLane(batch, max_rows) : MergeLanes(batch, max_rows);
+  const size_t rows = lanes_.size() == 1 && lanes_[0].full_head ? GatherLane(batch, max_rows)
+                                                                : MergeLanes(batch, max_rows);
 
   // Advance every leaf past the stream rows its lane consumed, then let the
   // sources catch up; the caller repairs the heap.
@@ -262,7 +257,7 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
   }
   counters_.rows_merged += rows;
   counters_.zip_rows += rows;
-  ++counters_.zip_splices;
+  if (rows > 0) ++counters_.zip_splices;
   return rows;
 }
 
@@ -322,9 +317,10 @@ size_t LevelMergingIterator::MergeLanes(ScanBatch* batch, size_t max_rows) {
   }
 
   // The merge: repeatedly take the smallest key across the lanes. A lane
-  // alone below the runner-up emits that whole stretch as one segment; a key
-  // several lanes hold takes each class from its newest holder, and the
-  // older holders' rows are consumed as shadowed.
+  // alone below the runner-up emits that whole stretch as one segment,
+  // unless its current row does not hold every value (it resolves per key).
+  // A key several lanes hold takes each class from its newest holder, and
+  // the older holders' rows are consumed as shadowed.
   if (segments_.size() < classes) segments_.resize(classes);
   for (size_t c = 0; c < classes; ++c) segments_[c].clear();
   winner_lane_.resize(classes);
@@ -360,7 +356,7 @@ size_t LevelMergingIterator::MergeLanes(ScanBatch* batch, size_t max_rows) {
         has_second = true;
       }
     }
-    if (!has_second || min1 < min2) {
+    if ((!has_second || min1 < min2) && lanes_[active_[top]].full_head) {
       const size_t lane_index = active_[top];
       const Lane& lane = lanes_[lane_index];
       // Stream rows [lane.next, stop) lie below the runner-up.
@@ -385,6 +381,7 @@ size_t LevelMergingIterator::MergeLanes(ScanBatch* batch, size_t max_rows) {
       continue;
     }
     std::fill(winner_lane_.begin(), winner_lane_.begin() + static_cast<ptrdiff_t>(classes), -1);
+    bool partial = false;
     for (size_t ai = 0; ai < active_.size();) {
       const size_t lane_index = active_[ai];
       const Lane& lane = lanes_[lane_index];
@@ -392,6 +389,7 @@ size_t LevelMergingIterator::MergeLanes(ScanBatch* batch, size_t max_rows) {
         ++ai;
         continue;
       }
+      if (!lane.full_head) partial = true;
       for (size_t lc = lane.classes_begin; lc < lane.classes_end; ++lc) {
         const size_t c = static_cast<size_t>(lane_classes_[lc]);
         if (winner_lane_[c] >= 0) continue;
@@ -400,6 +398,15 @@ size_t LevelMergingIterator::MergeLanes(ScanBatch* batch, size_t max_rows) {
       }
       if (advance(ai, 1)) ++ai;
     }
+    // Only a partial current row can make a winner a tombstone (its lane has
+    // no other row). A key whose winners hold no value is deleted: it is
+    // consumed, and no row is emitted.
+    bool live = !partial;
+    for (size_t pos = 0; !live && pos < width; ++pos) {
+      const int lane = winner_lane_[class_of_[pos]];
+      live = lane >= 0 && lane_head_[static_cast<size_t>(lane) * width + pos] != &tombstone_;
+    }
+    if (!live) continue;
     batch->keys.push_back(min1);
     for (size_t c = 0; c < classes; ++c) AddSegment(c, winner_lane_[c], winner_row_[c], 1);
     ++rows;
@@ -417,15 +424,16 @@ size_t LevelMergingIterator::MergeLanes(ScanBatch* batch, size_t max_rows) {
         std::fill_n(present, seg.count, 0);
       } else {
         const size_t at = static_cast<size_t>(seg.lane) * width + pos;
+        std::fill_n(present, seg.count, 1);
         size_t i = 0;
         size_t row = seg.row;
         if (row == 0) {
-          values[i++] = *lane_head_[at];
+          // tombstone_ holds 0, and a deleted position is null.
+          values[i] = *lane_head_[at];
+          present[i++] = lane_head_[at] != &tombstone_ ? 1 : 0;
           ++row;
         }
-        const ColumnValue* run = lane_col_[at] + (row - 1);
-        for (size_t j = 0; i < seg.count; ++i, ++j) values[i] = run[j];
-        std::fill_n(present, seg.count, 1);
+        for (size_t j = row - 1; i < seg.count; ++i, ++j) values[i] = lane_col_[at][j];
       }
       values += seg.count;
       present += seg.count;
@@ -444,40 +452,6 @@ void LevelMergingIterator::AddSegment(size_t cls, int lane, size_t row, size_t c
     }
   }
   segments.push_back({lane, row, count});
-}
-
-size_t LevelMergingIterator::CombineTiedRow(ScanBatch* batch) {
-  heap_.PopTies(&tied_, &counters_);
-  assert(tied_.size() >= 2);
-
-  // Sources pop in ascending priority order (newest first); the first
-  // non-absent state per column wins (per-column chains preserve sequence
-  // order across levels).
-  std::fill(states_.begin(), states_.end(), ColumnState::kAbsent);
-  bool any_value = false;
-  for (const int index : tied_) {
-    if (FoldContribution(*sources_[index], &states_, &values_)) {
-      any_value = true;
-    }
-  }
-
-  // Decode before advancing: the key slice points into source storage.
-  const uint64_t key = DecodeKey64(sources_[tied_[0]]->user_key());
-  size_t appended = 0;
-  if (any_value) {
-    AppendContributionRow(batch, key, states_, values_);
-    appended = 1;
-    ++counters_.rows_merged;
-    ++counters_.tie_fold_rows;
-  }
-
-  // Fully deleted keys emit nothing; the sources still advance past them.
-  for (const int index : tied_) {
-    sources_[index]->Next();
-    ++counters_.source_advances;
-    if (sources_[index]->Valid()) heap_.Push(index, &counters_);
-  }
-  return appended;
 }
 
 Status LevelMergingIterator::status() const {

@@ -5,19 +5,19 @@
 // in user-key order.
 //
 // The engine is batch-at-a-time: a min-heap (SourceMinHeap) orders sources
-// by key, and whenever the top source is the sole contributor for a key
-// range it drains that whole run straight into a columnar ScanBatch
-// (AppendRunTo), so merge cost is O(log k) per source advance instead of a
-// linear O(k) sweep per row. The run merge (MergeRuns) stitches column
-// groups: it walks column-group cursors' decoded key runs at once and
-// gathers each column into the batch from a selection of (cursor, row)
-// pairs. It takes the windows where sources tie on a key — levels that each
-// hold a random subset of the keys, over older versions further down — over
-// every cursor, and a sole contributor stitched from several column groups
-// over that level's cursors alone. The per-row folds (CombineTiedRow across
-// sources, AppendRunTo within a level) resolve only the keys a run cannot
-// prove. The per-row API survives as a thin adapter that prefetches one row
-// at a time from the batched core.
+// by key. Whenever the top source is the sole contributor for a key range
+// and is one column-group cursor, it drains that whole run straight into a
+// columnar ScanBatch (AppendRunTo), so merge cost is O(log k) per source
+// advance instead of a linear O(k) sweep per row. Every other key goes
+// through the run merge (MergeRuns): the keys where sources tie, and a sole
+// contributor stitched from several column groups. It walks column-group
+// cursors' decoded key runs at once, the positional key-array merge of
+// Positional Delta Trees (Héman et al., SIGMOD 2010), and gathers each
+// column into the batch from a selection of (cursor, row) pairs. A cursor
+// whose current row is a partial update or a tombstone takes part as a
+// one-row stream, so the run merge resolves every key, one-row fills
+// included. The per-row API is a thin adapter that prefetches one row at a
+// time from the batched core.
 
 #ifndef LASER_LASER_LEVEL_MERGING_ITERATOR_H_
 #define LASER_LASER_LEVEL_MERGING_ITERATOR_H_
@@ -56,8 +56,8 @@ class LevelMergingIterator {
   ///
   /// This is the scan's single column-capacity growth site: it calls
   /// ScanBatch::EnsureColumnCapacity once up front, and every downstream
-  /// fill (per-row fold, stretch emit, run-merge gather) writes
-  /// by index within that bound.
+  /// fill (sole-contributor drain, run-merge gather) writes by index within
+  /// that bound.
   size_t AppendRows(ScanBatch* batch, const Slice& hi_inclusive, size_t max_rows);
 
   // -- per-row adapter --
@@ -95,23 +95,27 @@ class LevelMergingIterator {
   /// sources tied there, or of a sole contributor stitched from several
   /// column groups. Each leaf contributes its stream: its current row, then
   /// the decoded rows AppendColumnRunTo exposes after it. The window runs
-  /// from the top key to the first key some stream cannot prove — a current
-  /// row that is not a value in every covered position (partial row,
-  /// tombstone), or the end of a run (a row that needs the per-row fold, a
-  /// snapshot skip, the scratch cap) — and stays below `limit_exclusive` and
-  /// at most `hi_inclusive` (empty = unbounded). Within it every stream row
-  /// resolves each covered position alone, so each key's columns come from
-  /// the newest stream holding it that covers them and older equal keys are
-  /// consumed as shadowed. Appends up to `max_rows` rows and advances every
-  /// leaf past what it consumed; the caller repairs the heap. Returns rows
-  /// appended; 0 (nothing consumed) means the top key itself needs a per-row
-  /// fold.
-  size_t MergeRuns(ScanBatch* batch, size_t leaf_begin, size_t leaf_end,
-                   const Slice& limit_exclusive, const Slice& hi_inclusive,
-                   size_t max_rows);
+  /// from the top key to at most `end` (inclusive), and no further than the
+  /// first key some stream cannot prove: a current row that is not a value
+  /// in every covered position (partial row, tombstone) caps the window at
+  /// its own key, so it is its lane's one stream row; the end of a run (a
+  /// row that needs the generic fold, a snapshot skip, the scratch cap) caps
+  /// it at the run's last row. A stream whose current row lies at or past a
+  /// partial row's key reads no run (the run would lie past the window), and
+  /// neither does a one-row fill (`max_rows` 1, `end` the top key).
+  /// Each key's positions come from the newest stream holding the key that
+  /// covers them (a tombstone wins its positions and writes null), older
+  /// equal keys are consumed as shadowed, and a key whose winners hold no
+  /// value is consumed without emitting a row. `hi_inclusive` (empty =
+  /// unbounded) bounds the read-ahead. Appends up to `max_rows` rows and
+  /// advances every leaf past what it consumed, always at least the top key;
+  /// the caller repairs the heap. Returns rows appended.
+  size_t MergeRuns(ScanBatch* batch, size_t leaf_begin, size_t leaf_end, uint64_t end,
+                   const Slice& hi_inclusive, size_t max_rows);
 
-  /// MergeRuns' one-lane case: copies the lane's rows (up to `max_rows`)
-  /// into the batch. Returns rows appended.
+  /// MergeRuns' one-lane case, for a lane whose current row holds every
+  /// value it covers: copies the lane's rows (up to `max_rows`) into the
+  /// batch. Returns rows appended.
   size_t GatherLane(ScanBatch* batch, size_t max_rows);
 
   /// MergeRuns' general case: merges the lanes by key, each class of
@@ -124,12 +128,6 @@ class LevelMergingIterator {
   /// last segment when it continues it.
   void AddSegment(size_t cls, int lane, size_t row, size_t count);
 
-  /// The per-row fold: combines the >= 2 sources tied at the smallest key
-  /// into one row (first-non-absent-wins in priority order) and advances
-  /// them. Returns rows appended (0 when the key resolves to no value).
-  /// REQUIRES: !heap_.empty() and a genuine key tie at the top.
-  size_t CombineTiedRow(ScanBatch* batch);
-
   /// Pulls the next row into the per-row adapter state.
   void PrefetchRow();
 
@@ -139,11 +137,6 @@ class LevelMergingIterator {
   bool arm_windows_always_ = false;
   SourceMinHeap heap_;
   ScanPathCounters counters_;
-
-  // Tie-combining scratch (reused across rows; no per-row allocation).
-  std::vector<int> tied_;
-  std::vector<ColumnState> states_;
-  std::vector<ColumnValue> values_;
 
   // The run merge's leaf cursors, in priority order, and each one's source;
   // source s owns leaves_[source_leaves_[s], source_leaves_[s + 1]).
@@ -159,6 +152,7 @@ class LevelMergingIterator {
     uint64_t head_key;
     const uint64_t* keys;  // run keys, trimmed to the window
     size_t rows;           // stream rows in the window
+    bool full_head;        // the current row holds every value the lane covers
     size_t next = 0;       // stream rows consumed
     uint64_t cur = 0;      // key of stream row `next`
     size_t classes_begin = 0, classes_end = 0;  // into lane_classes_
@@ -171,20 +165,27 @@ class LevelMergingIterator {
     size_t count;
   };
   std::vector<uint64_t> leaf_head_key_;
+  std::vector<uint8_t> leaf_head_full_;  // the current row holds every value
   std::vector<ColumnRunView> leaf_views_;
   std::vector<int> leaf_lane_;    // -1: not in the window
   std::vector<int> source_lane_;  // a source's first lane in the window
   std::vector<Lane> lanes_;
-  // [lane * |Π| + pos]: the lane's current-row value and run column at a
-  // position it covers, null where it covers nothing.
+  // [lane * |Π| + pos]: the lane's current-row cell and run column at a
+  // position it covers. A current-row cell is null where the row says
+  // nothing (an older lane wins the position) and &tombstone_ where it
+  // deletes the position (the lane wins it and writes null).
   std::vector<const ColumnValue*> lane_head_;
   std::vector<const ColumnValue*> lane_col_;
+  const ColumnValue tombstone_ = 0;
   // Positions covered by the same lanes form a class; each class resolves
   // from one lane per key.
   std::vector<int> class_of_;
   std::vector<int> class_remap_;
   std::vector<int> class_first_pos_;
   std::vector<int> lane_classes_;
+  // Parallel to lane_classes_: the lane's current row holds a value (not
+  // only tombstones) in that class.
+  std::vector<uint8_t> lane_class_live_;
   std::vector<std::vector<Segment>> segments_;  // per class
   std::vector<int> winner_lane_;                // per class
   std::vector<size_t> winner_row_;              // per class

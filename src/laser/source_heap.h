@@ -19,14 +19,11 @@
 namespace laser {
 
 /// Min-heap of contribution sources by (user key, index). The index doubles
-/// as the source's priority: callers order sources newest to oldest, so
-/// popping a run of key ties yields them newest-first — the order the
-/// first-non-absent-wins fold requires.
+/// as the source's priority: callers order sources newest to oldest.
 ///
 /// Keys are the sources' 8-byte user keys decoded to uint64 (big-endian, so
 /// integer order is key order), refreshed whenever the heap is told a source
-/// advanced (ReheapTop/Push). Sources popped via PopTies are out of the heap
-/// and must be re-Pushed (or dropped) after they advance.
+/// advanced (Assign/ReheapTop).
 class SourceMinHeap {
  public:
   /// Rebuilds the heap from every valid source. O(k).
@@ -50,12 +47,8 @@ class SourceMinHeap {
 
   bool empty() const { return heap_.empty(); }
 
-  /// Empties the heap. The sources stay registered: Push re-inserts one.
-  void Clear() { heap_.clear(); }
-
   /// Index of the smallest source. REQUIRES: !empty().
   int top() const { return heap_[0]; }
-  ContributionSource* top_source() const { return sources_[heap_[0]]; }
   uint64_t top_key() const { return keys_[heap_[0]]; }
 
   /// Sets `*key` to the key of the second-smallest source (the merge's run
@@ -85,32 +78,6 @@ class SourceMinHeap {
     ++counters->heap_resifts;
   }
 
-  /// Pops the root and every source tied with it on user key, appending
-  /// their indices to `out` in ascending priority order (heap pops are
-  /// ordered by (key, index)). The popped sources keep their positions; the
-  /// caller combines them, advances each, and re-Pushes the survivors.
-  void PopTies(std::vector<int>* out, ScanPathCounters* counters) {
-    out->clear();
-    const uint64_t key = top_key();
-    while (!heap_.empty() && keys_[heap_[0]] == key) {
-      out->push_back(heap_[0]);
-      heap_[0] = heap_.back();
-      heap_.pop_back();
-      if (!heap_.empty()) {
-        SiftDown(0);
-        ++counters->heap_resifts;
-      }
-    }
-  }
-
-  /// Re-inserts source `index` after it advanced. REQUIRES: source valid.
-  void Push(int index, ScanPathCounters* counters) {
-    keys_[index] = DecodeKey64(sources_[index]->user_key());
-    heap_.push_back(index);
-    SiftUp(heap_.size() - 1);
-    ++counters->heap_resifts;
-  }
-
  private:
   bool Less(int a, int b) const {
     if (keys_[a] != keys_[b]) return keys_[a] < keys_[b];
@@ -128,15 +95,6 @@ class SourceMinHeap {
       if (!Less(heap_[smallest], heap_[i])) return;
       std::swap(heap_[i], heap_[smallest]);
       i = smallest;
-    }
-  }
-
-  void SiftUp(size_t i) {
-    while (i > 0) {
-      const size_t parent = (i - 1) / 2;
-      if (!Less(heap_[i], heap_[parent])) return;
-      std::swap(heap_[i], heap_[parent]);
-      i = parent;
     }
   }
 

@@ -71,7 +71,6 @@ enum class StatKind {
   SCALAR(kCounter, scan_heap_resifts)     /* k-way-merge heap repairs */         \
   SCALAR(kCounter, scan_zip_rows)         /* rows of the run merge */            \
   SCALAR(kCounter, scan_zip_splices)      /* run-merge windows */                \
-  SCALAR(kCounter, scan_tie_fold_rows)    /* rows of the per-row tie fold */     \
   /* -- scan pushdown (predicates, zone maps, pushed aggregates) -- */           \
   SCALAR(kCounter, blocks_skipped_zonemap)  /* data blocks never read */         \
   SCALAR(kCounter, files_skipped_zonemap)   /* files never opened */             \

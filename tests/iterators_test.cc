@@ -231,6 +231,18 @@ class StitchTest : public ::testing::Test {
         std::move(source_cols), std::move(projection), snapshot);
   }
 
+  /// The rows of `batch`, one vector per row parallel to the projection,
+  /// with 0 for null (test values are never 0).
+  static std::vector<std::vector<ColumnValue>> Rows(const ScanBatch& batch) {
+    std::vector<std::vector<ColumnValue>> rows(batch.keys.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      for (const ScanBatch::Column& column : batch.columns) {
+        rows[r].push_back(column.present[r] != 0 ? column.values[r] : 0);
+      }
+    }
+    return rows;
+  }
+
   Schema schema_;
   RowCodec codec_;
 };
@@ -271,7 +283,10 @@ TEST_F(StitchTest, ContributionRespectsSnapshot) {
   EXPECT_EQ(src->values()[0], 200u);
 }
 
-TEST_F(StitchTest, ColumnMergingStitchesDisjointGroups) {
+// One level split into two column groups is the only source: each key
+// takes each position from the group covering it, and a key one group lacks
+// is null there.
+TEST_F(StitchTest, LevelMergingStitchesDisjointGroups) {
   const ColumnSet g1 = {1, 2};
   const ColumnSet g2 = {3, 4};
   const ColumnSet proj = {2, 3};
@@ -286,23 +301,27 @@ TEST_F(StitchTest, ColumnMergingStitchesDisjointGroups) {
   std::vector<std::unique_ptr<ContributionIterator>> children;
   children.push_back(MakeSource(std::move(d1), g1, proj));
   children.push_back(MakeSource(std::move(d2), g2, proj));
-  ColumnMergingIterator merged(std::move(children), proj.size());
+  std::vector<std::unique_ptr<ContributionSource>> sources;
+  sources.push_back(std::make_unique<ColumnMergingIterator>(std::move(children)));
+  LevelMergingIterator merged(std::move(sources), proj.size());
 
   merged.SeekToFirst();
   ASSERT_TRUE(merged.Valid());
   EXPECT_EQ(DecodeKey64(merged.user_key()), 1u);
-  EXPECT_EQ(merged.values()[0], 12u);  // col 2 from g1
-  EXPECT_EQ(merged.values()[1], 13u);  // col 3 from g2
+  EXPECT_EQ(merged.row()[0], std::optional<ColumnValue>(12));  // col 2 from g1
+  EXPECT_EQ(merged.row()[1], std::optional<ColumnValue>(13));  // col 3 from g2
 
   merged.Next();
   ASSERT_TRUE(merged.Valid());
   EXPECT_EQ(DecodeKey64(merged.user_key()), 2u);
-  EXPECT_EQ(merged.states()[1], ColumnState::kAbsent);  // no g2 entry for key 2
+  EXPECT_EQ(merged.row()[0], std::optional<ColumnValue>(22));
+  EXPECT_FALSE(merged.row()[1].has_value());  // no g2 entry for key 2
 
   merged.Next();
   ASSERT_TRUE(merged.Valid());
   EXPECT_EQ(DecodeKey64(merged.user_key()), 3u);
-  EXPECT_EQ(merged.states()[0], ColumnState::kAbsent);
+  EXPECT_FALSE(merged.row()[0].has_value());  // no g1 entry for key 3
+  EXPECT_EQ(merged.row()[1], std::optional<ColumnValue>(33));
 
   merged.Next();
   EXPECT_FALSE(merged.Valid());
@@ -382,7 +401,7 @@ TEST_F(StitchTest, LevelMergingRunMergeKeepsDivergedGroupsApart) {
   children.push_back(MakeSource(std::move(d2), g2, all));
   std::vector<std::unique_ptr<ContributionSource>> sources;
   sources.push_back(MakeSource(std::move(newest), all, all));
-  sources.push_back(std::make_unique<ColumnMergingIterator>(std::move(children), all.size()));
+  sources.push_back(std::make_unique<ColumnMergingIterator>(std::move(children)));
   LevelMergingIterator merged(std::move(sources), all.size());
 
   merged.SeekToFirst();
@@ -392,26 +411,20 @@ TEST_F(StitchTest, LevelMergingRunMergeKeepsDivergedGroupsApart) {
   // keys 2-5 go through one run-merge window.
   ASSERT_EQ(merged.AppendRows(&batch, Slice(), 16), 6u);
   EXPECT_EQ(merged.counters().zip_rows, 4u);
-  EXPECT_EQ(merged.counters().tie_fold_rows, 0u);
   EXPECT_EQ(batch.keys, (std::vector<uint64_t>{1, 2, 3, 4, 5, 10}));
-  const std::vector<std::vector<ColumnValue>> want = {
-      {101, 102, 103, 104}, {201, 202, 203, 204}, {31, 32, 0, 0},
-      {0, 0, 43, 44},       {51, 52, 53, 54},     {1001, 1002, 1003, 1004}};
-  for (size_t r = 0; r < want.size(); ++r) {
-    for (size_t pos = 0; pos < all.size(); ++pos) {
-      SCOPED_TRACE("row " + std::to_string(r) + " position " + std::to_string(pos));
-      EXPECT_EQ(batch.columns[pos].present[r] != 0, want[r][pos] != 0);
-      if (want[r][pos] != 0) {
-        EXPECT_EQ(batch.columns[pos].values[r], want[r][pos]);
-      }
-    }
-  }
+  EXPECT_EQ(Rows(batch), (std::vector<std::vector<ColumnValue>>{{101, 102, 103, 104},
+                                                                {201, 202, 203, 204},
+                                                                {31, 32, 0, 0},
+                                                                {0, 0, 43, 44},
+                                                                {51, 52, 53, 54},
+                                                                {1001, 1002, 1003, 1004}}));
 }
 
 // A level stitched from two column groups is the only source, and its
-// groups hold different keys behind the same first key. After the row the
-// adapter prefetched, the whole range is one run-merge window over the two
-// groups' cursors: each key's columns come from the group that holds it.
+// groups hold different keys behind the same first key. The row the adapter
+// prefetched is a one-key window, and the rest of the range is one run-merge
+// window over the two groups' cursors: each key's columns come from the
+// group that holds it.
 TEST_F(StitchTest, LevelMergingRunMergeStitchesSoleLevel) {
   const ColumnSet all = MakeColumnRange(1, 4);
   const ColumnSet g1 = {1, 2};
@@ -431,27 +444,116 @@ TEST_F(StitchTest, LevelMergingRunMergeStitchesSoleLevel) {
   children.push_back(MakeSource(std::move(d1), g1, all));
   children.push_back(MakeSource(std::move(d2), g2, all));
   std::vector<std::unique_ptr<ContributionSource>> sources;
-  sources.push_back(
-      std::make_unique<ColumnMergingIterator>(std::move(children), all.size()));
+  sources.push_back(std::make_unique<ColumnMergingIterator>(std::move(children)));
   LevelMergingIterator merged(std::move(sources), all.size());
 
   merged.SeekToFirst();
   ScanBatch batch;
   batch.Reset(all.size());
   ASSERT_EQ(merged.AppendRows(&batch, Slice(), 16), 4u);
-  EXPECT_EQ(merged.counters().zip_rows, 3u);  // keys 3-5; key 2 was prefetched
-  EXPECT_EQ(merged.counters().tie_fold_rows, 0u);
+  EXPECT_EQ(merged.counters().zip_rows, 4u);
   EXPECT_EQ(batch.keys, (std::vector<uint64_t>{2, 3, 4, 5}));
-  const std::vector<std::vector<ColumnValue>> want = {
-      {21, 22, 23, 24}, {31, 32, 0, 0}, {0, 0, 43, 44}, {51, 52, 53, 54}};
-  for (size_t r = 0; r < want.size(); ++r) {
-    for (size_t pos = 0; pos < all.size(); ++pos) {
-      SCOPED_TRACE("row " + std::to_string(r) + " position " + std::to_string(pos));
-      EXPECT_EQ(batch.columns[pos].present[r] != 0, want[r][pos] != 0);
-      if (want[r][pos] != 0) {
-        EXPECT_EQ(batch.columns[pos].values[r], want[r][pos]);
+  EXPECT_EQ(Rows(batch), (std::vector<std::vector<ColumnValue>>{
+                             {21, 22, 23, 24}, {31, 32, 0, 0}, {0, 0, 43, 44}, {51, 52, 53, 54}}));
+}
+
+// The run merge resolves every key, including a current row that is a
+// partial update or a tombstone, and every one-row fill of the row cursor.
+// Each case merges its sources (newest first; a source is one or more
+// column groups of one level) over projection {1, 2, 3, 4}, and counts the
+// rows the run merge emits.
+TEST_F(StitchTest, RunMergeResolvesEveryKey) {
+  struct Group {
+    ColumnSet columns;
+    std::vector<std::pair<std::string, std::string>> entries;
+  };
+  struct Case {
+    const char* name;
+    std::vector<std::vector<Group>> sources;
+    bool row_cursor;
+    std::vector<uint64_t> keys;
+    std::vector<std::vector<ColumnValue>> rows;  // 0: null
+    uint64_t zip_rows;
+  };
+  const ColumnSet all = MakeColumnRange(1, 4);
+  const ColumnSet g1 = {1, 2};
+  const ColumnSet g2 = {3, 4};
+  const auto full = [this](const ColumnSet& columns, uint64_t key, SequenceNumber seq,
+                           ColumnValue base) {
+    std::vector<ColumnValuePair> values;
+    for (const int col : columns) values.push_back({col, base + static_cast<ColumnValue>(col)});
+    return std::make_pair(IK(key, seq), codec_.Encode(columns, values));
+  };
+  const auto deletion = [](uint64_t key) { return std::make_pair(IK(key, 9, kTypeDeletion), std::string()); };
+
+  // Tied levels: the newest holds a partial update at key 2, a tombstone at
+  // key 4 and a full row at key 5; the older one full rows for keys 1-6.
+  std::vector<Group> newest = {{all,
+                                {{IK(2, 9, kTypePartialRow), codec_.Encode(all, {{2, 902}})},
+                                 deletion(4),
+                                 full(all, 5, 9, 950)}}};
+  std::vector<Group> older = {{all, {}}};
+  for (uint64_t key = 1; key <= 6; ++key) older[0].entries.push_back(full(all, key, 2, key * 10));
+  const std::vector<std::vector<ColumnValue>> tied_rows = {
+      {11, 12, 13, 14}, {21, 902, 23, 24}, {31, 32, 33, 34}, {951, 952, 953, 954}, {61, 62, 63, 64}};
+
+  // A sole level of two column groups: a partial row in one group (key 2),
+  // a tombstone in one group (key 3) and in both (key 4).
+  std::vector<Group> level = {
+      {g1,
+       {full(g1, 1, 4, 10),
+        {IK(2, 4, kTypePartialRow), codec_.Encode(g1, {{1, 21}})},
+        full(g1, 3, 4, 30),
+        deletion(4),
+        full(g1, 5, 4, 50)}},
+      {g2, {full(g2, 1, 4, 10), full(g2, 2, 4, 20), deletion(3), deletion(4), full(g2, 5, 4, 50)}}};
+  const std::vector<std::vector<ColumnValue>> level_rows = {
+      {11, 12, 13, 14}, {21, 0, 23, 24}, {31, 32, 0, 0}, {51, 52, 53, 54}};
+
+  const std::vector<Case> cases = {
+      // Keys 2 and 5 tie and emit a row each; key 4 is deleted.
+      {"tie_windows", {newest, older}, false, {1, 2, 3, 5, 6}, tied_rows, 2},
+      {"tie_row_cursor", {newest, older}, true, {1, 2, 3, 5, 6}, tied_rows, 2},
+      {"sole_level", {level}, false, {1, 2, 3, 5}, level_rows, 4},
+      {"sole_level_row_cursor", {level}, true, {1, 2, 3, 5}, level_rows, 4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::unique_ptr<ContributionSource>> sources;
+    for (const std::vector<Group>& groups : c.sources) {
+      std::vector<std::unique_ptr<ContributionIterator>> cursors;
+      for (const Group& group : groups) {
+        cursors.push_back(MakeSource(group.entries, group.columns, all));
+      }
+      if (cursors.size() == 1) {
+        sources.push_back(std::move(cursors[0]));
+      } else {
+        sources.push_back(std::make_unique<ColumnMergingIterator>(std::move(cursors)));
       }
     }
+    LevelMergingIterator merged(std::move(sources), all.size());
+
+    ScanBatch batch;
+    batch.Reset(all.size());
+    merged.SeekToFirst();
+    if (c.row_cursor) {
+      batch.EnsureColumnCapacity(c.keys.size() + 1);
+      for (; merged.Valid(); merged.Next()) {
+        ASSERT_LE(batch.keys.size(), c.keys.size());
+        const size_t r = batch.keys.size();
+        batch.keys.push_back(DecodeKey64(merged.user_key()));
+        for (size_t pos = 0; pos < all.size(); ++pos) {
+          batch.columns[pos].present[r] = merged.row()[pos].has_value() ? 1 : 0;
+          batch.columns[pos].values[r] = merged.row()[pos].value_or(0);
+        }
+      }
+    } else {
+      ASSERT_EQ(merged.AppendRows(&batch, Slice(), 16), c.keys.size());
+      EXPECT_EQ(merged.AppendRows(&batch, Slice(), 16), 0u);
+    }
+    EXPECT_EQ(batch.keys, c.keys);
+    EXPECT_EQ(Rows(batch), c.rows);
+    EXPECT_EQ(merged.counters().zip_rows, c.zip_rows);
   }
 }
 
