@@ -6,7 +6,7 @@
 //   - a memtable and an L0 file holding partial updates and tombstones;
 //   - L1 in row format, holding a hot key range rewritten after the bulk
 //     load, so scans over it tie L1 with the older levels key by key (the
-//     cross-level run merge, and the per-row fold where it cannot run);
+//     cross-level run merge, over partial rows and tombstones too);
 //   - L2 split in two column groups, one of which covers the narrow
 //     projection;
 //   - L3 split into width-1 and width-4 column groups (the run merge over
@@ -334,15 +334,15 @@ TEST_F(ScanPathGoldenTest, ScansMatchReference) {
   // emits: a block holding rows with no projected value is decoded, not
   // folded from its zone map.
   const std::vector<ScanGolden> expected = {
-      {"agg_narrow", 2976, 0xaa7c03b62aa652c5, 2973, 3544, 1399, 403, 31, 127, 1, 1},
-      {"wide_1", 3013, 0xb494e7cc325e860c, 3013, 9903, 5550, 0, 0, 346, 0, 0},
-      {"wide_7", 3013, 0xb494e7cc325e860c, 3013, 10895, 2141, 2683, 1120, 346, 0, 0},
-      {"wide_1024", 3013, 0xb494e7cc325e860c, 3013, 10899, 1894, 2814, 952, 346, 0, 0},
-      {"between", 481, 0xf8faf3cba42c67a3, 2996, 6477, 1615, 2868, 944, 227, 0, 0},
-      {"row_cursor", 2996, 0x9d28be49eab384d4, 2996, 9933, 5346, 0, 0, 346, 0, 0},
-      {"cg_split", 983, 0x70b33b7d63679c3b, 983, 3401, 659, 943, 434, 112, 0, 0},
-      {"tied_levels", 394, 0x4ed1d1a725ecb467, 394, 1847, 146, 377, 23, 79, 0, 0},
-      {"interleaved", 1000, 0xc0283c23e8846338, 1000, 4929, 12, 998, 7, 180, 0, 0},
+      {"agg_narrow", 2976, 0xaa7c03b62aa652c5, 2973, 3544, 978, 456, 77, 127, 1, 1},
+      {"wide_1", 3013, 0xb494e7cc325e860c, 3013, 11381, 2436, 3013, 3013, 346, 0, 0},
+      {"wide_7", 3013, 0xb494e7cc325e860c, 3013, 11381, 1206, 3013, 1429, 346, 0, 0},
+      {"wide_1024", 3013, 0xb494e7cc325e860c, 3013, 11381, 974, 3013, 1126, 346, 0, 0},
+      {"between", 481, 0xf8faf3cba42c67a3, 2996, 6616, 946, 2995, 1054, 227, 0, 0},
+      {"row_cursor", 2996, 0x9d28be49eab384d4, 2996, 11282, 2467, 2995, 2995, 346, 0, 0},
+      {"cg_split", 983, 0x70b33b7d63679c3b, 983, 3543, 430, 983, 472, 112, 0, 0},
+      {"tied_levels", 394, 0x4ed1d1a725ecb467, 394, 1906, 0, 394, 25, 79, 0, 0},
+      {"interleaved", 1000, 0xc0283c23e8846338, 1000, 4933, 0, 1000, 9, 180, 0, 0},
   };
   EXPECT_EQ(actual, expected) << "actual scans:\n" << ToString(actual);
 }
