@@ -1,4 +1,4 @@
-#include "laser/column_merging_iterator.h"
+#include "laser/contribution_iterator.h"
 
 #include <algorithm>
 #include <cassert>
@@ -279,8 +279,7 @@ size_t ContributionIterator::AppendRunTo(ScanBatch* batch,
   // The batched fold: the k-way merge proved this source is the sole
   // contributor up to `limit_exclusive`, so whole runs of keys stream from
   // the underlying block cursor into the columnar batch in one loop —
-  // nothing re-enters the merge layers' virtual dispatch per row, and
-  // tombstone-only keys are dropped here (no older source can resurrect
+  // nothing re-enters the merge per row, and tombstone-only keys are dropped here (no older source can resurrect
   // them). Single-version full rows (the steady state after compaction)
   // take FastEmitStretch: block bytes decode straight into the batch columns.
   size_t appended = 0;
@@ -452,54 +451,6 @@ void ContributionIterator::BuildNext() {
     // of other columns in the group, or every version above the snapshot);
     // move on to the next user key.
   }
-}
-
-ColumnMergingIterator::ColumnMergingIterator(
-    std::vector<std::unique_ptr<ContributionIterator>> children)
-    : children_(std::move(children)) {
-  for (const auto& child : children_) {
-    const std::vector<int>& covered = child->covered_positions();
-    covered_union_.insert(covered_union_.end(), covered.begin(), covered.end());
-  }
-  std::sort(covered_union_.begin(), covered_union_.end());
-}
-
-void ColumnMergingIterator::SeekToFirst() {
-  for (auto& child : children_) child->SeekToFirst();
-  SyncLeaves();
-}
-
-void ColumnMergingIterator::Seek(const Slice& target_user_key) {
-  for (auto& child : children_) child->Seek(target_user_key);
-  SyncLeaves();
-}
-
-void ColumnMergingIterator::SkipTo(const Slice& limit_exclusive,
-                                   const Slice& hi_inclusive,
-                                   ScanPathCounters* counters) {
-  for (auto& child : children_) {
-    child->SkipTo(limit_exclusive, hi_inclusive, counters);
-  }
-  SyncLeaves();
-}
-
-void ColumnMergingIterator::SyncLeaves() {
-  valid_ = false;
-  for (const auto& child : children_) {
-    if (!child->Valid()) continue;
-    const Slice key = child->user_key();
-    if (!valid_ || key.compare(Slice(current_key_)) < 0) {
-      current_key_.assign(key.data(), key.size());
-      valid_ = true;
-    }
-  }
-}
-
-Status ColumnMergingIterator::status() const {
-  for (const auto& child : children_) {
-    if (!child->status().ok()) return child->status();
-  }
-  return Status::OK();
 }
 
 }  // namespace laser

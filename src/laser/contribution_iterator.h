@@ -1,32 +1,81 @@
-// ContributionIterator adapts one sorted source of internal-key entries
-// (memtable, L0 file, or a level's CG run) into a ContributionSource;
-// ColumnMergingIterator stitches the contribution sources of one level's
-// overlapping column groups into a single per-level source (§4.3/§4.4:
-// "ColumnMergingIterators combine values from different column groups within
-// the same level").
+// ContributionIterator: the contribution model for projection-aware reads
+// (§4.3). A scan over projection Π opens one cursor per physical source of
+// column values: each memtable, each L0 file (row format), and per deeper
+// level each column group overlapping Π. A cursor yields, per user key, a
+// tri-state per projected column:
+//   kAbsent    — this cursor says nothing; look at an older one
+//   kValue     — resolved with a value
+//   kTombstone — resolved as deleted (a tombstone terminates the chain)
+// Column states use fixed positions in Π, so the level merge resolves each
+// position from its newest contribution, which is exactly the newest-wins
+// semantics of §4.2/§4.3. The level merge groups the cursors into sources
+// (one per memtable, L0 file or level) and stitches one level's column
+// groups itself (§4.4).
+//
+// A cursor also drains batch-at-a-time (AppendRunTo): when the merge
+// proves it is the sole contributor for a key range, it emits that whole run
+// straight into a columnar ScanBatch. For the run merge it exposes the
+// decoded rows that follow its current row (AppendColumnRunTo).
 
-#ifndef LASER_LASER_COLUMN_MERGING_ITERATOR_H_
-#define LASER_LASER_COLUMN_MERGING_ITERATOR_H_
+#ifndef LASER_LASER_CONTRIBUTION_ITERATOR_H_
+#define LASER_LASER_CONTRIBUTION_ITERATOR_H_
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "laser/contribution.h"
 #include "laser/row_codec.h"
+#include "laser/scan_batch.h"
 #include "laser/scan_pushdown.h"
+#include "laser/schema.h"
 #include "lsm/dbformat.h"
 #include "util/iterator.h"
+#include "util/slice.h"
+#include "util/status.h"
 
 namespace laser {
 
+enum class ColumnState : uint8_t {
+  kAbsent = 0,
+  kValue = 1,
+  kTombstone = 2,
+};
+
+/// Per-scan instrumentation accumulated without atomics on the hot path;
+/// flushed into the engine-wide Stats when the scan ends.
+struct ScanPathCounters {
+  uint64_t rows_merged = 0;       ///< rows emitted by the merge layer
+  uint64_t source_advances = 0;   ///< contribution-cursor row and run steps
+  uint64_t heap_resifts = 0;      ///< k-way-merge heap repair operations
+  uint64_t zip_rows = 0;          ///< rows emitted by the run merge
+  uint64_t zip_splices = 0;       ///< run-merge windows that emitted rows
+};
+
+/// Appends one resolved row to `batch`: positions in the kValue state carry
+/// their value, everything else becomes null. REQUIRES: the caller ensured
+/// column capacity for this row (ScanBatch::EnsureColumnCapacity).
+inline void AppendContributionRow(ScanBatch* batch, uint64_t key,
+                                  const std::vector<ColumnState>& states,
+                                  const std::vector<ColumnValue>& values) {
+  const size_t row = batch->keys.size();
+  batch->keys.push_back(key);
+  for (size_t pos = 0; pos < states.size(); ++pos) {
+    const bool present = states[pos] == ColumnState::kValue;
+    batch->columns[pos].present[row] = present ? 1 : 0;
+    batch->columns[pos].values[row] = present ? values[pos] : 0;
+  }
+}
+
 /// Adapts an internal-key iterator whose values are rows encoded for
-/// `source_columns` into a ContributionSource for projection `projection`.
+/// `source_columns` into a cursor of contributions for projection
+/// `projection`, ordered by user key ascending.
 /// Versions newer than `snapshot` are skipped; remaining versions of a key
 /// are folded newest-first until a full row or tombstone terminates the key.
 ///
 /// REQUIRES: projection ∩ source_columns is non-empty (callers only open
 /// sources for overlapping groups).
-class ContributionIterator final : public ContributionSource {
+class ContributionIterator {
  public:
   /// `pushdown` (optional, must outlive this source) is the scan's zone-map
   /// filter restricted to this source's columns; it is armed/disarmed by the
@@ -37,12 +86,14 @@ class ContributionIterator final : public ContributionSource {
                        SequenceNumber snapshot,
                        ZoneMapScanFilter* pushdown = nullptr);
 
-  bool Valid() const override { return valid_; }
-  void SeekToFirst() override;
-  void Seek(const Slice& target_user_key) override;
+  bool Valid() const { return valid_; }
+  void SeekToFirst();
+  /// Positions at the first user key >= target.
+  void Seek(const Slice& target_user_key);
   void Next();
 
-  Slice user_key() const override { return Slice(current_key_); }
+  /// Current user key. REQUIRES: Valid().
+  Slice user_key() const { return Slice(current_key_); }
   /// Per-projected-column state (size |Π|). REQUIRES: Valid().
   const std::vector<ColumnState>& states() const { return states_; }
   /// Values for positions whose state is kValue. REQUIRES: Valid().
@@ -68,7 +119,7 @@ class ContributionIterator final : public ContributionSource {
   /// scratch persists across calls (rows the merge does not consume are
   /// re-exposed, not re-decoded) and spans NextRun refills. The pointers are
   /// invalidated by the next AppendColumnRunTo, Next or Seek. Returns
-  /// view->rows; 0 means the next entry needs the per-row fold (version
+  /// view->rows; 0 means the next entry needs the generic fold (version
   /// conflict, partial row, tombstone, snapshot skip) or lies past the
   /// bound. The rows are NOT consumed. REQUIRES: Valid().
   size_t AppendColumnRunTo(ColumnRunView* view, const Slice& hi_inclusive,
@@ -79,28 +130,36 @@ class ContributionIterator final : public ContributionSource {
   /// unconsumed row. REQUIRES: rows <= the last AppendColumnRunTo result.
   void ConsumeColumnRun(size_t rows);
 
-  /// Pushdown fast-forward: re-seeks the underlying iterator past the whole
-  /// window in one index probe instead of decoding and discarding its rows.
+  /// Skips (without emitting) every row with user key strictly below
+  /// `limit_exclusive` (empty = unbounded) and at most `hi_inclusive` (empty
+  /// = unbounded), leaving the cursor at the first surviving key. Callers
+  /// use it when a pushed-down predicate proves no row of a sole-contributor
+  /// window can match (e.g. a predicated column the source can never
+  /// cover). It re-seeks the underlying iterator past the whole window in
+  /// one index probe instead of decoding and discarding its rows.
   void SkipTo(const Slice& limit_exclusive, const Slice& hi_inclusive,
-              ScanPathCounters* counters) override;
+              ScanPathCounters* counters);
 
-  void ArmBlockSkipping(const Slice& limit_exclusive,
-                        const Slice& hi_inclusive) override {
+  /// Arms (until DisarmBlockSkipping) the zone-map block filter, for a
+  /// window in which the caller's merge proves this cursor's source is the
+  /// SOLE contributor of every user key strictly below `limit_exclusive`
+  /// (and at most `hi_inclusive`). While armed, the underlying block cursor
+  /// may drop whole data blocks that provably fail the scan's predicates.
+  /// The merge must arm exactly around sole-contributor drains: resolution
+  /// across sources sharing columns must run disarmed (a skipped block
+  /// there could hide a version an upstream predicate re-check needs).
+  void ArmBlockSkipping(const Slice& limit_exclusive, const Slice& hi_inclusive) {
     if (pushdown_ != nullptr) pushdown_->SetWindow(limit_exclusive, hi_inclusive);
   }
-  void DisarmBlockSkipping() override {
+  void DisarmBlockSkipping() {
     if (pushdown_ != nullptr) pushdown_->ClearWindow();
   }
 
-  const std::vector<int>& covered_positions() const override {
-    return covered_positions_;
-  }
+  /// The projection positions this cursor can ever set, ascending; every
+  /// other position of states() is permanently kAbsent.
+  const std::vector<int>& covered_positions() const { return covered_positions_; }
 
-  void AppendLeaves(std::vector<ContributionIterator*>* out) override {
-    out->push_back(this);
-  }
-
-  Status status() const override { return iter_->status(); }
+  Status status() const { return iter_->status(); }
 
  private:
   /// Number of entries pulled per Iterator::NextRun refill (≈ one 4KB block
@@ -238,57 +297,6 @@ class ContributionIterator final : public ContributionSource {
   bool resolved_guard_active_ = false;
 };
 
-/// One level stitched from several column groups: the level merge walks
-/// its ContributionIterators (one per group) as run-merge leaves, and this
-/// source only tracks the smallest key among them.
-class ColumnMergingIterator final : public ContributionSource {
- public:
-  explicit ColumnMergingIterator(
-      std::vector<std::unique_ptr<ContributionIterator>> children);
-
-  bool Valid() const override { return valid_; }
-  void SeekToFirst() override;
-  void Seek(const Slice& target_user_key) override;
-
-  Slice user_key() const override { return Slice(current_key_); }
-  /// The union of the children's covered positions.
-  const std::vector<int>& covered_positions() const override {
-    return covered_union_;
-  }
-
-  /// Forwards the window skip to every child.
-  void SkipTo(const Slice& limit_exclusive, const Slice& hi_inclusive,
-              ScanPathCounters* counters) override;
-
-  /// Safe to forward to every child at once: children hold DISJOINT column
-  /// groups of one level, so a block one child skips can only remove values
-  /// that themselves fail the scan's predicates — never a newer version of a
-  /// column another child supplies.
-  void ArmBlockSkipping(const Slice& limit_exclusive,
-                        const Slice& hi_inclusive) override {
-    for (auto& child : children_) {
-      child->ArmBlockSkipping(limit_exclusive, hi_inclusive);
-    }
-  }
-  void DisarmBlockSkipping() override {
-    for (auto& child : children_) child->DisarmBlockSkipping();
-  }
-
-  void AppendLeaves(std::vector<ContributionIterator*>* out) override {
-    for (auto& child : children_) out->push_back(child.get());
-  }
-  /// Recomputes the smallest key among the children.
-  void SyncLeaves() override;
-
-  Status status() const override;
-
- private:
-  std::vector<std::unique_ptr<ContributionIterator>> children_;
-  bool valid_ = false;
-  std::string current_key_;
-  std::vector<int> covered_union_;  // the children's covered positions
-};
-
 }  // namespace laser
 
-#endif  // LASER_LASER_COLUMN_MERGING_ITERATOR_H_
+#endif  // LASER_LASER_CONTRIBUTION_ITERATOR_H_

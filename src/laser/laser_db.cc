@@ -8,7 +8,7 @@
 #include <map>
 
 #include "cost/trace.h"
-#include "laser/column_merging_iterator.h"
+#include "laser/contribution_iterator.h"
 #include "lsm/run_iterator.h"
 #include "sst/bloom.h"
 #include "util/coding.h"
@@ -1398,7 +1398,11 @@ std::unique_ptr<ScanIterator> LaserDB::NewScan(uint64_t lo_key, uint64_t hi_key,
   const ColumnSet all_columns = options_.schema.AllColumns();
   const std::string lo_encoded = EncodeKey64(lo_key);
   const std::string hi_encoded = EncodeKey64(hi_key);
-  std::vector<std::unique_ptr<ContributionSource>> sources;
+  std::vector<LevelMergingIterator::Source> sources;
+  const auto add_source = [&sources](std::unique_ptr<ContributionIterator> cursor) {
+    sources.emplace_back();
+    sources.back().push_back(std::move(cursor));
+  };
 
   // Exclusive-coverage census: for each predicate column, how many of this
   // scan's sources could supply a value for it. Non-empty memtables and
@@ -1466,10 +1470,10 @@ std::unique_ptr<ScanIterator> LaserDB::NewScan(uint64_t lo_key, uint64_t hi_key,
   };
 
   // Memtables: newest first.
-  sources.push_back(std::make_unique<ContributionIterator>(
+  add_source(std::make_unique<ContributionIterator>(
       mem->NewIterator(), &codec_, all_columns, projection, snapshot));
   for (auto it = imms.rbegin(); it != imms.rend(); ++it) {
-    sources.push_back(std::make_unique<ContributionIterator>(
+    add_source(std::make_unique<ContributionIterator>(
         (*it)->NewIterator(), &codec_, all_columns, projection, snapshot));
   }
 
@@ -1493,33 +1497,29 @@ std::unique_ptr<ScanIterator> LaserDB::NewScan(uint64_t lo_key, uint64_t hi_key,
         continue;
       }
     }
-    sources.push_back(std::make_unique<ContributionIterator>(
+    add_source(std::make_unique<ContributionIterator>(
         (*it)->reader->NewIterator(filter), &codec_, all_columns, projection,
         snapshot, filter));
   }
 
-  // Levels >= 1: one ColumnMergingIterator per level over the overlapping
-  // groups (§4.3: "we optimize range queries with projections by opening
-  // iterators only for the overlapping column-groups in each level").
+  // Levels >= 1: one source per level, holding a cursor per overlapping
+  // group (§4.3: "we optimize range queries with projections by opening
+  // iterators only for the overlapping column-groups in each level"); the
+  // level merge stitches a level's groups.
   // The pinned Version's per-level design is authoritative — mid-morph it
   // may disagree with both options_.cg_config and the morph target, and the
   // scan must stitch whatever layout each level actually has.
   for (int level = 1; !empty_range && level < version->num_levels(); ++level) {
     const auto& groups = version->design().groups(level);
-    std::vector<std::unique_ptr<ContributionIterator>> level_sources;
+    LevelMergingIterator::Source cursors;
     for (int g : version->design().OverlappingGroups(level, projection)) {
       if (version->files(level, g).empty()) continue;
       ZoneMapScanFilter* filter = add_filter(groups[g]);
-      level_sources.push_back(std::make_unique<ContributionIterator>(
+      cursors.push_back(std::make_unique<ContributionIterator>(
           NewRunIterator(version->files(level, g), filter), &codec_, groups[g],
           projection, snapshot, filter));
     }
-    if (level_sources.empty()) continue;
-    if (level_sources.size() == 1) {
-      sources.push_back(std::move(level_sources[0]));
-    } else {
-      sources.push_back(std::make_unique<ColumnMergingIterator>(std::move(level_sources)));
-    }
+    if (!cursors.empty()) sources.push_back(std::move(cursors));
   }
 
   auto impl = std::make_unique<LevelMergingIterator>(

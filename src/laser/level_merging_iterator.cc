@@ -4,36 +4,61 @@
 #include <cassert>
 #include <cstring>
 
-#include "laser/column_merging_iterator.h"
 #include "util/coding.h"
 
 namespace laser {
 
-LevelMergingIterator::LevelMergingIterator(
-    std::vector<std::unique_ptr<ContributionSource>> sources,
-    size_t projection_size, std::vector<int> predicate_positions)
-    : sources_(std::move(sources)),
-      projection_size_(projection_size),
+LevelMergingIterator::LevelMergingIterator(std::vector<Source> sources,
+                                           size_t projection_size,
+                                           std::vector<int> predicate_positions)
+    : projection_size_(projection_size),
       predicate_positions_(std::move(predicate_positions)) {
   row_.resize(projection_size_);
-  for (size_t s = 0; s < sources_.size(); ++s) {
+  for (size_t s = 0; s < sources.size(); ++s) {
+    assert(!sources[s].empty());
     source_leaves_.push_back(leaves_.size());
-    sources_[s]->AppendLeaves(&leaves_);
-    leaf_source_.resize(leaves_.size(), s);
+    std::vector<int> covered;
+    for (auto& cursor : sources[s]) {
+      covered.insert(covered.end(), cursor->covered_positions().begin(),
+                     cursor->covered_positions().end());
+      leaves_.push_back(std::move(cursor));
+      leaf_source_.push_back(s);
+    }
+    std::sort(covered.begin(), covered.end());
+    source_covered_.push_back(std::move(covered));
   }
   source_leaves_.push_back(leaves_.size());
 }
 
 void LevelMergingIterator::SeekToFirst() {
-  for (auto& source : sources_) source->SeekToFirst();
-  heap_.Assign(sources_);
+  for (auto& leaf : leaves_) leaf->SeekToFirst();
+  AssignHeap();
   PrefetchRow();
 }
 
 void LevelMergingIterator::Seek(const Slice& target_user_key) {
-  for (auto& source : sources_) source->Seek(target_user_key);
-  heap_.Assign(sources_);
+  for (auto& leaf : leaves_) leaf->Seek(target_user_key);
+  AssignHeap();
   PrefetchRow();
+}
+
+bool LevelMergingIterator::SourceKey(size_t s, uint64_t* key) const {
+  bool valid = false;
+  for (size_t l = source_leaves_[s]; l < source_leaves_[s + 1]; ++l) {
+    if (!leaves_[l]->Valid()) continue;
+    const uint64_t leaf_key = DecodeKey64(leaves_[l]->user_key());
+    if (!valid || leaf_key < *key) *key = leaf_key;
+    valid = true;
+  }
+  return valid;
+}
+
+void LevelMergingIterator::AssignHeap() {
+  heap_.Assign(num_sources(), [this](size_t s, uint64_t* key) { return SourceKey(s, key); });
+}
+
+void LevelMergingIterator::ReheapTop() {
+  heap_.ReheapTop([this](size_t s, uint64_t* key) { return SourceKey(s, key); }, &counters_);
 }
 
 void LevelMergingIterator::Next() {
@@ -99,7 +124,7 @@ size_t LevelMergingIterator::FillRows(ScanBatch* batch, const Slice& hi_inclusiv
     if (bounded && second == top_key) {
       // Tied sources: merge at run granularity over every leaf.
       appended += MergeRuns(batch, 0, leaves_.size(), end, hi_inclusive, max_rows - appended);
-      heap_.Assign(sources_);
+      AssignHeap();
       continue;
     }
     // The top source is the sole contributor until `second`: hand the whole
@@ -115,10 +140,11 @@ size_t LevelMergingIterator::FillRows(ScanBatch* batch, const Slice& hi_inclusiv
       end = std::min(end, second - 1);
     }
     const size_t s = static_cast<size_t>(heap_.top());
-    ContributionSource* top = sources_[s].get();
+    const size_t first_leaf = source_leaves_[s];
+    const size_t last_leaf = source_leaves_[s + 1];
     const bool pushdown = !predicate_positions_.empty() || arm_windows_always_;
     if (pushdown) {
-      const std::vector<int>& covered = top->covered_positions();
+      const std::vector<int>& covered = source_covered_[s];
       // With no predicates (arm_windows_always_) the includes() check is
       // vacuously true and the fast-forward never triggers.
       if (!std::includes(covered.begin(), covered.end(), predicate_positions_.begin(),
@@ -126,28 +152,34 @@ size_t LevelMergingIterator::FillRows(ScanBatch* batch, const Slice& hi_inclusiv
         // Some predicated column can never be present in this window:
         // every row it could emit is null there and fails the scan's
         // conjunction — fast-forward past the run without decoding it.
-        top->SkipTo(limit, hi_inclusive, &counters_);
-        heap_.ReheapTop(&counters_);
+        for (size_t l = first_leaf; l < last_leaf; ++l) {
+          leaves_[l]->SkipTo(limit, hi_inclusive, &counters_);
+        }
+        ReheapTop();
         continue;
       }
       // Sole-contributor window: the only place a zone-map verdict about
       // a block is a verdict about the merged rows, so block skipping is
-      // armed exactly around this drain.
-      top->ArmBlockSkipping(limit, hi_inclusive);
+      // armed exactly around this drain. Safe to arm every column group of
+      // the level at once: they hold DISJOINT columns, so a block one group
+      // skips can only remove values that themselves fail the scan's
+      // predicates — never a newer version of a column another supplies.
+      for (size_t l = first_leaf; l < last_leaf; ++l) {
+        leaves_[l]->ArmBlockSkipping(limit, hi_inclusive);
+      }
     }
-    const size_t first_leaf = source_leaves_[s];
-    if (source_leaves_[s + 1] - first_leaf > 1) {
-      appended += MergeRuns(batch, first_leaf, source_leaves_[s + 1], end, hi_inclusive,
-                            max_rows - appended);
+    if (last_leaf - first_leaf > 1) {
+      appended += MergeRuns(batch, first_leaf, last_leaf, end, hi_inclusive, max_rows - appended);
     } else {
       const size_t n = leaves_[first_leaf]->AppendRunTo(batch, limit, hi_inclusive,
                                                         max_rows - appended, &counters_);
       counters_.rows_merged += n;
       appended += n;
-      top->SyncLeaves();
     }
-    if (pushdown) top->DisarmBlockSkipping();
-    heap_.ReheapTop(&counters_);
+    if (pushdown) {
+      for (size_t l = first_leaf; l < last_leaf; ++l) leaves_[l]->DisarmBlockSkipping();
+    }
+    ReheapTop();
   }
   return appended;
 }
@@ -201,9 +233,9 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
   lane_head_.clear();
   lane_col_.clear();
   leaf_lane_.assign(num_leaves, -1);
-  source_lane_.assign(sources_.size(), -1);
+  source_lane_.assign(num_sources(), -1);
   for (size_t l = leaf_begin; l < leaf_end; ++l) {
-    ContributionIterator* leaf = leaves_[l];
+    const ContributionIterator* leaf = leaves_[l].get();
     if (!leaf->Valid() || leaf_head_key_[l] > end) continue;
     const ColumnRunView& view = leaf_views_[l];
     const uint64_t head = leaf_head_key_[l];
@@ -242,8 +274,8 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
   const size_t rows = lanes_.size() == 1 && lanes_[0].full_head ? GatherLane(batch, max_rows)
                                                                 : MergeLanes(batch, max_rows);
 
-  // Advance every leaf past the stream rows its lane consumed, then let the
-  // sources catch up; the caller repairs the heap.
+  // Advance every leaf past the stream rows its lane consumed; the caller
+  // repairs the heap.
   for (size_t l = leaf_begin; l < leaf_end; ++l) {
     if (leaf_lane_[l] < 0) continue;
     const size_t consumed = lanes_[static_cast<size_t>(leaf_lane_[l])].next;
@@ -251,9 +283,6 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
     leaves_[l]->ConsumeColumnRun(consumed - 1);
     leaves_[l]->Next();
     counters_.source_advances += consumed;
-  }
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    if (source_lane_[s] >= 0) sources_[s]->SyncLeaves();
   }
   counters_.rows_merged += rows;
   counters_.zip_rows += rows;
@@ -455,8 +484,8 @@ void LevelMergingIterator::AddSegment(size_t cls, int lane, size_t row, size_t c
 }
 
 Status LevelMergingIterator::status() const {
-  for (const auto& source : sources_) {
-    if (!source->status().ok()) return source->status();
+  for (const auto& leaf : leaves_) {
+    if (!leaf->status().ok()) return leaf->status();
   }
   return Status::OK();
 }

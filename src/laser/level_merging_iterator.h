@@ -4,6 +4,8 @@
 // contribution and discarding old versions, and emitting fully stitched rows
 // in user-key order.
 //
+// A source (a memtable, an L0 file or a level) is held as its column-group
+// cursors (ContributionIterator), and its key is the smallest among theirs.
 // The engine is batch-at-a-time: a min-heap (SourceMinHeap) orders sources
 // by key. Whenever the top source is the sole contributor for a key range
 // and is one column-group cursor, it drains that whole run straight into a
@@ -27,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "laser/contribution.h"
+#include "laser/contribution_iterator.h"
 #include "laser/scan_batch.h"
 #include "laser/source_heap.h"
 
@@ -35,15 +37,19 @@ namespace laser {
 
 class LevelMergingIterator {
  public:
-  /// `sources` must be ordered newest to oldest (priority order);
-  /// `projection_size` is |Π|. `predicate_positions` (sorted projection
+  /// One source's column-group cursors: one for a memtable, an L0 file or a
+  /// level stored as one group, and one per overlapping group for a level
+  /// split into several.
+  using Source = std::vector<std::unique_ptr<ContributionIterator>>;
+
+  /// `sources` must be ordered newest to oldest (priority order), each
+  /// holding at least one cursor; `projection_size` is |Π|. `predicate_positions` (sorted projection
   /// positions, possibly empty) lists the columns the scan's pushed-down
   /// predicates constrain: a sole-contributor window whose source can never
   /// cover one of them is skipped outright (every row it could emit is null
   /// there and fails the conjunction), and zone-map block skipping is armed
   /// around each sole-contributor drain.
-  LevelMergingIterator(std::vector<std::unique_ptr<ContributionSource>> sources,
-                       size_t projection_size,
+  LevelMergingIterator(std::vector<Source> sources, size_t projection_size,
                        std::vector<int> predicate_positions = {});
 
   // -- batched core --
@@ -91,9 +97,9 @@ class LevelMergingIterator {
   size_t FillRows(ScanBatch* batch, const Slice& hi_inclusive, size_t max_rows);
 
   /// The run merge from the heap's top key over leaves_[leaf_begin,
-  /// leaf_end): every leaf cursor (ContributionSource::AppendLeaves) of the
-  /// sources tied there, or of a sole contributor stitched from several
-  /// column groups. Each leaf contributes its stream: its current row, then
+  /// leaf_end): every cursor of the sources tied there, or of a sole
+  /// contributor stitched from several column groups. Each leaf contributes
+  /// its stream: its current row, then
   /// the decoded rows AppendColumnRunTo exposes after it. The window runs
   /// from the top key to at most `end` (inclusive), and no further than the
   /// first key some stream cannot prove: a current row that is not a value
@@ -131,18 +137,29 @@ class LevelMergingIterator {
   /// Pulls the next row into the per-row adapter state.
   void PrefetchRow();
 
-  std::vector<std::unique_ptr<ContributionSource>> sources_;
+  size_t num_sources() const { return source_leaves_.size() - 1; }
+
+  /// Sets `*key` to the smallest current key among source `s`'s cursors and
+  /// returns true, or returns false when every one of them is drained.
+  bool SourceKey(size_t s, uint64_t* key) const;
+
+  /// Rebuilds the heap from every source's key; repairs its top.
+  void AssignHeap();
+  void ReheapTop();
+
   const size_t projection_size_;
   const std::vector<int> predicate_positions_;
   bool arm_windows_always_ = false;
   SourceMinHeap heap_;
   ScanPathCounters counters_;
 
-  // The run merge's leaf cursors, in priority order, and each one's source;
-  // source s owns leaves_[source_leaves_[s], source_leaves_[s + 1]).
-  std::vector<ContributionIterator*> leaves_;
+  // Every source's cursors, in priority order, and each one's source; source
+  // s owns leaves_[source_leaves_[s], source_leaves_[s + 1]) and can set the
+  // positions source_covered_[s] (the union of its cursors', ascending).
+  std::vector<std::unique_ptr<ContributionIterator>> leaves_;
   std::vector<size_t> leaf_source_;
   std::vector<size_t> source_leaves_;
+  std::vector<std::vector<int>> source_covered_;
 
   // -- run-merge scratch, rebuilt per window (reused; no per-row allocation) --
   // A lane is one stream, or the streams of several column groups of one

@@ -1,44 +1,38 @@
-// SourceMinHeap: the k-way-merge engine shared by the column- and
-// level-merging iterators. A binary min-heap over contribution sources,
-// ordered by (current user key, priority index), replaces the former linear
-// O(k) FindSmallest/Combine sweeps with O(log k) repair per advance. Each
-// source's key is decoded to its uint64 value once per advance, so heap
-// comparisons are integer compares that never re-enter the sources' virtual
-// dispatch.
+// SourceMinHeap: the level merge's k-way-merge engine. A binary min-heap
+// over the merge's sources, ordered by (current user key, priority index),
+// gives O(log k) repair per advance instead of a linear O(k) sweep per row.
+// The merge passes each source's key in, decoded to its uint64 value once
+// per advance, so heap comparisons are integer compares that never re-enter
+// the sources.
 
 #ifndef LASER_LASER_SOURCE_HEAP_H_
 #define LASER_LASER_SOURCE_HEAP_H_
 
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "laser/contribution.h"
-#include "util/coding.h"
+#include "laser/contribution_iterator.h"
 
 namespace laser {
 
-/// Min-heap of contribution sources by (user key, index). The index doubles
-/// as the source's priority: callers order sources newest to oldest.
+/// Min-heap of source indices by (key, index). The index doubles as the
+/// source's priority: callers order sources newest to oldest.
 ///
-/// Keys are the sources' 8-byte user keys decoded to uint64 (big-endian, so
-/// integer order is key order), refreshed whenever the heap is told a source
-/// advanced (Assign/ReheapTop).
+/// A source's key is the smallest current key among its cursors, decoded
+/// to uint64 (big-endian, so integer order is key order). The heap asks for
+/// it through `key_of(index, &key)`, which returns false for a drained
+/// source, whenever it is told a source advanced (Assign/ReheapTop).
 class SourceMinHeap {
  public:
-  /// Rebuilds the heap from every valid source. O(k).
-  template <typename Source>
-  void Assign(const std::vector<std::unique_ptr<Source>>& sources) {
-    sources_.clear();
-    sources_.reserve(sources.size());
-    for (const auto& source : sources) sources_.push_back(source.get());
-    keys_.assign(sources_.size(), 0);
+  /// Rebuilds the heap from every source in [0, num_sources) that is not
+  /// drained. O(k).
+  template <typename KeyOf>
+  void Assign(size_t num_sources, const KeyOf& key_of) {
+    keys_.assign(num_sources, 0);
     heap_.clear();
-    for (size_t i = 0; i < sources_.size(); ++i) {
-      if (sources_[i]->Valid()) {
-        keys_[i] = DecodeKey64(sources_[i]->user_key());
-        heap_.push_back(static_cast<int>(i));
-      }
+    for (size_t i = 0; i < num_sources; ++i) {
+      if (key_of(i, &keys_[i])) heap_.push_back(static_cast<int>(i));
     }
     for (int i = static_cast<int>(heap_.size()) / 2 - 1; i >= 0; --i) {
       SiftDown(static_cast<size_t>(i));
@@ -64,12 +58,11 @@ class SourceMinHeap {
     return true;
   }
 
-  /// Repairs the root after its source advanced (or went invalid). O(log k).
-  void ReheapTop(ScanPathCounters* counters) {
+  /// Repairs the root after its source advanced (or drained). O(log k).
+  template <typename KeyOf>
+  void ReheapTop(const KeyOf& key_of, ScanPathCounters* counters) {
     const int index = heap_[0];
-    if (sources_[index]->Valid()) {
-      keys_[index] = DecodeKey64(sources_[index]->user_key());
-    } else {
+    if (!key_of(static_cast<size_t>(index), &keys_[index])) {
       heap_[0] = heap_.back();
       heap_.pop_back();
       if (heap_.empty()) return;
@@ -98,9 +91,8 @@ class SourceMinHeap {
     }
   }
 
-  std::vector<ContributionSource*> sources_;  // borrowed; index = priority
-  std::vector<uint64_t> keys_;                // decoded current keys
-  std::vector<int> heap_;                     // indices into sources_
+  std::vector<uint64_t> keys_;  // per source: its key when last told
+  std::vector<int> heap_;       // source indices
 };
 
 }  // namespace laser

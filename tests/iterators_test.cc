@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "laser/cg_compaction.h"
-#include "laser/column_merging_iterator.h"
+#include "laser/contribution_iterator.h"
 #include "laser/level_merging_iterator.h"
 #include "lsm/merging_iterator.h"
 #include "lsm/run_iterator.h"
@@ -231,6 +231,15 @@ class StitchTest : public ::testing::Test {
         std::move(source_cols), std::move(projection), snapshot);
   }
 
+  /// One merge source made of `cursors`: a row-format cursor, or the column
+  /// groups of one level.
+  template <typename... Cursors>
+  static LevelMergingIterator::Source SourceOf(Cursors... cursors) {
+    LevelMergingIterator::Source source;
+    (source.push_back(std::move(cursors)), ...);
+    return source;
+  }
+
   /// The rows of `batch`, one vector per row parallel to the projection,
   /// with 0 for null (test values are never 0).
   static std::vector<std::vector<ColumnValue>> Rows(const ScanBatch& batch) {
@@ -298,11 +307,9 @@ TEST_F(StitchTest, LevelMergingStitchesDisjointGroups) {
   d2.emplace_back(IK(1, 4), codec_.Encode(g2, {{3, 13}, {4, 14}}));
   d2.emplace_back(IK(3, 4), codec_.Encode(g2, {{3, 33}, {4, 34}}));
 
-  std::vector<std::unique_ptr<ContributionIterator>> children;
-  children.push_back(MakeSource(std::move(d1), g1, proj));
-  children.push_back(MakeSource(std::move(d2), g2, proj));
-  std::vector<std::unique_ptr<ContributionSource>> sources;
-  sources.push_back(std::make_unique<ColumnMergingIterator>(std::move(children)));
+  std::vector<LevelMergingIterator::Source> sources;
+  sources.push_back(
+      SourceOf(MakeSource(std::move(d1), g1, proj), MakeSource(std::move(d2), g2, proj)));
   LevelMergingIterator merged(std::move(sources), proj.size());
 
   merged.SeekToFirst();
@@ -338,9 +345,9 @@ TEST_F(StitchTest, LevelMergingNewestSourceWins) {
   std::vector<std::pair<std::string, std::string>> lower;
   lower.emplace_back(IK(1, 2), codec_.Encode(all, {{1, 1}, {2, 2}, {3, 3}, {4, 4}}));
 
-  std::vector<std::unique_ptr<ContributionSource>> sources;
-  sources.push_back(MakeSource(std::move(upper), all, proj));
-  sources.push_back(MakeSource(std::move(lower), all, proj));
+  std::vector<LevelMergingIterator::Source> sources;
+  sources.push_back(SourceOf(MakeSource(std::move(upper), all, proj)));
+  sources.push_back(SourceOf(MakeSource(std::move(lower), all, proj)));
   LevelMergingIterator merged(std::move(sources), proj.size());
 
   merged.SeekToFirst();
@@ -361,9 +368,9 @@ TEST_F(StitchTest, LevelMergingSkipsFullyDeletedRows) {
   lower.emplace_back(IK(1, 2), codec_.Encode(all, {{1, 1}, {2, 2}, {3, 3}, {4, 4}}));
   lower.emplace_back(IK(2, 3), codec_.Encode(all, {{1, 5}, {2, 2}, {3, 3}, {4, 4}}));
 
-  std::vector<std::unique_ptr<ContributionSource>> sources;
-  sources.push_back(MakeSource(std::move(upper), all, proj));
-  sources.push_back(MakeSource(std::move(lower), all, proj));
+  std::vector<LevelMergingIterator::Source> sources;
+  sources.push_back(SourceOf(MakeSource(std::move(upper), all, proj)));
+  sources.push_back(SourceOf(MakeSource(std::move(lower), all, proj)));
   LevelMergingIterator merged(std::move(sources), proj.size());
 
   merged.SeekToFirst();
@@ -396,12 +403,10 @@ TEST_F(StitchTest, LevelMergingRunMergeKeepsDivergedGroupsApart) {
   for (const uint64_t key : {2, 4, 5}) {
     d2.emplace_back(IK(key, 2), codec_.Encode(g2, {{3, key * 10 + 3}, {4, key * 10 + 4}}));
   }
-  std::vector<std::unique_ptr<ContributionIterator>> children;
-  children.push_back(MakeSource(std::move(d1), g1, all));
-  children.push_back(MakeSource(std::move(d2), g2, all));
-  std::vector<std::unique_ptr<ContributionSource>> sources;
-  sources.push_back(MakeSource(std::move(newest), all, all));
-  sources.push_back(std::make_unique<ColumnMergingIterator>(std::move(children)));
+  std::vector<LevelMergingIterator::Source> sources;
+  sources.push_back(SourceOf(MakeSource(std::move(newest), all, all)));
+  sources.push_back(
+      SourceOf(MakeSource(std::move(d1), g1, all), MakeSource(std::move(d2), g2, all)));
   LevelMergingIterator merged(std::move(sources), all.size());
 
   merged.SeekToFirst();
@@ -440,11 +445,9 @@ TEST_F(StitchTest, LevelMergingRunMergeStitchesSoleLevel) {
     d2.emplace_back(IK(key, 2),
                     codec_.Encode(g2, {{3, key * 10 + 3}, {4, key * 10 + 4}}));
   }
-  std::vector<std::unique_ptr<ContributionIterator>> children;
-  children.push_back(MakeSource(std::move(d1), g1, all));
-  children.push_back(MakeSource(std::move(d2), g2, all));
-  std::vector<std::unique_ptr<ContributionSource>> sources;
-  sources.push_back(std::make_unique<ColumnMergingIterator>(std::move(children)));
+  std::vector<LevelMergingIterator::Source> sources;
+  sources.push_back(
+      SourceOf(MakeSource(std::move(d1), g1, all), MakeSource(std::move(d2), g2, all)));
   LevelMergingIterator merged(std::move(sources), all.size());
 
   merged.SeekToFirst();
@@ -519,16 +522,11 @@ TEST_F(StitchTest, RunMergeResolvesEveryKey) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    std::vector<std::unique_ptr<ContributionSource>> sources;
+    std::vector<LevelMergingIterator::Source> sources;
     for (const std::vector<Group>& groups : c.sources) {
-      std::vector<std::unique_ptr<ContributionIterator>> cursors;
+      sources.emplace_back();
       for (const Group& group : groups) {
-        cursors.push_back(MakeSource(group.entries, group.columns, all));
-      }
-      if (cursors.size() == 1) {
-        sources.push_back(std::move(cursors[0]));
-      } else {
-        sources.push_back(std::make_unique<ColumnMergingIterator>(std::move(cursors)));
+        sources.back().push_back(MakeSource(group.entries, group.columns, all));
       }
     }
     LevelMergingIterator merged(std::move(sources), all.size());
@@ -564,8 +562,8 @@ TEST_F(StitchTest, LevelMergingSeek) {
     data.emplace_back(IK(k, 1),
                       codec_.Encode(all, {{1, k}, {2, 2}, {3, 3}, {4, 4}}));
   }
-  std::vector<std::unique_ptr<ContributionSource>> sources;
-  sources.push_back(MakeSource(std::move(data), all, {1}));
+  std::vector<LevelMergingIterator::Source> sources;
+  sources.push_back(SourceOf(MakeSource(std::move(data), all, {1})));
   LevelMergingIterator merged(std::move(sources), 1);
   merged.Seek(EncodeKey64(7));
   ASSERT_TRUE(merged.Valid());
