@@ -188,19 +188,16 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
                                        size_t leaf_end, uint64_t end,
                                        const Slice& hi_inclusive, size_t max_rows) {
   const size_t width = projection_size_;
-  const size_t num_leaves = leaves_.size();
 
   // Current rows first (cheap, and they bound the window): one that does
   // not hold a value in every position it covers is resolved on its own
   // key, so the window ends there, at `cap`.
   uint64_t cap = UINT64_MAX;
-  leaf_head_key_.resize(num_leaves);
-  leaf_head_full_.resize(num_leaves);
+  streams_.clear();
   for (size_t l = leaf_begin; l < leaf_end; ++l) {
     const ContributionIterator& leaf = *leaves_[l];
     if (!leaf.Valid()) continue;
     const uint64_t key = DecodeKey64(leaf.user_key());
-    leaf_head_key_[l] = key;
     if (key > end) continue;
     const std::vector<ColumnState>& states = leaf.states();
     bool full = true;
@@ -210,7 +207,7 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
         break;
       }
     }
-    leaf_head_full_[l] = full ? 1 : 0;
+    streams_.push_back({l, key, full});
     if (!full) end = cap = key;
   }
 
@@ -218,13 +215,13 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
   // at or past it would lie past the window); a one-row fill reads none.
   // Past its last exposed row a stream is unknown, so the window ends at
   // the smallest such row.
-  leaf_views_.resize(num_leaves);
-  for (size_t l = leaf_begin; l < leaf_end; ++l) leaf_views_[l].rows = 0;
-  for (size_t l = leaf_begin; max_rows > 1 && l < leaf_end; ++l) {
-    if (!leaves_[l]->Valid() || leaf_head_key_[l] > end || leaf_head_key_[l] >= cap) continue;
-    ColumnRunView& view = leaf_views_[l];
-    const size_t n = leaves_[l]->AppendColumnRunTo(&view, hi_inclusive, max_rows);
-    end = std::min(end, n > 0 ? view.keys[n - 1] : leaf_head_key_[l]);
+  leaf_views_.resize(leaves_.size());
+  for (const Stream& stream : streams_) {
+    ColumnRunView& view = leaf_views_[stream.leaf];
+    view.rows = 0;
+    if (max_rows == 1 || stream.head > end || stream.head >= cap) continue;
+    const size_t n = leaves_[stream.leaf]->AppendColumnRunTo(&view, hi_inclusive, max_rows);
+    end = std::min(end, n > 0 ? view.keys[n - 1] : stream.head);
   }
 
   // Lanes: one per stream in the window, except that a column group whose
@@ -232,26 +229,26 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
   lanes_.clear();
   lane_head_.clear();
   lane_col_.clear();
-  leaf_lane_.assign(num_leaves, -1);
   source_lane_.assign(num_sources(), -1);
-  for (size_t l = leaf_begin; l < leaf_end; ++l) {
-    const ContributionIterator* leaf = leaves_[l].get();
-    if (!leaf->Valid() || leaf_head_key_[l] > end) continue;
-    const ColumnRunView& view = leaf_views_[l];
-    const uint64_t head = leaf_head_key_[l];
+  for (Stream& stream : streams_) {
+    const uint64_t head = stream.head;
+    if (head > end) continue;
+    const ContributionIterator* leaf = leaves_[stream.leaf].get();
+    const ColumnRunView& view = leaf_views_[stream.leaf];
     const size_t run =
         static_cast<size_t>(std::upper_bound(view.keys, view.keys + view.rows, end) - view.keys);
-    int lane = source_lane_[leaf_source_[l]];
+    const size_t source = leaf_source_[stream.leaf];
+    int lane = source_lane_[source];
     if (lane < 0 || lanes_[lane].head_key != head || lanes_[lane].rows != run + 1 ||
         (run > 0 && memcmp(lanes_[lane].keys, view.keys, run * sizeof(uint64_t)) != 0)) {
       lane = static_cast<int>(lanes_.size());
       lanes_.push_back({head, view.keys, run + 1, true, 0, head});
       lane_head_.resize(lane_head_.size() + width, nullptr);
       lane_col_.resize(lane_col_.size() + width, nullptr);
-      if (source_lane_[leaf_source_[l]] < 0) source_lane_[leaf_source_[l]] = lane;
+      if (source_lane_[source] < 0) source_lane_[source] = lane;
     }
-    leaf_lane_[l] = lane;
-    if (!leaf_head_full_[l]) lanes_[lane].full_head = false;
+    stream.lane = lane;
+    if (!stream.full) lanes_[lane].full_head = false;
     const std::vector<int>& covered = leaf->covered_positions();
     const std::vector<ColumnState>& states = leaf->states();
     const ColumnValue* values = leaf->values().data();
@@ -276,12 +273,12 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
 
   // Advance every leaf past the stream rows its lane consumed; the caller
   // repairs the heap.
-  for (size_t l = leaf_begin; l < leaf_end; ++l) {
-    if (leaf_lane_[l] < 0) continue;
-    const size_t consumed = lanes_[static_cast<size_t>(leaf_lane_[l])].next;
+  for (const Stream& stream : streams_) {
+    if (stream.lane < 0) continue;
+    const size_t consumed = lanes_[static_cast<size_t>(stream.lane)].next;
     if (consumed == 0) continue;
-    leaves_[l]->ConsumeColumnRun(consumed - 1);
-    leaves_[l]->Next();
+    leaves_[stream.leaf]->ConsumeColumnRun(consumed - 1);
+    leaves_[stream.leaf]->Next();
     counters_.source_advances += consumed;
   }
   counters_.rows_merged += rows;

@@ -181,10 +181,15 @@ class LevelMergingIterator {
     size_t row;
     size_t count;
   };
-  std::vector<uint64_t> leaf_head_key_;
-  std::vector<uint8_t> leaf_head_full_;  // the current row holds every value
-  std::vector<ColumnRunView> leaf_views_;
-  std::vector<int> leaf_lane_;    // -1: not in the window
+  // A leaf cursor whose current row lay inside the window when it was read.
+  struct Stream {
+    size_t leaf;
+    uint64_t head;  // the current row's key
+    bool full;      // the current row holds every value the leaf covers
+    int lane = -1;  // -1: the window ended before the current row
+  };
+  std::vector<Stream> streams_;             // in priority order
+  std::vector<ColumnRunView> leaf_views_;   // per leaf, reused
   std::vector<int> source_lane_;  // a source's first lane in the window
   std::vector<Lane> lanes_;
   // [lane * |Π| + pos]: the lane's current-row cell and run column at a
