@@ -1,7 +1,9 @@
 // Iterator machinery tests: merging iterator, run iterator, projecting
-// iterator, VersionMerger semantics, contribution/column/level merging.
+// iterator, VersionMerger semantics, contribution cursors and the level merge.
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "laser/cg_compaction.h"
 #include "laser/contribution_iterator.h"
@@ -240,13 +242,16 @@ class StitchTest : public ::testing::Test {
     return source;
   }
 
-  /// The rows of `batch`, one vector per row parallel to the projection,
-  /// with 0 for null (test values are never 0).
-  static std::vector<std::vector<ColumnValue>> Rows(const ScanBatch& batch) {
-    std::vector<std::vector<ColumnValue>> rows(batch.keys.size());
+  /// One resolved row, parallel to the projection.
+  using Row = std::vector<std::optional<ColumnValue>>;
+  static constexpr std::nullopt_t kNull = std::nullopt;
+
+  /// The rows of `batch`.
+  static std::vector<Row> Rows(const ScanBatch& batch) {
+    std::vector<Row> rows(batch.keys.size());
     for (size_t r = 0; r < rows.size(); ++r) {
       for (const ScanBatch::Column& column : batch.columns) {
-        rows[r].push_back(column.present[r] != 0 ? column.values[r] : 0);
+        rows[r].push_back(column.present[r] != 0 ? Row::value_type(column.values[r]) : kNull);
       }
     }
     return rows;
@@ -417,12 +422,12 @@ TEST_F(StitchTest, LevelMergingRunMergeKeepsDivergedGroupsApart) {
   ASSERT_EQ(merged.AppendRows(&batch, Slice(), 16), 6u);
   EXPECT_EQ(merged.counters().zip_rows, 4u);
   EXPECT_EQ(batch.keys, (std::vector<uint64_t>{1, 2, 3, 4, 5, 10}));
-  EXPECT_EQ(Rows(batch), (std::vector<std::vector<ColumnValue>>{{101, 102, 103, 104},
-                                                                {201, 202, 203, 204},
-                                                                {31, 32, 0, 0},
-                                                                {0, 0, 43, 44},
-                                                                {51, 52, 53, 54},
-                                                                {1001, 1002, 1003, 1004}}));
+  EXPECT_EQ(Rows(batch), (std::vector<Row>{{101, 102, 103, 104},
+                                            {201, 202, 203, 204},
+                                            {31, 32, kNull, kNull},
+                                            {kNull, kNull, 43, 44},
+                                            {51, 52, 53, 54},
+                                            {1001, 1002, 1003, 1004}}));
 }
 
 // A level stitched from two column groups is the only source, and its
@@ -456,8 +461,10 @@ TEST_F(StitchTest, LevelMergingRunMergeStitchesSoleLevel) {
   ASSERT_EQ(merged.AppendRows(&batch, Slice(), 16), 4u);
   EXPECT_EQ(merged.counters().zip_rows, 4u);
   EXPECT_EQ(batch.keys, (std::vector<uint64_t>{2, 3, 4, 5}));
-  EXPECT_EQ(Rows(batch), (std::vector<std::vector<ColumnValue>>{
-                             {21, 22, 23, 24}, {31, 32, 0, 0}, {0, 0, 43, 44}, {51, 52, 53, 54}}));
+  EXPECT_EQ(Rows(batch), (std::vector<Row>{{21, 22, 23, 24},
+                                            {31, 32, kNull, kNull},
+                                            {kNull, kNull, 43, 44},
+                                            {51, 52, 53, 54}}));
 }
 
 // The run merge resolves every key, including a current row that is a
@@ -475,7 +482,7 @@ TEST_F(StitchTest, RunMergeResolvesEveryKey) {
     std::vector<std::vector<Group>> sources;
     bool row_cursor;
     std::vector<uint64_t> keys;
-    std::vector<std::vector<ColumnValue>> rows;  // 0: null
+    std::vector<Row> rows;
     uint64_t zip_rows;
   };
   const ColumnSet all = MakeColumnRange(1, 4);
@@ -497,28 +504,33 @@ TEST_F(StitchTest, RunMergeResolvesEveryKey) {
                                  full(all, 5, 9, 950)}}};
   std::vector<Group> older = {{all, {}}};
   for (uint64_t key = 1; key <= 6; ++key) older[0].entries.push_back(full(all, key, 2, key * 10));
-  const std::vector<std::vector<ColumnValue>> tied_rows = {
+  const std::vector<Row> tied_rows = {
       {11, 12, 13, 14}, {21, 902, 23, 24}, {31, 32, 33, 34}, {951, 952, 953, 954}, {61, 62, 63, 64}};
 
-  // A sole level of two column groups: a partial row in one group (key 2),
-  // a tombstone in one group (key 3) and in both (key 4).
+  // A sole level of two column groups. Group 1 lacks key 2, holds a partial
+  // row at key 3 (a window from key 2 must end there: the row after it is
+  // unread) and a row at key 6 that group 2 deletes; both delete key 5.
   std::vector<Group> level = {
       {g1,
        {full(g1, 1, 4, 10),
-        {IK(2, 4, kTypePartialRow), codec_.Encode(g1, {{1, 21}})},
-        full(g1, 3, 4, 30),
-        deletion(4),
-        full(g1, 5, 4, 50)}},
-      {g2, {full(g2, 1, 4, 10), full(g2, 2, 4, 20), deletion(3), deletion(4), full(g2, 5, 4, 50)}}};
-  const std::vector<std::vector<ColumnValue>> level_rows = {
-      {11, 12, 13, 14}, {21, 0, 23, 24}, {31, 32, 0, 0}, {51, 52, 53, 54}};
+        {IK(3, 4, kTypePartialRow), codec_.Encode(g1, {{1, 31}})},
+        full(g1, 4, 4, 40),
+        deletion(5),
+        full(g1, 6, 4, 60),
+        full(g1, 7, 4, 70)}},
+      {g2,
+       {full(g2, 1, 4, 10), full(g2, 2, 4, 20), full(g2, 3, 4, 30), full(g2, 4, 4, 40),
+        deletion(5), deletion(6), full(g2, 7, 4, 70)}}};
+  const std::vector<Row> level_rows = {{11, 12, 13, 14},       {kNull, kNull, 23, 24},
+                                       {31, kNull, 33, 34},    {41, 42, 43, 44},
+                                       {61, 62, kNull, kNull}, {71, 72, 73, 74}};
 
   const std::vector<Case> cases = {
       // Keys 2 and 5 tie and emit a row each; key 4 is deleted.
       {"tie_windows", {newest, older}, false, {1, 2, 3, 5, 6}, tied_rows, 2},
       {"tie_row_cursor", {newest, older}, true, {1, 2, 3, 5, 6}, tied_rows, 2},
-      {"sole_level", {level}, false, {1, 2, 3, 5}, level_rows, 4},
-      {"sole_level_row_cursor", {level}, true, {1, 2, 3, 5}, level_rows, 4},
+      {"sole_level", {level}, false, {1, 2, 3, 4, 6, 7}, level_rows, 6},
+      {"sole_level_row_cursor", {level}, true, {1, 2, 3, 4, 6, 7}, level_rows, 6},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -531,26 +543,24 @@ TEST_F(StitchTest, RunMergeResolvesEveryKey) {
     }
     LevelMergingIterator merged(std::move(sources), all.size());
 
-    ScanBatch batch;
-    batch.Reset(all.size());
+    std::vector<uint64_t> keys;
+    std::vector<Row> rows;
     merged.SeekToFirst();
     if (c.row_cursor) {
-      batch.EnsureColumnCapacity(c.keys.size() + 1);
-      for (; merged.Valid(); merged.Next()) {
-        ASSERT_LE(batch.keys.size(), c.keys.size());
-        const size_t r = batch.keys.size();
-        batch.keys.push_back(DecodeKey64(merged.user_key()));
-        for (size_t pos = 0; pos < all.size(); ++pos) {
-          batch.columns[pos].present[r] = merged.row()[pos].has_value() ? 1 : 0;
-          batch.columns[pos].values[r] = merged.row()[pos].value_or(0);
-        }
+      for (; merged.Valid() && keys.size() <= c.keys.size(); merged.Next()) {
+        keys.push_back(DecodeKey64(merged.user_key()));
+        rows.push_back(merged.row());
       }
     } else {
-      ASSERT_EQ(merged.AppendRows(&batch, Slice(), 16), c.keys.size());
+      ScanBatch batch;
+      batch.Reset(all.size());
+      EXPECT_EQ(merged.AppendRows(&batch, Slice(), 16), c.keys.size());
       EXPECT_EQ(merged.AppendRows(&batch, Slice(), 16), 0u);
+      keys = batch.keys;
+      rows = Rows(batch);
     }
-    EXPECT_EQ(batch.keys, c.keys);
-    EXPECT_EQ(Rows(batch), c.rows);
+    EXPECT_EQ(keys, c.keys);
+    EXPECT_EQ(rows, c.rows);
     EXPECT_EQ(merged.counters().zip_rows, c.zip_rows);
   }
 }
