@@ -219,7 +219,7 @@ TEST(ProjectingIteratorTest, ReEncodesAndSkipsEmptyPartials) {
   EXPECT_FALSE(iter->Valid());
 }
 
-// ------------------------------------------- Contribution/Column/Level ----
+// ------------------------------------------------- Contribution/Level ----
 
 class StitchTest : public ::testing::Test {
  protected:
