@@ -43,12 +43,13 @@ class LevelMergingIterator {
   using Source = std::vector<std::unique_ptr<ContributionIterator>>;
 
   /// `sources` must be ordered newest to oldest (priority order), each
-  /// holding at least one cursor; `projection_size` is |Π|. `predicate_positions` (sorted projection
-  /// positions, possibly empty) lists the columns the scan's pushed-down
-  /// predicates constrain: a sole-contributor window whose source can never
-  /// cover one of them is skipped outright (every row it could emit is null
-  /// there and fails the conjunction), and zone-map block skipping is armed
-  /// around each sole-contributor drain.
+  /// holding at least one cursor; `projection_size` is |Π|.
+  /// `predicate_positions` (sorted projection positions, possibly empty)
+  /// lists the columns the scan's pushed-down predicates constrain: a
+  /// sole-contributor window whose source can never cover one of them is
+  /// skipped outright (every row it could emit is null there and fails the
+  /// conjunction), and zone-map block skipping is armed around each
+  /// sole-contributor drain.
   LevelMergingIterator(std::vector<Source> sources, size_t projection_size,
                        std::vector<int> predicate_positions = {});
 
@@ -99,23 +100,23 @@ class LevelMergingIterator {
   /// The run merge from the heap's top key over leaves_[leaf_begin,
   /// leaf_end): every cursor of the sources tied there, or of a sole
   /// contributor stitched from several column groups. Each leaf contributes
-  /// its stream: its current row, then
-  /// the decoded rows AppendColumnRunTo exposes after it. The window runs
-  /// from the top key to at most `end` (inclusive), and no further than the
-  /// first key some stream cannot prove: a current row that is not a value
-  /// in every covered position (partial row, tombstone) caps the window at
-  /// its own key, so it is its lane's one stream row; the end of a run (a
-  /// row that needs the generic fold, a snapshot skip, the scratch cap) caps
-  /// it at the run's last row. A stream whose current row lies at or past a
-  /// partial row's key reads no run (the run would lie past the window), and
-  /// neither does a one-row fill (`max_rows` 1, `end` the top key).
-  /// Each key's positions come from the newest stream holding the key that
-  /// covers them (a tombstone wins its positions and writes null), older
-  /// equal keys are consumed as shadowed, and a key whose winners hold no
-  /// value is consumed without emitting a row. `hi_inclusive` (empty =
-  /// unbounded) bounds the read-ahead. Appends up to `max_rows` rows and
-  /// advances every leaf past what it consumed, always at least the top key;
-  /// the caller repairs the heap. Returns rows appended.
+  /// its stream: its current row, then the decoded rows AppendColumnRunTo
+  /// exposes after it. The window runs from the top key to at most `end`
+  /// (inclusive), and no further than the first key some stream cannot
+  /// prove: a current row that is not a value in every covered position
+  /// (partial row, tombstone) caps the window at its own key, so it is its
+  /// lane's one stream row; the end of a run (a row that needs the generic
+  /// fold, a snapshot skip, the scratch cap) caps it at the run's last row.
+  /// A stream whose current row lies at or past a partial row's key reads
+  /// no run (the run would lie past the window), and neither does a one-row
+  /// fill (`max_rows` 1, `end` the top key). Each key's positions come from
+  /// the newest stream holding the key that covers them (a tombstone wins
+  /// its positions and writes null), older equal keys are consumed as
+  /// shadowed, and a key whose winners hold no value is consumed without
+  /// emitting a row. `hi_inclusive` (empty = unbounded) bounds the
+  /// read-ahead. Appends up to `max_rows` rows and advances every leaf past
+  /// what it consumed, always at least the top key; the caller repairs the
+  /// heap. Returns rows appended.
   size_t MergeRuns(ScanBatch* batch, size_t leaf_begin, size_t leaf_end, uint64_t end,
                    const Slice& hi_inclusive, size_t max_rows);
 
@@ -188,8 +189,8 @@ class LevelMergingIterator {
     bool full;      // the current row holds every value the leaf covers
     int lane = -1;  // -1: the window ended before the current row
   };
-  std::vector<Stream> streams_;             // in priority order
-  std::vector<ColumnRunView> leaf_views_;   // per leaf, reused
+  std::vector<Stream> streams_;            // in priority order
+  std::vector<ColumnRunView> leaf_views_;  // per leaf, reused
   std::vector<int> source_lane_;  // a source's first lane in the window
   std::vector<Lane> lanes_;
   // [lane * |Π| + pos]: the lane's current-row cell and run column at a
@@ -205,9 +206,6 @@ class LevelMergingIterator {
   std::vector<int> class_remap_;
   std::vector<int> class_first_pos_;
   std::vector<int> lane_classes_;
-  // Parallel to lane_classes_: the lane's current row holds a value (not
-  // only tombstones) in that class.
-  std::vector<uint8_t> lane_class_live_;
   std::vector<std::vector<Segment>> segments_;  // per class
   std::vector<int> winner_lane_;                // per class
   std::vector<size_t> winner_row_;              // per class
