@@ -26,8 +26,9 @@ VersionMerger::VersionMerger(const RowCodec* codec, ColumnSet cg,
 }
 
 size_t VersionMerger::StripeOf(SequenceNumber seq) const {
-  // snapshots_ descending: stripe k holds seqs in (snapshots_[k], inf) for
-  // k == 0 conceptually reversed — we count how many snapshots are >= seq.
+  // The stripe of `seq` is the number of snapshots >= seq. Two versions
+  // share a stripe exactly when no snapshot separates them; snapshots_ is
+  // sorted descending, so the count stops at the first snapshot below seq.
   size_t stripe = 0;
   for (SequenceNumber snap : snapshots_) {
     if (seq <= snap) {

@@ -694,7 +694,10 @@ void LaserDB::MaybeScheduleBackgroundWork() {
     ++running_jobs_;
     pool_->Submit([this] { BackgroundFlush(); });
   }
-  if (!options_.disable_auto_compactions) {
+  // A pending settle schedules compactions even with auto compactions off,
+  // but only once no immutable memtable is left: flush first, then compact.
+  if (!options_.disable_auto_compactions ||
+      (settle_requests_ > 0 && imm_.empty())) {
     ScheduleCompactions();
   }
 }
@@ -889,34 +892,54 @@ void LaserDB::RefreshFilterGauges() {
 // ---------------------------------------------------------------------------
 
 Status LaserDB::Flush() {
+  LASER_RETURN_IF_ERROR(StartFlush());
+  return FinishFlush();
+}
+
+Status LaserDB::StartFlush() {
   // Rotation must not race a leader's outside-the-lock commit, so it rides
   // the writer queue like any other mutation.
   WriteRequest req;
   req.rotate = true;
-  LASER_RETURN_IF_ERROR(SubmitWrite(&req));
+  return SubmitWrite(&req);
+}
+
+Status LaserDB::FinishFlush() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return imm_.empty() || !bg_error_.ok(); });
   return bg_error_;
 }
 
 Status LaserDB::CompactUntilStable() {
-  LASER_RETURN_IF_ERROR(Flush());
+  LASER_RETURN_IF_ERROR(StartCompactUntilStable());
+  return FinishCompactUntilStable();
+}
+
+Status LaserDB::StartCompactUntilStable() {
+  LASER_RETURN_IF_ERROR(StartFlush());
+  // Registered after the rotation, so compactions never start ahead of the
+  // flush it scheduled. If that flush has already landed, schedule now;
+  // otherwise its completion does.
+  std::unique_lock<std::mutex> lock(mu_);
+  ++settle_requests_;
+  MaybeScheduleBackgroundWork();
+  return Status::OK();
+}
+
+Status LaserDB::FinishCompactUntilStable() {
   Status s;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    while (bg_error_.ok()) {
-      // Schedule work even when auto compactions are disabled.
-      ScheduleCompactions();
+    cv_.wait(lock, [this] {
       const CgConfig* target =
           target_design_.num_levels() > 0 ? &target_design_ : nullptr;
-      if (running_jobs_ == 0 && imm_.empty() &&
-          !picker_.NeedsCompaction(*version_, target)) {
-        CollectObsoleteFiles();
-        break;
-      }
-      cv_.wait(lock);
-    }
+      return !bg_error_.ok() ||
+             (running_jobs_ == 0 && imm_.empty() &&
+              !picker_.NeedsCompaction(*version_, target));
+    });
+    --settle_requests_;
     s = bg_error_;
+    if (s.ok()) CollectObsoleteFiles();
   }
   io_->Drain();
   return s;

@@ -149,6 +149,9 @@ class LaserDB {
   /// Runs compactions until no level/CG exceeds capacity (works with
   /// disable_auto_compactions too). Returns the first background error.
   /// Every obsolete file no reader pins is gone from disk when it returns.
+  /// The memtable is flushed first; while a call waits, each job's
+  /// completion schedules the next compaction on the background threads,
+  /// even with auto compactions off.
   Status CompactUntilStable();
 
   /// Waits for all scheduled background work to finish, then for the
@@ -191,6 +194,7 @@ class LaserDB {
  private:
   friend class ScanIterator;
   friend class LaserSnapshot;
+  friend class ShardedLaserDB;  // starts every shard's settle before waiting
 
   /// One writer's seat in the group-commit queue. The front request is the
   /// leader; followers block on `cv` until the leader sets `done`.
@@ -254,6 +258,19 @@ class LaserDB {
 
   void BackgroundFlush();
   void BackgroundCompact(CompactionJob job);
+
+  /// Flush() in two halves. StartFlush rotates the memtable through the
+  /// writer queue, which schedules its flush, and does not wait;
+  /// FinishFlush waits until no immutable memtable is left.
+  Status StartFlush();
+  Status FinishFlush();
+
+  /// CompactUntilStable() in two halves. The start rotates the memtable and
+  /// registers a settle request; it does not wait, and registers nothing
+  /// when it fails. The finish waits for a stable tree and releases the
+  /// request; every successful start must be paired with one finish.
+  Status StartCompactUntilStable();
+  Status FinishCompactUntilStable();
 
   JobContext MakeJobContext();
 
@@ -326,6 +343,10 @@ class LaserDB {
   std::condition_variable wal_sync_cv_;
 
   bool flush_scheduled_ = false;
+  /// CompactUntilStable calls between their two halves. While nonzero and
+  /// imm_ is empty, MaybeScheduleBackgroundWork schedules compactions even
+  /// with auto compactions off. Guarded by mu_.
+  int settle_requests_ = 0;
   std::set<std::pair<int, int>> busy_;
   int running_jobs_ = 0;
   bool shutting_down_ = false;

@@ -20,6 +20,23 @@ std::string ShardPath(const std::string& root, int shard) {
 
 std::string TxnLogPath(const std::string& root) { return root + "/txn.log"; }
 
+/// Runs `start` on every shard, then `finish` on each shard whose start
+/// succeeded, so the shards' background work overlaps. Returns the first
+/// error in shard order: a shard's start error, else its finish error.
+Status StartAllThenFinish(const std::vector<std::unique_ptr<LaserDB>>& shards,
+                          Status (LaserDB::*start)(),
+                          Status (LaserDB::*finish)()) {
+  std::vector<Status> results;
+  results.reserve(shards.size());
+  for (const auto& shard : shards) results.push_back((shard.get()->*start)());
+  Status result;
+  for (size_t i = 0; i < shards.size(); ++i) {
+    if (results[i].ok()) results[i] = (shards[i].get()->*finish)();
+    if (result.ok()) result = results[i];
+  }
+  return result;
+}
+
 /// Reads every committed xid out of the coordinator log. A torn tail is
 /// dropped whole by the record framing — exactly the presumed-abort
 /// semantics the protocol needs: an unsynced commit record was never
@@ -336,21 +353,13 @@ std::unique_ptr<ShardedScanIterator> ShardedLaserDB::NewScan(
 }
 
 Status ShardedLaserDB::Flush() {
-  Status result;
-  for (auto& shard : shards_) {
-    Status s = shard->Flush();
-    if (result.ok()) result = s;
-  }
-  return result;
+  return StartAllThenFinish(shards_, &LaserDB::StartFlush,
+                            &LaserDB::FinishFlush);
 }
 
 Status ShardedLaserDB::CompactUntilStable() {
-  Status result;
-  for (auto& shard : shards_) {
-    Status s = shard->CompactUntilStable();
-    if (result.ok()) result = s;
-  }
-  return result;
+  return StartAllThenFinish(shards_, &LaserDB::StartCompactUntilStable,
+                            &LaserDB::FinishCompactUntilStable);
 }
 
 void ShardedLaserDB::WaitForBackgroundWork() {

@@ -128,9 +128,17 @@ class ShardedLaserDB {
                                                ColumnSet projection,
                                                ScanSpec spec);
 
-  // -- maintenance (sequential over shards; first error wins) --
+  // -- maintenance --
+
+  /// Flush and CompactUntilStable start every shard's work (memtable
+  /// rotation, and for CompactUntilStable a settle request) before waiting
+  /// on any shard, so each shard's flush and compactions run at the same
+  /// time on that shard's own background thread. A shard whose start failed
+  /// is not waited on; every other shard is. The first error in shard order
+  /// wins.
   Status Flush();
   Status CompactUntilStable();
+  /// Waits for each shard's background work in turn.
   void WaitForBackgroundWork();
 
   // -- introspection --

@@ -8,6 +8,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "laser/laser_db.h"
 #include "tests/test_util.h"
@@ -361,6 +363,104 @@ INSTANTIATE_TEST_SUITE_P(
                       DesignParam{"CgSize2", 2}, DesignParam{"CgSize3", 3},
                       DesignParam{"HtapSimple", -1}),
     [](const auto& info) { return info.param.name; });
+
+// CompactUntilStable with auto compactions off: its settle request
+// schedules compactions only after the memtable it rotated is flushed, and
+// only while the call waits.
+class LaserDbSettleTest : public ::testing::Test {
+ protected:
+  static constexpr int kColumns = 8;
+
+  void SetUp() override { env_ = NewMemEnv(); }
+
+  LaserOptions Options(const std::string& path, int background_threads) {
+    LaserOptions options =
+        test::TinyTreeOptions(env_.get(), path, kColumns, 5);
+    options.disable_auto_compactions = true;
+    options.background_threads = background_threads;
+    return options;
+  }
+
+  static void Insert(LaserDB* db, uint64_t* key, int rows) {
+    for (int i = 0; i < rows; ++i, ++*key) {
+      ASSERT_TRUE(db->Insert(*key, test::TestRow(*key, kColumns)).ok());
+    }
+  }
+
+  std::unique_ptr<Env> env_;
+};
+
+TEST_F(LaserDbSettleTest, FlushLandsBeforeTheFirstCompaction) {
+  // Both trees hold an L0 past its trigger and a non-empty memtable. One
+  // settles directly; the other flushes before it settles. A settle that
+  // compacted ahead of its own flush would pick from fewer L0 files. One
+  // background thread keeps each tree's job order deterministic.
+  const LaserOptions options = Options("/direct", 1);
+  std::unique_ptr<LaserDB> direct;
+  std::unique_ptr<LaserDB> flushed;
+  ASSERT_TRUE(LaserDB::Open(options, &direct).ok());
+  ASSERT_TRUE(LaserDB::Open(Options("/flushed", 1), &flushed).ok());
+  const int flushes = options.level0_file_compaction_trigger + 2;
+  for (LaserDB* db : {direct.get(), flushed.get()}) {
+    uint64_t key = 0;
+    for (int f = 0; f < flushes; ++f) {
+      Insert(db, &key, 50);
+      ASSERT_TRUE(db->Flush().ok());
+    }
+    Insert(db, &key, 50);
+  }
+  ASSERT_TRUE(flushed->Flush().ok());
+  ASSERT_TRUE(direct->CompactUntilStable().ok());
+  ASSERT_TRUE(flushed->CompactUntilStable().ok());
+  EXPECT_EQ(direct->DebugString(), flushed->DebugString());
+  EXPECT_EQ(direct->stats().compaction_jobs.load(),
+            flushed->stats().compaction_jobs.load());
+  EXPECT_GT(direct->stats().compaction_jobs.load(), 0u);
+}
+
+// Once a call returns, flushes that push L0 past its trigger schedule no
+// compaction; two concurrent calls both return on a stable tree.
+TEST_F(LaserDbSettleTest, SettleRequestEndsWithItsCall) {
+  const LaserOptions options = Options("/db", 2);
+  std::unique_ptr<LaserDB> db;
+  ASSERT_TRUE(LaserDB::Open(options, &db).ok());
+  Stats& stats = db->stats();
+
+  uint64_t key = 0;
+  auto insert = [&](int rows) { Insert(db.get(), &key, rows); };
+  insert(2000);
+  ASSERT_TRUE(db->CompactUntilStable().ok());
+  const uint64_t settled_jobs = stats.compaction_jobs.load();
+  ASSERT_GT(settled_jobs, 0u);
+
+  // Each Flush lands one small L0 file, well past the trigger in total.
+  const int flushes = options.level0_file_compaction_trigger + 2;
+  for (int f = 0; f < flushes; ++f) {
+    insert(50);
+    ASSERT_TRUE(db->Flush().ok());
+  }
+  db->WaitForBackgroundWork();
+  EXPECT_EQ(stats.compaction_jobs.load(), settled_jobs);
+  EXPECT_GE(db->current_version()->files(0, 0).size(),
+            static_cast<size_t>(flushes));
+
+  insert(50);  // in the memtable: both calls race on its rotation
+  Status results[2];
+  std::thread first([&] { results[0] = db->CompactUntilStable(); });
+  std::thread second([&] { results[1] = db->CompactUntilStable(); });
+  first.join();
+  second.join();
+  ASSERT_TRUE(results[0].ok()) << results[0].ToString();
+  ASSERT_TRUE(results[1].ok()) << results[1].ToString();
+  EXPECT_GT(stats.compaction_jobs.load(), settled_jobs);
+
+  // Stable: with the memtable empty, one more call runs no job at all.
+  const uint64_t flush_jobs = stats.flush_jobs.load();
+  const uint64_t compaction_jobs = stats.compaction_jobs.load();
+  ASSERT_TRUE(db->CompactUntilStable().ok());
+  EXPECT_EQ(stats.flush_jobs.load(), flush_jobs);
+  EXPECT_EQ(stats.compaction_jobs.load(), compaction_jobs);
+}
 
 }  // namespace
 }  // namespace laser

@@ -1,11 +1,15 @@
 // ShardedLaserDB tests: router math, routed CRUD, cross-shard WriteBatch
 // atomicity and persistence, concatenated fan-out scans (batch / row /
-// aggregate / pushdown modes), stats aggregation, and a multi-threaded
-// cross-shard commit stress run (the TSan target).
+// aggregate / pushdown modes), stats aggregation, a multi-threaded
+// cross-shard commit stress run (the TSan target), and the sharded settle:
+// its shards overlap and end in the shape a shard-by-shard settle gives.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -349,6 +353,179 @@ TEST_F(ShardedLaserDbTest, ConcurrentCrossShardWritesStress) {
   ExpectRow(0);
   ExpectRow(500);
   ExpectRow(3 * 125 + kBatches - 1 + 500);
+}
+
+// ---------------------------------------------------------- sharded settle --
+
+/// Two shards over keys [0, 1000), one background thread each, auto
+/// compactions off: a shard flushes and compacts only when told to.
+ShardedLaserOptions TwoShardSettleOptions(Env* env, const std::string& root) {
+  ShardedLaserOptions options;
+  options.base = test::TinyTreeOptions(env, root, 4, 4);
+  options.base.cg_config = CgConfig::EquiWidth(4, 4, 2);
+  options.base.background_threads = 1;
+  options.base.disable_auto_compactions = true;
+  options.num_shards = 2;
+  options.key_domain = 1000;
+  return options;
+}
+
+TEST(ShardedSettleTest, CompactUntilStableOverlapsShards) {
+  // The first SST sync under shard-0/ blocks until released. If the sharded
+  // call settled shard 0 before starting shard 1, shard 1's flush could not
+  // land while shard 0 is held.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool blocked = false;
+  bool released = false;
+  std::unique_ptr<Env> base = NewMemEnv();
+  test::SyncHookEnv env(base.get(), [&](const std::string& fname) {
+    if (fname.find("/shard-0/") == std::string::npos ||
+        fname.size() < 4 || fname.compare(fname.size() - 4, 4, ".sst") != 0) {
+      return;
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    if (blocked) return;
+    blocked = true;
+    cv.wait(lock, [&] { return released; });
+  });
+  auto release = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  };
+
+  std::unique_ptr<ShardedLaserDB> db;
+  ASSERT_TRUE(
+      ShardedLaserDB::Open(TwoShardSettleOptions(&env, "/overlap"), &db).ok());
+  for (uint64_t k = 0; k < 1000; k += 5) {
+    ASSERT_TRUE(db->Insert(k, test::TestRow(k, 4)).ok());
+  }
+  LaserDB* shard1 = db->shard(1);
+  const uint64_t shard1_flushes = shard1->stats().flush_jobs.load();
+
+  Status settle;
+  std::thread settler([&] { settle = db->CompactUntilStable(); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool overlapped = false;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (shard1->stats().flush_jobs.load() > shard1_flushes) {
+      overlapped = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_TRUE(blocked) << "shard 0 never synced an SST";
+  }
+  EXPECT_EQ(db->shard(0)->stats().flush_jobs.load(), 0u);
+  release();
+  settler.join();
+  EXPECT_TRUE(overlapped)
+      << "shard 1 did not flush while shard 0's settle was held";
+  ASSERT_TRUE(settle.ok()) << settle.ToString();
+  EXPECT_GT(db->shard(0)->stats().flush_jobs.load(), 0u);
+}
+
+TEST(ShardedSettleTest, FailedShardStartStillSettlesTheOthers) {
+  std::unique_ptr<Env> env = NewMemEnv();
+  const ShardedLaserOptions options =
+      TwoShardSettleOptions(env.get(), "/failed");
+  std::unique_ptr<ShardedLaserDB> db;
+  ASSERT_TRUE(ShardedLaserDB::Open(options, &db).ok());
+  for (uint64_t round = 0; round < 3; ++round) {
+    for (uint64_t k = 0; k < 1000; ++k) {
+      ASSERT_TRUE(db->Insert(k, test::TestRow(k + round, 4)).ok());
+    }
+  }
+  db->shard(0)->Poison(Status::IOError("injected"));
+  LaserDB* shard1 = db->shard(1);
+
+  // Shard 0's start fails, so it is not waited on; shard 1 still settles,
+  // and shard 0's error is the one returned.
+  Status s = db->CompactUntilStable();
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(s.ToString(), Status::IOError("injected").ToString());
+  const uint64_t flush_jobs = shard1->stats().flush_jobs.load();
+  const uint64_t compaction_jobs = shard1->stats().compaction_jobs.load();
+  EXPECT_GT(compaction_jobs, 0u);
+  ASSERT_TRUE(shard1->CompactUntilStable().ok());
+  EXPECT_EQ(shard1->stats().flush_jobs.load(), flush_jobs);
+  EXPECT_EQ(shard1->stats().compaction_jobs.load(), compaction_jobs);
+
+  // Shard 1's settle request was released: flushes past its L0 trigger
+  // schedule no compaction.
+  for (int f = 0; f < options.base.level0_file_compaction_trigger + 2; ++f) {
+    const uint64_t k = 500 + static_cast<uint64_t>(f);
+    ASSERT_TRUE(db->Insert(k, test::TestRow(k, 4)).ok());
+    ASSERT_TRUE(shard1->Flush().ok());
+  }
+  shard1->WaitForBackgroundWork();
+  EXPECT_EQ(shard1->stats().compaction_jobs.load(), compaction_jobs);
+}
+
+TEST(ShardedSettleTest, SettleMatchesShardByShardSettle) {
+  std::unique_ptr<Env> env = NewMemEnv();
+  std::unique_ptr<ShardedLaserDB> fanned;
+  std::unique_ptr<ShardedLaserDB> serial;
+  ASSERT_TRUE(ShardedLaserDB::Open(TwoShardSettleOptions(env.get(), "/fanned"),
+                                   &fanned)
+                  .ok());
+  ASSERT_TRUE(ShardedLaserDB::Open(TwoShardSettleOptions(env.get(), "/serial"),
+                                   &serial)
+                  .ok());
+
+  auto scan_all = [](ShardedLaserDB* db) {
+    auto scan = db->NewScan(0, UINT64_MAX, MakeColumnRange(1, 4));
+    EXPECT_NE(scan, nullptr);
+    std::vector<uint64_t> cells;
+    ScanBatch batch;
+    while (scan->NextBatch(&batch) > 0) {
+      for (size_t r = 0; r < batch.keys.size(); ++r) {
+        cells.push_back(batch.keys[r]);
+        for (size_t c = 0; c < batch.columns.size(); ++c) {
+          const ScanBatch::Column& column = batch.columns[c];
+          cells.push_back(column.present[r] ? column.values[r] : UINT64_MAX);
+        }
+      }
+    }
+    EXPECT_TRUE(scan->status().ok());
+    return cells;
+  };
+
+  // Three rounds of inserts, partial updates and deletes on both shards,
+  // each ended by a settle: the fanned-out call on one DB, shard by shard on
+  // the other.
+  for (uint64_t round = 0; round < 3; ++round) {
+    for (ShardedLaserDB* db : {fanned.get(), serial.get()}) {
+      for (uint64_t k = round; k < 1000; k += 2) {
+        ASSERT_TRUE(db->Insert(k, test::TestRow(k + round, 4)).ok());
+      }
+      for (uint64_t k = 0; k < 1000; k += 7) {
+        ASSERT_TRUE(db->Update(k, {{2, k * 3 + round}}).ok());
+      }
+      for (uint64_t k = round; k < 1000; k += 11) {
+        ASSERT_TRUE(db->Delete(k).ok());
+      }
+    }
+    ASSERT_TRUE(fanned->CompactUntilStable().ok());
+    for (int i = 0; i < serial->num_shards(); ++i) {
+      ASSERT_TRUE(serial->shard(i)->CompactUntilStable().ok());
+    }
+    for (int i = 0; i < fanned->num_shards(); ++i) {
+      EXPECT_EQ(fanned->shard(i)->DebugString(),
+                serial->shard(i)->DebugString())
+          << "round " << round << ", shard " << i;
+      EXPECT_EQ(fanned->shard(i)->stats().compaction_jobs.load(),
+                serial->shard(i)->stats().compaction_jobs.load());
+    }
+    EXPECT_EQ(scan_all(fanned.get()), scan_all(serial.get()))
+        << "round " << round;
+  }
+  EXPECT_GT(fanned->shard(0)->stats().compaction_jobs.load(), 0u);
+  EXPECT_GT(fanned->shard(1)->stats().compaction_jobs.load(), 0u);
 }
 
 }  // namespace
