@@ -1617,21 +1617,19 @@ size_t ScanIterator::NextBatch(ScanBatch* batch, size_t max_rows) {
     return 0;
   }
   batch_mode_ = true;
-  batch->Reset(projection_.size());
-  // Under predicates a fill can be wiped out entirely; keep pulling so a 0
-  // return still means "exhausted", not "unlucky batch".
-  size_t n = 0;
-  while (true) {
-    n = impl_->AppendRows(batch, Slice(hi_key_encoded_), max_rows);
-    if (n == 0) break;
-    if (!spec_.predicates.empty()) FilterBatch(batch);
-    n = batch->size();
-    if (n > 0) break;
-    batch->Reset(projection_.size());
-  }
+  const size_t n = Fill(batch, max_rows);
   rows_emitted_ += n;
   if (n > 0) ++batches_emitted_;
   return n;
+}
+
+size_t ScanIterator::Fill(ScanBatch* batch, size_t max_rows) {
+  while (true) {
+    batch->Reset(projection_.size());
+    if (impl_->AppendRows(batch, Slice(hi_key_encoded_), max_rows) == 0) return 0;
+    if (!spec_.predicates.empty()) FilterBatch(batch);
+    if (!batch->empty()) return batch->size();
+  }
 }
 
 void ScanIterator::FilterBatch(ScanBatch* batch) {
@@ -1727,25 +1725,6 @@ Status ScanIterator::AggregateAll(ScanAggregates* out) {
   return status();
 }
 
-bool ScanIterator::RowMatchesPredicates() const {
-  const auto& row = impl_->row();
-  for (size_t pi = 0; pi < spec_.predicates.size(); ++pi) {
-    const std::optional<ColumnValue>& value = row[pred_positions_[pi]];
-    if (!value.has_value()) return false;
-    if (!PredicateMatches(spec_.predicates[pi], *value)) return false;
-  }
-  return true;
-}
-
-void ScanIterator::SkipNonMatchingRows() {
-  while (impl_->Valid() &&
-         impl_->user_key().compare(Slice(hi_key_encoded_)) <= 0 &&
-         !RowMatchesPredicates()) {
-    ++rows_filtered_;
-    impl_->Next();
-  }
-}
-
 bool ScanIterator::Valid() const {
   if (batch_mode_) {
     assert(!"ScanIterator: per-row access after NextBatch (one style only)");
@@ -1754,27 +1733,38 @@ bool ScanIterator::Valid() const {
         "style per iterator");
     return false;
   }
-  row_mode_ = true;
-  if (!row_primed_ && !spec_.predicates.empty()) {
-    // Lazy so batch-style scans never pay a per-row skip at open.
-    const_cast<ScanIterator*>(this)->SkipNonMatchingRows();
+  if (!row_mode_) {
+    row_mode_ = true;
+    const_cast<ScanIterator*>(this)->LoadRow();
   }
-  row_primed_ = true;
-  return impl_->Valid() &&
-         impl_->user_key().compare(Slice(hi_key_encoded_)) <= 0;
+  return row_ < row_batch_.size();
 }
 
 void ScanIterator::Next() {
-  assert(Valid());
+  if (!Valid()) return;  // REQUIRES: Valid(); a misuse moves nothing
   ++rows_emitted_;
-  impl_->Next();
-  if (!spec_.predicates.empty()) SkipNonMatchingRows();
+  ++row_;
+  LoadRow();
 }
 
-uint64_t ScanIterator::key() const { return DecodeKey64(impl_->user_key()); }
+void ScanIterator::LoadRow() {
+  if (row_ == row_batch_.size()) {
+    Fill(&row_batch_, kRowBatchRows);
+    row_ = 0;
+  }
+  if (row_ == row_batch_.size()) return;
+  row_values_.resize(projection_.size());
+  for (size_t pos = 0; pos < row_values_.size(); ++pos) {
+    const ScanBatch::Column& column = row_batch_.columns[pos];
+    row_values_[pos] = column.present[row_] != 0 ? std::optional<ColumnValue>(column.values[row_])
+                                                  : std::nullopt;
+  }
+}
+
+uint64_t ScanIterator::key() const { return row_batch_.keys[row_]; }
 
 const std::vector<std::optional<ColumnValue>>& ScanIterator::values() const {
-  return impl_->row();
+  return row_values_;
 }
 
 }  // namespace laser

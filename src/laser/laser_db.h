@@ -383,8 +383,11 @@ class LaserSnapshot {
 ///     per-column arrays.
 ///   - AggregateAll(): pushed aggregation. Folds count/sum/min/max per
 ///     projected column inside the scan without handing rows to the caller.
-///   - Valid()/Next()/values(): the classic per-row cursor, kept as a thin
-///     adapter that prefetches one row at a time from the same merge core.
+///   - Valid()/Next()/values(): the classic per-row cursor. It refills a
+///     small batch through the same fill as NextBatch and steps through it
+///     one row at a time.
+/// Opening a scan only positions the merge: no row is merged until the
+/// first NextBatch, AggregateAll or Valid() call.
 /// Use ONE style per iterator. Mixing NextBatch/AggregateAll with the
 /// per-row accessors asserts in debug builds; release builds invalidate the
 /// iterator instead — the misused call returns 0/false and status() reports
@@ -441,10 +444,17 @@ class ScanIterator {
   /// survivors.
   void FilterBatch(ScanBatch* batch);
 
-  /// Per-row adapter: advances the merge past rows failing the predicates so
-  /// both consumption styles see exactly the same rows.
-  void SkipNonMatchingRows();
-  bool RowMatchesPredicates() const;
+  /// Clears `batch` and fills it with up to `max_rows` rows passing the
+  /// predicates; 0 means the scan is exhausted. Under predicates a fill can
+  /// be wiped out entirely, so it keeps pulling until a row survives.
+  size_t Fill(ScanBatch* batch, size_t max_rows);
+
+  /// Row mode: refills row_batch_ once row_ has stepped past its last row,
+  /// then copies row row_ into row_values_ (unless the scan is exhausted).
+  void LoadRow();
+
+  /// Row-mode refill size.
+  static constexpr size_t kRowBatchRows = 64;
 
   ColumnSet projection_;
   std::string hi_key_encoded_;
@@ -463,13 +473,16 @@ class ScanIterator {
   uint64_t aggs_pushed_ = 0;
   uint64_t aggs_from_zonemap_ = 0;
   std::vector<uint8_t> filter_mask_;  // FilterBatch scratch
+  // Row mode: the current refill, the current row in it, and that row's
+  // values.
+  ScanBatch row_batch_;
+  size_t row_ = 0;
+  std::vector<std::optional<ColumnValue>> row_values_;
   // Mode guard (one consumption style per iterator): the first NextBatch /
-  // AggregateAll locks batch mode, the first Valid() locks row mode; the
-  // per-row predicate skip runs lazily on the first Valid() so batch-style
-  // scans never pay for it.
+  // AggregateAll locks batch mode, the first Valid() locks row mode and
+  // takes the first row-mode refill.
   bool batch_mode_ = false;
   mutable bool row_mode_ = false;
-  mutable bool row_primed_ = false;
   mutable Status mode_error_;
 };
 

@@ -13,7 +13,6 @@ LevelMergingIterator::LevelMergingIterator(std::vector<Source> sources,
                                            std::vector<int> predicate_positions)
     : projection_size_(projection_size),
       predicate_positions_(std::move(predicate_positions)) {
-  row_.resize(projection_size_);
   for (size_t s = 0; s < sources.size(); ++s) {
     assert(!sources[s].empty());
     source_leaves_.push_back(leaves_.size());
@@ -30,16 +29,9 @@ LevelMergingIterator::LevelMergingIterator(std::vector<Source> sources,
   source_leaves_.push_back(leaves_.size());
 }
 
-void LevelMergingIterator::SeekToFirst() {
-  for (auto& leaf : leaves_) leaf->SeekToFirst();
-  AssignHeap();
-  PrefetchRow();
-}
-
 void LevelMergingIterator::Seek(const Slice& target_user_key) {
   for (auto& leaf : leaves_) leaf->Seek(target_user_key);
   AssignHeap();
-  PrefetchRow();
 }
 
 bool LevelMergingIterator::SourceKey(size_t s, uint64_t* key) const {
@@ -61,64 +53,16 @@ void LevelMergingIterator::ReheapTop() {
   heap_.ReheapTop([this](size_t s, uint64_t* key) { return SourceKey(s, key); }, &counters_);
 }
 
-void LevelMergingIterator::Next() {
-  assert(row_valid_);
-  PrefetchRow();
-}
-
-void LevelMergingIterator::PrefetchRow() {
-  row_batch_.Reset(projection_size_);
-  row_batch_.EnsureColumnCapacity(1);
-  row_valid_ = FillRows(&row_batch_, Slice(), 1) > 0;
-  if (!row_valid_) return;
-  row_key_encoded_ = EncodeKey64(row_batch_.keys[0]);
-  for (size_t pos = 0; pos < projection_size_; ++pos) {
-    if (row_batch_.columns[pos].present[0] != 0) {
-      row_[pos] = row_batch_.columns[pos].values[0];
-    } else {
-      row_[pos] = std::nullopt;
-    }
-  }
-}
-
-size_t LevelMergingIterator::AppendRows(ScanBatch* batch,
-                                        const Slice& hi_inclusive,
+size_t LevelMergingIterator::AppendRows(ScanBatch* batch, const Slice& hi_inclusive,
                                         size_t max_rows) {
   batch->EnsureColumnCapacity(batch->keys.size() + max_rows);
-  size_t appended = 0;
-  if (row_valid_ && max_rows > 0) {
-    // Drain the row the per-row adapter prefetched (NewScan's initial Seek
-    // positions the merge, which materializes one row ahead).
-    row_valid_ = false;
-    if (!hi_inclusive.empty() &&
-        Slice(row_key_encoded_).compare(hi_inclusive) > 0) {
-      return 0;  // the prefetched row already lies beyond the scan range
-    }
-    const size_t row = batch->keys.size();
-    batch->keys.push_back(row_batch_.keys[0]);
-    for (size_t pos = 0; pos < projection_size_; ++pos) {
-      batch->columns[pos].present[row] = row_batch_.columns[pos].present[0];
-      batch->columns[pos].values[row] = row_batch_.columns[pos].values[0];
-    }
-    ++appended;
-  }
-  appended += FillRows(batch, hi_inclusive, max_rows - appended);
-  return appended;
-}
-
-size_t LevelMergingIterator::FillRows(ScanBatch* batch, const Slice& hi_inclusive,
-                                      size_t max_rows) {
   const bool has_hi = !hi_inclusive.empty();
   const uint64_t hi = has_hi ? DecodeKey64(hi_inclusive) : 0;
   size_t appended = 0;
   while (appended < max_rows && !heap_.empty()) {
     const uint64_t top_key = heap_.top_key();
     if (has_hi && top_key > hi) break;
-    // A one-row fill is bounded by key, not by rows: its window is the top
-    // key alone, so it reads no run, and a key deleted there cannot let the
-    // window go on to emit the next one.
-    const bool one_row = max_rows - appended == 1;
-    uint64_t end = one_row ? top_key : (has_hi ? hi : UINT64_MAX);
+    uint64_t end = has_hi ? hi : UINT64_MAX;
     uint64_t second = 0;
     const bool bounded = heap_.SecondKey(&second);
     if (bounded && second == top_key) {
@@ -212,14 +156,14 @@ size_t LevelMergingIterator::MergeRuns(ScanBatch* batch, size_t leaf_begin,
   }
 
   // Then the runs of the streams whose current row lies before `cap` (a run
-  // at or past it would lie past the window); a one-row fill reads none.
+  // at or past it would lie past the window).
   // Past its last exposed row a stream is unknown, so the window ends at
   // the smallest such row.
   leaf_views_.resize(leaves_.size());
   for (const Stream& stream : streams_) {
     ColumnRunView& view = leaf_views_[stream.leaf];
     view.rows = 0;
-    if (max_rows == 1 || stream.head > end || stream.head >= cap) continue;
+    if (stream.head > end || stream.head >= cap) continue;
     const size_t n = leaves_[stream.leaf]->AppendColumnRunTo(&view, hi_inclusive, max_rows);
     end = std::min(end, n > 0 ? view.keys[n - 1] : stream.head);
   }

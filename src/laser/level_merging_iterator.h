@@ -17,16 +17,17 @@
 // Positional Delta Trees (Héman et al., SIGMOD 2010), and gathers each
 // column into the batch from a selection of (cursor, row) pairs. A cursor
 // whose current row is a partial update or a tombstone takes part as a
-// one-row stream, so the run merge resolves every key, one-row fills
-// included. The per-row API is a thin adapter that prefetches one row at a
-// time from the batched core.
+// one-row stream, so the run merge resolves every key.
+//
+// AppendRows is the merge's only output: Seek positions the cursors and
+// builds the heap without merging a row, and every consumer (NextBatch,
+// AggregateAll, and the row cursor, which refills a small batch) pulls
+// whole batches.
 
 #ifndef LASER_LASER_LEVEL_MERGING_ITERATOR_H_
 #define LASER_LASER_LEVEL_MERGING_ITERATOR_H_
 
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "laser/contribution_iterator.h"
@@ -53,33 +54,19 @@ class LevelMergingIterator {
   LevelMergingIterator(std::vector<Source> sources, size_t projection_size,
                        std::vector<int> predicate_positions = {});
 
-  // -- batched core --
+  /// Positions every cursor at `target_user_key` and builds the heap; merges
+  /// no row.
+  void Seek(const Slice& target_user_key);
 
   /// Appends up to `max_rows` resolved rows with user key <= `hi_inclusive`
   /// (empty = unbounded) to `batch` and returns the number appended; 0 means
-  /// no further rows exist within the bound. Any row prefetched by the
-  /// per-row adapter is drained first; after the first AppendRows call the
-  /// per-row accessors below refer to an exhausted cursor.
+  /// no further rows exist within the bound. The merge's only output.
   ///
   /// This is the scan's single column-capacity growth site: it calls
   /// ScanBatch::EnsureColumnCapacity once up front, and every downstream
   /// fill (sole-contributor drain, run-merge gather) writes by index within
   /// that bound.
   size_t AppendRows(ScanBatch* batch, const Slice& hi_inclusive, size_t max_rows);
-
-  // -- per-row adapter --
-
-  bool Valid() const { return row_valid_; }
-  void SeekToFirst();
-  void Seek(const Slice& target_user_key);
-  void Next();
-
-  /// Current user key. REQUIRES: Valid().
-  Slice user_key() const { return Slice(row_key_encoded_); }
-
-  /// Resolved values, parallel to Π; nullopt = deleted or never written.
-  /// REQUIRES: Valid().
-  const std::vector<std::optional<ColumnValue>>& row() const { return row_; }
 
   Status status() const;
 
@@ -94,9 +81,6 @@ class LevelMergingIterator {
   void set_arm_windows_always(bool arm) { arm_windows_always_ = arm; }
 
  private:
-  /// The heap-driven merge loop; ignores the per-row prefetch state.
-  size_t FillRows(ScanBatch* batch, const Slice& hi_inclusive, size_t max_rows);
-
   /// The run merge from the heap's top key over leaves_[leaf_begin,
   /// leaf_end): every cursor of the sources tied there, or of a sole
   /// contributor stitched from several column groups. Each leaf contributes
@@ -108,8 +92,7 @@ class LevelMergingIterator {
   /// lane's one stream row; the end of a run (a row that needs the generic
   /// fold, a snapshot skip, the scratch cap) caps it at the run's last row.
   /// A stream whose current row lies at or past a partial row's key reads
-  /// no run (the run would lie past the window), and neither does a one-row
-  /// fill (`max_rows` 1, `end` the top key). Each key's positions come from
+  /// no run (the run would lie past the window). Each key's positions come from
   /// the newest stream holding the key that covers them (a tombstone wins
   /// its positions and writes null), older equal keys are consumed as
   /// shadowed, and a key whose winners hold no value is consumed without
@@ -134,9 +117,6 @@ class LevelMergingIterator {
   /// [row, row + count) of lane `lane` (-1: null), extending the class's
   /// last segment when it continues it.
   void AddSegment(size_t cls, int lane, size_t row, size_t count);
-
-  /// Pulls the next row into the per-row adapter state.
-  void PrefetchRow();
 
   size_t num_sources() const { return source_leaves_.size() - 1; }
 
@@ -210,12 +190,6 @@ class LevelMergingIterator {
   std::vector<int> winner_lane_;                // per class
   std::vector<size_t> winner_row_;              // per class
   std::vector<size_t> active_;                  // lanes with rows left
-
-  // Per-row adapter state.
-  bool row_valid_ = false;
-  ScanBatch row_batch_;
-  std::string row_key_encoded_;
-  std::vector<std::optional<ColumnValue>> row_;
 };
 
 }  // namespace laser

@@ -257,6 +257,16 @@ class StitchTest : public ::testing::Test {
     return rows;
   }
 
+  /// Drains `merged` (already sought) through AppendRows, `max_rows` rows at
+  /// a time, into one batch of `width` columns.
+  static ScanBatch Drain(LevelMergingIterator* merged, size_t width, size_t max_rows = 1) {
+    ScanBatch batch;
+    batch.Reset(width);
+    while (merged->AppendRows(&batch, Slice(), max_rows) > 0) {
+    }
+    return batch;
+  }
+
   Schema schema_;
   RowCodec codec_;
 };
@@ -317,26 +327,12 @@ TEST_F(StitchTest, LevelMergingStitchesDisjointGroups) {
       SourceOf(MakeSource(std::move(d1), g1, proj), MakeSource(std::move(d2), g2, proj)));
   LevelMergingIterator merged(std::move(sources), proj.size());
 
-  merged.SeekToFirst();
-  ASSERT_TRUE(merged.Valid());
-  EXPECT_EQ(DecodeKey64(merged.user_key()), 1u);
-  EXPECT_EQ(merged.row()[0], std::optional<ColumnValue>(12));  // col 2 from g1
-  EXPECT_EQ(merged.row()[1], std::optional<ColumnValue>(13));  // col 3 from g2
-
-  merged.Next();
-  ASSERT_TRUE(merged.Valid());
-  EXPECT_EQ(DecodeKey64(merged.user_key()), 2u);
-  EXPECT_EQ(merged.row()[0], std::optional<ColumnValue>(22));
-  EXPECT_FALSE(merged.row()[1].has_value());  // no g2 entry for key 2
-
-  merged.Next();
-  ASSERT_TRUE(merged.Valid());
-  EXPECT_EQ(DecodeKey64(merged.user_key()), 3u);
-  EXPECT_FALSE(merged.row()[0].has_value());  // no g1 entry for key 3
-  EXPECT_EQ(merged.row()[1], std::optional<ColumnValue>(33));
-
-  merged.Next();
-  EXPECT_FALSE(merged.Valid());
+  merged.Seek(EncodeKey64(0));
+  const ScanBatch batch = Drain(&merged, proj.size());
+  EXPECT_EQ(batch.keys, (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_EQ(Rows(batch), (std::vector<Row>{{12, 13},       // col 2 from g1, col 3 from g2
+                                            {22, kNull},    // no g2 entry for key 2
+                                            {kNull, 33}}));  // no g1 entry for key 3
 }
 
 TEST_F(StitchTest, LevelMergingNewestSourceWins) {
@@ -355,12 +351,11 @@ TEST_F(StitchTest, LevelMergingNewestSourceWins) {
   sources.push_back(SourceOf(MakeSource(std::move(lower), all, proj)));
   LevelMergingIterator merged(std::move(sources), proj.size());
 
-  merged.SeekToFirst();
-  ASSERT_TRUE(merged.Valid());
-  EXPECT_EQ(*merged.row()[0], 111u);  // from the upper level
-  EXPECT_EQ(*merged.row()[1], 2u);    // stitched from the lower level
-  merged.Next();
-  EXPECT_FALSE(merged.Valid());
+  merged.Seek(EncodeKey64(0));
+  const ScanBatch batch = Drain(&merged, proj.size());
+  EXPECT_EQ(batch.keys, (std::vector<uint64_t>{1}));
+  // Column 1 from the upper level, column 2 stitched from the lower level.
+  EXPECT_EQ(Rows(batch), (std::vector<Row>{{111, 2}}));
 }
 
 TEST_F(StitchTest, LevelMergingSkipsFullyDeletedRows) {
@@ -378,11 +373,8 @@ TEST_F(StitchTest, LevelMergingSkipsFullyDeletedRows) {
   sources.push_back(SourceOf(MakeSource(std::move(lower), all, proj)));
   LevelMergingIterator merged(std::move(sources), proj.size());
 
-  merged.SeekToFirst();
-  ASSERT_TRUE(merged.Valid());
-  EXPECT_EQ(DecodeKey64(merged.user_key()), 2u);  // key 1 deleted
-  merged.Next();
-  EXPECT_FALSE(merged.Valid());
+  merged.Seek(EncodeKey64(0));
+  EXPECT_EQ(Drain(&merged, proj.size()).keys, (std::vector<uint64_t>{2}));  // key 1 deleted
 }
 
 // Two column groups of one level hold different keys behind the same first
@@ -414,11 +406,11 @@ TEST_F(StitchTest, LevelMergingRunMergeKeepsDivergedGroupsApart) {
       SourceOf(MakeSource(std::move(d1), g1, all), MakeSource(std::move(d2), g2, all)));
   LevelMergingIterator merged(std::move(sources), all.size());
 
-  merged.SeekToFirst();
+  merged.Seek(EncodeKey64(0));
   ScanBatch batch;
   batch.Reset(all.size());
-  // Key 1 (the row the adapter prefetched) and key 10 have one source each;
-  // keys 2-5 go through one run-merge window.
+  // Keys 1 and 10 have one source each and are drained from it; keys 2-5 go
+  // through one run-merge window.
   ASSERT_EQ(merged.AppendRows(&batch, Slice(), 16), 6u);
   EXPECT_EQ(merged.counters().zip_rows, 4u);
   EXPECT_EQ(batch.keys, (std::vector<uint64_t>{1, 2, 3, 4, 5, 10}));
@@ -431,10 +423,9 @@ TEST_F(StitchTest, LevelMergingRunMergeKeepsDivergedGroupsApart) {
 }
 
 // A level stitched from two column groups is the only source, and its
-// groups hold different keys behind the same first key. The row the adapter
-// prefetched is a one-key window, and the rest of the range is one run-merge
-// window over the two groups' cursors: each key's columns come from the
-// group that holds it.
+// groups hold different keys behind the same first key. The whole range is
+// one run-merge window over the two groups' cursors: each key's columns come
+// from the group that holds it.
 TEST_F(StitchTest, LevelMergingRunMergeStitchesSoleLevel) {
   const ColumnSet all = MakeColumnRange(1, 4);
   const ColumnSet g1 = {1, 2};
@@ -455,7 +446,7 @@ TEST_F(StitchTest, LevelMergingRunMergeStitchesSoleLevel) {
       SourceOf(MakeSource(std::move(d1), g1, all), MakeSource(std::move(d2), g2, all)));
   LevelMergingIterator merged(std::move(sources), all.size());
 
-  merged.SeekToFirst();
+  merged.Seek(EncodeKey64(0));
   ScanBatch batch;
   batch.Reset(all.size());
   ASSERT_EQ(merged.AppendRows(&batch, Slice(), 16), 4u);
@@ -468,7 +459,7 @@ TEST_F(StitchTest, LevelMergingRunMergeStitchesSoleLevel) {
 }
 
 // The run merge resolves every key, including a current row that is a
-// partial update or a tombstone, and every one-row fill of the row cursor.
+// partial update or a tombstone, and every fill of one row at a time.
 // Each case merges its sources (newest first; a source is one or more
 // column groups of one level) over projection {1, 2, 3, 4}, and counts the
 // rows the run merge emits.
@@ -543,24 +534,17 @@ TEST_F(StitchTest, RunMergeResolvesEveryKey) {
     }
     LevelMergingIterator merged(std::move(sources), all.size());
 
-    std::vector<uint64_t> keys;
-    std::vector<Row> rows;
-    merged.SeekToFirst();
+    merged.Seek(EncodeKey64(0));
+    ScanBatch batch;
     if (c.row_cursor) {
-      for (; merged.Valid() && keys.size() <= c.keys.size(); merged.Next()) {
-        keys.push_back(DecodeKey64(merged.user_key()));
-        rows.push_back(merged.row());
-      }
+      batch = Drain(&merged, all.size());
     } else {
-      ScanBatch batch;
       batch.Reset(all.size());
       EXPECT_EQ(merged.AppendRows(&batch, Slice(), 16), c.keys.size());
       EXPECT_EQ(merged.AppendRows(&batch, Slice(), 16), 0u);
-      keys = batch.keys;
-      rows = Rows(batch);
     }
-    EXPECT_EQ(keys, c.keys);
-    EXPECT_EQ(rows, c.rows);
+    EXPECT_EQ(batch.keys, c.keys);
+    EXPECT_EQ(Rows(batch), c.rows);
     EXPECT_EQ(merged.counters().zip_rows, c.zip_rows);
   }
 }
@@ -576,8 +560,7 @@ TEST_F(StitchTest, LevelMergingSeek) {
   sources.push_back(SourceOf(MakeSource(std::move(data), all, {1})));
   LevelMergingIterator merged(std::move(sources), 1);
   merged.Seek(EncodeKey64(7));
-  ASSERT_TRUE(merged.Valid());
-  EXPECT_EQ(DecodeKey64(merged.user_key()), 7u);
+  EXPECT_EQ(Drain(&merged, 1).keys, (std::vector<uint64_t>{7, 8, 9}));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "laser/laser_db.h"
+#include "laser/sharded_laser_db.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -845,6 +846,61 @@ TEST(ScanBatchTest, ZeroMaxRows) {
   ScanBatch batch;
   EXPECT_EQ(scan->NextBatch(&batch, 0), 0u);
   EXPECT_EQ(scan->NextBatch(&batch, 100), 10u);
+}
+
+// Opening a scan only positions the merge: a NewScan destroyed undrained
+// merges no row, even when its first key is tied between the memtable and an
+// SST (the case that takes a run-merge window). The sharded scan opens one
+// such scan per shard, and merges no row either.
+TEST(ScanBatchTest, NewScanMergesNoRowAtOpen) {
+  // Rows merged and run-merge windows taken so far, summed over `dbs`.
+  const auto merge_work = [](const std::vector<LaserDB*>& dbs) {
+    std::pair<uint64_t, uint64_t> work;
+    for (LaserDB* db : dbs) {
+      work.first += db->stats().scan_rows_merged.load();
+      work.second += db->stats().scan_zip_splices.load();
+    }
+    return work;
+  };
+  // Rows 0-199 of every shard flushed into an SST, then each shard's first
+  // key rewritten in its memtable.
+  const auto tie_first_keys = [](auto* db, const std::vector<uint64_t>& firsts) {
+    for (const uint64_t first : firsts) {
+      for (uint64_t k = first; k < first + 200; ++k) {
+        ASSERT_TRUE(db->Insert(k, test::TestRow(k, 4)).ok());
+      }
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    for (const uint64_t first : firsts) {
+      ASSERT_TRUE(db->Insert(first, test::TestRow(first + 1, 4)).ok());
+    }
+  };
+
+  auto env = NewMemEnv();
+  {
+    std::unique_ptr<LaserDB> db;
+    ASSERT_TRUE(LaserDB::Open(test::TinyTreeOptions(env.get(), "/db", 4, 3), &db).ok());
+    ASSERT_NO_FATAL_FAILURE(tie_first_keys(db.get(), {0}));
+    const auto before = merge_work({db.get()});
+    db->NewScan(0, 199, {1, 2}).reset();
+    EXPECT_EQ(merge_work({db.get()}), before);
+    // The counters are live: the first row-mode call merges the tied key.
+    EXPECT_TRUE(db->NewScan(0, 199, {1, 2})->Valid());
+    EXPECT_GT(merge_work({db.get()}).second, before.second);
+  }
+  {
+    ShardedLaserOptions options;
+    options.base = test::TinyTreeOptions(env.get(), "/sharded", 4, 3);
+    options.num_shards = 2;
+    options.key_domain = 1000;
+    std::unique_ptr<ShardedLaserDB> db;
+    ASSERT_TRUE(ShardedLaserDB::Open(options, &db).ok());
+    ASSERT_NO_FATAL_FAILURE(tie_first_keys(db.get(), {0, 500}));
+    const std::vector<LaserDB*> shards = {db->shard(0), db->shard(1)};
+    const auto before = merge_work(shards);
+    db->NewScan(0, 999, {1, 2}).reset();
+    EXPECT_EQ(merge_work(shards), before);
+  }
 }
 
 }  // namespace
