@@ -339,10 +339,10 @@ TEST_F(ScanPathGoldenTest, ScansMatchReference) {
       {"wide_7", 3013, 0xb494e7cc325e860c, 3013, 11381, 1206, 3013, 1429, 346, 0, 0},
       {"wide_1024", 3013, 0xb494e7cc325e860c, 3013, 11381, 974, 3013, 1126, 346, 0, 0},
       {"between", 481, 0xf8faf3cba42c67a3, 2996, 6616, 946, 2995, 1054, 227, 0, 0},
-      {"row_cursor", 2996, 0x9d28be49eab384d4, 2996, 11282, 2467, 2995, 2995, 346, 0, 0},
-      {"cg_split", 983, 0x70b33b7d63679c3b, 983, 3543, 430, 983, 472, 112, 0, 0},
-      {"tied_levels", 394, 0x4ed1d1a725ecb467, 394, 1906, 0, 394, 25, 79, 0, 0},
-      {"interleaved", 1000, 0xc0283c23e8846338, 1000, 4933, 0, 1000, 9, 180, 0, 0},
+      {"row_cursor", 2996, 0x9d28be49eab384d4, 2996, 11282, 971, 2995, 1078, 346, 0, 0},
+      {"cg_split", 983, 0x70b33b7d63679c3b, 983, 3543, 429, 983, 471, 112, 0, 0},
+      {"tied_levels", 394, 0x4ed1d1a725ecb467, 394, 1906, 0, 394, 24, 79, 0, 0},
+      {"interleaved", 1000, 0xc0283c23e8846338, 1000, 4933, 0, 1000, 8, 180, 0, 0},
   };
   EXPECT_EQ(actual, expected) << "actual scans:\n" << ToString(actual);
 }
