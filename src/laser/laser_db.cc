@@ -1741,7 +1741,9 @@ bool ScanIterator::Valid() const {
 }
 
 void ScanIterator::Next() {
-  if (!Valid()) return;  // REQUIRES: Valid(); a misuse moves nothing
+  const bool valid = Valid();
+  assert(valid);
+  if (!valid) return;  // release builds: a misuse moves nothing
   ++rows_emitted_;
   ++row_;
   LoadRow();
