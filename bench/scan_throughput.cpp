@@ -2,14 +2,15 @@
 //
 // Sweeps threads × projection width × CG design, and for every cell runs the
 // same scans in two modes against the same tree:
-//   row   — the classic per-row cursor (Valid/Next/values), one merge-layer
-//           round trip and one optional-vector materialization per row;
+//   row   — the classic per-row cursor (Valid/Next/values). It refills a
+//           64-row ScanBatch through the same merge as NextBatch and
+//           materializes one optional-vector per row;
 //   batch — NextBatch(): columnar ScanBatch fills straight out of the
 //           heap-based k-way merge.
 // Both modes aggregate every projected value (sum), so the comparison is
-// API shape, not work skipped. rows/s per cell lands in
-// BENCH_scan_throughput.json; the wide-projection batch/row ratio is the
-// regression-gated headline (target: >= 2x at default scale).
+// API shape, not work skipped: the wide-projection batch/row ratio
+// headline is the cost of the per-row copy and calls. rows/s per cell
+// lands in BENCH_scan_throughput.json; nightly diffs rows/s, not the ratio.
 //
 // Threads > 1 run the same scan mix concurrently over one shared DB with the
 // block cache on — the sharded-cache contention case from fig8's concurrent
@@ -508,9 +509,7 @@ int main(int argc, char** argv) {
 
   if (wide_row_rps_1t > 0) {
     const double ratio = wide_batch_rps_1t / wide_row_rps_1t;
-    printf("\nheadline: wide-30 batch/row ratio (HTAP-simple, 1 thread) = %.2fx"
-           " (target >= 2x at default scale)\n",
-           ratio);
+    printf("\nheadline: wide-30 batch/row ratio (HTAP-simple, 1 thread) = %.2fx\n", ratio);
     json.Record("headline", "wide30_batch_vs_row", {{"ratio", ratio}});
   }
   return checksums_ok ? 0 : 1;
