@@ -477,8 +477,8 @@ TEST(CrashRecoveryTest, CrashDuringRecoveryAfterCrash) {
 
 class ShardedCrashHarness {
  public:
-  static constexpr int kColumns = 4;
-  static constexpr uint64_t kMaxKey = 64;  // 2 shards: split at 32
+  static constexpr int kColumns = RecoveryHarness::kColumns;
+  static constexpr uint64_t kMaxKey = RecoveryHarness::kMaxKey;  // split at 32
 
   ShardedCrashHarness() : base_(NewMemEnv()), fault_(base_.get()) {}
 
@@ -524,11 +524,6 @@ class ShardedCrashHarness {
   /// flush. The model advances only on acknowledged ops.
   Outcome RunScript(ShardedLaserDB* db) {
     Outcome out;
-    auto row_of = [](uint64_t key) {
-      test::RowState row(kColumns);
-      for (int c = 1; c <= kColumns; ++c) row[c - 1] = key * 100 + c;
-      return row;
-    };
 
     // Cross-shard inserts, one key per side, committed atomically.
     for (uint64_t j = 0; j < 6; ++j) {
@@ -536,14 +531,13 @@ class ShardedCrashHarness {
       batch.Insert(1 + j, test::TestRow(1 + j, kColumns));
       batch.Insert(33 + j, test::TestRow(33 + j, kColumns));
       if (!db->Write(batch).ok()) return out;
-      out.model[1 + j] = row_of(1 + j);
-      out.model[33 + j] = row_of(33 + j);
+      out.model.Apply(batch);
     }
 
     // Routed single-key writes ride each shard's ordinary group commit.
     for (uint64_t key : {12, 13, 44}) {
       if (!db->Insert(key, test::TestRow(key, kColumns)).ok()) return out;
-      out.model[key] = row_of(key);
+      out.model.Insert(key, test::TestRow(key, kColumns));
     }
 
     // A mixed cross-shard batch: update + tombstone + fresh inserts.
@@ -554,10 +548,7 @@ class ShardedCrashHarness {
       batch.Insert(20, test::TestRow(20, kColumns));
       batch.Insert(50, test::TestRow(50, kColumns));
       if (!db->Write(batch).ok()) return out;
-      out.model[1][1] = 9002;
-      out.model.erase(33);
-      out.model[20] = row_of(20);
-      out.model[50] = row_of(50);
+      out.model.Apply(batch);
     }
 
     // Flush both shards (memtable -> L0, manifest install, WAL delete),
@@ -569,46 +560,11 @@ class ShardedCrashHarness {
       batch.Insert(54 + j, test::TestRow(54 + j, kColumns));
       batch.Update(34 + j, {{4, 7000 + j}});
       if (!db->Write(batch).ok()) return out;
-      out.model[24 + j] = row_of(24 + j);
-      out.model[54 + j] = row_of(54 + j);
-      out.model[34 + j][3] = 7000 + j;
+      out.model.Apply(batch);
     }
 
     out.completed = true;
     return out;
-  }
-
-  /// Point-reads the whole key universe and runs one fan-out scan; both must
-  /// match `model` exactly.
-  static void VerifyMatchesModel(ShardedLaserDB* db, const Model& model) {
-    const ColumnSet all = MakeColumnRange(1, kColumns);
-    for (uint64_t key = 1; key <= kMaxKey; ++key) {
-      LaserDB::ReadResult result;
-      ASSERT_TRUE(db->Read(key, all, &result).ok()) << "key " << key;
-      auto it = model.find(key);
-      if (it == model.end()) {
-        EXPECT_FALSE(result.found) << "unacked key " << key << " resurrected";
-        continue;
-      }
-      ASSERT_TRUE(result.found) << "acked key " << key << " lost";
-      for (int c = 0; c < kColumns; ++c) {
-        ASSERT_EQ(result.values[c], it->second[c])
-            << "key " << key << " column " << (c + 1);
-      }
-    }
-    auto scan = db->NewScan(1, kMaxKey, all);
-    ASSERT_NE(scan, nullptr);
-    auto it = model.begin();
-    for (; scan->Valid(); scan->Next(), ++it) {
-      ASSERT_NE(it, model.end()) << "scan emitted extra key " << scan->key();
-      EXPECT_EQ(scan->key(), it->first);
-      for (int c = 0; c < kColumns; ++c) {
-        ASSERT_EQ(scan->values()[c], it->second[c])
-            << "scan key " << it->first << " column " << (c + 1);
-      }
-    }
-    ASSERT_TRUE(scan->status().ok());
-    EXPECT_EQ(it, model.end());
   }
 
  private:
@@ -626,7 +582,7 @@ TEST(ShardedCrashMatrixTest, CrossShardBatchesAtomicAtEveryOperation) {
     ASSERT_TRUE(harness.Open(&db).ok());
     ShardedCrashHarness::Outcome outcome = harness.RunScript(db.get());
     ASSERT_TRUE(outcome.completed);
-    ShardedCrashHarness::VerifyMatchesModel(db.get(), outcome.model);
+    RecoveryHarness::VerifyMatchesModel(db.get(), outcome.model);
     total_ops = harness.fault_env()->mutating_ops();
     size_t txn_syncs = 0;
     size_t wal_syncs = 0;
@@ -660,7 +616,7 @@ TEST(ShardedCrashMatrixTest, CrossShardBatchesAtomicAtEveryOperation) {
     harness.fault_env()->ClearFaults();
     std::unique_ptr<ShardedLaserDB> db;
     ASSERT_TRUE(harness.Open(&db).ok());
-    ShardedCrashHarness::VerifyMatchesModel(db.get(), outcome.model);
+    RecoveryHarness::VerifyMatchesModel(db.get(), outcome.model);
   }
 }
 
@@ -707,7 +663,7 @@ TEST(ShardedCrashMatrixTest, RecoveryWithUndecidedPreparedBatchIsIdempotent) {
   {
     std::unique_ptr<ShardedLaserDB> db;
     ASSERT_TRUE(harness.Open(&db).ok());
-    ShardedCrashHarness::VerifyMatchesModel(db.get(), outcome.model);
+    RecoveryHarness::VerifyMatchesModel(db.get(), outcome.model);
   }
   const uint64_t recovery_ops = harness.fault_env()->mutating_ops() - before;
   ASSERT_GT(recovery_ops, 0u);
@@ -725,7 +681,7 @@ TEST(ShardedCrashMatrixTest, RecoveryWithUndecidedPreparedBatchIsIdempotent) {
     harness.fault_env()->ClearFaults();
     std::unique_ptr<ShardedLaserDB> db;
     ASSERT_TRUE(harness.Open(&db).ok());
-    ShardedCrashHarness::VerifyMatchesModel(db.get(), outcome.model);
+    RecoveryHarness::VerifyMatchesModel(db.get(), outcome.model);
   }
 }
 
@@ -768,9 +724,7 @@ TEST(CrashRecoveryTest, WalSyncFailurePoisonsWrites) {
     ASSERT_TRUE(harness.Open(&db).ok());
 
     Model model;
-    test::RowState row(RecoveryHarness::kColumns);
-    for (int c = 1; c <= RecoveryHarness::kColumns; ++c) row[c - 1] = 100 + c;
-    model[1] = row;
+    model.Insert(1, test::TestRow(1, RecoveryHarness::kColumns));
     test::RecoveryHarness::VerifyMatchesModel(db.get(), model);
   }
 }
@@ -805,9 +759,7 @@ TEST(CrashRecoveryTest, FlushSyncFailureKeepsWalForRecovery) {
   Model model;
   for (uint64_t key = 1; key <= 10; ++key) {
     ASSERT_TRUE(db->Insert(key, test::TestRow(key, RecoveryHarness::kColumns)).ok());
-    test::RowState row(RecoveryHarness::kColumns);
-    for (int c = 1; c <= RecoveryHarness::kColumns; ++c) row[c - 1] = key * 100 + c;
-    model[key] = row;
+    model.Insert(key, test::TestRow(key, RecoveryHarness::kColumns));
   }
   harness.fault_env()->FailOperation(sst_sync_offset);
   EXPECT_FALSE(db->Flush().ok());

@@ -10,13 +10,12 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "cost/design_advisor_daemon.h"
 #include "cost/trace.h"
 #include "laser/laser_db.h"
+#include "tests/model.h"
 #include "tests/recovery_harness.h"
 #include "tests/test_util.h"
 #include "util/env_fault.h"
@@ -31,100 +30,6 @@ namespace {
 constexpr int kColumns = 6;
 constexpr int kLevels = 4;
 constexpr uint64_t kKeySpace = 700;
-
-// column id -> value; a key absent from the model is deleted/never written.
-using ModelRow = std::map<int, uint64_t>;
-using Model = std::map<uint64_t, ModelRow>;
-
-struct ResultRow {
-  uint64_t key = 0;
-  std::vector<std::optional<ColumnValue>> values;
-
-  bool operator==(const ResultRow&) const = default;
-};
-
-std::vector<ResultRow> ModelScan(const Model& model, uint64_t lo, uint64_t hi,
-                                 const ColumnSet& projection) {
-  std::vector<ResultRow> out;
-  for (auto it = model.lower_bound(lo); it != model.end() && it->first <= hi;
-       ++it) {
-    ResultRow row;
-    row.key = it->first;
-    bool any = false;
-    for (const int column : projection) {
-      auto v = it->second.find(column);
-      if (v != it->second.end()) {
-        row.values.emplace_back(v->second);
-        any = true;
-      } else {
-        row.values.emplace_back(std::nullopt);
-      }
-    }
-    if (any) out.push_back(std::move(row));
-  }
-  return out;
-}
-
-std::vector<ResultRow> FilterRows(std::vector<ResultRow> rows,
-                                  const ColumnSet& projection,
-                                  const ScanSpec& spec) {
-  std::vector<ResultRow> out;
-  for (auto& row : rows) {
-    bool keep = true;
-    for (const ScanPredicate& pred : spec.predicates) {
-      const auto pos =
-          std::find(projection.begin(), projection.end(), pred.column);
-      const auto& value = row.values[pos - projection.begin()];
-      if (!value.has_value() || !PredicateMatches(pred, *value)) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) out.push_back(std::move(row));
-  }
-  return out;
-}
-
-std::vector<ResultRow> RowApiScan(LaserDB* db, uint64_t lo, uint64_t hi,
-                                  const ColumnSet& projection,
-                                  const ScanSpec& spec = {}) {
-  std::vector<ResultRow> out;
-  auto scan = db->NewScan(lo, hi, projection, spec);
-  EXPECT_NE(scan, nullptr);
-  if (scan == nullptr) return out;
-  for (; scan->Valid(); scan->Next()) {
-    out.push_back(ResultRow{scan->key(), scan->values()});
-  }
-  EXPECT_TRUE(scan->status().ok());
-  return out;
-}
-
-std::vector<ResultRow> BatchApiScan(LaserDB* db, uint64_t lo, uint64_t hi,
-                                    const ColumnSet& projection,
-                                    size_t batch_rows,
-                                    const ScanSpec& spec = {}) {
-  std::vector<ResultRow> out;
-  auto scan = db->NewScan(lo, hi, projection, spec);
-  EXPECT_NE(scan, nullptr);
-  if (scan == nullptr) return out;
-  ScanBatch batch;
-  while (size_t n = scan->NextBatch(&batch, batch_rows)) {
-    for (size_t i = 0; i < n; ++i) {
-      ResultRow row;
-      row.key = batch.keys[i];
-      for (size_t c = 0; c < projection.size(); ++c) {
-        if (batch.columns[c].present[i]) {
-          row.values.emplace_back(batch.columns[c].values[i]);
-        } else {
-          row.values.emplace_back(std::nullopt);
-        }
-      }
-      out.push_back(std::move(row));
-    }
-  }
-  EXPECT_TRUE(scan->status().ok());
-  return out;
-}
 
 class MidMorphScanTest : public ::testing::Test {
  protected:
@@ -142,69 +47,42 @@ class MidMorphScanTest : public ::testing::Test {
     // spreads files over several levels before the morph stages begin.
     for (uint64_t key = 1; key <= kKeySpace; ++key) {
       ASSERT_TRUE(db_->Insert(key, test::TestRow(key, kColumns)).ok());
-      ModelRow& row = model_[key];
-      for (int c = 1; c <= kColumns; ++c) {
-        row[c] = key * 100 + static_cast<uint64_t>(c);
-      }
+      model_.Insert(key, test::TestRow(key, kColumns));
     }
     for (uint64_t key = 3; key <= kKeySpace; key += 3) {
       ASSERT_TRUE(db_->Update(key, {{2, key * 1000 + 2}}).ok());
-      model_[key][2] = key * 1000 + 2;
+      model_.Update(key, {{2, key * 1000 + 2}});
     }
     for (uint64_t key = 7; key <= kKeySpace; key += 7) {
       ASSERT_TRUE(db_->Delete(key).ok());
-      model_.erase(key);
+      model_.Delete(key);
     }
     ASSERT_TRUE(db_->Flush().ok());
     ASSERT_TRUE(db_->CompactUntilStable().ok());
   }
 
   /// Every read path against the reference model: full / narrow / single
-  /// projections, row and batch consumers (batch sizes straddling runs),
-  /// pushed-down predicates, and point reads over the whole key universe.
+  /// projections through every consumer, with and without a pushed-down
+  /// predicate, and point reads over the whole key universe.
   void VerifyAllReadPaths() {
     const ColumnSet full = MakeColumnRange(1, kColumns);
-    for (const ColumnSet& projection :
-         std::vector<ColumnSet>{full, {2, 5}, {4}}) {
-      const auto expected = ModelScan(model_, 1, kKeySpace, projection);
-      EXPECT_EQ(RowApiScan(db_.get(), 1, kKeySpace, projection), expected);
-      for (const size_t batch_rows : {size_t{1}, size_t{7}, size_t{128}}) {
-        EXPECT_EQ(
-            BatchApiScan(db_.get(), 1, kKeySpace, projection, batch_rows),
-            expected);
-      }
+    for (const ColumnSet& projection : std::vector<ColumnSet>{full, {2, 5}, {4}}) {
+      ASSERT_NO_FATAL_FAILURE(
+          test::ExpectScanMatches(db_.get(), model_, 1, kKeySpace, projection));
       // Selective pushdown on the projection's first column.
       ScanSpec spec;
-      spec.predicates.push_back(
-          {projection[0], PredOp::kGe, kKeySpace * 50, 0});
-      const auto filtered = FilterRows(expected, projection, spec);
-      EXPECT_EQ(RowApiScan(db_.get(), 1, kKeySpace, projection, spec),
-                filtered);
-      EXPECT_EQ(BatchApiScan(db_.get(), 1, kKeySpace, projection, 64, spec),
-                filtered);
+      spec.predicates.push_back({projection[0], PredOp::kGe, kKeySpace * 50, 0});
+      ASSERT_NO_FATAL_FAILURE(
+          test::ExpectScanMatches(db_.get(), model_, 1, kKeySpace, projection, spec));
     }
-    for (uint64_t key = 1; key <= kKeySpace; ++key) {
-      LaserDB::ReadResult result;
-      ASSERT_TRUE(db_->Read(key, full, &result).ok()) << "key " << key;
-      auto it = model_.find(key);
-      ASSERT_EQ(result.found, it != model_.end()) << "key " << key;
-      if (!result.found) continue;
-      for (int c = 1; c <= kColumns; ++c) {
-        // A resurrected key (update after delete) holds only the updated
-        // columns; absent model columns must read back as null.
-        auto v = it->second.find(c);
-        const std::optional<ColumnValue> want =
-            v != it->second.end() ? std::optional<ColumnValue>(v->second)
-                                  : std::nullopt;
-        ASSERT_EQ(result.values[c - 1], want)
-            << "key " << key << " column " << c;
-      }
-    }
+    // A resurrected key (update after delete) holds only the updated
+    // columns; the others read back null.
+    test::ExpectReadsMatch(db_.get(), model_, 1, kKeySpace, full);
   }
 
   std::unique_ptr<Env> env_;
   std::unique_ptr<LaserDB> db_;
-  Model model_;
+  test::Model model_;
 };
 
 TEST_F(MidMorphScanTest, ScansExactWithTreeMixedAtEveryLevel) {
@@ -238,7 +116,7 @@ TEST_F(MidMorphScanTest, ScansExactWithTreeMixedAtEveryLevel) {
   // row (one target, all levels mismatched at once) stays exact too.
   for (uint64_t key = 1; key <= 8; ++key) {
     ASSERT_TRUE(db_->Update(key, {{5, key * 9000 + 5}}).ok());
-    model_[key][5] = key * 9000 + 5;
+    model_.Update(key, {{5, key * 9000 + 5}});
   }
   ASSERT_TRUE(db_->Flush().ok());
   ASSERT_TRUE(db_->SetTargetDesign(row).ok());
@@ -255,7 +133,7 @@ TEST_F(MidMorphScanTest, ScansExactWithTreeMixedAtEveryLevel) {
 // then morph it to pure columnar with a trailing write burst. Uses the
 // recovery harness's 4-column schema so its model verifiers apply.
 struct MorphScriptOutcome {
-  test::Model model;        // acknowledged state
+  test::Model model;          // acknowledged state
   bool target_acked = false;  // SetTargetDesign returned OK
   bool completed = false;
   uint64_t morph_begin = 0;  // op index where the morph phase starts
@@ -296,9 +174,7 @@ class MorphCrashHarness {
     MorphScriptOutcome out;
     auto insert = [&](uint64_t key) {
       if (!db->Insert(key, test::TestRow(key, kCols)).ok()) return false;
-      test::RowState row(kCols);
-      for (int c = 1; c <= kCols; ++c) row[c - 1] = key * 100 + c;
-      out.model[key] = std::move(row);
+      out.model.Insert(key, test::TestRow(key, kCols));
       return true;
     };
 
@@ -312,9 +188,9 @@ class MorphCrashHarness {
       if (!insert(key)) return out;
     }
     if (!db->Update(5, {{2, 5002}}).ok()) return out;
-    out.model[5][1] = 5002;
+    out.model.Update(5, {{2, 5002}});
     if (!db->Delete(40).ok()) return out;
-    out.model.erase(40);
+    out.model.Delete(40);
     if (!db->Flush().ok()) return out;
     if (!db->CompactUntilStable().ok()) return out;
 

@@ -10,24 +10,21 @@
 // writes stay in the memtable, and one set of scans is opened before a final
 // burst of writes (a snapshot cut).
 //
-// Every check runs the same scan through every consumer (NextBatch at 1, 7,
-// 64 and 1024 rows, the row cursor, AggregateAll) on a single LaserDB and on
-// a 2-shard ShardedLaserDB, and compares each with the model.
+// Every check runs the same scan through every consumer (tests/model.h) on a
+// single LaserDB and on a 2-shard ShardedLaserDB, and compares each with the
+// model.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "laser/laser_db.h"
 #include "laser/sharded_laser_db.h"
+#include "tests/model.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -65,132 +62,6 @@ CgConfig Design() {
       halves,
       {MakeColumnRange(1, 4), MakeColumnRange(5, 8), MakeColumnRange(9, 12)},
   });
-}
-
-/// What a scan emits, in key order: keys and, per row, the projected values.
-struct Rows {
-  std::vector<uint64_t> keys;
-  std::vector<std::vector<std::optional<ColumnValue>>> values;
-
-  bool operator==(const Rows&) const = default;
-};
-
-/// Key -> present columns. Insert replaces a row, Update merges into it (an
-/// absent key becomes a partial row), Delete drops it.
-using Model = std::map<uint64_t, std::map<int, ColumnValue>>;
-
-/// The rows in [lo, hi] holding at least one projected value.
-Rows ModelScan(const Model& model, uint64_t lo, uint64_t hi,
-               const ColumnSet& projection) {
-  Rows rows;
-  for (auto it = model.lower_bound(lo); it != model.end() && it->first <= hi; ++it) {
-    std::vector<std::optional<ColumnValue>> row;
-    bool any = false;
-    for (int column : projection) {
-      row.emplace_back();
-      const auto cell = it->second.find(column);
-      if (cell != it->second.end()) row.back() = cell->second;
-      any |= row.back().has_value();
-    }
-    if (!any) continue;
-    rows.keys.push_back(it->first);
-    rows.values.push_back(std::move(row));
-  }
-  return rows;
-}
-
-ScanAggregates Fold(const Rows& rows, size_t width) {
-  ScanAggregates out;
-  out.rows = rows.keys.size();
-  out.counts.assign(width, 0);
-  out.sums.assign(width, 0);
-  out.minima.assign(width, std::numeric_limits<uint64_t>::max());
-  out.maxima.assign(width, 0);
-  for (const auto& row : rows.values) {
-    for (size_t pos = 0; pos < width; ++pos) {
-      if (!row[pos].has_value()) continue;
-      ++out.counts[pos];
-      out.sums[pos] += *row[pos];
-      out.minima[pos] = std::min(out.minima[pos], *row[pos]);
-      out.maxima[pos] = std::max(out.maxima[pos], *row[pos]);
-    }
-  }
-  return out;
-}
-
-/// Appends the rows of `batch` to `rows`.
-void AppendBatch(const ScanBatch& batch, Rows* rows) {
-  for (size_t r = 0; r < batch.size(); ++r) {
-    rows->keys.push_back(batch.keys[r]);
-    std::vector<std::optional<ColumnValue>> row;
-    for (const ScanBatch::Column& col : batch.columns) {
-      row.emplace_back();
-      if (col.present[r] != 0) row.back() = col.values[r];
-    }
-    rows->values.push_back(std::move(row));
-  }
-}
-
-constexpr size_t kBatchSizes[] = {1, 7, 64, 1024};
-
-/// One scan opened on every consumer, drained later: NextBatch at each of
-/// kBatchSizes, the row cursor, and AggregateAll.
-template <typename Scan>
-struct OpenScans {
-  std::vector<std::unique_ptr<Scan>> batches;
-  std::unique_ptr<Scan> cursor;
-  std::unique_ptr<Scan> aggregate;
-};
-
-template <typename Db>
-auto OpenAll(Db* db, uint64_t lo, uint64_t hi, const ColumnSet& projection) {
-  OpenScans<typename decltype(db->NewScan(lo, hi, projection))::element_type> scans;
-  for (size_t i = 0; i < std::size(kBatchSizes); ++i) {
-    scans.batches.push_back(db->NewScan(lo, hi, projection));
-  }
-  scans.cursor = db->NewScan(lo, hi, projection);
-  scans.aggregate = db->NewScan(lo, hi, projection);
-  return scans;
-}
-
-/// Drains every scan of `scans` and checks each against `want`.
-template <typename Scans>
-void ExpectScansMatch(Scans* scans, const Rows& want, size_t width) {
-  for (size_t i = 0; i < std::size(kBatchSizes); ++i) {
-    SCOPED_TRACE("NextBatch " + std::to_string(kBatchSizes[i]));
-    auto& scan = scans->batches[i];
-    ASSERT_NE(scan, nullptr);
-    Rows got;
-    ScanBatch batch;
-    while (scan->NextBatch(&batch, kBatchSizes[i]) > 0) AppendBatch(batch, &got);
-    ASSERT_TRUE(scan->status().ok()) << scan->status().ToString();
-    EXPECT_EQ(got, want);
-  }
-  {
-    SCOPED_TRACE("row cursor");
-    auto& scan = scans->cursor;
-    ASSERT_NE(scan, nullptr);
-    Rows got;
-    for (; scan->Valid(); scan->Next()) {
-      got.keys.push_back(scan->key());
-      got.values.push_back(scan->values());
-    }
-    ASSERT_TRUE(scan->status().ok()) << scan->status().ToString();
-    EXPECT_EQ(got, want);
-  }
-  {
-    SCOPED_TRACE("AggregateAll");
-    auto& scan = scans->aggregate;
-    ASSERT_NE(scan, nullptr);
-    ScanAggregates got;
-    ASSERT_TRUE(scan->AggregateAll(&got).ok());
-    const ScanAggregates fold = Fold(want, width);
-    EXPECT_EQ(got.rows, fold.rows);
-    EXPECT_EQ(got.counts, fold.counts);
-    EXPECT_EQ(got.sums, fold.sums);
-    EXPECT_EQ(got.minima, fold.minima);
-    EXPECT_EQ(got.maxima, fold.maxima);
-  }
 }
 
 struct ScanCase {
@@ -243,22 +114,20 @@ class InterleavedLevelsTest : public ::testing::TestWithParam<bool> {
     for (int c = 1; c <= kColumns; ++c) row[c - 1] = CellValue(key, version, c);
     const Status s = sharded_ ? sharded_->Insert(key, row) : db_->Insert(key, row);
     ASSERT_TRUE(s.ok());
-    auto& cells = model_[key];
-    cells.clear();
-    for (int c = 1; c <= kColumns; ++c) cells[c] = row[c - 1];
+    model_.Insert(key, row);
   }
 
   void Update(uint64_t key, int column, ColumnValue value) {
     const Status s = sharded_ ? sharded_->Update(key, {{column, value}})
                               : db_->Update(key, {{column, value}});
     ASSERT_TRUE(s.ok());
-    model_[key][column] = value;
+    model_.Update(key, {{column, value}});
   }
 
   void Delete(uint64_t key) {
     const Status s = sharded_ ? sharded_->Delete(key) : db_->Delete(key);
     ASSERT_TRUE(s.ok());
-    model_.erase(key);
+    model_.Delete(key);
   }
 
   void Compact() {
@@ -301,9 +170,7 @@ class InterleavedLevelsTest : public ::testing::TestWithParam<bool> {
                        .append(std::to_string(c.hi))
                        .append("] width ")
                        .append(std::to_string(c.projection.size())));
-      auto scans = OpenAll(db, c.lo, c.hi, c.projection);
-      ExpectScansMatch(&scans, ModelScan(model_, c.lo, c.hi, c.projection),
-                       c.projection.size());
+      test::ExpectScanMatches(db, model_, c.lo, c.hi, c.projection);
     }
   }
 
@@ -319,10 +186,12 @@ class InterleavedLevelsTest : public ::testing::TestWithParam<bool> {
   /// checks the scans against the model as it was when they were opened.
   template <typename Db>
   void CheckSnapshotCut(Db* db) {
-    using Scans = decltype(OpenAll(db, 0, 0, ColumnSet{1}));
+    using Scans = decltype(test::OpenConsumerScans(db, 0, 0, ColumnSet{1}));
     std::vector<Scans> open;
-    for (const ScanCase& c : Cases()) open.push_back(OpenAll(db, c.lo, c.hi, c.projection));
-    const Model frozen = model_;
+    for (const ScanCase& c : Cases()) {
+      open.push_back(test::OpenConsumerScans(db, c.lo, c.hi, c.projection));
+    }
+    const test::Model frozen = model_;
     Random rng(7);
     for (int i = 0; i < 300; ++i) RollingOp(&rng);
     ASSERT_TRUE(db->Flush().ok());
@@ -330,9 +199,8 @@ class InterleavedLevelsTest : public ::testing::TestWithParam<bool> {
     const std::vector<ScanCase> cases = Cases();
     for (size_t i = 0; i < cases.size(); ++i) {
       SCOPED_TRACE("snapshot cut, case " + std::to_string(i));
-      ExpectScansMatch(&open[i], ModelScan(frozen, cases[i].lo, cases[i].hi,
-                                           cases[i].projection),
-                       cases[i].projection.size());
+      const ScanCase& c = cases[i];
+      test::ExpectScanMatches(&open[i], test::Expected(frozen, c.lo, c.hi, c.projection));
     }
   }
 
@@ -350,7 +218,7 @@ class InterleavedLevelsTest : public ::testing::TestWithParam<bool> {
   std::unique_ptr<Env> env_;
   std::unique_ptr<LaserDB> db_;
   std::unique_ptr<ShardedLaserDB> sharded_;
-  Model model_;
+  test::Model model_;
   std::vector<uint64_t> version_;
   uint64_t next_slot_ = 0;
 };
@@ -379,17 +247,11 @@ TEST_P(InterleavedLevelsTest, TiedRowsMergeAtRunGranularity) {
   Load();
   const ColumnSet crossing = MakeColumnRange(5, 12);
   const auto [zip_before, resifts_before] = ZipRowsAndResifts();
-  Rows got;
-  {
-    auto scan = sharded_ ? nullptr : db_->NewScan(0, kKeyDomain, crossing);
-    auto sharded_scan = sharded_ ? sharded_->NewScan(0, kKeyDomain, crossing) : nullptr;
-    ScanBatch batch;
-    while ((scan ? scan->NextBatch(&batch) : sharded_scan->NextBatch(&batch)) > 0) {
-      AppendBatch(batch, &got);
-    }
-  }
+  const test::Rows got =
+      sharded_ ? test::DrainBatches(sharded_->NewScan(0, kKeyDomain, crossing).get())
+               : test::DrainBatches(db_->NewScan(0, kKeyDomain, crossing).get());
   const auto [zip_after, resifts_after] = ZipRowsAndResifts();
-  EXPECT_EQ(got, ModelScan(model_, 0, kKeyDomain, crossing));
+  test::ExpectSameRows(got, test::Expected(model_, 0, kKeyDomain, crossing));
   EXPECT_GT(zip_after - zip_before, 0u);
   EXPECT_LT(resifts_after - resifts_before, sharded_ ? 7068u : 6226u);
 }

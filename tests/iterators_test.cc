@@ -99,8 +99,8 @@ class VersionMergerTest : public ::testing::Test {
   MergedEntry Tombstone(SequenceNumber seq) { return {kTypeDeletion, seq, ""}; }
 
   /// The entries VersionMerger::Fold leaves to emit, newest first.
-  static std::vector<MergedEntry> Fold(VersionMerger& merger,
-                                       std::vector<MergedEntry> versions) {
+  static std::vector<MergedEntry> FoldVersions(VersionMerger& merger,
+                                               std::vector<MergedEntry> versions) {
     versions.resize(merger.Fold(&versions, versions.size()));
     return versions;
   }
@@ -112,7 +112,7 @@ class VersionMergerTest : public ::testing::Test {
 
 TEST_F(VersionMergerTest, NewestFullAbsorbsOlder) {
   VersionMerger merger(&codec_, cg_, {}, /*bottom_level=*/false);
-  auto out = Fold(merger, {Full(10, 100), Full(5, 500), Partial(3, {{1, 1}})});
+  auto out = FoldVersions(merger, {Full(10, 100), Full(5, 500), Partial(3, {{1, 1}})});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].sequence, 10u);
   EXPECT_EQ(out[0].type, kTypeFullRow);
@@ -120,7 +120,7 @@ TEST_F(VersionMergerTest, NewestFullAbsorbsOlder) {
 
 TEST_F(VersionMergerTest, PartialMergesIntoOlderFull) {
   VersionMerger merger(&codec_, cg_, {}, false);
-  auto out = Fold(merger, {Partial(10, {{2, 999}}), Full(5, 100)});
+  auto out = FoldVersions(merger, {Partial(10, {{2, 999}}), Full(5, 100)});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].type, kTypeFullRow);
   EXPECT_EQ(out[0].sequence, 10u);
@@ -132,7 +132,7 @@ TEST_F(VersionMergerTest, PartialMergesIntoOlderFull) {
 
 TEST_F(VersionMergerTest, PartialsMergeTogether) {
   VersionMerger merger(&codec_, cg_, {}, false);
-  auto out = Fold(merger, {Partial(10, {{2, 22}}), Partial(8, {{3, 33}})});
+  auto out = FoldVersions(merger, {Partial(10, {{2, 22}}), Partial(8, {{3, 33}})});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].type, kTypePartialRow);
   std::vector<ColumnValuePair> vals;
@@ -144,20 +144,20 @@ TEST_F(VersionMergerTest, PartialsMergeTogether) {
 
 TEST_F(VersionMergerTest, TombstoneAbsorbsOlderAndSurvivesMidLevels) {
   VersionMerger merger(&codec_, cg_, {}, false);
-  auto out = Fold(merger, {Tombstone(10), Full(5, 100)});
+  auto out = FoldVersions(merger, {Tombstone(10), Full(5, 100)});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].type, kTypeDeletion);
 }
 
 TEST_F(VersionMergerTest, TombstoneDroppedAtBottom) {
   VersionMerger merger(&codec_, cg_, {}, /*bottom_level=*/true);
-  auto out = Fold(merger, {Tombstone(10), Full(5, 100)});
+  auto out = FoldVersions(merger, {Tombstone(10), Full(5, 100)});
   EXPECT_TRUE(out.empty());
 }
 
 TEST_F(VersionMergerTest, PartialOverTombstoneKeepsBoth) {
   VersionMerger merger(&codec_, cg_, {}, false);
-  auto out = Fold(merger, {Partial(10, {{1, 1}}), Tombstone(5), Full(2, 100)});
+  auto out = FoldVersions(merger, {Partial(10, {{1, 1}}), Tombstone(5), Full(2, 100)});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].type, kTypePartialRow);
   EXPECT_EQ(out[1].type, kTypeDeletion);
@@ -165,7 +165,7 @@ TEST_F(VersionMergerTest, PartialOverTombstoneKeepsBoth) {
 
 TEST_F(VersionMergerTest, PartialOverTombstoneCollapsesAtBottom) {
   VersionMerger merger(&codec_, cg_, {}, true);
-  auto out = Fold(merger, {Partial(10, {{1, 1}}), Tombstone(5), Full(2, 100)});
+  auto out = FoldVersions(merger, {Partial(10, {{1, 1}}), Tombstone(5), Full(2, 100)});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].type, kTypePartialRow);  // absent columns are null
 }
@@ -173,7 +173,7 @@ TEST_F(VersionMergerTest, PartialOverTombstoneCollapsesAtBottom) {
 TEST_F(VersionMergerTest, SnapshotBoundaryPreservesVersions) {
   // Snapshot at seq 6 must keep the pre-snapshot version visible.
   VersionMerger merger(&codec_, cg_, {6}, false);
-  auto out = Fold(merger, {Full(10, 100), Full(5, 500)});
+  auto out = FoldVersions(merger, {Full(10, 100), Full(5, 500)});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].sequence, 10u);
   EXPECT_EQ(out[1].sequence, 5u);
@@ -181,7 +181,7 @@ TEST_F(VersionMergerTest, SnapshotBoundaryPreservesVersions) {
 
 TEST_F(VersionMergerTest, SameStripeMergesDespiteSnapshotElsewhere) {
   VersionMerger merger(&codec_, cg_, {100}, false);
-  auto out = Fold(merger, {Full(10, 100), Full(5, 500)});
+  auto out = FoldVersions(merger, {Full(10, 100), Full(5, 500)});
   ASSERT_EQ(out.size(), 1u);  // both below the snapshot -> same stripe
 }
 

@@ -5,13 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "laser/laser_db.h"
+#include "tests/model.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -270,8 +269,7 @@ TEST_P(LaserDbTest, PartialUpdateAfterDeleteResurrectsOnlyThoseColumns) {
 
 TEST_P(LaserDbTest, RandomizedAgainstReferenceModel) {
   Random rng(2024);
-  // model[key] = per-column optional values (nullopt = null).
-  std::map<uint64_t, std::vector<std::optional<ColumnValue>>> model;
+  test::Model model;
 
   for (int op = 0; op < 6000; ++op) {
     const uint64_t key = rng.Uniform(400);
@@ -279,69 +277,26 @@ TEST_P(LaserDbTest, RandomizedAgainstReferenceModel) {
     if (action < 5) {  // insert
       auto row = Row(key + rng.Uniform(1000) * 1000);
       ASSERT_TRUE(db_->Insert(key, row).ok());
-      auto& m = model[key];
-      m.assign(kColumns, std::nullopt);
-      for (int c = 0; c < kColumns; ++c) m[c] = row[c];
+      model.Insert(key, row);
     } else if (action < 8) {  // partial update
       const int col = 1 + static_cast<int>(rng.Uniform(kColumns));
       const ColumnValue value = rng.Next() % 100000;
       ASSERT_TRUE(db_->Update(key, {{col, value}}).ok());
-      auto it = model.find(key);
-      if (it == model.end()) {
-        model[key].assign(kColumns, std::nullopt);
-      }
-      model[key][col - 1] = value;
+      model.Update(key, {{col, value}});
     } else if (action < 9) {  // delete
       ASSERT_TRUE(db_->Delete(key).ok());
-      model.erase(key);
+      model.Delete(key);
     } else if (op % 500 == 9) {  // occasional forced compaction
       ASSERT_TRUE(db_->CompactUntilStable().ok());
     }
   }
   ASSERT_TRUE(db_->CompactUntilStable().ok());
 
-  // Full verification: every key, full projection.
-  for (uint64_t key = 0; key < 400; ++key) {
-    LaserDB::ReadResult result;
-    ASSERT_TRUE(db_->Read(key, MakeColumnRange(1, kColumns), &result).ok());
-    auto it = model.find(key);
-    const bool expect_found =
-        it != model.end() &&
-        std::any_of(it->second.begin(), it->second.end(),
-                    [](const auto& v) { return v.has_value(); });
-    ASSERT_EQ(result.found, expect_found) << "key " << key;
-    if (expect_found) {
-      for (int c = 0; c < kColumns; ++c) {
-        ASSERT_EQ(result.values[c], it->second[c]) << "key " << key << " col " << c;
-      }
-    }
-  }
-
-  // Scan verification.
-  auto scan = db_->NewScan(0, 399, MakeColumnRange(1, kColumns));
-  ASSERT_NE(scan, nullptr);
-  auto expected = model.begin();
-  for (; scan->Valid(); scan->Next()) {
-    // Skip model rows that are all-null (deleted-then-updated corner).
-    while (expected != model.end() &&
-           std::none_of(expected->second.begin(), expected->second.end(),
-                        [](const auto& v) { return v.has_value(); })) {
-      ++expected;
-    }
-    ASSERT_NE(expected, model.end());
-    EXPECT_EQ(scan->key(), expected->first);
-    for (int c = 0; c < kColumns; ++c) {
-      EXPECT_EQ(scan->values()[c], expected->second[c])
-          << "key " << expected->first << " col " << c;
-    }
-    ++expected;
-  }
-  while (expected != model.end() &&
-         std::none_of(expected->second.begin(), expected->second.end(),
-                      [](const auto& v) { return v.has_value(); })) {
-    ++expected;
-  }
-  EXPECT_EQ(expected, model.end());
+  // Full verification: every key, full projection, then one scan through
+  // every consumer.
+  const ColumnSet all = MakeColumnRange(1, kColumns);
+  ASSERT_NO_FATAL_FAILURE(test::ExpectReadsMatch(db_.get(), model, 0, 399, all));
+  test::ExpectScanMatches(db_.get(), model, 0, 399, all);
 }
 
 TEST_P(LaserDbTest, StatsCountBlockReads) {

@@ -33,21 +33,15 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "laser/laser_db.h"
+#include "tests/model.h"
 #include "tests/test_util.h"
 #include "util/env_fault.h"
 
 namespace laser::test {
-
-/// Expected row state, parallel to columns 1..kColumns.
-using RowState = std::vector<std::optional<ColumnValue>>;
-/// Reference model of the acknowledged database state.
-using Model = std::map<uint64_t, RowState>;
 
 /// One script phase mapped onto the mutating-op index range it produced.
 struct PhaseSpan {
@@ -122,23 +116,19 @@ class RecoveryHarness {
     };
     auto insert = [&](uint64_t key) {
       if (!db->Insert(key, TestRow(key, kColumns)).ok()) return false;
-      RowState row(kColumns);
-      for (int c = 1; c <= kColumns; ++c) row[c - 1] = key * 100 + c;
-      out.model[key] = std::move(row);
+      out.model.Insert(key, TestRow(key, kColumns));
       out.snapshots.push_back(out.model);
       return true;
     };
     auto update = [&](uint64_t key, const std::vector<ColumnValuePair>& values) {
       if (!db->Update(key, values).ok()) return false;
-      RowState& row = out.model[key];
-      row.resize(kColumns);
-      for (const auto& pair : values) row[pair.column - 1] = pair.value;
+      out.model.Update(key, values);
       out.snapshots.push_back(out.model);
       return true;
     };
     auto remove = [&](uint64_t key) {
       if (!db->Delete(key).ok()) return false;
-      out.model.erase(key);
+      out.model.Delete(key);
       out.snapshots.push_back(out.model);
       return true;
     };
@@ -189,57 +179,29 @@ class RecoveryHarness {
     return out;
   }
 
-  /// Asserts the reopened database matches `model` exactly over the key
-  /// universe: every acknowledged write survived, nothing unacknowledged
+  /// Asserts the reopened database (a LaserDB or a ShardedLaserDB) matches
+  /// `model` exactly over the key universe: point reads of every key,
+  /// including never-written and deleted ones, and one scan through every
+  /// consumer. Every acknowledged write survived; nothing unacknowledged
   /// resurrected.
-  static void VerifyMatchesModel(LaserDB* db, const Model& model) {
+  template <typename Db>
+  static void VerifyMatchesModel(Db* db, const Model& model) {
     const ColumnSet all = MakeColumnRange(1, kColumns);
-
-    // Point reads over the whole key universe (including never-written and
-    // deleted keys).
-    for (uint64_t key = 1; key <= kMaxKey; ++key) {
-      LaserDB::ReadResult result;
-      ASSERT_TRUE(db->Read(key, all, &result).ok()) << "key " << key;
-      auto it = model.find(key);
-      if (it == model.end()) {
-        EXPECT_FALSE(result.found) << "unacked key " << key << " resurrected";
-        continue;
-      }
-      ASSERT_TRUE(result.found) << "acked key " << key << " lost";
-      for (int c = 0; c < kColumns; ++c) {
-        ASSERT_EQ(result.values[c], it->second[c])
-            << "key " << key << " column " << (c + 1);
-      }
-    }
-
-    // One full scan: key sequence must match the model exactly.
-    auto scan = db->NewScan(1, kMaxKey, all);
-    ASSERT_NE(scan, nullptr);
-    auto it = model.begin();
-    for (; scan->Valid(); scan->Next(), ++it) {
-      ASSERT_NE(it, model.end()) << "scan emitted extra key " << scan->key();
-      EXPECT_EQ(scan->key(), it->first);
-      for (int c = 0; c < kColumns; ++c) {
-        ASSERT_EQ(scan->values()[c], it->second[c])
-            << "scan key " << it->first << " column " << (c + 1);
-      }
-    }
-    ASSERT_TRUE(scan->status().ok());
-    EXPECT_EQ(it, model.end()) << "scan lost keys from " << it->first;
+    ASSERT_NO_FATAL_FAILURE(ExpectReadsMatch(db, model, 1, kMaxKey, all));
+    ExpectScanMatches(db, model, 1, kMaxKey, all);
   }
 
   /// Reads the whole key universe into a Model via one full scan.
   static Model DumpModel(LaserDB* db) {
     Model state;
-    const ColumnSet all = MakeColumnRange(1, kColumns);
-    auto scan = db->NewScan(1, kMaxKey, all);
-    EXPECT_NE(scan, nullptr);
-    for (; scan->Valid(); scan->Next()) {
-      RowState row(kColumns);
-      for (int c = 0; c < kColumns; ++c) row[c] = scan->values()[c];
-      state[scan->key()] = std::move(row);
+    const auto scan = db->NewScan(1, kMaxKey, MakeColumnRange(1, kColumns));
+    for (const ResultRow& row : DrainCursor(scan.get())) {
+      std::vector<ColumnValuePair> values;
+      for (size_t c = 0; c < row.values.size(); ++c) {
+        if (row.values[c]) values.push_back({static_cast<int>(c) + 1, *row.values[c]});
+      }
+      state.Update(row.key, values);
     }
-    EXPECT_TRUE(scan->status().ok());
     return state;
   }
 
@@ -261,7 +223,7 @@ class RecoveryHarness {
         return;
       }
     }
-    ADD_FAILURE() << "recovered state (" << state.size()
+    ADD_FAILURE() << "recovered state (" << state.rows().size()
                   << " keys) matches no acknowledged prefix of the script";
   }
 

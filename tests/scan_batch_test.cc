@@ -1,20 +1,17 @@
-// Randomized differential test of the batched scan path: NextBatch (at many
-// batch sizes, including sizes that straddle key runs) must agree exactly
-// with the per-row cursor AND with a naive in-memory model, across random
-// workloads of inserts / partial updates / deletes, flush/compaction cuts,
-// several CG designs, and snapshot isolation (a scan opened before later
-// writes must not see them).
+// The batched scan path's targeted cases: empty ranges, batch capacity,
+// zip-path trees whose column groups diverge mid-run, pushdown API errors,
+// zone-map aggregation folds, and scans that merge nothing at open. The
+// randomized differential history lives in model_sweep_test; every check
+// here goes through the same consumers and model (tests/model.h).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
-#include <optional>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "laser/laser_db.h"
 #include "laser/sharded_laser_db.h"
+#include "tests/model.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -24,426 +21,6 @@ namespace {
 constexpr int kColumns = 10;
 constexpr int kLevels = 5;
 constexpr uint64_t kKeySpace = 700;
-
-// column id -> value; a key absent from the model is deleted/never written.
-using ModelRow = std::map<int, uint64_t>;
-using Model = std::map<uint64_t, ModelRow>;
-
-struct ResultRow {
-  uint64_t key = 0;
-  std::vector<std::optional<ColumnValue>> values;
-
-  bool operator==(const ResultRow&) const = default;
-};
-
-std::string Describe(const std::vector<ResultRow>& rows, size_t limit = 5) {
-  std::ostringstream out;
-  out << rows.size() << " rows:";
-  for (size_t i = 0; i < rows.size() && i < limit; ++i) {
-    out << " " << rows[i].key << "(";
-    for (const auto& v : rows[i].values) {
-      if (v.has_value()) {
-        out << *v << ",";
-      } else {
-        out << "null,";
-      }
-    }
-    out << ")";
-  }
-  return out.str();
-}
-
-/// What the engine must return for [lo, hi] with `projection`: rows in key
-/// order where at least one projected column has a value; other projected
-/// columns are null.
-std::vector<ResultRow> ModelScan(const Model& model, uint64_t lo, uint64_t hi,
-                                 const ColumnSet& projection) {
-  std::vector<ResultRow> out;
-  for (auto it = model.lower_bound(lo); it != model.end() && it->first <= hi;
-       ++it) {
-    ResultRow row;
-    row.key = it->first;
-    bool any = false;
-    for (const int column : projection) {
-      auto v = it->second.find(column);
-      if (v != it->second.end()) {
-        row.values.emplace_back(v->second);
-        any = true;
-      } else {
-        row.values.emplace_back(std::nullopt);
-      }
-    }
-    if (any) out.push_back(std::move(row));
-  }
-  return out;
-}
-
-std::vector<ResultRow> RowApiScan(LaserDB* db, uint64_t lo, uint64_t hi,
-                                  const ColumnSet& projection) {
-  std::vector<ResultRow> out;
-  auto scan = db->NewScan(lo, hi, projection);
-  EXPECT_NE(scan, nullptr);
-  for (; scan->Valid(); scan->Next()) {
-    out.push_back(ResultRow{scan->key(), scan->values()});
-  }
-  EXPECT_TRUE(scan->status().ok());
-  return out;
-}
-
-std::vector<ResultRow> BatchApiScan(LaserDB* db, uint64_t lo, uint64_t hi,
-                                    const ColumnSet& projection,
-                                    size_t batch_rows) {
-  std::vector<ResultRow> out;
-  auto scan = db->NewScan(lo, hi, projection);
-  EXPECT_NE(scan, nullptr);
-  ScanBatch batch;
-  while (size_t n = scan->NextBatch(&batch, batch_rows)) {
-    EXPECT_LE(n, batch_rows);
-    EXPECT_EQ(batch.size(), n);
-    for (size_t i = 0; i < n; ++i) {
-      ResultRow row;
-      row.key = batch.keys[i];
-      for (size_t c = 0; c < projection.size(); ++c) {
-        if (batch.columns[c].present[i]) {
-          row.values.emplace_back(batch.columns[c].values[i]);
-        } else {
-          row.values.emplace_back(std::nullopt);
-        }
-      }
-      out.push_back(std::move(row));
-    }
-  }
-  EXPECT_TRUE(scan->status().ok());
-  return out;
-}
-
-/// Filter-after-materialize reference for pushdown: keep the model rows where
-/// every predicate matches its column's projected value (null fails, AND
-/// semantics) — exactly what the engine must compute below materialization.
-std::vector<ResultRow> FilterRows(std::vector<ResultRow> rows,
-                                  const ColumnSet& projection,
-                                  const ScanSpec& spec) {
-  std::vector<ResultRow> out;
-  for (auto& row : rows) {
-    bool match = true;
-    for (const ScanPredicate& pred : spec.predicates) {
-      const auto it =
-          std::lower_bound(projection.begin(), projection.end(), pred.column);
-      const size_t pos = static_cast<size_t>(it - projection.begin());
-      const auto& value = row.values[pos];
-      if (!value.has_value() || !PredicateMatches(pred, *value)) {
-        match = false;
-        break;
-      }
-    }
-    if (match) out.push_back(std::move(row));
-  }
-  return out;
-}
-
-std::vector<ResultRow> PredRowApiScan(LaserDB* db, uint64_t lo, uint64_t hi,
-                                      const ColumnSet& projection,
-                                      const ScanSpec& spec) {
-  std::vector<ResultRow> out;
-  auto scan = db->NewScan(lo, hi, projection, spec);
-  EXPECT_NE(scan, nullptr);
-  for (; scan->Valid(); scan->Next()) {
-    out.push_back(ResultRow{scan->key(), scan->values()});
-  }
-  EXPECT_TRUE(scan->status().ok());
-  return out;
-}
-
-std::vector<ResultRow> PredBatchApiScan(LaserDB* db, uint64_t lo, uint64_t hi,
-                                        const ColumnSet& projection,
-                                        const ScanSpec& spec,
-                                        size_t batch_rows) {
-  std::vector<ResultRow> out;
-  auto scan = db->NewScan(lo, hi, projection, spec);
-  EXPECT_NE(scan, nullptr);
-  ScanBatch batch;
-  while (size_t n = scan->NextBatch(&batch, batch_rows)) {
-    EXPECT_LE(n, batch_rows);
-    for (size_t i = 0; i < n; ++i) {
-      ResultRow row;
-      row.key = batch.keys[i];
-      for (size_t c = 0; c < projection.size(); ++c) {
-        if (batch.columns[c].present[i]) {
-          row.values.emplace_back(batch.columns[c].values[i]);
-        } else {
-          row.values.emplace_back(std::nullopt);
-        }
-      }
-      out.push_back(std::move(row));
-    }
-  }
-  EXPECT_TRUE(scan->status().ok());
-  return out;
-}
-
-/// Folds the reference rows into the aggregates AggregateAll must return.
-ScanAggregates FoldRows(const std::vector<ResultRow>& rows, size_t width) {
-  ScanAggregates aggs;
-  aggs.counts.assign(width, 0);
-  aggs.sums.assign(width, 0);
-  aggs.minima.assign(width, UINT64_MAX);
-  aggs.maxima.assign(width, 0);
-  aggs.rows = rows.size();
-  for (const ResultRow& row : rows) {
-    for (size_t c = 0; c < width; ++c) {
-      if (!row.values[c].has_value()) continue;
-      const uint64_t v = *row.values[c];
-      ++aggs.counts[c];
-      aggs.sums[c] += v;
-      aggs.minima[c] = std::min(aggs.minima[c], v);
-      aggs.maxima[c] = std::max(aggs.maxima[c], v);
-    }
-  }
-  return aggs;
-}
-
-/// Differentially checks the pushdown plans (batched, per-row, aggregated)
-/// against filter-after-materialize over the model.
-void CheckPushdownStyles(LaserDB* db, const Model& model, uint64_t lo,
-                         uint64_t hi, const ColumnSet& projection,
-                         const ScanSpec& spec, const char* what) {
-  const auto expected =
-      FilterRows(ModelScan(model, lo, hi, projection), projection, spec);
-  const auto via_rows = PredRowApiScan(db, lo, hi, projection, spec);
-  ASSERT_EQ(via_rows, expected)
-      << what << ": predicated row API mismatch [" << lo << "," << hi
-      << "] got " << Describe(via_rows) << " want " << Describe(expected);
-  for (const size_t batch_rows : {size_t{1}, size_t{7}, size_t{64},
-                                  size_t{1024}}) {
-    const auto via_batch =
-        PredBatchApiScan(db, lo, hi, projection, spec, batch_rows);
-    ASSERT_EQ(via_batch, expected)
-        << what << ": predicated batch API mismatch batch_rows=" << batch_rows
-        << " [" << lo << "," << hi << "] got " << Describe(via_batch)
-        << " want " << Describe(expected);
-  }
-
-  const ScanAggregates want = FoldRows(expected, projection.size());
-  auto scan = db->NewScan(lo, hi, projection, spec);
-  ASSERT_NE(scan, nullptr);
-  ScanAggregates got;
-  ASSERT_TRUE(scan->AggregateAll(&got).ok());
-  ASSERT_EQ(got.rows, want.rows) << what << ": aggregate row count";
-  ASSERT_EQ(got.counts, want.counts) << what << ": aggregate counts";
-  ASSERT_EQ(got.sums, want.sums) << what << ": aggregate sums";
-  ASSERT_EQ(got.minima, want.minima) << what << ": aggregate minima";
-  ASSERT_EQ(got.maxima, want.maxima) << what << ": aggregate maxima";
-}
-
-/// A random 1-2 conjunct spec over `projection`. Operands are drawn from the
-/// value domain, sometimes from an actual stored value so kEq/kNe hit.
-ScanSpec RandomSpec(Random* rng, const Model& model,
-                    const ColumnSet& projection) {
-  ScanSpec spec;
-  const int conjuncts = 1 + static_cast<int>(rng->Uniform(2));
-  for (int i = 0; i < conjuncts; ++i) {
-    ScanPredicate pred;
-    pred.column = projection[rng->Uniform(projection.size())];
-    pred.op = static_cast<PredOp>(rng->Uniform(7));
-    pred.operand = rng->Uniform(1u << 30);
-    if (!model.empty() && rng->Uniform(3) == 0) {
-      auto it = model.lower_bound(rng->Uniform(kKeySpace));
-      if (it == model.end()) it = model.begin();
-      const auto v = it->second.find(pred.column);
-      if (v != it->second.end()) pred.operand = v->second;
-    }
-    if (pred.op == PredOp::kBetween) {
-      pred.operand2 = pred.operand + rng->Uniform(1u << 28);
-    }
-    spec.predicates.push_back(pred);
-  }
-  return spec;
-}
-
-class ScanBatchDifferentialTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ScanBatchDifferentialTest, BatchMatchesRowMatchesModel) {
-  const int seed = GetParam();
-  Random rng(0x5ca4ba7c + static_cast<uint64_t>(seed) * 7919);
-
-  // Rotate the design with the seed so row-only, the many-small-CG zip
-  // shapes (size 2 and 3), and the hybrid/simulated-columnar layouts all get
-  // differential coverage.
-  const std::vector<test::DesignParam> designs = {
-      {"row", 0}, {"cg2", 2}, {"cg3", 3}, {"htap", -1}, {"col", 1}};
-  const test::DesignParam& design = designs[seed % designs.size()];
-
-  auto env = NewMemEnv();
-  LaserOptions options = test::TinyTreeOptions(env.get(), "/db", kColumns,
-                                               kLevels);
-  options.cg_config = test::DesignConfig(design, kColumns, kLevels);
-  options.background_threads = 2;
-  std::unique_ptr<LaserDB> db;
-  ASSERT_TRUE(LaserDB::Open(options, &db).ok());
-
-  Model model;
-  const int ops = 1600;
-  for (int op = 0; op < ops; ++op) {
-    const uint64_t key = rng.Uniform(kKeySpace);
-    const uint32_t kind = rng.Uniform(10);
-    if (kind < 6) {
-      std::vector<ColumnValue> row(kColumns);
-      for (int c = 0; c < kColumns; ++c) row[c] = rng.Uniform(1u << 30);
-      ASSERT_TRUE(db->Insert(key, row).ok());
-      ModelRow& mrow = model[key];
-      mrow.clear();
-      for (int c = 0; c < kColumns; ++c) mrow[c + 1] = row[c];
-    } else if (kind < 8) {
-      // Partial update of a random sorted column subset (also resurrects
-      // columns of deleted keys, like the engine's merge semantics).
-      std::vector<ColumnValuePair> values;
-      for (int c = 1; c <= kColumns; ++c) {
-        if (rng.Uniform(4) == 0) {
-          values.push_back({c, rng.Uniform(1u << 30)});
-        }
-      }
-      if (values.empty()) values.push_back({1, rng.Uniform(1u << 30)});
-      ASSERT_TRUE(db->Update(key, values).ok());
-      ModelRow& mrow = model[key];
-      for (const auto& pair : values) mrow[pair.column] = pair.value;
-    } else if (kind < 9) {
-      ASSERT_TRUE(db->Delete(key).ok());
-      model.erase(key);
-    } else if (rng.Uniform(4) == 0) {
-      ASSERT_TRUE(db->Flush().ok());
-    }
-    // Differential checks both mid-stream (memtable + L0 heavy) and after
-    // full compaction (deep CG runs, the fast-path steady state).
-    const bool mid_check = op == ops / 2;
-    const bool final_check = op == ops - 1;
-    if (!mid_check && !final_check) continue;
-    if (final_check) {
-      ASSERT_TRUE(db->CompactUntilStable().ok());
-    }
-
-    for (int check = 0; check < 8; ++check) {
-      const uint64_t lo = rng.Uniform(kKeySpace);
-      const uint64_t hi = lo + 1 + rng.Uniform(kKeySpace / 2);
-      ColumnSet projection;
-      switch (rng.Uniform(3)) {
-        case 0:
-          projection = {static_cast<int>(rng.Uniform(kColumns)) + 1};
-          break;
-        case 1:
-          projection = MakeColumnRange(1, kColumns);
-          break;
-        default: {
-          for (int c = 1; c <= kColumns; ++c) {
-            if (rng.Uniform(2) == 0) projection.push_back(c);
-          }
-          if (projection.empty()) projection = {kColumns};
-          break;
-        }
-      }
-      const auto expected = ModelScan(model, lo, hi, projection);
-      const auto via_rows = RowApiScan(db.get(), lo, hi, projection);
-      ASSERT_EQ(via_rows, expected)
-          << "row API mismatch seed=" << seed << " design=" << design.name
-          << " [" << lo << "," << hi << "] got " << Describe(via_rows)
-          << " want " << Describe(expected);
-      // Batch sizes chosen to straddle run and batch boundaries: 1 (pure
-      // row-at-a-time through the batch engine), tiny primes, and larger
-      // than most ranges.
-      for (const size_t batch_rows : {size_t{1}, size_t{3}, size_t{7},
-                                      size_t{64}, size_t{1024}}) {
-        const auto via_batch =
-            BatchApiScan(db.get(), lo, hi, projection, batch_rows);
-        ASSERT_EQ(via_batch, expected)
-            << "batch API mismatch seed=" << seed << " design=" << design.name
-            << " batch_rows=" << batch_rows << " [" << lo << "," << hi
-            << "] got " << Describe(via_batch) << " want "
-            << Describe(expected);
-      }
-      // Pushdown differential: the same range under a random predicate spec,
-      // checked across all three consumption styles (batched, per-row,
-      // aggregated) against filter-after-materialize over the model.
-      const ScanSpec spec = RandomSpec(&rng, model, projection);
-      ASSERT_NO_FATAL_FAILURE(CheckPushdownStyles(db.get(), model, lo, hi,
-                                                  projection, spec,
-                                                  "pushdown rotation"))
-          << "seed=" << seed << " design=" << design.name;
-    }
-  }
-
-  // Snapshot cut: a scan pins its read point at NewScan time; writes applied
-  // afterwards must stay invisible to both consumption styles.
-  const Model frozen = model;
-  const ColumnSet full_proj = MakeColumnRange(1, kColumns);
-  ScanSpec pinned_spec;
-  pinned_spec.predicates.push_back(
-      {1 + static_cast<int>(rng.Uniform(kColumns)), PredOp::kGe,
-       rng.Uniform(1u << 30)});
-  auto pinned_rows = db->NewScan(0, kKeySpace, MakeColumnRange(1, kColumns));
-  auto pinned_batch = db->NewScan(0, kKeySpace, MakeColumnRange(1, kColumns));
-  auto pinned_pred = db->NewScan(0, kKeySpace, full_proj, pinned_spec);
-  ASSERT_NE(pinned_pred, nullptr);
-  for (int i = 0; i < 200; ++i) {
-    const uint64_t key = rng.Uniform(kKeySpace);
-    if (rng.Uniform(3) == 0) {
-      ASSERT_TRUE(db->Delete(key).ok());
-    } else {
-      std::vector<ColumnValue> row(kColumns, rng.Uniform(1u << 30));
-      ASSERT_TRUE(db->Insert(key, row).ok());
-    }
-  }
-  ASSERT_TRUE(db->Flush().ok());
-
-  const auto expected = ModelScan(frozen, 0, kKeySpace,
-                                  MakeColumnRange(1, kColumns));
-  std::vector<ResultRow> via_rows;
-  for (; pinned_rows->Valid(); pinned_rows->Next()) {
-    via_rows.push_back(ResultRow{pinned_rows->key(), pinned_rows->values()});
-  }
-  ASSERT_EQ(via_rows, expected) << "snapshot cut leaked into the row cursor";
-
-  std::vector<ResultRow> via_batch;
-  ScanBatch batch;
-  while (size_t n = pinned_batch->NextBatch(&batch, 13)) {
-    for (size_t i = 0; i < n; ++i) {
-      ResultRow row;
-      row.key = batch.keys[i];
-      for (size_t c = 0; c < batch.columns.size(); ++c) {
-        if (batch.columns[c].present[i]) {
-          row.values.emplace_back(batch.columns[c].values[i]);
-        } else {
-          row.values.emplace_back(std::nullopt);
-        }
-      }
-      via_batch.push_back(std::move(row));
-    }
-  }
-  ASSERT_EQ(via_batch, expected) << "snapshot cut leaked into NextBatch";
-
-  // The predicated scan is pinned too: its pushed-down filter must run over
-  // the frozen versions, not the post-cut writes.
-  const auto pred_expected = FilterRows(
-      ModelScan(frozen, 0, kKeySpace, full_proj), full_proj, pinned_spec);
-  std::vector<ResultRow> via_pred;
-  while (size_t n = pinned_pred->NextBatch(&batch, 13)) {
-    for (size_t i = 0; i < n; ++i) {
-      ResultRow row;
-      row.key = batch.keys[i];
-      for (size_t c = 0; c < batch.columns.size(); ++c) {
-        if (batch.columns[c].present[i]) {
-          row.values.emplace_back(batch.columns[c].values[i]);
-        } else {
-          row.values.emplace_back(std::nullopt);
-        }
-      }
-      via_pred.push_back(std::move(row));
-    }
-  }
-  ASSERT_EQ(via_pred, pred_expected)
-      << "snapshot cut leaked into the predicated scan";
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ScanBatchDifferentialTest,
-                         ::testing::Range(0, 15));
 
 // A scan opened on an empty range (or empty database) terminates cleanly in
 // both styles.
@@ -503,23 +80,19 @@ TEST(ScanBatchTest, EnsureColumnCapacityRepairsDivergedVectors) {
 // -- zip-path targeted coverage: CG-size-2/3 designs where every level is a
 // stack of small column groups advancing in lockstep --
 
-/// Differentially checks every consumption style over [lo, hi] x projection.
-void CheckAllStyles(LaserDB* db, const Model& model, uint64_t lo, uint64_t hi,
+/// Every consumer over [lo, hi] x projection, plus NextBatch at sizes that
+/// straddle zip splice boundaries (up to larger than the range), so zip<->fold
+/// flips happen at batch edges.
+void CheckAllStyles(LaserDB* db, const test::Model& model, uint64_t lo, uint64_t hi,
                     const ColumnSet& projection, const char* what) {
-  const auto expected = ModelScan(model, lo, hi, projection);
-  const auto via_rows = RowApiScan(db, lo, hi, projection);
-  ASSERT_EQ(via_rows, expected)
-      << what << ": row API mismatch [" << lo << "," << hi << "] got "
-      << Describe(via_rows) << " want " << Describe(expected);
-  // Batch sizes straddle zip splice boundaries (1 row at a time up to
-  // larger than the range) so zip<->fold flips happen at batch edges.
-  for (const size_t batch_rows :
-       {size_t{1}, size_t{2}, size_t{5}, size_t{29}, size_t{173}, size_t{4096}}) {
-    const auto via_batch = BatchApiScan(db, lo, hi, projection, batch_rows);
-    ASSERT_EQ(via_batch, expected)
-        << what << ": batch API mismatch batch_rows=" << batch_rows << " ["
-        << lo << "," << hi << "] got " << Describe(via_batch) << " want "
-        << Describe(expected);
+  SCOPED_TRACE(what);
+  ASSERT_NO_FATAL_FAILURE(test::ExpectScanMatches(db, model, lo, hi, projection));
+  const test::Rows want = test::Expected(model, lo, hi, projection);
+  for (const size_t batch_rows : {size_t{2}, size_t{5}, size_t{29}, size_t{173},
+                                  size_t{4096}}) {
+    SCOPED_TRACE("NextBatch " + std::to_string(batch_rows));
+    test::ExpectSameRows(
+        test::DrainBatches(db->NewScan(lo, hi, projection).get(), batch_rows), want);
   }
 }
 
@@ -543,12 +116,12 @@ class ZipPathTest : public ::testing::TestWithParam<int> {
 TEST_P(ZipPathTest, DivergenceMidRunFromPartialUpdates) {
   auto env = NewMemEnv();
   auto db = OpenDb(env.get());
-  Model model;
+  test::Model model;
   const uint64_t n = 400;
   for (uint64_t k = 0; k < n; ++k) {
     const auto row = test::TestRow(k, kColumns);
     ASSERT_TRUE(db->Insert(k, row).ok());
-    for (int c = 0; c < kColumns; ++c) model[k][c + 1] = row[c];
+    model.Insert(k, row);
   }
   ASSERT_TRUE(db->CompactUntilStable().ok());
   // Update one column (one group) of every 17th key AFTER settling, so the
@@ -556,7 +129,7 @@ TEST_P(ZipPathTest, DivergenceMidRunFromPartialUpdates) {
   for (uint64_t k = 3; k < n; k += 17) {
     const int column = 1 + static_cast<int>(k % kColumns);
     ASSERT_TRUE(db->Update(k, {{column, k * 7}}).ok());
-    model[k][column] = k * 7;
+    model.Update(k, {{column, k * 7}});
   }
   ASSERT_TRUE(db->Flush().ok());
 
@@ -580,20 +153,20 @@ TEST_P(ZipPathTest, DivergenceMidRunFromPartialUpdates) {
 TEST_P(ZipPathTest, TombstoneInOneColumnGroupOnly) {
   auto env = NewMemEnv();
   auto db = OpenDb(env.get());
-  Model model;
+  test::Model model;
   const uint64_t n = 300;
   for (uint64_t k = 0; k < n; ++k) {
     const auto row = test::TestRow(k, kColumns);
     ASSERT_TRUE(db->Insert(k, row).ok());
-    for (int c = 0; c < kColumns; ++c) model[k][c + 1] = row[c];
+    model.Insert(k, row);
   }
   ASSERT_TRUE(db->CompactUntilStable().ok());
   for (uint64_t k = 5; k < n; k += 23) {
     ASSERT_TRUE(db->Delete(k).ok());
-    model.erase(k);
+    model.Delete(k);
     // Columns 1..cg_size form exactly the first group of every level.
     ASSERT_TRUE(db->Update(k, {{1, k + 1000}}).ok());
-    model[k][1] = k + 1000;
+    model.Update(k, {{1, k + 1000}});
   }
   ASSERT_TRUE(db->Flush().ok());
 
@@ -616,31 +189,28 @@ TEST_P(ZipPathTest, TombstoneInOneColumnGroupOnly) {
 TEST_P(ZipPathTest, ModeFlipsAcrossBatchBoundaries) {
   auto env = NewMemEnv();
   auto db = OpenDb(env.get());
-  Model model;
+  test::Model model;
   const uint64_t n = 500;
   for (uint64_t k = 0; k < n; ++k) {
     const auto row = test::TestRow(k, kColumns);
     ASSERT_TRUE(db->Insert(k, row).ok());
-    for (int c = 0; c < kColumns; ++c) model[k][c + 1] = row[c];
+    model.Insert(k, row);
   }
   // Alternating mutation islands: a delete, a partial update, and a
   // re-insert every 31 keys, flushed in two waves so versions span levels.
   for (uint64_t k = 7; k < n; k += 31) {
     ASSERT_TRUE(db->Delete(k).ok());
-    model.erase(k);
+    model.Delete(k);
   }
   ASSERT_TRUE(db->Flush().ok());
   for (uint64_t k = 13; k < n; k += 31) {
     ASSERT_TRUE(db->Update(k, {{2, k}, {kColumns, k + 1}}).ok());
-    model[k][2] = k;
-    model[k][kColumns] = k + 1;
+    model.Update(k, {{2, k}, {kColumns, k + 1}});
   }
   for (uint64_t k = 7; k < 200; k += 62) {
     const auto row = test::TestRow(k + 9000, kColumns);
     ASSERT_TRUE(db->Insert(k, row).ok());
-    auto& mrow = model[k];
-    mrow.clear();
-    for (int c = 0; c < kColumns; ++c) mrow[c + 1] = row[c];
+    model.Insert(k, row);
   }
   ASSERT_TRUE(db->CompactUntilStable().ok());
 
@@ -746,31 +316,19 @@ TEST(ScanPushdownTest, AggregateAllFoldsFromZoneMaps) {
     std::unique_ptr<LaserDB> db;
     ASSERT_TRUE(LaserDB::Open(options, &db).ok());
 
-    Model model;
+    test::Model model;
     for (uint64_t key = 0; key < kKeySpace; ++key) {
       std::vector<ColumnValue> row(kColumns);
       for (int c = 0; c < kColumns; ++c) row[c] = rng.Uniform(1u << 30);
       ASSERT_TRUE(db->Insert(key, row).ok());
-      ModelRow& mrow = model[key];
-      for (int c = 0; c < kColumns; ++c) mrow[c + 1] = row[c];
+      model.Insert(key, row);
     }
     ASSERT_TRUE(db->CompactUntilStable().ok());
 
     const ColumnSet& projection = fold_case.projection;
     const auto check = [&](const ScanSpec& spec, const char* what) {
-      const auto want = FoldRows(
-          FilterRows(ModelScan(model, 0, kKeySpace, projection), projection,
-                     spec),
-          projection.size());
-      auto scan = db->NewScan(0, kKeySpace, projection, spec);
-      ASSERT_NE(scan, nullptr) << what;
-      ScanAggregates got;
-      ASSERT_TRUE(scan->AggregateAll(&got).ok()) << what;
-      EXPECT_EQ(got.rows, want.rows) << what;
-      EXPECT_EQ(got.counts, want.counts) << what;
-      EXPECT_EQ(got.sums, want.sums) << what;
-      EXPECT_EQ(got.minima, want.minima) << what;
-      EXPECT_EQ(got.maxima, want.maxima) << what;
+      SCOPED_TRACE(what);
+      test::ExpectScanMatches(db.get(), model, 0, kKeySpace, projection, spec);
     };
 
     // Predicate-free full-range aggregate: compacted single-version blocks
@@ -797,15 +355,10 @@ TEST(ScanPushdownTest, AggregateAllFoldsFromZoneMaps) {
 
     // Row-materializing consumers never fold: every row still comes back.
     base = db->stats().aggs_from_zonemap.load();
-    EXPECT_EQ(RowApiScan(db.get(), 0, kKeySpace, projection).size(),
-              model.size());
-    {
-      auto scan = db->NewScan(0, kKeySpace, projection);
-      ScanBatch batch;
-      size_t rows = 0;
-      while (size_t n = scan->NextBatch(&batch, 64)) rows += n;
-      EXPECT_EQ(rows, model.size());
-    }
+    EXPECT_EQ(test::DrainCursor(db->NewScan(0, kKeySpace, projection).get()).size(),
+              model.rows().size());
+    EXPECT_EQ(test::DrainBatches(db->NewScan(0, kKeySpace, projection).get(), 64).size(),
+              model.rows().size());
     EXPECT_EQ(db->stats().aggs_from_zonemap.load(), base)
         << "a row-materializing scan folded blocks away";
 
@@ -814,11 +367,11 @@ TEST(ScanPushdownTest, AggregateAllFoldsFromZoneMaps) {
     // answers must stay exact through the merged path.
     for (uint64_t key = 0; key < kKeySpace; key += 3) {
       ASSERT_TRUE(db->Update(key, {{projection[0], key}}).ok());
-      model[key][projection[0]] = key;
+      model.Update(key, {{projection[0], key}});
     }
     for (uint64_t key = 1; key < kKeySpace; key += 7) {
       ASSERT_TRUE(db->Delete(key).ok());
-      model.erase(key);
+      model.Delete(key);
     }
     ASSERT_TRUE(db->Flush().ok());
     ASSERT_NO_FATAL_FAILURE(check(ScanSpec(), "overlapped predicate-free"));

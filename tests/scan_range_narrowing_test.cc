@@ -5,23 +5,20 @@
 // predicate column, predicates answered by different levels, a live
 // memtable, predicates no row can satisfy, and a tree mixed mid-morph.
 //
-// Every check runs the same scan through every consumer (NextBatch at 1 and
-// 1024 rows, the row cursor, AggregateAll) on a single LaserDB and on a
-// 2-shard ShardedLaserDB, and compares each with the model.
+// Every check runs the same scan through every consumer (tests/model.h) on a
+// single LaserDB and on a 2-shard ShardedLaserDB, and compares each with the
+// model.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "laser/laser_db.h"
 #include "laser/sharded_laser_db.h"
+#include "tests/model.h"
 #include "tests/test_util.h"
 
 namespace laser {
@@ -55,132 +52,6 @@ ScanSpec Spec(std::vector<ScanPredicate> predicates) {
   return spec;
 }
 
-/// What a scan emits, in key order: keys and, per row, the projected values.
-struct Rows {
-  std::vector<uint64_t> keys;
-  std::vector<std::vector<std::optional<ColumnValue>>> values;
-
-  bool operator==(const Rows&) const = default;
-};
-
-/// Key -> present columns. Insert replaces a row, Update merges into it (an
-/// absent key becomes a partial row), Delete drops it.
-using Model = std::map<uint64_t, std::map<int, ColumnValue>>;
-
-/// The model's answer: rows in [lo, hi] holding at least one projected value
-/// (the merge emits no row without one) that pass every predicate (a null
-/// fails).
-Rows ModelScan(const Model& model, uint64_t lo, uint64_t hi, const ColumnSet& projection,
-               const ScanSpec& spec) {
-  Rows rows;
-  for (auto it = model.lower_bound(lo); it != model.end() && it->first <= hi; ++it) {
-    const std::map<int, ColumnValue>& cells = it->second;
-    std::vector<std::optional<ColumnValue>> row;
-    bool any = false;
-    for (int column : projection) {
-      row.emplace_back();
-      const auto cell = cells.find(column);
-      if (cell != cells.end()) row.back() = cell->second;
-      any |= row.back().has_value();
-    }
-    bool match = any;
-    for (const ScanPredicate& pred : spec.predicates) {
-      const auto cell = cells.find(pred.column);
-      match &= cell != cells.end() && PredicateMatches(pred, cell->second);
-    }
-    if (!match) continue;
-    rows.keys.push_back(it->first);
-    rows.values.push_back(std::move(row));
-  }
-  return rows;
-}
-
-ScanAggregates Fold(const Rows& rows, size_t width) {
-  ScanAggregates out;
-  out.rows = rows.keys.size();
-  out.counts.assign(width, 0);
-  out.sums.assign(width, 0);
-  out.minima.assign(width, std::numeric_limits<uint64_t>::max());
-  out.maxima.assign(width, 0);
-  for (const auto& row : rows.values) {
-    for (size_t pos = 0; pos < width; ++pos) {
-      if (!row[pos].has_value()) continue;
-      ++out.counts[pos];
-      out.sums[pos] += *row[pos];
-      out.minima[pos] = std::min(out.minima[pos], *row[pos]);
-      out.maxima[pos] = std::max(out.maxima[pos], *row[pos]);
-    }
-  }
-  return out;
-}
-
-void ExpectSameAggregates(const ScanAggregates& got, const ScanAggregates& want) {
-  EXPECT_EQ(got.rows, want.rows);
-  EXPECT_EQ(got.counts, want.counts);
-  EXPECT_EQ(got.sums, want.sums);
-  EXPECT_EQ(got.minima, want.minima);
-  EXPECT_EQ(got.maxima, want.maxima);
-}
-
-/// Runs one scan through every consumer of `db` (a LaserDB or a
-/// ShardedLaserDB) and checks each against `want`.
-template <typename Db>
-void ExpectScanMatches(Db* db, uint64_t lo, uint64_t hi, const ColumnSet& projection,
-                       const ScanSpec& spec, const Rows& want) {
-  for (size_t batch_rows : {size_t{1}, size_t{1024}}) {
-    SCOPED_TRACE("NextBatch " + std::to_string(batch_rows));
-    auto scan = db->NewScan(lo, hi, projection, spec);
-    ASSERT_NE(scan, nullptr);
-    Rows got;
-    ScanBatch batch;
-    while (scan->NextBatch(&batch, batch_rows) > 0) {
-      for (size_t r = 0; r < batch.size(); ++r) {
-        got.keys.push_back(batch.keys[r]);
-        std::vector<std::optional<ColumnValue>> row;
-        for (const ScanBatch::Column& col : batch.columns) {
-          row.emplace_back();
-          if (col.present[r] != 0) row.back() = col.values[r];
-        }
-        got.values.push_back(std::move(row));
-      }
-    }
-    ASSERT_TRUE(scan->status().ok()) << scan->status().ToString();
-    EXPECT_EQ(got, want);
-  }
-  {
-    SCOPED_TRACE("row cursor");
-    auto scan = db->NewScan(lo, hi, projection, spec);
-    ASSERT_NE(scan, nullptr);
-    Rows got;
-    for (; scan->Valid(); scan->Next()) {
-      got.keys.push_back(scan->key());
-      got.values.push_back(scan->values());
-    }
-    ASSERT_TRUE(scan->status().ok()) << scan->status().ToString();
-    EXPECT_EQ(got, want);
-  }
-  {
-    SCOPED_TRACE("AggregateAll");
-    auto scan = db->NewScan(lo, hi, projection, spec);
-    ASSERT_NE(scan, nullptr);
-    ScanAggregates got;
-    ASSERT_TRUE(scan->AggregateAll(&got).ok());
-    ExpectSameAggregates(got, Fold(want, projection.size()));
-  }
-}
-
-/// Drains one scan of `kProjection` through NextBatch; returns its row count.
-template <typename Db>
-size_t CountRows(Db* db, uint64_t lo, uint64_t hi, const ScanSpec& spec) {
-  auto scan = db->NewScan(lo, hi, kProjection, spec);
-  EXPECT_NE(scan, nullptr);
-  size_t rows = 0;
-  ScanBatch batch;
-  while (scan->NextBatch(&batch) > 0) rows += batch.size();
-  EXPECT_TRUE(scan->status().ok());
-  return rows;
-}
-
 /// The engine under test, one LaserDB or a 2-shard ShardedLaserDB over the
 /// same per-shard options, with the model of what it holds.
 class ScanRangeNarrowingTest : public ::testing::TestWithParam<bool> {
@@ -208,21 +79,19 @@ class ScanRangeNarrowingTest : public ::testing::TestWithParam<bool> {
   void Insert(uint64_t key, const std::vector<ColumnValue>& row) {
     const Status s = sharded_ ? sharded_->Insert(key, row) : db_->Insert(key, row);
     ASSERT_TRUE(s.ok());
-    auto& cells = model_[key];
-    cells.clear();
-    for (int c = 1; c <= kColumns; ++c) cells[c] = row[c - 1];
+    model_.Insert(key, row);
   }
 
   void Update(uint64_t key, const std::vector<ColumnValuePair>& values) {
     const Status s = sharded_ ? sharded_->Update(key, values) : db_->Update(key, values);
     ASSERT_TRUE(s.ok());
-    for (const ColumnValuePair& v : values) model_[key][v.column] = v.value;
+    model_.Update(key, values);
   }
 
   void Delete(uint64_t key) {
     const Status s = sharded_ ? sharded_->Delete(key) : db_->Delete(key);
     ASSERT_TRUE(s.ok());
-    model_.erase(key);
+    model_.Delete(key);
   }
 
   void Flush() { ASSERT_TRUE(sharded_ ? sharded_->Flush().ok() : db_->Flush().ok()); }
@@ -250,12 +119,14 @@ class ScanRangeNarrowingTest : public ::testing::TestWithParam<bool> {
     return stats.data_block_reads.load();
   }
 
-  /// Data blocks one NextBatch drain of the scan reads; checks its row count.
+  /// Data blocks one NextBatch drain of the scan of `kProjection` reads;
+  /// checks its rows.
   uint64_t BlocksRead(uint64_t lo, uint64_t hi, const ScanSpec& spec) {
     const uint64_t before = DataBlockReads();
-    const size_t rows = sharded_ ? CountRows(sharded_.get(), lo, hi, spec)
-                                 : CountRows(db_.get(), lo, hi, spec);
-    EXPECT_EQ(rows, ModelScan(model_, lo, hi, kProjection, spec).keys.size());
+    const test::Rows rows =
+        sharded_ ? test::DrainBatches(sharded_->NewScan(lo, hi, kProjection, spec).get())
+                 : test::DrainBatches(db_->NewScan(lo, hi, kProjection, spec).get());
+    test::ExpectSameRows(rows, test::Expected(model_, lo, hi, kProjection, spec));
     return DataBlockReads() - before;
   }
 
@@ -275,11 +146,10 @@ class ScanRangeNarrowingTest : public ::testing::TestWithParam<bool> {
   /// Checks one scan on every consumer against the model.
   void Check(uint64_t lo, uint64_t hi, const ScanSpec& spec,
              const ColumnSet& projection = kProjection) {
-    const Rows want = ModelScan(model_, lo, hi, projection, spec);
     if (sharded_) {
-      ExpectScanMatches(sharded_.get(), lo, hi, projection, spec, want);
+      test::ExpectScanMatches(sharded_.get(), model_, lo, hi, projection, spec);
     } else {
-      ExpectScanMatches(db_.get(), lo, hi, projection, spec, want);
+      test::ExpectScanMatches(db_.get(), model_, lo, hi, projection, spec);
     }
   }
 
@@ -305,7 +175,7 @@ class ScanRangeNarrowingTest : public ::testing::TestWithParam<bool> {
   std::unique_ptr<Env> env_;
   std::unique_ptr<LaserDB> db_;
   std::unique_ptr<ShardedLaserDB> sharded_;
-  Model model_;
+  test::Model model_;
 };
 
 TEST_P(ScanRangeNarrowingTest, ClusteredShuffledLoad) {
@@ -442,22 +312,21 @@ TEST(ScanAggregateRowsTest, RowsWithoutProjectedValuesAreNotCounted) {
   options.background_threads = 1;
   std::unique_ptr<LaserDB> db;
   ASSERT_TRUE(LaserDB::Open(options, &db).ok());
-  Model model;
+  test::Model model;
   for (uint64_t key = 0; key < kRows; ++key) {
     if (key % 2 == 0) {
       ASSERT_TRUE(db->Insert(key, BaseRow(key)).ok());
-      for (int c = 1; c <= kColumns; ++c) model[key][c] = BaseValue(key, c);
+      model.Insert(key, BaseRow(key));
     } else {
       ASSERT_TRUE(db->Update(key, {{2, key}}).ok());
-      model[key][2] = key;
+      model.Update(key, {{2, key}});
     }
   }
   ASSERT_TRUE(db->CompactUntilStable().ok());
 
   const ColumnSet projection = {1};
-  const Rows want = ModelScan(model, 0, kRows - 1, projection, ScanSpec());
-  ASSERT_EQ(want.keys.size(), kRows / 2);
-  ExpectScanMatches(db.get(), 0, kRows - 1, projection, ScanSpec(), want);
+  ASSERT_EQ(test::Expected(model, 0, kRows - 1, projection).size(), kRows / 2);
+  test::ExpectScanMatches(db.get(), model, 0, kRows - 1, projection);
 }
 
 std::string EngineName(const ::testing::TestParamInfo<bool>& info) {
