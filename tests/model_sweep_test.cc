@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "laser/laser_db.h"
@@ -191,8 +192,8 @@ void RandomWrite(Random* rng, int op, Db* db, test::Model* model) {
 template <typename Db>
 void CheckRandomReads(Random* rng, Db* db, const test::Model& model, int scans) {
   const uint64_t first = rng->Uniform(kKeySpace);
-  ASSERT_NO_FATAL_FAILURE(
-      test::ExpectReadsMatch(db, model, first, first + 63, RandomProjection(rng)));
+  const ColumnSet columns = RandomProjection(rng);
+  ASSERT_NO_FATAL_FAILURE(test::ExpectReadsMatch(db, model, first, first + 63, columns));
   for (int i = 0; i < scans; ++i) {
     const auto [lo, hi] = RandomRange(rng);
     const ColumnSet projection = RandomProjection(rng);
@@ -285,8 +286,8 @@ void RunHistory(uint64_t seed) {
   // wherever a block's rows reach the output as stored.
   ASSERT_TRUE(db->CompactUntilStable().ok());
   SCOPED_TRACE("settled");
-  ASSERT_NO_FATAL_FAILURE(test::ExpectReadsMatch(db.get(), model, 0, kKeySpace,
-                                                 MakeColumnRange(1, kColumns)));
+  const ColumnSet all = MakeColumnRange(1, kColumns);
+  ASSERT_NO_FATAL_FAILURE(test::ExpectReadsMatch(db.get(), model, 0, kKeySpace, all));
   for (int c = 1; c <= kColumns; ++c) {
     SCOPED_TRACE(::testing::Message() << "column " << c);
     ASSERT_NO_FATAL_FAILURE(test::ExpectScanMatches(db.get(), model, 0, kKeySpace, {c}));

@@ -88,11 +88,11 @@ void CheckAllStyles(LaserDB* db, const test::Model& model, uint64_t lo, uint64_t
   SCOPED_TRACE(what);
   ASSERT_NO_FATAL_FAILURE(test::ExpectScanMatches(db, model, lo, hi, projection));
   const test::Rows want = test::Expected(model, lo, hi, projection);
-  for (const size_t batch_rows : {size_t{2}, size_t{5}, size_t{29}, size_t{173},
-                                  size_t{4096}}) {
+  for (const size_t batch_rows :
+       {size_t{2}, size_t{5}, size_t{29}, size_t{173}, size_t{4096}}) {
     SCOPED_TRACE("NextBatch " + std::to_string(batch_rows));
-    test::ExpectSameRows(
-        test::DrainBatches(db->NewScan(lo, hi, projection).get(), batch_rows), want);
+    const auto scan = db->NewScan(lo, hi, projection);
+    test::ExpectSameRows(test::DrainBatches(scan.get(), batch_rows), want);
   }
 }
 
