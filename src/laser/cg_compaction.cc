@@ -364,48 +364,29 @@ Status WriteCompactionOutputs(const JobContext& ctx, const CompactionJob& job,
   // All column sets come from the job (snapshotted at pick time from the
   // Version being compacted) — never from options: mid-morph the live layout
   // differs per level and the options config describes neither side.
-  const int output_level = job.morph ? job.level : job.level + 1;
-
   result->outputs.clear();
-  result->outputs.resize(job.child_groups.size());
+  result->outputs.resize(job.output_groups.size());
 
-  for (size_t ci = 0; ci < job.child_groups.size(); ++ci) {
-    const ColumnSet& child_cols = job.child_columns[ci];
+  for (size_t out = 0; out < job.output_groups.size(); ++out) {
+    const ColumnSet& group_cols = job.output_columns[out];
 
+    // Every input run whose columns intersect this group, newest first,
+    // re-encoded for it when laid out differently. The other runs hold
+    // nothing for it: tombstones are replicated into every group of a
+    // level, so any intersecting run carries them.
     std::vector<std::unique_ptr<Iterator>> streams;
-    if (job.morph) {
-      // Re-lay the whole level in place: merge every input run whose columns
-      // intersect this output group, re-encoded for it. Non-intersecting
-      // runs contribute nothing — tombstones are replicated across all
-      // groups of a level, so any intersecting run carries them.
-      for (size_t g = 0; g < job.morph_input_files.size(); ++g) {
-        const ColumnSet& in_cols = job.morph_input_columns[g];
-        if (!ColumnSetsIntersect(in_cols, child_cols)) continue;
-        streams.push_back(NewProjectingIterator(
-            NewRunIterator(job.morph_input_files[g]), ctx.codec, in_cols,
-            child_cols));
+    for (const CompactionInput& in : job.inputs) {
+      if (!ColumnSetsIntersect(in.columns, group_cols)) continue;
+      std::unique_ptr<Iterator> run = NewRunIterator(in.files);
+      if (in.columns != group_cols) {
+        run = NewProjectingIterator(std::move(run), ctx.codec, in.columns, group_cols);
       }
-    } else {
-      // Parent stream, re-encoded onto the child's columns.
-      std::unique_ptr<Iterator> parent_iter;
-      if (job.level == 0) {
-        // L0 files overlap: merge them all.
-        std::vector<std::unique_ptr<Iterator>> l0_iters;
-        for (const auto& f : job.parent_files) {
-          l0_iters.push_back(f->reader->NewIterator());
-        }
-        parent_iter = NewMergingIterator(std::move(l0_iters));
-      } else {
-        parent_iter = NewRunIterator(job.parent_files);
-      }
-      streams.push_back(NewProjectingIterator(std::move(parent_iter), ctx.codec,
-                                              job.parent_columns, child_cols));
-      streams.push_back(NewRunIterator(job.child_files[ci]));
+      streams.push_back(std::move(run));
     }
     auto merged = NewMergingIterator(std::move(streams));
 
-    VersionMerger merger(ctx.codec, child_cols, ctx.snapshots, job.to_bottom_level);
-    OutputWriter writer(ctx, files, child_cols, output_level);
+    VersionMerger merger(ctx.codec, group_cols, ctx.snapshots, job.to_bottom_level);
+    OutputWriter writer(ctx, files, group_cols, job.output_level);
 
     // The versions of the current user key live in versions[0, num_versions);
     // slots past that keep their string buffers for the next key, so the
@@ -443,22 +424,23 @@ Status WriteCompactionOutputs(const JobContext& ctx, const CompactionJob& job,
       // A row that was full in its source layout may not cover this output
       // group (the source columns need not contain it). Retype so deeper
       // merging keeps looking for the missing columns.
-      if (type == kTypeFullRow && !ctx.codec->IsComplete(child_cols, value)) {
+      if (type == kTypeFullRow && !ctx.codec->IsComplete(group_cols, value)) {
         type = kTypePartialRow;
       }
       // Equal-(key, seq) entries are fragments of one logical write whose
       // columns were split across source groups (or the same tombstone
-      // replicated into several of them): recombine into a single entry.
-      // VersionMerger requires strictly decreasing sequences per key.
+      // replicated into several of them): recombine into a single entry, the
+      // earlier input winning any column both carry. VersionMerger requires
+      // strictly decreasing sequences per key.
       if (num_versions > 0 && versions[num_versions - 1].sequence == parsed.sequence) {
         MergedEntry& prev = versions[num_versions - 1];
         if (prev.type == kTypeDeletion || type == kTypeDeletion) {
           prev.type = kTypeDeletion;
           prev.value.clear();
         } else {
-          ctx.codec->Merge(child_cols, Slice(prev.value), value, &scratch);
+          ctx.codec->Merge(group_cols, Slice(prev.value), value, &scratch);
           prev.value.swap(scratch);
-          prev.type = ctx.codec->IsComplete(child_cols, Slice(prev.value))
+          prev.type = ctx.codec->IsComplete(group_cols, Slice(prev.value))
                           ? kTypeFullRow
                           : kTypePartialRow;
         }
@@ -475,7 +457,7 @@ Status WriteCompactionOutputs(const JobContext& ctx, const CompactionJob& job,
 
     uint64_t bytes = 0;
     uint64_t entries = 0;
-    LASER_RETURN_IF_ERROR(writer.Finish(&result->outputs[ci], &bytes, &entries));
+    LASER_RETURN_IF_ERROR(writer.Finish(&result->outputs[out], &bytes, &entries));
     result->bytes_written += bytes;
     result->entries_written += entries;
   }
@@ -522,7 +504,7 @@ Status RunCompaction(const JobContext& ctx, const CompactionJob& job,
   if (ctx.stats != nullptr) {
     ctx.stats->bytes_compacted.fetch_add(result->bytes_written,
                                          std::memory_order_relaxed);
-    if (job.morph) {
+    if (job.ReLaysLevel()) {
       ctx.stats->design_morph_compactions.fetch_add(1, std::memory_order_relaxed);
     } else {
       ctx.stats->compaction_jobs.fetch_add(1, std::memory_order_relaxed);

@@ -1,11 +1,12 @@
-// CG-local compaction (§4.4): merges one overflowing column group of level i
-// into its overlapping child groups at level i+1, changing the data layout in
-// flight (row → narrower CGs) via re-encoding, and merging row versions
-// newest-wins-per-column (§4.2). Containment between adjacent levels is NOT
-// required: fragments of one write travel independently and recombine when
-// they meet (equal-sequence merge), which is what lets a design morph change
-// one level at a time. Also hosts the in-place level re-layout ("morph") job
-// and the flush job (memtable → L0).
+// CG-local compaction (§4.4): every job merges its input runs into output
+// groups, re-encoding each run for every output group it intersects (row →
+// narrower CGs, or back) and merging row versions newest-wins-per-column
+// (§4.2). An overflow job carries one group of level i into level i+1; a
+// morph re-lays a level in place with the same loop. Containment between
+// adjacent levels is NOT required: fragments of one write travel
+// independently and recombine when they meet (equal-sequence merge), which
+// is what lets a design morph change one level at a time. Also hosts the
+// flush job (memtable → L0).
 
 #ifndef LASER_LASER_CG_COMPACTION_H_
 #define LASER_LASER_CG_COMPACTION_H_
@@ -90,7 +91,7 @@ struct JobContext {
 
 /// Output of one compaction job.
 struct CompactionResult {
-  /// Parallel to job.child_groups: the new files of each child run segment.
+  /// Parallel to job.output_groups: the new files of each output group.
   std::vector<Version::FileList> outputs;
   uint64_t bytes_written = 0;
   uint64_t entries_written = 0;

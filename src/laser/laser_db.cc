@@ -708,7 +708,7 @@ void LaserDB::ScheduleCompactions() {
         target_design_.num_levels() > 0 ? &target_design_ : nullptr;
     auto job = picker_.Pick(*version_, busy_, target);
     if (!job.has_value()) break;
-    for (const auto& claim : job->Claims()) busy_.insert(claim);
+    busy_.insert(job->claims.begin(), job->claims.end());
     ++running_jobs_;
     pool_->Submit([this, j = std::move(*job)]() mutable {
       BackgroundCompact(std::move(j));
@@ -780,17 +780,16 @@ void LaserDB::BackgroundCompact(CompactionJob job) {
     std::unique_lock<std::mutex> lock(mu_);
     if (s.ok()) {
       auto next = version_->Clone();
-      if (job.morph) {
-        // Install the re-laid level atomically: new partition + new runs in
-        // one step, so the published Version's per-level design always
-        // matches its files.
-        next->ResetLevel(job.level, job.child_columns, result.outputs);
-      } else {
-        next->ReplaceFiles(job.level, job.group, job.parent_files, {});
-        for (size_t ci = 0; ci < job.child_groups.size(); ++ci) {
-          next->ReplaceFiles(job.level + 1, job.child_groups[ci],
-                             job.child_files[ci], result.outputs[ci]);
-        }
+      for (const CompactionInput& in : job.inputs) {
+        next->ReplaceFiles(in.level, in.group, in.files, {});
+      }
+      // A morph installs the re-laid level in one step: new partition and
+      // new runs together, so the published Version's per-level design
+      // always matches its files.
+      if (job.ReLaysLevel()) next->ResetLevel(job.output_level, job.output_columns);
+      for (size_t i = 0; i < job.output_groups.size(); ++i) {
+        next->ReplaceFiles(job.output_level, job.output_groups[i], {},
+                           result.outputs[i]);
       }
       version_ = std::move(next);
       // Morph complete? Clear the target before persisting so the manifest
@@ -802,18 +801,8 @@ void LaserDB::BackgroundCompact(CompactionJob job) {
       s = SaveManifest();
     }
     if (s.ok()) {
-      for (const auto& f : job.parent_files) {
-        obsolete_.emplace_back(f, f->file_number);
-      }
-      for (const auto& child_run : job.child_files) {
-        for (const auto& f : child_run) {
-          obsolete_.emplace_back(f, f->file_number);
-        }
-      }
-      for (const auto& input_run : job.morph_input_files) {
-        for (const auto& f : input_run) {
-          obsolete_.emplace_back(f, f->file_number);
-        }
+      for (const CompactionInput& in : job.inputs) {
+        for (const auto& f : in.files) obsolete_.emplace_back(f, f->file_number);
       }
       // Release this job's references before sweeping, so the metadata can
       // expire and the files can be unlinked now. This must include
@@ -821,9 +810,7 @@ void LaserDB::BackgroundCompact(CompactionJob job) {
       // thread is preempted after dropping the mutex a later job can
       // obsolete them while this frame still pins them, leaving undeletable
       // orphans on disk.
-      job.parent_files.clear();
-      job.child_files.clear();
-      job.morph_input_files.clear();
+      job.inputs.clear();
       result.outputs.clear();
       CollectObsoleteFiles();
     } else {
@@ -833,7 +820,7 @@ void LaserDB::BackgroundCompact(CompactionJob job) {
       // still find its files.
       bg_error_ = s;
     }
-    for (const auto& claim : job.Claims()) busy_.erase(claim);
+    for (const auto& claim : job.claims) busy_.erase(claim);
     --running_jobs_;
     MaybeScheduleBackgroundWork();
     cv_.notify_all();

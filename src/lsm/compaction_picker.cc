@@ -3,25 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 
 namespace laser {
-
-std::vector<std::pair<int, int>> CompactionJob::Claims() const {
-  std::vector<std::pair<int, int>> claims;
-  if (morph) {
-    // Lock every group slot at this level, old and new indices alike, so no
-    // flush-down into the level or compaction out of it can race the re-lay.
-    const size_t slots =
-        std::max(morph_input_files.size(), child_groups.size());
-    for (size_t g = 0; g < slots; ++g) {
-      claims.emplace_back(level, static_cast<int>(g));
-    }
-    return claims;
-  }
-  claims.emplace_back(level, group);
-  for (int child : child_groups) claims.emplace_back(level + 1, child);
-  return claims;
-}
 
 CompactionPicker::CompactionPicker(const LaserOptions* options)
     : options_(options) {}
@@ -79,6 +63,33 @@ int ShallowestMismatch(const Version& version, const CgConfig& target) {
   return -1;
 }
 
+/// The run (level, group) of `version` restricted to `files`.
+CompactionInput RunOf(const Version& version, int level, int group,
+                      Version::FileList files) {
+  return {level, group, version.design().groups(level)[group], std::move(files)};
+}
+
+/// The job merging `inputs` into groups `output_groups` of `output_level`,
+/// laid out per `partition` (that level's groups). The claims are fixed
+/// here, so the job releases exactly what it took.
+CompactionJob BuildJob(const Version& version, std::vector<CompactionInput> inputs,
+                       int output_level, const std::vector<ColumnSet>& partition,
+                       std::vector<int> output_groups) {
+  CompactionJob job;
+  job.inputs = std::move(inputs);
+  job.output_level = output_level;
+  job.output_groups = std::move(output_groups);
+  job.to_bottom_level = output_level == version.num_levels() - 1;
+  std::set<std::pair<int, int>> claims;
+  for (const CompactionInput& in : job.inputs) claims.emplace(in.level, in.group);
+  for (const int g : job.output_groups) {
+    job.output_columns.push_back(partition[g]);
+    claims.emplace(output_level, g);
+  }
+  job.claims.assign(claims.begin(), claims.end());
+  return job;
+}
+
 }  // namespace
 
 bool CompactionPicker::NeedsCompaction(const Version& version,
@@ -115,61 +126,11 @@ std::shared_ptr<FileMetaData> CompactionPicker::PickParentFile(
   });
 }
 
-CompactionJob CompactionPicker::BuildJob(const Version& version, int level,
-                                         int group,
-                                         Version::FileList parent_files) const {
-  CompactionJob job;
-  job.level = level;
-  job.group = group;
-  job.parent_files = std::move(parent_files);
-  job.parent_columns = version.design().groups(level)[group];
-  job.to_bottom_level = (level + 1 == version.num_levels() - 1);
-
-  // Combined user-key range of the parent files.
-  Slice lo = job.parent_files[0]->smallest_user_key();
-  Slice hi = job.parent_files[0]->largest_user_key();
-  for (const auto& f : job.parent_files) {
-    if (f->smallest_user_key().compare(lo) < 0) lo = f->smallest_user_key();
-    if (f->largest_user_key().compare(hi) > 0) hi = f->largest_user_key();
-  }
-
-  // Children are whichever groups at level+1 intersect the parent's columns
-  // in the Version's live design. Mid-morph the child level may be laid out
-  // in either the old or the new partition; overlapping (not containment)
-  // keeps the job well-formed in both cases.
-  job.child_groups =
-      version.design().OverlappingGroups(level + 1, job.parent_columns);
-  for (int child : job.child_groups) {
-    job.child_columns.push_back(version.design().groups(level + 1)[child]);
-    job.child_files.push_back(version.OverlappingFiles(level + 1, child, lo, hi));
-  }
-  return job;
-}
-
-CompactionJob CompactionPicker::BuildMorphJob(const Version& version, int level,
-                                              const CgConfig& target) const {
-  CompactionJob job;
-  job.morph = true;
-  job.level = level;
-  job.group = -1;
-  job.to_bottom_level = (level == version.num_levels() - 1);
-  for (int g = 0; g < version.num_groups(level); ++g) {
-    job.morph_input_columns.push_back(version.design().groups(level)[g]);
-    job.morph_input_files.push_back(version.files(level, g));
-  }
-  const std::vector<ColumnSet>& out = target.groups(level);
-  for (int g = 0; g < static_cast<int>(out.size()); ++g) {
-    job.child_groups.push_back(g);
-    job.child_columns.push_back(out[g]);
-  }
-  return job;
-}
-
 std::optional<CompactionJob> CompactionPicker::Pick(
     const Version& version, const std::set<std::pair<int, int>>& busy,
     const CgConfig* target) const {
   const auto no_conflict = [&](const CompactionJob& job) {
-    for (const auto& claim : job.Claims()) {
+    for (const auto& claim : job.claims) {
       if (busy.count(claim) > 0) return false;
     }
     return true;
@@ -181,7 +142,16 @@ std::optional<CompactionJob> CompactionPicker::Pick(
   if (target != nullptr) {
     const int level = ShallowestMismatch(version, *target);
     if (level >= 0) {
-      CompactionJob job = BuildMorphJob(version, level, *target);
+      // Every run of the level in, the target's partition of it out.
+      std::vector<CompactionInput> runs;
+      for (int g = 0; g < version.num_groups(level); ++g) {
+        runs.push_back(RunOf(version, level, g, version.files(level, g)));
+      }
+      const std::vector<ColumnSet>& partition = target->groups(level);
+      std::vector<int> all(partition.size());
+      std::iota(all.begin(), all.end(), 0);
+      CompactionJob job =
+          BuildJob(version, std::move(runs), level, partition, std::move(all));
       if (no_conflict(job)) return job;
       // Level busy right now — fall through to overflow work; the morph is
       // retried at the next scheduling point (every job completion).
@@ -208,13 +178,39 @@ std::optional<CompactionJob> CompactionPicker::Pick(
     const auto& run = version.files(cand.level, cand.group);
     if (run.empty()) continue;
 
-    Version::FileList parents;
-    if (cand.level == 0) {
-      parents = run;  // L0 runs overlap: compact them together
-    } else {
-      parents.push_back(PickParentFile(run));
+    // Level 0's files overlap, so they compact together. Deeper runs give
+    // up one file.
+    const Version::FileList parents =
+        cand.level == 0 ? run : Version::FileList{PickParentFile(run)};
+
+    // Combined user-key range of the parent files.
+    Slice lo = parents[0]->smallest_user_key();
+    Slice hi = parents[0]->largest_user_key();
+    for (const auto& f : parents) {
+      if (f->smallest_user_key().compare(lo) < 0) lo = f->smallest_user_key();
+      if (f->largest_user_key().compare(hi) > 0) hi = f->largest_user_key();
     }
-    CompactionJob job = BuildJob(version, cand.level, cand.group, std::move(parents));
+
+    // Each parent file is a run of its own, newest (last flushed) first.
+    std::vector<CompactionInput> inputs;
+    for (auto f = parents.rbegin(); f != parents.rend(); ++f) {
+      inputs.push_back(RunOf(version, cand.level, cand.group, {*f}));
+    }
+
+    // Children are whichever groups at level+1 intersect the parent's
+    // columns in the Version's live design. Mid-morph the child level may be
+    // laid out in either the old or the new partition; overlapping (not
+    // containment) keeps the job well-formed in both cases.
+    const int child_level = cand.level + 1;
+    std::vector<int> children =
+        version.design().OverlappingGroups(child_level, inputs[0].columns);
+    for (const int child : children) {
+      inputs.push_back(RunOf(version, child_level, child,
+                             version.OverlappingFiles(child_level, child, lo, hi)));
+    }
+    CompactionJob job = BuildJob(version, std::move(inputs), child_level,
+                                 version.design().groups(child_level),
+                                 std::move(children));
     if (no_conflict(job)) return job;
   }
   return std::nullopt;

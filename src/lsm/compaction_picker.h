@@ -17,34 +17,34 @@
 
 namespace laser {
 
-/// A unit of compaction work. Two shapes:
-///   * normal: one parent (level, group) run segment merged into the
-///     overlapping child groups at level+1;
-///   * morph (`morph == true`): every run of `level` re-laid in place into
-///     the target design's groups at the same level (the §4.4 layout-changing
-///     compaction, driven level-by-level toward a new design).
-/// Column sets are carried on the job (snapshotted from the picked Version's
-/// design), so execution never consults a possibly-newer config.
+/// One sorted run a compaction reads: a (level, group) run segment and the
+/// columns it is laid out in. Each level-0 file is a run of its own.
+struct CompactionInput {
+  int level = 0;
+  int group = 0;
+  ColumnSet columns;
+  Version::FileList files;
+};
+
+/// A unit of compaction work: merge `inputs` into the groups `output_groups`
+/// of `output_level`, re-encoding each input run for every output group it
+/// intersects (§4.4). An overflow job reads one parent run segment and the
+/// overlapping child segments one level down. A morph reads every run of a
+/// level and writes that same level in the target design's partition.
+/// Column sets are snapshotted from the picked Version's design, so
+/// execution never consults a possibly-newer config.
 struct CompactionJob {
-  int level = 0;  ///< parent level
-  int group = 0;  ///< parent group index (normal jobs; -1 for morph)
-  Version::FileList parent_files;
-  ColumnSet parent_columns;                      ///< columns of the parent CG
-  std::vector<int> child_groups;                 ///< output group indices
-  std::vector<ColumnSet> child_columns;          ///< parallel to child_groups
-  std::vector<Version::FileList> child_files;    ///< parallel to child_groups
-  bool to_bottom_level = false;  ///< output level is the last level
+  std::vector<CompactionInput> inputs;  ///< newest first
+  int output_level = 0;
+  std::vector<int> output_groups;
+  std::vector<ColumnSet> output_columns;  ///< parallel to output_groups
+  bool to_bottom_level = false;           ///< output level is the last level
+  /// (level, group) slots the job locks from pick to install: every input's
+  /// and every output's, once each.
+  std::vector<std::pair<int, int>> claims;
 
-  /// Morph jobs: one entry per existing group at `level` (its column set and
-  /// its full run). child_groups/child_columns describe the target partition
-  /// at the SAME level; child_files stays empty (all inputs are consumed).
-  bool morph = false;
-  std::vector<ColumnSet> morph_input_columns;
-  std::vector<Version::FileList> morph_input_files;
-
-  /// (level, group) pairs this job locks (parent + all touched children; a
-  /// morph locks every group of its level, old and new indices alike).
-  std::vector<std::pair<int, int>> Claims() const;
+  /// True for a morph: the job re-lays the level it reads.
+  bool ReLaysLevel() const { return inputs.front().level == output_level; }
 };
 
 class CompactionPicker {
@@ -76,15 +76,6 @@ class CompactionPicker {
                        const CgConfig* target = nullptr) const;
 
  private:
-  /// Builds the job for parent (level, group) given the chosen parent files.
-  CompactionJob BuildJob(const Version& version, int level, int group,
-                         Version::FileList parent_files) const;
-
-  /// Builds the in-place re-layout job converting `level` to the target's
-  /// partition at that level.
-  CompactionJob BuildMorphJob(const Version& version, int level,
-                              const CgConfig& target) const;
-
   /// Picks one parent SST according to the configured priority.
   std::shared_ptr<FileMetaData> PickParentFile(const Version::FileList& run) const;
 

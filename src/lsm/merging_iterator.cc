@@ -10,9 +10,11 @@ namespace {
 
 /// Binary min-heap over the children by internal key, with cached key
 /// slices so heap repair never re-enters the children's virtual key().
-/// Internal keys are unique (user_key, seq, type), so there are no ties:
-/// Next() advances the winner and re-sifts only the root — O(log k) per
-/// entry instead of the former linear O(k) FindSmallest sweep.
+/// Equal internal keys do occur: the fragments of one write share (user_key,
+/// seq, type) across column-group runs. Ties go to the lower child index, so
+/// a caller that lists its inputs newest first pops their fragments in that
+/// order. Next() advances the winner and re-sifts only the root — O(log k)
+/// per entry.
 class MergingIterator final : public Iterator {
  public:
   explicit MergingIterator(std::vector<std::unique_ptr<Iterator>> children)
@@ -69,7 +71,8 @@ class MergingIterator final : public Iterator {
   }
 
   bool Less(size_t a, size_t b) const {
-    return cmp_.Compare(keys_[a], keys_[b]) < 0;
+    const int c = cmp_.Compare(keys_[a], keys_[b]);
+    return c < 0 || (c == 0 && a < b);
   }
 
   void SiftDown(size_t i) {

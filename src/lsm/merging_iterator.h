@@ -1,6 +1,6 @@
 // Heap-based k-way merge over internal-key iterators. Used by compaction to
-// interleave the parent run with a child run, and to merge overlapping L0
-// files. Ties cannot occur: internal keys are unique (user_key, seq, type).
+// merge its input runs. Equal internal keys (fragments of one write in
+// different column groups) come out in child order.
 
 #ifndef LASER_LSM_MERGING_ITERATOR_H_
 #define LASER_LSM_MERGING_ITERATOR_H_

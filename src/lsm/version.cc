@@ -151,17 +151,10 @@ void Version::AddLevel0File(std::shared_ptr<FileMetaData> file) {
   files_[0][0].push_back(std::move(file));
 }
 
-void Version::ResetLevel(int level, std::vector<ColumnSet> groups,
-                         std::vector<FileList> runs) {
-  assert(runs.size() == groups.size());
-  for (auto& run : runs) {
-    std::sort(run.begin(), run.end(),
-              [](const std::shared_ptr<FileMetaData>& a,
-                 const std::shared_ptr<FileMetaData>& b) {
-                return Slice(a->smallest).compare(Slice(b->smallest)) < 0;
-              });
-  }
-  files_[level] = std::move(runs);
+void Version::ResetLevel(int level, std::vector<ColumnSet> groups) {
+  assert(std::all_of(files_[level].begin(), files_[level].end(),
+                     [](const FileList& run) { return run.empty(); }));
+  files_[level].assign(groups.size(), FileList());
   design_.SetLevelGroups(level, std::move(groups));
 }
 

@@ -92,13 +92,11 @@ class Version {
   /// Appends a file to level-0 (newest last).
   void AddLevel0File(std::shared_ptr<FileMetaData> file);
 
-  /// Atomically re-lays one level: replaces its design partition with
-  /// `groups` and its file lists with `runs` (one sorted run per new group).
-  /// This is how a morph compaction installs a level converted to the
-  /// target design. REQUIRES: called on a Clone not yet published and
-  /// runs.size() == groups.size().
-  void ResetLevel(int level, std::vector<ColumnSet> groups,
-                  std::vector<FileList> runs);
+  /// Lays the now-empty `level` out in `groups`, one empty run each. A
+  /// morph calls this between removing its inputs and adding its outputs.
+  /// REQUIRES: called on a Clone not yet published, every run of `level`
+  /// empty.
+  void ResetLevel(int level, std::vector<ColumnSet> groups);
 
   /// Multi-line human-readable summary (files and bytes per level/group).
   std::string DebugString() const;

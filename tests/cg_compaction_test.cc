@@ -47,15 +47,64 @@ class CgCompactionTest : public ::testing::Test {
     return ctx;
   }
 
-  /// Fills the job's column sets from the fixture's cg_config, the way
-  /// CompactionPicker snapshots them from a Version's design.
-  void FillJobColumns(CompactionJob* job) {
+  /// The job merging `parents` (each file a run of group 0 of `level`,
+  /// newest first) into every group of level+1, whose runs hold `children`
+  /// (one file list per group; missing ones are empty). Column sets come
+  /// from the fixture's cg_config, the way CompactionPicker snapshots them
+  /// from a Version's design.
+  CompactionJob ChildJob(int level, const Version::FileList& parents, bool to_bottom,
+                         std::vector<Version::FileList> children = {}) {
     const CgConfig& config = options_.cg_config;
-    job->parent_columns = config.groups(job->level)[job->group];
-    job->child_columns.clear();
-    for (int child : job->child_groups) {
-      job->child_columns.push_back(config.groups(job->level + 1)[child]);
+    CompactionJob job;
+    for (const auto& f : parents) {
+      job.inputs.push_back({level, 0, config.groups(level)[0], {f}});
     }
+    job.output_level = level + 1;
+    children.resize(config.num_groups(level + 1));
+    for (int g = 0; g < config.num_groups(level + 1); ++g) {
+      const ColumnSet& cols = config.groups(level + 1)[g];
+      job.inputs.push_back({level + 1, g, cols, children[g]});
+      job.output_groups.push_back(g);
+      job.output_columns.push_back(cols);
+    }
+    job.to_bottom_level = to_bottom;
+    return job;
+  }
+
+  /// The morph job re-laying level 2 in place: `runs[g]` is laid out in
+  /// `from[g]`, and the outputs are the groups `to`.
+  CompactionJob MorphJob(const std::vector<ColumnSet>& from,
+                         const std::vector<Version::FileList>& runs,
+                         const std::vector<ColumnSet>& to) {
+    CompactionJob job;
+    for (size_t g = 0; g < from.size(); ++g) {
+      job.inputs.push_back({2, static_cast<int>(g), from[g], runs[g]});
+    }
+    job.output_level = 2;
+    for (size_t g = 0; g < to.size(); ++g) job.output_groups.push_back(static_cast<int>(g));
+    job.output_columns = to;
+    return job;
+  }
+
+  /// Decodes every entry of `run` laid out in `cols`: (key, seq, type, values).
+  struct Entry {
+    uint64_t key;
+    SequenceNumber seq;
+    ValueType type;
+    std::vector<ColumnValuePair> values;
+  };
+  std::vector<Entry> ReadRun(const Version::FileList& run, const ColumnSet& cols) {
+    std::vector<Entry> out;
+    auto iter = NewRunIterator(run);
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+      Entry e{DecodeKey64(ExtractUserKey(iter->key())), ExtractSequence(iter->key()),
+              ExtractValueType(iter->key()), {}};
+      if (e.type != kTypeDeletion) {
+        EXPECT_TRUE(codec_->Decode(cols, iter->value(), &e.values).ok());
+      }
+      out.push_back(std::move(e));
+    }
+    return out;
   }
 
   /// Builds a memtable with `rows` full rows keyed 0..rows-1.
@@ -125,16 +174,9 @@ TEST_F(CgCompactionTest, CompactionSplitsRowsIntoChildGroups) {
   ASSERT_TRUE(RunFlush(ctx, *mem, &l1_file).ok());
   mem->Unref();
 
-  CompactionJob job;
-  job.level = 1;
-  job.group = 0;
-  job.parent_files = {l1_file};
-  job.child_groups = {0, 1};
-  job.child_files = {{}, {}};
-  job.to_bottom_level = true;
+  const CompactionJob job = ChildJob(1, {l1_file}, /*to_bottom=*/true);
 
   CompactionResult result;
-  FillJobColumns(&job);
   ASSERT_TRUE(RunCompaction(ctx, job, &result).ok());
   ASSERT_EQ(result.outputs.size(), 2u);
   ASSERT_FALSE(result.outputs[0].empty());
@@ -171,16 +213,10 @@ TEST_F(CgCompactionTest, TombstonesReachEveryChildGroup) {
   ASSERT_TRUE(RunFlush(ctx, *mem, &file).ok());
   mem->Unref();
 
-  CompactionJob job;
-  job.level = 1;
-  job.group = 0;
-  job.parent_files = {file};
-  job.child_groups = {0, 1};
-  job.child_files = {{}, {}};
-  job.to_bottom_level = false;  // tombstones must survive mid-tree
+  // Tombstones must survive mid-tree.
+  const CompactionJob job = ChildJob(1, {file}, /*to_bottom=*/false);
 
   CompactionResult result;
-  FillJobColumns(&job);
   ASSERT_TRUE(RunCompaction(ctx, job, &result).ok());
   for (int child = 0; child < 2; ++child) {
     auto dump = DumpRun(result.outputs[child]);
@@ -199,16 +235,9 @@ TEST_F(CgCompactionTest, BottomLevelDropsTombstones) {
   ASSERT_TRUE(RunFlush(ctx, *mem, &file).ok());
   mem->Unref();
 
-  CompactionJob job;
-  job.level = 1;
-  job.group = 0;
-  job.parent_files = {file};
-  job.child_groups = {0, 1};
-  job.child_files = {{}, {}};
-  job.to_bottom_level = true;
+  const CompactionJob job = ChildJob(1, {file}, /*to_bottom=*/true);
 
   CompactionResult result;
-  FillJobColumns(&job);
   ASSERT_TRUE(RunCompaction(ctx, job, &result).ok());
   EXPECT_TRUE(result.outputs[0].empty());
   EXPECT_TRUE(result.outputs[1].empty());
@@ -226,15 +255,8 @@ TEST_F(CgCompactionTest, PartialUpdateMergesWithChildRow) {
   std::shared_ptr<FileMetaData> older_row_file;
   ASSERT_TRUE(RunFlush(ctx, *older, &older_row_file).ok());
   older->Unref();
-  CompactionJob seed_job;
-  seed_job.level = 1;
-  seed_job.group = 0;
-  seed_job.parent_files = {older_row_file};
-  seed_job.child_groups = {0, 1};
-  seed_job.child_files = {{}, {}};
-  seed_job.to_bottom_level = true;
+  const CompactionJob seed_job = ChildJob(1, {older_row_file}, /*to_bottom=*/true);
   CompactionResult seeded;
-  FillJobColumns(&seed_job);
   ASSERT_TRUE(RunCompaction(ctx, seed_job, &seeded).ok());
 
   // Newer partial row (update of column 3 only) arrives above.
@@ -245,16 +267,10 @@ TEST_F(CgCompactionTest, PartialUpdateMergesWithChildRow) {
   ASSERT_TRUE(RunFlush(ctx, *newer, &newer_file).ok());
   newer->Unref();
 
-  CompactionJob job;
-  job.level = 1;
-  job.group = 0;
-  job.parent_files = {newer_file};
-  job.child_groups = {0, 1};
-  job.child_files = {seeded.outputs[0], seeded.outputs[1]};
-  job.to_bottom_level = true;
+  const CompactionJob job = ChildJob(1, {newer_file}, /*to_bottom=*/true,
+                                     {seeded.outputs[0], seeded.outputs[1]});
 
   CompactionResult result;
-  FillJobColumns(&job);
   ASSERT_TRUE(RunCompaction(ctx, job, &result).ok());
 
   // Child <1,2>: untouched by the partial -> old values intact, 1 entry.
@@ -289,16 +305,9 @@ TEST_F(CgCompactionTest, OutputRespectsTargetSstSize) {
   ASSERT_TRUE(RunFlush(ctx, *mem, &file).ok());
   mem->Unref();
 
-  CompactionJob job;
-  job.level = 1;
-  job.group = 0;
-  job.parent_files = {file};
-  job.child_groups = {0, 1};
-  job.child_files = {{}, {}};
-  job.to_bottom_level = true;
+  const CompactionJob job = ChildJob(1, {file}, /*to_bottom=*/true);
 
   CompactionResult result;
-  FillJobColumns(&job);
   ASSERT_TRUE(RunCompaction(ctx, job, &result).ok());
   EXPECT_GT(result.outputs[0].size(), 1u);
   // Files within a run must be sorted and non-overlapping.
@@ -328,16 +337,9 @@ TEST_F(CgCompactionTest, SnapshotPreservesOldVersionThroughCompaction) {
   ASSERT_TRUE(RunFlush(ctx, *mem, &file).ok());
   mem->Unref();
 
-  CompactionJob job;
-  job.level = 1;
-  job.group = 0;
-  job.parent_files = {file};
-  job.child_groups = {0, 1};
-  job.child_files = {{}, {}};
-  job.to_bottom_level = true;
+  const CompactionJob job = ChildJob(1, {file}, /*to_bottom=*/true);
 
   CompactionResult result;
-  FillJobColumns(&job);
   ASSERT_TRUE(RunCompaction(ctx, job, &result).ok());
   // Both versions must survive in each child chain (seq 8 and seq 3).
   for (int child = 0; child < 2; ++child) {
@@ -354,16 +356,9 @@ TEST_F(CgCompactionTest, IdentityCompactionKeepsRowFormat) {
   ASSERT_TRUE(RunFlush(ctx, *mem, &file).ok());
   mem->Unref();
 
-  CompactionJob job;
-  job.level = 0;
-  job.group = 0;
-  job.parent_files = {file};
-  job.child_groups = {0};
-  job.child_files = {{}};
-  job.to_bottom_level = false;
+  const CompactionJob job = ChildJob(0, {file}, /*to_bottom=*/false);
 
   CompactionResult result;
-  FillJobColumns(&job);
   ASSERT_TRUE(RunCompaction(ctx, job, &result).ok());
   ASSERT_EQ(result.outputs.size(), 1u);
   uint64_t total = 0;
@@ -391,16 +386,9 @@ TEST_F(CgCompactionTest, L0MultipleOverlappingRunsMergeNewestWins) {
   ASSERT_TRUE(RunFlush(ctx, *new_mem, &new_file).ok());
   new_mem->Unref();
 
-  CompactionJob job;
-  job.level = 0;
-  job.group = 0;
-  job.parent_files = {old_file, new_file};
-  job.child_groups = {0};
-  job.child_files = {{}};
-  job.to_bottom_level = false;
+  const CompactionJob job = ChildJob(0, {new_file, old_file}, /*to_bottom=*/false);
 
   CompactionResult result;
-  FillJobColumns(&job);
   ASSERT_TRUE(RunCompaction(ctx, job, &result).ok());
   auto iter = NewRunIterator(result.outputs[0]);
   iter->SeekToFirst();
@@ -408,6 +396,62 @@ TEST_F(CgCompactionTest, L0MultipleOverlappingRunsMergeNewestWins) {
   EXPECT_EQ(ExtractSequence(iter->key()), 2u);  // newest version won
   iter->Next();
   EXPECT_FALSE(iter->Valid());  // old version dropped (no snapshots)
+}
+
+TEST_F(CgCompactionTest, MorphReLaysGroupsIntoRowAndBack) {
+  JobContext ctx = MakeContext();
+  const ColumnSet all = options_.schema.AllColumns();
+
+  // Two CG runs at L2: a full row, a tombstone (replicated into both groups)
+  // and a partial write whose columns 2 and 3 split across the groups.
+  MemTable* mem = new MemTable();
+  mem->Ref();
+  mem->Add(1, kTypeFullRow, EncodeKey64(1),
+           codec_->Encode(all, {{1, 11}, {2, 12}, {3, 13}, {4, 14}}));
+  mem->Add(2, kTypeDeletion, EncodeKey64(2), "");
+  mem->Add(3, kTypePartialRow, EncodeKey64(3), codec_->Encode(all, {{2, 32}, {3, 33}}));
+  std::shared_ptr<FileMetaData> file;
+  ASSERT_TRUE(RunFlush(ctx, *mem, &file).ok());
+  mem->Unref();
+  CompactionResult split;
+  ASSERT_TRUE(RunCompaction(ctx, ChildJob(1, {file}, /*to_bottom=*/false), &split).ok());
+
+  const std::vector<ColumnSet> groups = options_.cg_config.groups(2);
+  CompactionResult row;
+  ASSERT_TRUE(RunCompaction(ctx, MorphJob(groups, split.outputs, {all}), &row).ok());
+  ASSERT_EQ(row.outputs.size(), 1u);
+  const std::vector<Entry> rows = ReadRun(row.outputs[0], all);
+  ASSERT_EQ(rows.size(), 3u);  // one entry per key: fragments recombined
+  EXPECT_EQ(rows[0].key, 1u);
+  EXPECT_EQ(rows[0].seq, 1u);
+  EXPECT_EQ(rows[0].type, kTypeFullRow);
+  EXPECT_EQ(rows[0].values,
+            (std::vector<ColumnValuePair>{{1, 11}, {2, 12}, {3, 13}, {4, 14}}));
+  EXPECT_EQ(rows[1].key, 2u);
+  EXPECT_EQ(rows[1].type, kTypeDeletion);  // the tombstone comes out once
+  EXPECT_EQ(rows[2].key, 3u);
+  EXPECT_EQ(rows[2].seq, 3u);
+  EXPECT_EQ(rows[2].type, kTypePartialRow);
+  EXPECT_EQ(rows[2].values, (std::vector<ColumnValuePair>{{2, 32}, {3, 33}}));
+
+  // And back: each group gets its columns of every key, and the tombstone.
+  CompactionResult back;
+  ASSERT_TRUE(RunCompaction(ctx, MorphJob({all}, row.outputs, groups), &back).ok());
+  ASSERT_EQ(back.outputs.size(), 2u);
+  for (int g = 0; g < 2; ++g) {
+    const ColumnSet& cols = groups[g];
+    const std::vector<Entry> entries = ReadRun(back.outputs[g], cols);
+    ASSERT_EQ(entries.size(), 3u) << "group " << g;
+    EXPECT_EQ(entries[0].type, kTypeFullRow);
+    EXPECT_EQ(entries[0].values,
+              (std::vector<ColumnValuePair>{{cols[0], 10 + static_cast<uint64_t>(cols[0])},
+                                            {cols[1], 10 + static_cast<uint64_t>(cols[1])}}));
+    EXPECT_EQ(entries[1].type, kTypeDeletion);
+    EXPECT_EQ(entries[2].type, kTypePartialRow);
+    EXPECT_EQ(entries[2].values,
+              (std::vector<ColumnValuePair>{{g == 0 ? 2 : 3, g == 0 ? 32u : 33u}}));
+  }
+  EXPECT_EQ(stats_.design_morph_compactions.load(), 2u);
 }
 
 }  // namespace

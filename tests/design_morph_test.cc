@@ -5,11 +5,17 @@
 // tolerate; (2) a crash matrix over the morph phase — killed at every
 // filesystem operation from SetTargetDesign through convergence, the
 // reopened tree must hold exactly the acknowledged writes AND keep
-// converging to the persisted target instead of reverting; (3) the advisor
-// daemon's hysteresis, driven deterministically through TickOnce.
+// converging to the persisted target instead of reverting; (3) a second
+// morph of levels the first one narrowed; (4) the advisor daemon's
+// hysteresis, driven deterministically through TickOnce.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <thread>
 #include <vector>
 
 #include "cost/design_advisor_daemon.h"
@@ -280,6 +286,60 @@ TEST(MorphCrashMatrixTest, CrashAtEveryOperationOfTheMorphResumes) {
       EXPECT_EQ(db->TargetDesign().num_levels(), 0);
     }
     test::RecoveryHarness::VerifyMatchesModel(db.get(), outcome.model);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Successive morphs of one level.
+// ---------------------------------------------------------------------------
+
+/// CompactUntilStable, ending the test binary with a failure if it has not
+/// returned within `limit`: a morph that never starts would otherwise hold
+/// the suite until the ctest timeout.
+Status CompactUntilStableWithin(LaserDB* db, std::chrono::seconds limit) {
+  std::promise<Status> settled;
+  std::future<Status> result = settled.get_future();
+  std::thread settle([db, &settled] { settled.set_value(db->CompactUntilStable()); });
+  if (result.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "CompactUntilStable did not return within %llds\n",
+                 static_cast<long long>(limit.count()));
+    std::_Exit(EXIT_FAILURE);
+  }
+  settle.join();
+  return result.get();
+}
+
+TEST(SuccessiveMorphTest, MorphAfterShrinkingALevelStarts) {
+  // The first morph shrinks every level below L0 from two groups to one;
+  // the second grows the deep levels to one group per column. A job must
+  // release every slot it claimed, the old groups' too, or the second morph
+  // never starts.
+  constexpr int kLvls = 5;
+  const CgConfig initial = CgConfig::EquiWidth(kColumns, kLvls, 3);
+  const std::vector<CgConfig> targets = {CgConfig::RowOnly(kColumns, kLvls),
+                                         CgConfig::HtapSimple(kColumns, kLvls, 2)};
+  for (const uint64_t rows : {uint64_t{0}, uint64_t{2000}}) {
+    SCOPED_TRACE(::testing::Message() << rows << " rows");
+    auto env = NewMemEnv();
+    LaserOptions options = test::TinyTreeOptions(env.get(), "/db", kColumns, kLvls);
+    options.cg_config = initial;
+    options.background_threads = 1;
+    options.disable_auto_compactions = true;
+    std::unique_ptr<LaserDB> db;
+    ASSERT_TRUE(LaserDB::Open(options, &db).ok());
+    test::Model model;
+    for (uint64_t key = 1; key <= rows; ++key) {
+      ASSERT_TRUE(db->Insert(key, test::TestRow(key, kColumns)).ok());
+      model.Insert(key, test::TestRow(key, kColumns));
+    }
+    ASSERT_TRUE(CompactUntilStableWithin(db.get(), std::chrono::seconds(20)).ok());
+    for (const CgConfig& target : targets) {
+      ASSERT_TRUE(db->SetTargetDesign(target).ok());
+      ASSERT_TRUE(CompactUntilStableWithin(db.get(), std::chrono::seconds(20)).ok());
+      EXPECT_EQ(db->CurrentDesign(), target);
+      test::ExpectReadsMatch(db.get(), model, 1, rows + 1,
+                             MakeColumnRange(1, kColumns));
+    }
   }
 }
 

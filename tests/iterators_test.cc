@@ -63,6 +63,28 @@ TEST(MergingIteratorTest, InterleavesSortedStreams) {
   EXPECT_EQ(values, (std::vector<std::string>{"a", "d", "e", "b", "c", "f"}));
 }
 
+TEST(MergingIteratorTest, EqualKeysPopInChildOrder) {
+  // The fragments of one write share an internal key across column-group
+  // runs; compaction lists its inputs newest first and relies on this order.
+  std::vector<std::unique_ptr<Iterator>> children;
+  for (int child = 0; child < 5; ++child) {
+    const std::string id = std::to_string(child);
+    std::vector<std::pair<std::string, std::string>> data;
+    if (child % 2 == 1) data.push_back({IK(1, 1), "x" + id});
+    data.push_back({IK(2, 7), id});
+    data.push_back({IK(3, 7, kTypeDeletion), id});
+    children.push_back(std::make_unique<VectorIterator>(std::move(data)));
+  }
+  auto merged = NewMergingIterator(std::move(children));
+
+  std::vector<std::string> values;
+  for (merged->SeekToFirst(); merged->Valid(); merged->Next()) {
+    values.push_back(merged->value().ToString());
+  }
+  EXPECT_EQ(values, (std::vector<std::string>{"x1", "x3", "0", "1", "2", "3", "4", "0",
+                                              "1", "2", "3", "4"}));
+}
+
 TEST(MergingIteratorTest, SeekLandsOnLowerBound) {
   std::vector<std::unique_ptr<Iterator>> children;
   children.push_back(std::make_unique<VectorIterator>(

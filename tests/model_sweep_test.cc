@@ -209,17 +209,13 @@ template <typename Db>
 void RunHistory(uint64_t seed) {
   Random rng(0x5ca4ba7c + seed * 7919);
   // The design rotates with the seed. A row-format history also sets one
-  // morph target, rotating over the other designs, at a random op. Two
-  // engine bugs keep every other morph out of the sweep:
-  //  - re-laying a level stored in several column groups can revert values,
-  //    null columns and lose keys (likely because the groups compact into
-  //    the level one at a time, so they can hold different versions of a
-  //    key, which the morph folds into one entry); from a row-format tree
-  //    every level a morph re-lays is one group;
-  //  - a second morph of a level whose group count an earlier morph shrank
-  //    never starts: a finished morph releases only its output groups'
-  //    claims (BackgroundCompact clears morph_input_files before it erases
-  //    job.Claims() from busy_), so CompactUntilStable waits forever.
+  // morph target, rotating over the other designs, at a random op. An
+  // engine bug keeps every other morph out of the sweep: re-laying a level
+  // stored in several column groups can revert values, null columns and
+  // lose keys (likely because the groups compact into the level one at a
+  // time, so they can hold different versions of a key, which the morph
+  // folds into one entry); from a row-format tree every level a morph
+  // re-lays is one group.
   const size_t design = seed % Designs().size();
   const size_t target = 1 + (seed / Designs().size()) % (Designs().size() - 1);
   const int morph_at = design == 0 ? 1 + static_cast<int>(rng.Uniform(kOps)) : 0;

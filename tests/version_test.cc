@@ -195,9 +195,16 @@ TEST_F(PickerTest, L0ScoreByFileCount) {
 
   auto job = picker_->Pick(*v, {});
   ASSERT_TRUE(job.has_value());
-  EXPECT_EQ(job->level, 0);
-  EXPECT_EQ(job->parent_files.size(), 4u);          // all L0 runs
-  EXPECT_EQ(job->child_groups.size(), 2u);          // both L1 groups
+  // Every L0 file is a run of its own, newest first, ahead of both L1 runs.
+  ASSERT_EQ(job->inputs.size(), 6u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(job->inputs[i].level, 0);
+    EXPECT_EQ(job->inputs[i].files[0]->file_number, static_cast<uint64_t>(4 - i));
+  }
+  EXPECT_EQ(job->output_level, 1);
+  EXPECT_EQ(job->output_groups, (std::vector<int>{0, 1}));  // both L1 groups
+  // Four inputs share slot (0,0), and the job claims it once.
+  EXPECT_EQ(job->claims, (std::vector<std::pair<int, int>>{{0, 0}, {1, 0}, {1, 1}}));
 }
 
 TEST_F(PickerTest, PicksMostOverflowingGroup) {
@@ -207,11 +214,12 @@ TEST_F(PickerTest, PicksMostOverflowingGroup) {
   v->ReplaceFiles(1, 1, {}, {FakeFile(2, 0, 10, 3000)});
   auto job = picker_->Pick(*v, {});
   ASSERT_TRUE(job.has_value());
-  EXPECT_EQ(job->level, 1);
-  EXPECT_EQ(job->group, 1);
+  EXPECT_EQ(job->inputs[0].level, 1);
+  EXPECT_EQ(job->inputs[0].group, 1);
   EXPECT_TRUE(job->to_bottom_level);
   // Child of <3,4> at level 2 is group 1 only.
-  EXPECT_EQ(job->child_groups, (std::vector<int>{1}));
+  EXPECT_EQ(job->output_groups, (std::vector<int>{1}));
+  EXPECT_EQ(job->claims, (std::vector<std::pair<int, int>>{{1, 1}, {2, 1}}));
 }
 
 TEST_F(PickerTest, BusyClaimsBlockJob) {
@@ -233,8 +241,8 @@ TEST_F(PickerTest, PriorityOldestSmallestSeqFirst) {
                    FakeFile(2, 20, 30, 3000, /*smallest_seq=*/10)});
   auto job = picker.Pick(*v, {});
   ASSERT_TRUE(job.has_value());
-  ASSERT_EQ(job->parent_files.size(), 1u);
-  EXPECT_EQ(job->parent_files[0]->file_number, 2u);  // oldest seq
+  ASSERT_EQ(job->inputs[0].files.size(), 1u);
+  EXPECT_EQ(job->inputs[0].files[0]->file_number, 2u);  // oldest seq
 }
 
 TEST_F(PickerTest, PriorityByCompensatedSize) {
@@ -250,7 +258,7 @@ TEST_F(PickerTest, PriorityByCompensatedSize) {
                    {FakeFile(1, 0, 10, 3000, 50), FakeFile(2, 20, 30, 2000, 10)});
   auto job = picker.Pick(*v2, {});
   ASSERT_TRUE(job.has_value());
-  EXPECT_EQ(job->parent_files[0]->file_number, 1u);  // largest file
+  EXPECT_EQ(job->inputs[0].files[0]->file_number, 1u);  // largest file
 }
 
 TEST_F(PickerTest, NothingToDoOnEmptyTree) {
@@ -267,9 +275,37 @@ TEST_F(PickerTest, ChildFilesLimitedToOverlap) {
                    FakeFile(5, 50, 60, 100)});
   auto job = picker_->Pick(*v, {});
   ASSERT_TRUE(job.has_value());
-  ASSERT_EQ(job->child_files.size(), 1u);
-  ASSERT_EQ(job->child_files[0].size(), 1u);
-  EXPECT_EQ(job->child_files[0][0]->file_number, 4u);
+  ASSERT_EQ(job->inputs.size(), 2u);  // the parent, then its one child run
+  EXPECT_EQ(job->inputs[1].level, 2);
+  EXPECT_EQ(job->inputs[1].group, 1);
+  ASSERT_EQ(job->inputs[1].files.size(), 1u);
+  EXPECT_EQ(job->inputs[1].files[0]->file_number, 4u);
+}
+
+TEST_F(PickerTest, MorphClaimsEveryOldAndNewGroupOfItsLevel) {
+  auto v = Version::Empty(options_.cg_config);  // L1: <1,2><3,4>
+  v->ReplaceFiles(1, 0, {}, {FakeFile(1, 0, 10, 100)});
+
+  // Shrinking L1 to one group still claims both old slots.
+  const CgConfig row = CgConfig::RowOnly(4, 3);
+  auto job = picker_->Pick(*v, {}, &row);
+  ASSERT_TRUE(job.has_value());
+  EXPECT_TRUE(job->ReLaysLevel());
+  EXPECT_EQ(job->output_level, 1);
+  ASSERT_EQ(job->inputs.size(), 2u);  // every run of L1, the empty one too
+  EXPECT_EQ(job->output_columns, row.groups(1));
+  EXPECT_EQ(job->claims, (std::vector<std::pair<int, int>>{{1, 0}, {1, 1}}));
+
+  // Growing it to four groups claims every new slot.
+  const CgConfig columnar = CgConfig::ColumnOnly(4, 3);
+  job = picker_->Pick(*v, {}, &columnar);
+  ASSERT_TRUE(job.has_value());
+  EXPECT_EQ(job->output_groups, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(job->claims,
+            (std::vector<std::pair<int, int>>{{1, 0}, {1, 1}, {1, 2}, {1, 3}}));
+
+  // A claimed old slot holds the morph back.
+  EXPECT_FALSE(picker_->Pick(*v, {{1, 1}}, &row).has_value());
 }
 
 }  // namespace
