@@ -15,83 +15,36 @@ namespace laser {
 // VersionMerger
 // ---------------------------------------------------------------------------
 
-VersionMerger::VersionMerger(const RowCodec* codec, ColumnSet cg,
-                             std::vector<SequenceNumber> snapshots,
-                             bool bottom_level)
-    : codec_(codec),
-      cg_(std::move(cg)),
-      snapshots_(std::move(snapshots)),
-      bottom_level_(bottom_level) {
-  assert(std::is_sorted(snapshots_.rbegin(), snapshots_.rend()));
-}
-
-size_t VersionMerger::StripeOf(SequenceNumber seq) const {
-  // The stripe of `seq` is the number of snapshots >= seq. Two versions
-  // share a stripe exactly when no snapshot separates them; snapshots_ is
-  // sorted descending, so the count stops at the first snapshot below seq.
-  size_t stripe = 0;
-  for (SequenceNumber snap : snapshots_) {
-    if (seq <= snap) {
-      ++stripe;
-    } else {
-      break;
-    }
-  }
-  return stripe;
-}
+VersionMerger::VersionMerger(const RowCodec* codec, ColumnSet cg, bool bottom_level)
+    : codec_(codec), cg_(std::move(cg)), bottom_level_(bottom_level) {}
 
 size_t VersionMerger::Fold(std::vector<MergedEntry>* versions, size_t n) {
   if (n == 0) return 0;
   MergedEntry* v = versions->data();
 
   // v[w] is the accumulator; v[0, w) are already emitted. Entries move only
-  // toward the front (swaps), so every slot keeps a string buffer.
+  // toward the front (swaps), so every slot keeps a string buffer. Only a
+  // partial row absorbs older versions: a full row or a tombstone hides
+  // everything older.
   size_t w = 0;
-  size_t acc_stripe = StripeOf(v[0].sequence);
-  auto start_new_acc = [&](size_t r, size_t stripe) {
-    ++w;
-    if (w != r) std::swap(v[w], v[r]);
-    acc_stripe = stripe;
-  };
-
-  for (size_t r = 1; r < n; ++r) {
+  for (size_t r = 1; r < n && v[w].type == kTypePartialRow; ++r) {
     assert(v[r].sequence < v[w].sequence);
-    const size_t stripe = StripeOf(v[r].sequence);
-    if (stripe != acc_stripe) {
-      // A snapshot boundary: versions on the older side must stay visible.
-      start_new_acc(r, stripe);
+    if (v[r].type == kTypeDeletion) {
+      // Partial over tombstone: not representable as one entry (the
+      // tombstone must still mask deeper values), so emit both.
+      ++w;
+      if (w != r) std::swap(v[w], v[r]);
       continue;
     }
-    // Fold v[r] (older) under the accumulator (newer), same stripe.
     MergedEntry& acc = v[w];
-    switch (acc.type) {
-      case kTypeDeletion:
-      case kTypeFullRow:
-        break;  // v[r] is invisible
-      case kTypePartialRow:
-        switch (v[r].type) {
-          case kTypeDeletion:
-            // Partial over tombstone: not representable as one entry (the
-            // tombstone must still mask deeper values), so emit both.
-            start_new_acc(r, stripe);
-            break;
-          case kTypeFullRow:
-          case kTypePartialRow:
-            codec_->Merge(cg_, Slice(acc.value), Slice(v[r].value), &scratch_);
-            acc.value.swap(scratch_);
-            if (codec_->IsComplete(cg_, Slice(acc.value))) {
-              acc.type = kTypeFullRow;
-            }
-            break;
-        }
-        break;
-    }
+    codec_->Merge(cg_, Slice(acc.value), Slice(v[r].value), &scratch_);
+    acc.value.swap(scratch_);
+    if (codec_->IsComplete(cg_, Slice(acc.value))) acc.type = kTypeFullRow;
   }
   size_t emitted = w + 1;
 
   // Bottom level: the oldest emitted entry, if a tombstone, masks nothing —
-  // there is no deeper data in this chain — so it is always droppable (a
-  // snapshot reader finds nothing either way).
+  // there is no deeper data in this chain — so it is always droppable.
   if (bottom_level_ && v[w].type == kTypeDeletion) --emitted;
   return emitted;
 }
@@ -385,7 +338,7 @@ Status WriteCompactionOutputs(const JobContext& ctx, const CompactionJob& job,
     }
     auto merged = NewMergingIterator(std::move(streams));
 
-    VersionMerger merger(ctx.codec, group_cols, ctx.snapshots, job.to_bottom_level);
+    VersionMerger merger(ctx.codec, group_cols, job.to_bottom_level);
     OutputWriter writer(ctx, files, group_cols, job.output_level);
 
     // The versions of the current user key live in versions[0, num_versions);

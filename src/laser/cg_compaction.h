@@ -2,11 +2,18 @@
 // groups, re-encoding each run for every output group it intersects (row →
 // narrower CGs, or back) and merging row versions newest-wins-per-column
 // (§4.2). An overflow job carries one group of level i into level i+1; a
-// morph re-lays a level in place with the same loop. Containment between
-// adjacent levels is NOT required: fragments of one write travel
-// independently and recombine when they meet (equal-sequence merge), which
-// is what lets a design morph change one level at a time. Also hosts the
-// flush job (memtable → L0).
+// morph re-lays a level in place with the same loop. Fragments of one write
+// travel independently and recombine when they meet (equal-sequence merge).
+// That recombination is correct only for fragments of one write. The groups
+// of a level compact into it one at a time, so their frontiers (the newest
+// write each has taken in) can differ, and folding versions from groups
+// whose frontiers differ loses newer columns: a morph of a multi-group level
+// folds a key's entries into one stamped with the newest sequence, which
+// then shadows an older write still one level up whose columns it carries
+// stale (DISABLED_MorphFoldsAcrossGroupFrontiers in cg_compaction_test.cc
+// reproduces it). So a morph that drops containment between adjacent levels
+// is not yet safe from a multi-group layout. Also hosts the flush job
+// (memtable → L0).
 
 #ifndef LASER_LASER_CG_COMPACTION_H_
 #define LASER_LASER_CG_COMPACTION_H_
@@ -33,16 +40,15 @@ struct MergedEntry {
   std::string value;
 };
 
-/// Folds the versions of one user key (newest first) within snapshot stripes:
-/// partial rows merge into older rows column-wise, full rows and tombstones
-/// absorb everything older in their stripe, and bottom-level tombstones are
-/// dropped. Exposed separately for property testing.
+/// Folds the versions of one user key (newest first): partial rows merge
+/// into older rows column-wise, full rows and tombstones absorb everything
+/// older, and bottom-level tombstones are dropped. A reader opened before
+/// the job keeps reading the files its view pinned, so only a key's newest
+/// state is written. Exposed separately for property testing.
 class VersionMerger {
  public:
-  /// `snapshots` must be sorted descending; `bottom_level` enables tombstone
-  /// dropping.
-  VersionMerger(const RowCodec* codec, ColumnSet cg,
-                std::vector<SequenceNumber> snapshots, bool bottom_level);
+  /// `bottom_level` enables tombstone dropping.
+  VersionMerger(const RowCodec* codec, ColumnSet cg, bool bottom_level);
 
   /// Folds (*versions)[0, n), newest first, in place: the entries to emit,
   /// newest first, end up in (*versions)[0, result). The other slots keep
@@ -51,20 +57,18 @@ class VersionMerger {
   size_t Fold(std::vector<MergedEntry>* versions, size_t n);
 
  private:
-  /// Index of the snapshot stripe containing `seq` (0 = newest stripe).
-  size_t StripeOf(SequenceNumber seq) const;
-
   const RowCodec* codec_;
   const ColumnSet cg_;
-  const std::vector<SequenceNumber> snapshots_;  // descending
   const bool bottom_level_;
   std::string scratch_;  // merge output, swapped into the accumulator
 };
 
 /// Wraps an internal-key iterator over rows encoded for `parent`, re-encoding
-/// each value for `child` (no containment required: the intersection of the
-/// two sets is kept, so fragments recombine downstream via the equal-sequence
-/// merge in RunCompaction). Each row is re-encoded once, through a
+/// each value for `child`: the intersection of the two sets is kept, so
+/// fragments of one write recombine downstream via the equal-sequence merge
+/// in RunCompaction. That merge is correct only for fragments of one write;
+/// folding versions from groups whose frontiers differ loses newer columns
+/// (see the file comment). Each row is re-encoded once, through a
 /// ProjectionPlan built for the (parent, child) pair. Partial rows whose
 /// re-encoding is empty are skipped; tombstones pass through (they must
 /// reach every child chain).
@@ -82,8 +86,6 @@ struct JobContext {
   Stats* stats = nullptr;
   /// Allocates a fresh SST file number.
   std::function<uint64_t()> next_file_number;
-  /// Alive snapshot sequences, descending.
-  std::vector<SequenceNumber> snapshots;
   /// Syncs and closes each finished output while the job writes the next.
   /// Required by RunCompaction.
   IoQueue* io = nullptr;

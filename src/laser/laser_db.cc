@@ -4,12 +4,8 @@
 #include <cassert>
 #include <chrono>
 #include <cstdlib>
-#include <limits>
-#include <map>
 
 #include "cost/trace.h"
-#include "laser/contribution_iterator.h"
-#include "lsm/run_iterator.h"
 #include "sst/bloom.h"
 #include "util/coding.h"
 #include "wal/log_reader.h"
@@ -680,10 +676,6 @@ JobContext LaserDB::MakeJobContext() {
   ctx.stats = &stats_;
   ctx.next_file_number = [this] { return next_file_number_.fetch_add(1); };
   ctx.io = io_.get();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    ctx.snapshots.assign(snapshots_.rbegin(), snapshots_.rend());
-  }
   return ctx;
 }
 
@@ -1001,25 +993,13 @@ CgConfig LaserDB::TargetDesign() const {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshots
+// Reads (§4.3)
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<LaserSnapshot> LaserDB::GetSnapshot() {
+ReadView LaserDB::PinReadView() const {
   std::unique_lock<std::mutex> lock(mu_);
-  const SequenceNumber seq = last_sequence_.load();
-  snapshots_.insert(seq);
-  return std::make_shared<LaserSnapshot>(this, seq);
+  return ReadView(mem_, imm_, version_, last_sequence_.load());
 }
-
-LaserSnapshot::~LaserSnapshot() {
-  std::unique_lock<std::mutex> lock(db_->mu_);
-  auto it = db_->snapshots_.find(sequence_);
-  if (it != db_->snapshots_.end()) db_->snapshots_.erase(it);
-}
-
-// ---------------------------------------------------------------------------
-// Point reads (§4.3)
-// ---------------------------------------------------------------------------
 
 Status LaserDB::CheckProjection(const ColumnSet& projection) const {
   if (projection.empty()) return Status::InvalidArgument("empty projection");
@@ -1167,20 +1147,9 @@ Status LaserDB::Read(uint64_t key, const ColumnSet& projection,
   LASER_RETURN_IF_ERROR(CheckProjection(projection));
   stats_.point_reads.fetch_add(1, std::memory_order_relaxed);
 
-  // Pin a consistent view.
-  MemTable* mem;
-  std::vector<MemTable*> imms;
-  std::shared_ptr<const Version> version;
-  SequenceNumber snapshot;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    mem = mem_;
-    mem->Ref();
-    imms = imm_;
-    for (MemTable* m : imms) m->Ref();
-    version = version_;
-    snapshot = last_sequence_.load();
-  }
+  const ReadView view = PinReadView();
+  const Version& version = *view.version;
+  const SequenceNumber snapshot = view.sequence;
 
   // Thread-local scratch: the key is encoded into a stack buffer and every
   // probe vector reuses its previous capacity, so after a thread's first
@@ -1196,10 +1165,10 @@ Status LaserDB::Read(uint64_t key, const ColumnSet& projection,
   ColumnSet& needed = scratch.needed;
 
   // 1. Memtables, newest first.
-  if (mem->GetVersions(user_key, snapshot, &versions)) {
+  if (view.mem->GetVersions(user_key, snapshot, &versions)) {
     resolver.Apply(all_columns, versions);
   }
-  for (auto it = imms.rbegin(); it != imms.rend() && !resolver.done(); ++it) {
+  for (auto it = view.imms.rbegin(); it != view.imms.rend() && !resolver.done(); ++it) {
     versions.clear();
     if ((*it)->GetVersions(user_key, snapshot, &versions)) {
       resolver.Apply(all_columns, versions);
@@ -1212,7 +1181,7 @@ Status LaserDB::Read(uint64_t key, const ColumnSet& projection,
 
   // 2. Level-0 files, newest first.
   if (!resolver.done()) {
-    const auto& l0 = version->files(0, 0);
+    const auto& l0 = version.files(0, 0);
     for (auto it = l0.rbegin(); it != l0.rend() && !resolver.done(); ++it) {
       if (!(*it)->OverlapsUserRange(user_key, user_key)) continue;
       versions.clear();
@@ -1235,10 +1204,10 @@ Status LaserDB::Read(uint64_t key, const ColumnSet& projection,
   std::vector<DeepCandidate>& candidates = scratch.candidates;
   candidates.clear();
   if (!resolver.done()) {
-    for (int level = 1; level < version->num_levels(); ++level) {
-      const int groups = static_cast<int>(version->design().groups(level).size());
+    for (int level = 1; level < version.num_levels(); ++level) {
+      const int groups = static_cast<int>(version.design().groups(level).size());
       for (int g = 0; g < groups; ++g) {
-        FileMetaData* file = version->FileContainingRaw(level, g, user_key);
+        FileMetaData* file = version.FileContainingRaw(level, g, user_key);
         if (file == nullptr) continue;
         file->reader->PrefetchFilterProbes(key_hash);
         candidates.push_back({level, g, file});
@@ -1253,7 +1222,7 @@ Status LaserDB::Read(uint64_t key, const ColumnSet& projection,
     // The pinned Version's design is authoritative: mid-morph, a level's
     // layout may differ from both the seed config and the morph target.
     const ColumnSet& group_cols =
-        version->design().groups(cand.level)[cand.group];
+        version.design().groups(cand.level)[cand.group];
     resolver.UnresolvedIn(group_cols, &needed);
     if (needed.empty()) continue;
     versions.clear();
@@ -1275,73 +1244,8 @@ Status LaserDB::Read(uint64_t key, const ColumnSet& projection,
           1, std::memory_order_relaxed);
     }
   }
-
-  mem->Unref();
-  for (MemTable* m : imms) m->Unref();
   return Status::OK();
 }
-
-// ---------------------------------------------------------------------------
-// Range scans (§4.3)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Builds the zone-map filter for one SST-backed source: the scan's
-/// predicates restricted to the columns the source actually stores (a
-/// predicate on a column outside the source cannot be judged from its
-/// blocks). `pred_cover` is the scan-wide census of how many sources cover
-/// each predicate column; a predicate whose column only this source covers
-/// is marked unconditional (window-free skipping is sound for it — see the
-/// skip-safety argument in scan_pushdown.h). Returns nullptr when no
-/// predicate applies.
-std::unique_ptr<ZoneMapScanFilter> MakeSourceFilter(
-    const ScanSpec& spec, const ColumnSet& source_columns,
-    const std::map<int, int>& pred_cover) {
-  std::vector<ScanPredicate> preds;
-  std::vector<bool> unconditional;
-  bool any_unconditional = false;
-  for (const ScanPredicate& pred : spec.predicates) {
-    if (std::binary_search(source_columns.begin(), source_columns.end(),
-                           pred.column)) {
-      preds.push_back(pred);
-      const auto it = pred_cover.find(pred.column);
-      const bool sole = it != pred_cover.end() && it->second == 1;
-      unconditional.push_back(sole);
-      any_unconditional |= sole;
-    }
-  }
-  if (preds.empty()) return nullptr;
-  if (!any_unconditional) unconditional.clear();
-  return std::make_unique<ZoneMapScanFilter>(std::move(preds),
-                                             std::move(unconditional));
-}
-
-/// Adds to `hull` the part inside [lo, hi] of every block of `file` that may
-/// supply a value of `pred`'s column passing it (key-range narrowing in
-/// scan_pushdown.h): the whole file when it has no zone maps, nothing when
-/// its folded zone rules the column out.
-void AddToKeyHull(const FileMetaData& file, const ScanPredicate& pred, uint64_t lo,
-                  uint64_t hi, KeyHull* hull) {
-  const uint64_t smallest = DecodeKey64(file.smallest_user_key());
-  const uint64_t largest = DecodeKey64(file.largest_user_key());
-  if (largest < lo || smallest > hi) return;
-  const ZoneMaps* zones = file.reader->zone_maps();
-  if (zones == nullptr || zones->blocks.empty()) {
-    hull->Add(std::max(smallest, lo), std::min(largest, hi));
-    return;
-  }
-  const ZoneMapEntry* file_zone = file.reader->file_zone();
-  if (file_zone != nullptr && !ZoneMayHoldMatch(*file_zone, pred)) return;
-  for (const ZoneMapEntry& block : zones->blocks) {
-    if (block.last_user_key < lo || block.first_user_key > hi) continue;
-    if (ZoneMayHoldMatch(block, pred)) {
-      hull->Add(std::max(block.first_user_key, lo), std::min(block.last_user_key, hi));
-    }
-  }
-}
-
-}  // namespace
 
 std::unique_ptr<ScanIterator> LaserDB::NewScan(uint64_t lo_key, uint64_t hi_key,
                                                ColumnSet projection) {
@@ -1352,408 +1256,13 @@ std::unique_ptr<ScanIterator> LaserDB::NewScan(uint64_t lo_key, uint64_t hi_key,
                                                ColumnSet projection,
                                                ScanSpec spec) {
   if (!CheckProjection(projection).ok()) return nullptr;
-  // Predicate columns must be projected: the filter re-check (and the
-  // aggregate fold) read them out of the batch.
-  std::vector<int> pred_positions;
-  for (const ScanPredicate& pred : spec.predicates) {
-    const auto it =
-        std::lower_bound(projection.begin(), projection.end(), pred.column);
-    if (it == projection.end() || *it != pred.column) return nullptr;
-    pred_positions.push_back(static_cast<int>(it - projection.begin()));
-  }
-  std::sort(pred_positions.begin(), pred_positions.end());
-  pred_positions.erase(
-      std::unique(pred_positions.begin(), pred_positions.end()),
-      pred_positions.end());
+  ReadView view = PinReadView();
+  std::optional<ScanPlan> plan =
+      PlanScan(view, &codec_, lo_key, hi_key, projection, spec);
+  if (!plan.has_value()) return nullptr;
   stats_.range_scans.fetch_add(1, std::memory_order_relaxed);
-
-  MemTable* mem;
-  std::vector<MemTable*> imms;
-  std::shared_ptr<const Version> version;
-  SequenceNumber snapshot;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    mem = mem_;
-    mem->Ref();
-    imms = imm_;
-    for (MemTable* m : imms) m->Ref();
-    version = version_;
-    snapshot = last_sequence_.load();
-  }
-
-  // Key-range narrowing (scan_pushdown.h): a matching row's key lies in
-  // every predicate's key hull, read off the zone maps of the sources that
-  // can supply the predicate's column. Memtables have no zone maps, so any
-  // memtable row turns narrowing off.
-  bool narrow = mem->num_entries() == 0;
-  for (MemTable* m : imms) narrow &= m->num_entries() == 0;
-  for (size_t i = 0; narrow && i < spec.predicates.size() && lo_key <= hi_key; ++i) {
-    const ScanPredicate& pred = spec.predicates[i];
-    KeyHull hull;
-    for (const auto& file : version->files(0, 0)) {
-      AddToKeyHull(*file, pred, lo_key, hi_key, &hull);
-    }
-    for (int level = 1; level < version->num_levels(); ++level) {
-      const int g = version->design().GroupOf(level, pred.column);
-      for (const auto& file : version->files(level, g)) {
-        AddToKeyHull(*file, pred, lo_key, hi_key, &hull);
-      }
-    }
-    lo_key = std::max(lo_key, hull.lo);
-    hi_key = std::min(hi_key, hull.hi);
-  }
-  // An empty range opens no SST source: the scan emits nothing.
-  const bool empty_range = lo_key > hi_key;
-
-  const ColumnSet all_columns = options_.schema.AllColumns();
-  const std::string lo_encoded = EncodeKey64(lo_key);
-  const std::string hi_encoded = EncodeKey64(hi_key);
-  std::vector<LevelMergingIterator::Source> sources;
-  const auto add_source = [&sources](std::unique_ptr<ContributionIterator> cursor) {
-    sources.emplace_back();
-    sources.back().push_back(std::move(cursor));
-  };
-
-  // Exclusive-coverage census: for each predicate column, how many of this
-  // scan's sources could supply a value for it. Non-empty memtables and
-  // range-overlapping L0 files cover every column (row format); a level>=1
-  // run covers its group's columns when any of its files overlaps the range.
-  // A census count of 1 marks the predicate unconditional for that lone
-  // source, enabling window-free skips (seek-time file skips, L0 plan
-  // pruning) — sound because every emitted row's value for the column then
-  // comes from that source or is null, and null fails every predicate.
-  std::map<int, int> pred_cover;
-  if (!spec.predicates.empty()) {
-    for (const ScanPredicate& pred : spec.predicates) pred_cover[pred.column];
-    int full_row_sources = mem->num_entries() > 0 ? 1 : 0;
-    for (MemTable* m : imms) {
-      if (m->num_entries() > 0) ++full_row_sources;
-    }
-    for (const auto& file : version->files(0, 0)) {
-      if (file->OverlapsUserRange(Slice(lo_encoded), Slice(hi_encoded))) {
-        ++full_row_sources;
-      }
-    }
-    if (full_row_sources > 0) {
-      for (auto& entry : pred_cover) entry.second += full_row_sources;
-    }
-    for (int level = 1; level < version->num_levels(); ++level) {
-      const auto& groups = version->design().groups(level);
-      for (int g : version->design().OverlappingGroups(level, projection)) {
-        bool overlaps = false;
-        for (const auto& file : version->files(level, g)) {
-          if (file->OverlapsUserRange(Slice(lo_encoded), Slice(hi_encoded))) {
-            overlaps = true;
-            break;
-          }
-        }
-        if (!overlaps) continue;
-        for (auto& entry : pred_cover) {
-          if (std::binary_search(groups[g].begin(), groups[g].end(),
-                                 entry.first)) {
-            ++entry.second;
-          }
-        }
-      }
-    }
-  }
-
-  // One zone-map filter per SST-backed source (memtables have no blocks to
-  // skip), owned by the ScanIterator so it outlives the block cursors that
-  // consult it. A source storing every projected column also gets fold
-  // support (a filter even with no predicates): if the consumer turns out to
-  // be AggregateAll, blocks provably made of visible all-matching rows
-  // contribute their zone summaries instead of being read.
-  std::vector<std::unique_ptr<ZoneMapScanFilter>> filters;
-  const auto add_filter = [&](const ColumnSet& cols) -> ZoneMapScanFilter* {
-    auto filter = MakeSourceFilter(spec, cols, pred_cover);
-    const bool covers = ColumnSetIsSubset(projection, cols);
-    if (filter == nullptr) {
-      if (!covers) return nullptr;
-      filter = std::make_unique<ZoneMapScanFilter>(std::vector<ScanPredicate>());
-    }
-    // `covers` implies the filter carries every predicate of the scan
-    // (predicate columns ⊆ projection ⊆ cols), the second fold requirement.
-    if (covers) filter->ConfigureFold(projection, snapshot);
-    filters.push_back(std::move(filter));
-    return filters.back().get();
-  };
-
-  // Memtables: newest first.
-  add_source(std::make_unique<ContributionIterator>(
-      mem->NewIterator(), &codec_, all_columns, projection, snapshot));
-  for (auto it = imms.rbegin(); it != imms.rend(); ++it) {
-    add_source(std::make_unique<ContributionIterator>(
-        (*it)->NewIterator(), &codec_, all_columns, projection, snapshot));
-  }
-
-  // Level-0 files: newest first, each its own source (they overlap each
-  // other) — but a file whose key range is disjoint from [lo, hi] cannot
-  // contribute and is not opened at all.
-  const auto& l0 = version->files(0, 0);
-  for (auto it = l0.rbegin(); !empty_range && it != l0.rend(); ++it) {
-    if (!(*it)->OverlapsUserRange(Slice(lo_encoded), Slice(hi_encoded))) continue;
-    ZoneMapScanFilter* filter = add_filter(all_columns);
-    // File-level zone check: a file whose folded zone proves an
-    // unconditional predicate cannot match anywhere drops out of the scan
-    // plan without being opened (the filter stays owned by the iterator so
-    // its skip counters reach stats).
-    if (filter != nullptr) {
-      const SstReader* reader = (*it)->reader.get();
-      const ZoneMapEntry* file_zone = reader->file_zone();
-      if (file_zone != nullptr &&
-          filter->CanSkipFile(*file_zone,
-                              reader->zone_maps()->blocks.size())) {
-        continue;
-      }
-    }
-    add_source(std::make_unique<ContributionIterator>(
-        (*it)->reader->NewIterator(filter), &codec_, all_columns, projection,
-        snapshot, filter));
-  }
-
-  // Levels >= 1: one source per level, holding a cursor per overlapping
-  // group (§4.3: "we optimize range queries with projections by opening
-  // iterators only for the overlapping column-groups in each level"); the
-  // level merge stitches a level's groups.
-  // The pinned Version's per-level design is authoritative — mid-morph it
-  // may disagree with both options_.cg_config and the morph target, and the
-  // scan must stitch whatever layout each level actually has.
-  for (int level = 1; !empty_range && level < version->num_levels(); ++level) {
-    const auto& groups = version->design().groups(level);
-    LevelMergingIterator::Source cursors;
-    for (int g : version->design().OverlappingGroups(level, projection)) {
-      if (version->files(level, g).empty()) continue;
-      ZoneMapScanFilter* filter = add_filter(groups[g]);
-      cursors.push_back(std::make_unique<ContributionIterator>(
-          NewRunIterator(version->files(level, g), filter), &codec_, groups[g],
-          projection, snapshot, filter));
-    }
-    if (!cursors.empty()) sources.push_back(std::move(cursors));
-  }
-
-  auto impl = std::make_unique<LevelMergingIterator>(
-      std::move(sources), projection.size(), std::move(pred_positions));
-  impl->Seek(Slice(lo_encoded));
-
-  std::vector<MemTable*> pinned;
-  pinned.push_back(mem);
-  pinned.insert(pinned.end(), imms.begin(), imms.end());
-  return std::make_unique<ScanIterator>(
-      hi_key, std::move(projection), std::move(pinned), std::move(version),
-      std::move(impl), &stats_, std::move(spec), std::move(filters));
-}
-
-ScanIterator::ScanIterator(uint64_t hi_key, ColumnSet projection,
-                           std::vector<MemTable*> pinned_memtables,
-                           std::shared_ptr<const Version> pinned_version,
-                           std::unique_ptr<LevelMergingIterator> impl,
-                           Stats* stats, ScanSpec spec,
-                           std::vector<std::unique_ptr<ZoneMapScanFilter>> filters)
-    : projection_(std::move(projection)),
-      hi_key_encoded_(EncodeKey64(hi_key)),
-      spec_(std::move(spec)),
-      pinned_memtables_(std::move(pinned_memtables)),
-      pinned_version_(std::move(pinned_version)),
-      filters_(std::move(filters)),
-      impl_(std::move(impl)),
-      stats_(stats) {
-  pred_positions_.reserve(spec_.predicates.size());
-  for (const ScanPredicate& pred : spec_.predicates) {
-    const auto it =
-        std::lower_bound(projection_.begin(), projection_.end(), pred.column);
-    assert(it != projection_.end() && *it == pred.column);  // NewScan checked
-    pred_positions_.push_back(static_cast<size_t>(it - projection_.begin()));
-  }
-}
-
-ScanIterator::~ScanIterator() {
-  const ScanPathCounters& c = impl_->counters();
-  stats_->scan_rows_merged.fetch_add(c.rows_merged, std::memory_order_relaxed);
-  stats_->scan_source_advances.fetch_add(c.source_advances, std::memory_order_relaxed);
-  stats_->scan_heap_resifts.fetch_add(c.heap_resifts, std::memory_order_relaxed);
-  stats_->scan_zip_rows.fetch_add(c.zip_rows, std::memory_order_relaxed);
-  stats_->scan_zip_splices.fetch_add(c.zip_splices, std::memory_order_relaxed);
-  stats_->scan_batches_emitted.fetch_add(batches_emitted_, std::memory_order_relaxed);
-  uint64_t blocks_skipped = 0;
-  uint64_t files_skipped = 0;
-  for (const auto& filter : filters_) {
-    blocks_skipped += filter->blocks_skipped();
-    files_skipped += filter->files_skipped();
-  }
-  stats_->blocks_skipped_zonemap.fetch_add(blocks_skipped, std::memory_order_relaxed);
-  stats_->files_skipped_zonemap.fetch_add(files_skipped, std::memory_order_relaxed);
-  stats_->rows_filtered_pushdown.fetch_add(rows_filtered_, std::memory_order_relaxed);
-  stats_->aggs_pushed.fetch_add(aggs_pushed_, std::memory_order_relaxed);
-  stats_->aggs_from_zonemap.fetch_add(aggs_from_zonemap_, std::memory_order_relaxed);
-  stats_->scan_rows_emitted.fetch_add(rows_emitted_, std::memory_order_relaxed);
-  // Per scan (not per row): the trace weights scans by rows separately.
-  for (int column : projection_) {
-    stats_->scan_projected_by_column[Stats::ColumnSlot(column)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  for (MemTable* m : pinned_memtables_) m->Unref();
-}
-
-size_t ScanIterator::NextBatch(ScanBatch* batch, size_t max_rows) {
-  if (row_mode_) {
-    assert(!"ScanIterator: NextBatch after per-row access (one style only)");
-    mode_error_ = Status::InvalidArgument(
-        "ScanIterator: NextBatch called after per-row access; use one "
-        "consumption style per iterator");
-    return 0;
-  }
-  batch_mode_ = true;
-  const size_t n = Fill(batch, max_rows);
-  rows_emitted_ += n;
-  if (n > 0) ++batches_emitted_;
-  return n;
-}
-
-size_t ScanIterator::Fill(ScanBatch* batch, size_t max_rows) {
-  while (true) {
-    batch->Reset(projection_.size());
-    if (impl_->AppendRows(batch, Slice(hi_key_encoded_), max_rows) == 0) return 0;
-    if (!spec_.predicates.empty()) FilterBatch(batch);
-    if (!batch->empty()) return batch->size();
-  }
-}
-
-void ScanIterator::FilterBatch(ScanBatch* batch) {
-  const size_t n = batch->size();
-  if (n == 0) return;
-  // Mask pass, one predicate at a time over the flat column arrays (the op
-  // switch is loop-invariant); a null in a predicated column fails it.
-  filter_mask_.assign(n, 1);
-  for (size_t pi = 0; pi < spec_.predicates.size(); ++pi) {
-    const ScanPredicate& pred = spec_.predicates[pi];
-    const ScanBatch::Column& col = batch->columns[pred_positions_[pi]];
-    for (size_t r = 0; r < n; ++r) {
-      filter_mask_[r] = static_cast<uint8_t>(
-          filter_mask_[r] &
-          (col.present[r] != 0 && PredicateMatches(pred, col.values[r]) ? 1 : 0));
-    }
-  }
-  // Column-major compaction of the survivors.
-  size_t write = 0;
-  for (size_t r = 0; r < n; ++r) {
-    if (filter_mask_[r] != 0) batch->keys[write++] = batch->keys[r];
-  }
-  if (write == n) return;
-  for (auto& col : batch->columns) {
-    size_t w = 0;
-    for (size_t r = 0; r < n; ++r) {
-      if (filter_mask_[r] == 0) continue;
-      col.present[w] = col.present[r];
-      col.values[w] = col.values[r];
-      ++w;
-    }
-  }
-  rows_filtered_ += n - write;
-  batch->keys.resize(write);
-}
-
-Status ScanIterator::AggregateAll(ScanAggregates* out) {
-  const size_t width = projection_.size();
-  out->rows = 0;
-  out->counts.assign(width, 0);
-  out->sums.assign(width, 0);
-  out->minima.assign(width, std::numeric_limits<uint64_t>::max());
-  out->maxima.assign(width, 0);
-  // No caller sees rows from this iterator any more, so fold-capable
-  // sources may answer whole blocks from their zone maps: arm their folds
-  // and force sole-contributor windows even on a predicate-free scan.
-  bool any_fold = false;
-  for (const auto& filter : filters_) {
-    if (filter->ArmFold()) any_fold = true;
-  }
-  if (any_fold) impl_->set_arm_windows_always(true);
-  ScanBatch batch;
-  size_t n;
-  while ((n = NextBatch(&batch)) > 0) {
-    out->rows += n;
-    for (size_t pos = 0; pos < width; ++pos) {
-      const ScanBatch::Column& col = batch.columns[pos];
-      uint64_t count = 0;
-      uint64_t sum = 0;
-      uint64_t mn = out->minima[pos];
-      uint64_t mx = out->maxima[pos];
-      for (size_t r = 0; r < n; ++r) {
-        if (col.present[r] == 0) continue;
-        const uint64_t v = col.values[r];
-        ++count;
-        sum += v;
-        mn = std::min(mn, v);
-        mx = std::max(mx, v);
-      }
-      out->counts[pos] += count;
-      out->sums[pos] += sum;
-      out->minima[pos] = mn;
-      out->maxima[pos] = mx;
-    }
-  }
-  // Merge in the blocks the filters answered from zone maps alone.
-  for (const auto& filter : filters_) {
-    if (filter->blocks_folded() == 0) continue;
-    const ScanAggregates& fold = filter->folded();
-    out->rows += fold.rows;
-    // Folded rows reached the aggregate result; count them as emitted for
-    // stats and the workload trace's selectivity.
-    rows_emitted_ += fold.rows;
-    for (size_t pos = 0; pos < width; ++pos) {
-      out->counts[pos] += fold.counts[pos];
-      out->sums[pos] += fold.sums[pos];
-      out->minima[pos] = std::min(out->minima[pos], fold.minima[pos]);
-      out->maxima[pos] = std::max(out->maxima[pos], fold.maxima[pos]);
-    }
-    aggs_from_zonemap_ += filter->blocks_folded();
-  }
-  aggs_pushed_ += 4 * width;
-  return status();
-}
-
-bool ScanIterator::Valid() const {
-  if (batch_mode_) {
-    assert(!"ScanIterator: per-row access after NextBatch (one style only)");
-    mode_error_ = Status::InvalidArgument(
-        "ScanIterator: per-row access after NextBatch; use one consumption "
-        "style per iterator");
-    return false;
-  }
-  if (!row_mode_) {
-    row_mode_ = true;
-    const_cast<ScanIterator*>(this)->LoadRow();
-  }
-  return row_ < row_batch_.size();
-}
-
-void ScanIterator::Next() {
-  const bool valid = Valid();
-  assert(valid);
-  if (!valid) return;  // release builds: a misuse moves nothing
-  ++rows_emitted_;
-  ++row_;
-  LoadRow();
-}
-
-void ScanIterator::LoadRow() {
-  if (row_ == row_batch_.size()) {
-    Fill(&row_batch_, kRowBatchRows);
-    row_ = 0;
-  }
-  if (row_ == row_batch_.size()) return;
-  row_values_.resize(projection_.size());
-  for (size_t pos = 0; pos < row_values_.size(); ++pos) {
-    const ScanBatch::Column& column = row_batch_.columns[pos];
-    row_values_[pos] = column.present[row_] != 0 ? std::optional<ColumnValue>(column.values[row_])
-                                                  : std::nullopt;
-  }
-}
-
-uint64_t ScanIterator::key() const { return row_batch_.keys[row_]; }
-
-const std::vector<std::optional<ColumnValue>>& ScanIterator::values() const {
-  return row_values_;
+  return std::make_unique<ScanIterator>(std::move(view), std::move(*plan),
+                                        std::move(projection), std::move(spec), &stats_);
 }
 
 }  // namespace laser

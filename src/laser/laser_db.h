@@ -27,9 +27,9 @@
 
 #include "cost/design_advisor_daemon.h"
 #include "laser/cg_compaction.h"
-#include "laser/level_merging_iterator.h"
 #include "laser/options.h"
 #include "laser/row_codec.h"
+#include "laser/scan_plan.h"
 #include "laser/scan_pushdown.h"
 #include "laser/write_batch.h"
 #include "lsm/compaction_picker.h"
@@ -44,7 +44,6 @@
 namespace laser {
 
 class ScanIterator;
-class LaserSnapshot;
 
 class LaserDB {
  public:
@@ -122,7 +121,9 @@ class LaserDB {
   Status Read(uint64_t key, const ColumnSet& projection, ReadResult* result);
 
   /// Range scan over user keys [lo_key, hi_key] with projection. The
-  /// iterator pins a consistent snapshot; it must not outlive the DB.
+  /// iterator pins the read view it was opened at (memtables, Version and
+  /// sequence number): it sees no later write, and the files and memtables
+  /// it reads stay alive until it is destroyed. It must not outlive the DB.
   std::unique_ptr<ScanIterator> NewScan(uint64_t lo_key, uint64_t hi_key,
                                         ColumnSet projection);
 
@@ -135,11 +136,6 @@ class LaserDB {
   /// returns nullptr otherwise (as for an invalid projection).
   std::unique_ptr<ScanIterator> NewScan(uint64_t lo_key, uint64_t hi_key,
                                         ColumnSet projection, ScanSpec spec);
-
-  // -- snapshots --
-
-  /// Pins a read point for compaction (old versions survive until release).
-  std::shared_ptr<LaserSnapshot> GetSnapshot();
 
   // -- maintenance --
 
@@ -192,8 +188,6 @@ class LaserDB {
   std::string DebugString() const;
 
  private:
-  friend class ScanIterator;
-  friend class LaserSnapshot;
   friend class ShardedLaserDB;  // starts every shard's settle before waiting
 
   /// One writer's seat in the group-commit queue. The front request is the
@@ -214,6 +208,10 @@ class LaserDB {
   Status Recover();
   Status ReplayWal(const std::string& fname);
   Status NewWal();
+
+  /// Pins what a read sees: the memtables, the current Version and the last
+  /// sequence number, taken together under mu_.
+  ReadView PinReadView() const;
 
   /// Validates a projection (sorted, in range, non-empty).
   Status CheckProjection(const ColumnSet& projection) const;
@@ -359,19 +357,6 @@ class LaserDB {
   /// Destruction is left to the shared_ptr machinery; the sweeper merely
   /// unlinks the on-disk file once the metadata has expired.
   std::vector<std::pair<std::weak_ptr<FileMetaData>, uint64_t>> obsolete_;
-  std::multiset<SequenceNumber> snapshots_;
-};
-
-/// Pinned read point; released on destruction.
-class LaserSnapshot {
- public:
-  LaserSnapshot(LaserDB* db, SequenceNumber seq) : db_(db), sequence_(seq) {}
-  ~LaserSnapshot();
-  SequenceNumber sequence() const { return sequence_; }
-
- private:
-  LaserDB* db_;
-  SequenceNumber sequence_;
 };
 
 /// Cursor over the rows of a range scan (§4.3), in key order, with old
@@ -394,11 +379,9 @@ class LaserSnapshot {
 /// InvalidArgument.
 class ScanIterator {
  public:
-  ScanIterator(uint64_t hi_key, ColumnSet projection,
-               std::vector<MemTable*> pinned_memtables,
-               std::shared_ptr<const Version> pinned_version,
-               std::unique_ptr<LevelMergingIterator> impl, Stats* stats, ScanSpec spec,
-               std::vector<std::unique_ptr<ZoneMapScanFilter>> filters);
+  /// `plan` was planned over `view`, for `projection` and `spec`.
+  ScanIterator(ReadView view, ScanPlan plan, ColumnSet projection, ScanSpec spec,
+               Stats* stats);
   /// Flushes scan-path counters into the engine stats, with the number of
   /// rows actually emitted as the scan's selectivity.
   ~ScanIterator();
@@ -434,7 +417,7 @@ class ScanIterator {
 
   Status status() const {
     if (!mode_error_.ok()) return mode_error_;
-    return impl_->status();
+    return plan_.merge->status();
   }
   const ColumnSet& projection() const { return projection_; }
 
@@ -457,15 +440,11 @@ class ScanIterator {
   static constexpr size_t kRowBatchRows = 64;
 
   ColumnSet projection_;
-  std::string hi_key_encoded_;
   ScanSpec spec_;
-  std::vector<size_t> pred_positions_;  // projection position per predicate
-  std::vector<MemTable*> pinned_memtables_;
-  std::shared_ptr<const Version> pinned_version_;
-  // Sources inside impl_ hold raw pointers into filters_: keep the filters
-  // declared first so they are destroyed last.
-  std::vector<std::unique_ptr<ZoneMapScanFilter>> filters_;
-  std::unique_ptr<LevelMergingIterator> impl_;
+  // The plan's cursors read the view's memtables and files: keep the view
+  // declared first so it is released last.
+  ReadView view_;
+  ScanPlan plan_;
   Stats* stats_;
   uint64_t rows_emitted_ = 0;
   uint64_t batches_emitted_ = 0;

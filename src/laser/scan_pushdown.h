@@ -30,7 +30,7 @@
 //    straddling key could resurrect a stale value *for the predicate column
 //    itself* from the neighbor, which the null argument does not cover.
 //
-// Key-range narrowing (`LaserDB::NewScan`): with no memtable rows, a scan
+// Key-range narrowing (`PlanScan`, scan_plan.h): with no memtable rows, a scan
 // with predicates first shrinks its key range [lo, hi] to the keys where a
 // matching row can live, and everything after planning (coverage census, L0
 // pruning, seek, upper bound) uses the narrowed range.

@@ -1,6 +1,6 @@
 // Unit tests for the compaction machinery (§4.4): flush jobs, CG-local
 // compaction with layout splitting, tombstone replication into every child
-// chain, multi-SST outputs, and snapshot-aware version merging.
+// chain, multi-SST outputs, version merging and morphs.
 
 #include <gtest/gtest.h>
 
@@ -322,32 +322,6 @@ TEST_F(CgCompactionTest, OutputRespectsTargetSstSize) {
   EXPECT_EQ(total, 2000u);
 }
 
-TEST_F(CgCompactionTest, SnapshotPreservesOldVersionThroughCompaction) {
-  JobContext ctx = MakeContext();
-  ctx.snapshots = {5};  // a snapshot pins sequence 5
-  const ColumnSet all = options_.schema.AllColumns();
-
-  MemTable* mem = new MemTable();
-  mem->Ref();
-  mem->Add(3, kTypeFullRow, EncodeKey64(1),
-           codec_->Encode(all, {{1, 1}, {2, 1}, {3, 1}, {4, 1}}));
-  mem->Add(8, kTypeFullRow, EncodeKey64(1),
-           codec_->Encode(all, {{1, 2}, {2, 2}, {3, 2}, {4, 2}}));
-  std::shared_ptr<FileMetaData> file;
-  ASSERT_TRUE(RunFlush(ctx, *mem, &file).ok());
-  mem->Unref();
-
-  const CompactionJob job = ChildJob(1, {file}, /*to_bottom=*/true);
-
-  CompactionResult result;
-  ASSERT_TRUE(RunCompaction(ctx, job, &result).ok());
-  // Both versions must survive in each child chain (seq 8 and seq 3).
-  for (int child = 0; child < 2; ++child) {
-    auto dump = DumpRun(result.outputs[child]);
-    ASSERT_EQ(dump.size(), 2u);
-  }
-}
-
 TEST_F(CgCompactionTest, IdentityCompactionKeepsRowFormat) {
   // L0 -> L1 with identical (row) layouts exercises the identity projection.
   MemTable* mem = FillMemTable(100, 1);
@@ -395,7 +369,7 @@ TEST_F(CgCompactionTest, L0MultipleOverlappingRunsMergeNewestWins) {
   ASSERT_TRUE(iter->Valid());
   EXPECT_EQ(ExtractSequence(iter->key()), 2u);  // newest version won
   iter->Next();
-  EXPECT_FALSE(iter->Valid());  // old version dropped (no snapshots)
+  EXPECT_FALSE(iter->Valid());  // the older version is folded away
 }
 
 TEST_F(CgCompactionTest, MorphReLaysGroupsIntoRowAndBack) {
@@ -452,6 +426,101 @@ TEST_F(CgCompactionTest, MorphReLaysGroupsIntoRowAndBack) {
               (std::vector<ColumnValuePair>{{g == 0 ? 2 : 3, g == 0 ? 32u : 33u}}));
   }
   EXPECT_EQ(stats_.design_morph_compactions.load(), 2u);
+}
+
+// Bug A of the open morph bugs (ROADMAP.md) on one key, in six jobs over
+// L0 row, L1 <1,2><3,4> and L2 <1,2><3,4>:
+//   1. Seq 5, a full row of 5s, settles into L2.
+//   2. Seq 10 (column 3 = 10) and seq 12 (column 1 = 12) land in L1: its
+//      <1,2> run holds seq 12 and its <3,4> run seq 10.
+//   3. Only L1's <1,2> overflows into L2. L2's <1,2> becomes seq 12 {12, 5};
+//      its <3,4> keeps seq 5.
+//   4. L1 morphs to row format: seq 10 {3 = 10}.
+//   5. L2 morphs to row format. It folds its two groups into one seq-12 full
+//      row, which carries column 3 = 5 although seq 10 is newer there.
+//   6. L1 overflows into L2, the bottom: the seq-12 row shadows seq 10.
+// Column 3 must read 10 and reads 5. A morph must not fold versions from
+// groups whose frontiers differ; the fix is a design change, so the test
+// stays disabled until it lands.
+TEST_F(CgCompactionTest, DISABLED_MorphFoldsAcrossGroupFrontiers) {
+  JobContext ctx = MakeContext();
+  const ColumnSet all = options_.schema.AllColumns();
+  const std::vector<ColumnSet> split = {MakeColumnRange(1, 2), MakeColumnRange(3, 4)};
+  // Flushes writes of key 1 to an L0 file.
+  struct Write {
+    SequenceNumber seq;
+    ValueType type;
+    std::vector<ColumnValuePair> values;
+  };
+  const auto flush = [&](const std::vector<Write>& writes) {
+    MemTable* mem = new MemTable();
+    mem->Ref();
+    for (const Write& w : writes) {
+      mem->Add(w.seq, w.type, EncodeKey64(1), codec_->Encode(all, w.values));
+    }
+    std::shared_ptr<FileMetaData> file;
+    EXPECT_TRUE(RunFlush(ctx, *mem, &file).ok());
+    mem->Unref();
+    return Version::FileList{file};
+  };
+  // Runs the job reading `inputs` (newest first) into groups `outputs` of
+  // `level`; returns the new runs, parallel to `outputs`.
+  const auto run = [&](std::vector<CompactionInput> inputs, int level,
+                       const std::vector<ColumnSet>& outputs) {
+    CompactionJob job;
+    job.inputs = std::move(inputs);
+    job.output_level = level;
+    for (size_t g = 0; g < outputs.size(); ++g) {
+      job.output_groups.push_back(static_cast<int>(g));
+    }
+    job.output_columns = outputs;
+    job.to_bottom_level = level == 2;
+    CompactionResult result;
+    EXPECT_TRUE(RunCompaction(ctx, job, &result).ok());
+    return result.outputs;
+  };
+
+  // 1.
+  std::vector<Version::FileList> l2 =
+      run({{0, 0, all, flush({{5, kTypeFullRow, {{1, 5}, {2, 5}, {3, 5}, {4, 5}}}})},
+           {2, 0, split[0], {}},
+           {2, 1, split[1], {}}},
+          2, split);
+  // 2.
+  std::vector<Version::FileList> l1 =
+      run({{0, 0, all,
+            flush({{10, kTypePartialRow, {{3, 10}}}, {12, kTypePartialRow, {{1, 12}}}})},
+           {1, 0, split[0], {}},
+           {1, 1, split[1], {}}},
+          1, split);
+  // 3.
+  l2[0] = run({{1, 0, split[0], l1[0]}, {2, 0, split[0], l2[0]}}, 2, {split[0]})[0];
+  l1[0].clear();
+  // 4.
+  const Version::FileList l1_row =
+      run({{1, 0, split[0], l1[0]}, {1, 1, split[1], l1[1]}}, 1, {all})[0];
+  // 5.
+  const Version::FileList l2_row =
+      run({{2, 0, split[0], l2[0]}, {2, 1, split[1], l2[1]}}, 2, {all})[0];
+  // 6.
+  const Version::FileList bottom =
+      run({{1, 0, all, l1_row}, {2, 0, all, l2_row}}, 2, {all})[0];
+
+  // A read takes each column from the newest entry that carries it (0:
+  // null), down to the first full row or tombstone.
+  uint64_t read[kColumns] = {};
+  bool seen[kColumns] = {};
+  for (const Entry& e : ReadRun(bottom, all)) {
+    for (const ColumnValuePair& pair : e.values) {
+      if (!seen[pair.column - 1]) read[pair.column - 1] = pair.value;
+      seen[pair.column - 1] = true;
+    }
+    if (e.type != kTypePartialRow) break;
+  }
+  const uint64_t want[kColumns] = {12, 5, 10, 5};
+  for (int c = 0; c < kColumns; ++c) {
+    EXPECT_EQ(read[c], want[c]) << "column " << c + 1;
+  }
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ TEST(CompactionStressTest, WritersCompactionsAndSweepsLeaveNoOrphans) {
     }
   };
 
-  // Reader: pins versions/snapshots against concurrent installs.
+  // Reader: pins read views against concurrent installs.
   auto reader = [&] {
     Random rng(77);
     const ColumnSet all = MakeColumnRange(1, kColumns);
@@ -81,7 +81,6 @@ TEST(CompactionStressTest, WritersCompactionsAndSweepsLeaveNoOrphans) {
           1000 * (1 + rng.Uniform(kWriters)) + rng.Uniform(kKeysPerWriter);
       LaserDB::ReadResult result;
       ASSERT_TRUE(db->Read(key, all, &result).ok());
-      auto snapshot = db->GetSnapshot();
       auto scan = db->NewScan(key, key + 20, all);
       ASSERT_NE(scan, nullptr);
       for (int n = 0; scan->Valid() && n < 30; ++n) scan->Next();

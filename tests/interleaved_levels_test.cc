@@ -8,7 +8,7 @@
 // workload, where most scan rows resolve across levels. About 1% of the ops
 // are single-column partial updates and about 1% are tombstones; the last
 // writes stay in the memtable, and one set of scans is opened before a final
-// burst of writes (a snapshot cut).
+// burst of writes and compactions (a snapshot cut).
 //
 // Every check runs the same scan through every consumer (tests/model.h) on a
 // single LaserDB and on a 2-shard ShardedLaserDB, and compares each with the
@@ -182,8 +182,9 @@ class InterleavedLevelsTest : public ::testing::TestWithParam<bool> {
     }
   }
 
-  /// Opens every case's scans, applies a burst of writes and a flush, then
-  /// checks the scans against the model as it was when they were opened.
+  /// Opens every case's scans, applies a burst of writes, a flush and the
+  /// compactions that fold away the versions the scans read, then checks
+  /// the scans against the model as it was when they were opened.
   template <typename Db>
   void CheckSnapshotCut(Db* db) {
     using Scans = decltype(test::OpenConsumerScans(db, 0, 0, ColumnSet{1}));
@@ -195,6 +196,7 @@ class InterleavedLevelsTest : public ::testing::TestWithParam<bool> {
     Random rng(7);
     for (int i = 0; i < 300; ++i) RollingOp(&rng);
     ASSERT_TRUE(db->Flush().ok());
+    ASSERT_TRUE(db->CompactUntilStable().ok());
     for (int i = 0; i < 60; ++i) RollingOp(&rng);
     const std::vector<ScanCase> cases = Cases();
     for (size_t i = 0; i < cases.size(); ++i) {

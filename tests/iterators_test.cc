@@ -133,7 +133,7 @@ class VersionMergerTest : public ::testing::Test {
 };
 
 TEST_F(VersionMergerTest, NewestFullAbsorbsOlder) {
-  VersionMerger merger(&codec_, cg_, {}, /*bottom_level=*/false);
+  VersionMerger merger(&codec_, cg_, /*bottom_level=*/false);
   auto out = FoldVersions(merger, {Full(10, 100), Full(5, 500), Partial(3, {{1, 1}})});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].sequence, 10u);
@@ -141,7 +141,7 @@ TEST_F(VersionMergerTest, NewestFullAbsorbsOlder) {
 }
 
 TEST_F(VersionMergerTest, PartialMergesIntoOlderFull) {
-  VersionMerger merger(&codec_, cg_, {}, false);
+  VersionMerger merger(&codec_, cg_, false);
   auto out = FoldVersions(merger, {Partial(10, {{2, 999}}), Full(5, 100)});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].type, kTypeFullRow);
@@ -153,7 +153,7 @@ TEST_F(VersionMergerTest, PartialMergesIntoOlderFull) {
 }
 
 TEST_F(VersionMergerTest, PartialsMergeTogether) {
-  VersionMerger merger(&codec_, cg_, {}, false);
+  VersionMerger merger(&codec_, cg_, false);
   auto out = FoldVersions(merger, {Partial(10, {{2, 22}}), Partial(8, {{3, 33}})});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].type, kTypePartialRow);
@@ -165,20 +165,20 @@ TEST_F(VersionMergerTest, PartialsMergeTogether) {
 }
 
 TEST_F(VersionMergerTest, TombstoneAbsorbsOlderAndSurvivesMidLevels) {
-  VersionMerger merger(&codec_, cg_, {}, false);
+  VersionMerger merger(&codec_, cg_, false);
   auto out = FoldVersions(merger, {Tombstone(10), Full(5, 100)});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].type, kTypeDeletion);
 }
 
 TEST_F(VersionMergerTest, TombstoneDroppedAtBottom) {
-  VersionMerger merger(&codec_, cg_, {}, /*bottom_level=*/true);
+  VersionMerger merger(&codec_, cg_, /*bottom_level=*/true);
   auto out = FoldVersions(merger, {Tombstone(10), Full(5, 100)});
   EXPECT_TRUE(out.empty());
 }
 
 TEST_F(VersionMergerTest, PartialOverTombstoneKeepsBoth) {
-  VersionMerger merger(&codec_, cg_, {}, false);
+  VersionMerger merger(&codec_, cg_, false);
   auto out = FoldVersions(merger, {Partial(10, {{1, 1}}), Tombstone(5), Full(2, 100)});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].type, kTypePartialRow);
@@ -186,25 +186,10 @@ TEST_F(VersionMergerTest, PartialOverTombstoneKeepsBoth) {
 }
 
 TEST_F(VersionMergerTest, PartialOverTombstoneCollapsesAtBottom) {
-  VersionMerger merger(&codec_, cg_, {}, true);
+  VersionMerger merger(&codec_, cg_, true);
   auto out = FoldVersions(merger, {Partial(10, {{1, 1}}), Tombstone(5), Full(2, 100)});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].type, kTypePartialRow);  // absent columns are null
-}
-
-TEST_F(VersionMergerTest, SnapshotBoundaryPreservesVersions) {
-  // Snapshot at seq 6 must keep the pre-snapshot version visible.
-  VersionMerger merger(&codec_, cg_, {6}, false);
-  auto out = FoldVersions(merger, {Full(10, 100), Full(5, 500)});
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].sequence, 10u);
-  EXPECT_EQ(out[1].sequence, 5u);
-}
-
-TEST_F(VersionMergerTest, SameStripeMergesDespiteSnapshotElsewhere) {
-  VersionMerger merger(&codec_, cg_, {100}, false);
-  auto out = FoldVersions(merger, {Full(10, 100), Full(5, 500)});
-  ASSERT_EQ(out.size(), 1u);  // both below the snapshot -> same stripe
 }
 
 // ----------------------------------------------------- ProjectingIterator --

@@ -61,38 +61,6 @@ class SlowRemoveEnv final : public test::SyncHookEnv {
   }
 };
 
-TEST_F(LaserDbAdvancedTest, SnapshotKeepsOldVersionsAcrossCompaction) {
-  ASSERT_TRUE(db_->Insert(1, Row(1)).ok());
-  auto snapshot = db_->GetSnapshot();
-  const SequenceNumber pinned = snapshot->sequence();
-  ASSERT_TRUE(db_->Insert(1, Row(2)).ok());
-  for (uint64_t k = 10; k < 2000; ++k) ASSERT_TRUE(db_->Insert(k, Row(k)).ok());
-  ASSERT_TRUE(db_->CompactUntilStable().ok());
-
-  // Old version must still exist physically: scan the version for key 1's
-  // versions at or below the pinned sequence.
-  auto version = db_->current_version();
-  bool found_old = false;
-  for (int level = 0; level < version->num_levels(); ++level) {
-    for (int group = 0; group < version->num_groups(level); ++group) {
-      for (const auto& file : version->files(level, group)) {
-        auto iter = file->reader->NewIterator();
-        for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-          if (DecodeKey64(ExtractUserKey(iter->key())) == 1 &&
-              ExtractSequence(iter->key()) <= pinned) {
-            found_old = true;
-          }
-        }
-      }
-    }
-  }
-  EXPECT_TRUE(found_old);
-
-  // Releasing the snapshot allows future compactions to drop it.
-  snapshot.reset();
-  ASSERT_TRUE(db_->CompactUntilStable().ok());
-}
-
 TEST_F(LaserDbAdvancedTest, ObsoleteFilesAreDeletedFromDisk) {
   auto ssts_on_disk = [&] {
     std::vector<std::string> children;

@@ -5,7 +5,8 @@
 // Every few hundred ops, and once more on the settled tree at the end, point
 // reads and random range x projection x 0-2 predicate scans go through every
 // consumer (tests/model.h); one set of scans is opened before a burst of
-// writes and must not see them (a snapshot cut).
+// writes and the compactions after it, and must not see them (a snapshot
+// cut).
 //
 // Each seed runs on a LaserDB and on a 2-shard ShardedLaserDB. The design
 // rotates with the seed, and every failure names its seed. Tier-1 runs a few
@@ -261,8 +262,8 @@ void RunHistory(uint64_t seed) {
     }
   }
 
-  // Snapshot cut: scans opened before a burst of writes and a flush see
-  // none of them.
+  // Snapshot cut: scans opened before a burst of writes, a flush and the
+  // compactions that fold away the versions they read see none of them.
   {
     const auto [lo, hi] = RandomRange(&rng);
     const ColumnSet projection = RandomProjection(&rng);
@@ -273,6 +274,7 @@ void RunHistory(uint64_t seed) {
       ASSERT_NO_FATAL_FAILURE(RandomWrite(&rng, kOps + i, db.get(), &model));
     }
     ASSERT_TRUE(db->Flush().ok());
+    ASSERT_TRUE(db->CompactUntilStable().ok());
     SCOPED_TRACE("snapshot cut");
     ASSERT_NO_FATAL_FAILURE(test::ExpectScanMatches(&scans, want));
   }
