@@ -89,12 +89,6 @@ ContributionIterator::ContributionIterator(std::unique_ptr<Iterator> iter,
   zip_cols_.resize(covered_positions_.size());
 }
 
-void ContributionIterator::SeekToFirst() {
-  iter_->SeekToFirst();
-  ResetRun();
-  BuildNext();
-}
-
 void ContributionIterator::Seek(const Slice& target_user_key) {
   iter_->Seek(MakeLookupKey(target_user_key, kMaxSequenceNumber));
   ResetRun();
@@ -184,13 +178,11 @@ void ContributionIterator::ConsumeColumnRun(size_t rows) {
 }
 
 void ContributionIterator::SkipTo(const Slice& limit_exclusive,
-                                  const Slice& hi_inclusive,
                                   ScanPathCounters* counters) {
   ++counters->source_advances;
   if (limit_exclusive.empty()) {
-    // No other source bounds the window: every remaining key at or below
-    // `hi_inclusive` fails the predicate and nothing past it is in range.
-    (void)hi_inclusive;
+    // No other source bounds the window: every remaining key up to the
+    // scan bound fails the predicate and nothing past it is in range.
     ResetRun();
     valid_ = false;
     return;

@@ -87,7 +87,6 @@ class ContributionIterator {
                        ZoneMapScanFilter* pushdown = nullptr);
 
   bool Valid() const { return valid_; }
-  void SeekToFirst();
   /// Positions at the first user key >= target.
   void Seek(const Slice& target_user_key);
   void Next();
@@ -131,14 +130,13 @@ class ContributionIterator {
   void ConsumeColumnRun(size_t rows);
 
   /// Skips (without emitting) every row with user key strictly below
-  /// `limit_exclusive` (empty = unbounded) and at most `hi_inclusive` (empty
-  /// = unbounded), leaving the cursor at the first surviving key. Callers
-  /// use it when a pushed-down predicate proves no row of a sole-contributor
+  /// `limit_exclusive` (empty = unbounded, i.e. every row up to the scan
+  /// bound), leaving the cursor at the first surviving key. Callers use it
+  /// when a pushed-down predicate proves no row of a sole-contributor
   /// window can match (e.g. a predicated column the source can never
   /// cover). It re-seeks the underlying iterator past the whole window in
   /// one index probe instead of decoding and discarding its rows.
-  void SkipTo(const Slice& limit_exclusive, const Slice& hi_inclusive,
-              ScanPathCounters* counters);
+  void SkipTo(const Slice& limit_exclusive, ScanPathCounters* counters);
 
   /// Arms (until DisarmBlockSkipping) the zone-map block filter, for a
   /// window in which the caller's merge proves this cursor's source is the

@@ -42,8 +42,7 @@ LaserDB::LaserDB(const LaserOptions& options)
       manifest_(options_.env, options_.path),
       io_(std::make_unique<IoQueue>(env_, options_.background_threads)) {
   if (options_.block_cache_bytes > 0) {
-    cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes,
-                                          options_.block_cache_shards);
+    cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes);
     // The min-bytes-per-shard clamp can silently degrade the requested shard
     // count; surface what the cache actually runs with.
     stats_.block_cache_effective_shards.store(
@@ -372,7 +371,7 @@ Status LaserDB::EncodeOp(ValueType type, uint64_t key,
       if (static_cast<int>(row->size()) != options_.schema.num_columns()) {
         return Status::InvalidArgument("row arity != schema");
       }
-      value = codec_.Encode(options_.schema.AllColumns(), MakeFullRow(*row));
+      value = codec_.Encode(all_columns_, MakeFullRow(*row));
       break;
     case kTypePartialRow: {
       if (values->empty()) return Status::InvalidArgument("empty update");
@@ -385,7 +384,7 @@ Status LaserDB::EncodeOp(ValueType type, uint64_t key,
           return Status::InvalidArgument("update columns must be sorted and unique");
         }
       }
-      value = codec_.Encode(options_.schema.AllColumns(), *values);
+      value = codec_.Encode(all_columns_, *values);
       break;
     }
     case kTypeDeletion:
@@ -1207,7 +1206,7 @@ Status LaserDB::Read(uint64_t key, const ColumnSet& projection,
     for (int level = 1; level < version.num_levels(); ++level) {
       const int groups = static_cast<int>(version.design().groups(level).size());
       for (int g = 0; g < groups; ++g) {
-        FileMetaData* file = version.FileContainingRaw(level, g, user_key);
+        FileMetaData* file = version.FileContaining(level, g, user_key);
         if (file == nullptr) continue;
         file->reader->PrefetchFilterProbes(key_hash);
         candidates.push_back({level, g, file});

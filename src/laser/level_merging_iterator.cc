@@ -97,7 +97,7 @@ size_t LevelMergingIterator::AppendRows(ScanBatch* batch, const Slice& hi_inclus
         // every row it could emit is null there and fails the scan's
         // conjunction — fast-forward past the run without decoding it.
         for (size_t l = first_leaf; l < last_leaf; ++l) {
-          leaves_[l]->SkipTo(limit, hi_inclusive, &counters_);
+          leaves_[l]->SkipTo(limit, &counters_);
         }
         ReheapTop();
         continue;

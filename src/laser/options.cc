@@ -64,9 +64,6 @@ Status LaserOptions::Finalize() {
   if (wal_sync_policy == WalSyncPolicy::kSyncIntervalMs && wal_sync_interval_ms < 1) {
     return Status::InvalidArgument("wal_sync_interval_ms must be >= 1");
   }
-  if (bloom_total_bits_budget < 0) {
-    return Status::InvalidArgument("bloom_total_bits_budget must be >= 0");
-  }
   if (advisor_interval_ms < 1) {
     return Status::InvalidArgument("advisor_interval_ms must be >= 1");
   }
@@ -79,19 +76,12 @@ Status LaserOptions::Finalize() {
   // previously-derived vector of the right length is kept as-is).
   if (static_cast<int>(bloom_bits_per_level.size()) != num_levels) {
     bloom_bits_per_level.assign(num_levels, 0.0);
-    const std::vector<double> entries = ExpectedEntriesPerLevel();
-    double total_entries = 0;
-    for (double e : entries) total_entries += e;
-    // An explicit absolute budget overrides the bits_per_key-derived one.
-    const double avg_bits =
-        bloom_total_bits_budget > 0 && total_entries > 0
-            ? bloom_total_bits_budget / total_entries
-            : static_cast<double>(bloom_bits_per_key);
-    if (avg_bits > 0) {
+    if (bloom_bits_per_key > 0) {
+      const std::vector<double> entries = ExpectedEntriesPerLevel();
       const BloomAllocationResult alloc =
           bloom_allocation == BloomAllocation::kMonkey
-              ? SolveMonkeyAllocation(entries, avg_bits)
-              : UniformAllocation(entries, avg_bits);
+              ? SolveMonkeyAllocation(entries, bloom_bits_per_key)
+              : UniformAllocation(entries, bloom_bits_per_key);
       bloom_bits_per_level = alloc.bits_per_key;
     }
   }

@@ -108,12 +108,6 @@ struct LaserOptions {
   /// Per-level split policy for the filter budget.
   BloomAllocation bloom_allocation = BloomAllocation::kUniform;
 
-  /// Absolute filter budget in bits. 0 (default) derives the budget from
-  /// bloom_bits_per_key × expected tree entries, so kUniform stays
-  /// bit-compatible with the seed format and kMonkey spends exactly the
-  /// memory uniform would have.
-  double bloom_total_bits_budget = 0;
-
   /// Derived by Finalize(): bits-per-key each level's SST builder uses,
   /// num_levels entries. Uniform: bloom_bits_per_key everywhere. Monkey:
   /// the solver's allocation over expected level capacities.
@@ -139,10 +133,6 @@ struct LaserOptions {
 
   /// Shared uncompressed-block cache; 0 disables.
   size_t block_cache_bytes = 32 * 1024 * 1024;
-
-  /// Lock shards of the block cache (rounded up to a power of two; clamped
-  /// down so every shard holds a useful working set). 0 = default (16).
-  int block_cache_shards = 0;
 
   /// Write-ahead logging (durability).
   bool use_wal = true;

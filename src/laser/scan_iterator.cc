@@ -145,17 +145,10 @@ Status ScanIterator::AggregateAll(ScanAggregates* out) {
   // Merge in the blocks the filters answered from zone maps alone.
   for (const auto& filter : plan_.filters) {
     if (filter->blocks_folded() == 0) continue;
-    const ScanAggregates& fold = filter->folded();
-    out->rows += fold.rows;
+    out->Merge(filter->folded());
     // Folded rows reached the aggregate result; count them as emitted for
     // stats and the workload trace's selectivity.
-    rows_emitted_ += fold.rows;
-    for (size_t pos = 0; pos < width; ++pos) {
-      out->counts[pos] += fold.counts[pos];
-      out->sums[pos] += fold.sums[pos];
-      out->minima[pos] = std::min(out->minima[pos], fold.minima[pos]);
-      out->maxima[pos] = std::max(out->maxima[pos], fold.maxima[pos]);
-    }
+    rows_emitted_ += filter->folded().rows;
     aggs_from_zonemap_ += filter->blocks_folded();
   }
   aggs_pushed_ += 4 * width;

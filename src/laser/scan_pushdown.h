@@ -66,6 +66,7 @@
 #define LASER_LASER_SCAN_PUSHDOWN_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -112,6 +113,18 @@ struct ScanAggregates {
   std::vector<uint64_t> sums;
   std::vector<uint64_t> minima;
   std::vector<uint64_t> maxima;
+
+  /// Folds in `other`, an aggregate over other rows of the same projection.
+  void Merge(const ScanAggregates& other) {
+    assert(other.counts.size() == counts.size());
+    rows += other.rows;
+    for (size_t pos = 0; pos < counts.size(); ++pos) {
+      counts[pos] += other.counts[pos];
+      sums[pos] += other.sums[pos];
+      minima[pos] = std::min(minima[pos], other.minima[pos]);
+      maxima[pos] = std::max(maxima[pos], other.maxima[pos]);
+    }
+  }
 };
 
 inline bool PredicateMatches(const ScanPredicate& pred, uint64_t value) {

@@ -94,14 +94,7 @@ Status ShardedScanIterator::AggregateAll(ScanAggregates* out) {
       first = false;
       continue;
     }
-    assert(agg.counts.size() == out->counts.size());
-    out->rows += agg.rows;
-    for (size_t i = 0; i < out->counts.size(); ++i) {
-      out->counts[i] += agg.counts[i];
-      out->sums[i] += agg.sums[i];
-      out->minima[i] = std::min(out->minima[i], agg.minima[i]);
-      out->maxima[i] = std::max(out->maxima[i], agg.maxima[i]);
-    }
+    out->Merge(agg);
   }
   return Status::OK();
 }

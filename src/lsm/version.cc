@@ -112,15 +112,7 @@ size_t IndexContaining(const Version::FileList& run, const Slice& user_key) {
 
 }  // namespace
 
-std::shared_ptr<FileMetaData> Version::FileContaining(int level, int group,
-                                                      const Slice& user_key) const {
-  const FileList& run = files_[level][group];
-  const size_t index = IndexContaining(run, user_key);
-  return index < run.size() ? run[index] : nullptr;
-}
-
-FileMetaData* Version::FileContainingRaw(int level, int group,
-                                         const Slice& user_key) const {
+FileMetaData* Version::FileContaining(int level, int group, const Slice& user_key) const {
   const FileList& run = files_[level][group];
   const size_t index = IndexContaining(run, user_key);
   return index < run.size() ? run[index].get() : nullptr;

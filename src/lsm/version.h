@@ -74,14 +74,9 @@ class Version {
                             const Slice& hi) const;
 
   /// For level >= 1 (non-overlapping run): the file whose user-key range
-  /// contains `user_key`, or nullptr.
-  std::shared_ptr<FileMetaData> FileContaining(int level, int group,
-                                               const Slice& user_key) const;
-
-  /// FileContaining without the shared_ptr copy, for hot paths that already
-  /// pin this Version (the Version's file list keeps the file alive).
-  FileMetaData* FileContainingRaw(int level, int group,
-                                  const Slice& user_key) const;
+  /// contains `user_key`, or nullptr. The Version's file list keeps the file
+  /// alive while the caller pins this Version.
+  FileMetaData* FileContaining(int level, int group, const Slice& user_key) const;
 
   /// Replaces run (level, group): removes `remove` (matched by file_number)
   /// and inserts `add`, keeping the run sorted by smallest key.

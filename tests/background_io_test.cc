@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "laser/laser_db.h"
-#include "tests/recovery_harness.h"
+#include "tests/crash_harness.h"
 #include "tests/test_util.h"
 #include "util/env_fault.h"
 #include "util/io_queue.h"
@@ -26,12 +26,7 @@ namespace {
 
 using OpKind = FaultInjectionEnv::OpKind;
 using OpRecord = FaultInjectionEnv::OpRecord;
-using test::RecoveryHarness;
-
-bool HasSuffix(const std::string& name, const std::string& suffix) {
-  return name.size() >= suffix.size() &&
-         name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
+using test::HasSuffix;
 
 std::set<std::string> SstsOnDisk(Env* env, const std::string& dir) {
   std::vector<std::string> children;
@@ -239,7 +234,7 @@ TEST_F(IoQueueTest, WaitCoversOnlyItsOwnTaskWithSeveralHelpers) {
 // ---------------------------------------------------------------------------
 
 constexpr uint64_t kKeys = 600;
-constexpr int kColumns = RecoveryHarness::kColumns;
+constexpr int kColumns = test::kCrashColumns;
 
 /// Two L0 files of fresh keys: the L0 -> L1 job that merges them writes
 /// several 2KB outputs.
@@ -256,13 +251,16 @@ TEST(CompactionSyncFailureTest, FailedOutputSyncFailsTheJobBeforeInstall) {
   // on the job thread, so the list is the same on every run.
   std::vector<std::string> job_outputs;
   {
-    RecoveryHarness harness;
+    auto base = NewMemEnv();
+    FaultInjectionEnv fault(base.get());
+    LaserOptions options = test::CrashTreeOptions();
+    options.env = &fault;
     std::unique_ptr<LaserDB> db;
-    ASSERT_TRUE(harness.Open(&db).ok());
+    ASSERT_TRUE(LaserDB::Open(options, &db).ok());
     ASSERT_TRUE(LoadTwoFlushes(db.get()).ok());
-    const uint64_t begin = harness.fault_env()->mutating_ops();
+    const uint64_t begin = fault.mutating_ops();
     ASSERT_TRUE(db->CompactUntilStable().ok());
-    const std::vector<OpRecord> history = harness.fault_env()->history();
+    const std::vector<OpRecord> history = fault.history();
     std::vector<std::string> window;
     for (uint64_t i = begin; i < history.size(); ++i) {
       if (history[i].kind == OpKind::kRename) {
@@ -277,10 +275,13 @@ TEST(CompactionSyncFailureTest, FailedOutputSyncFailsTheJobBeforeInstall) {
   }
   ASSERT_GE(job_outputs.size(), 3u) << "no compaction job wrote three outputs";
 
-  RecoveryHarness harness;
-  FaultInjectionEnv* env = harness.fault_env();
+  auto base = NewMemEnv();
+  FaultInjectionEnv fault(base.get());
+  FaultInjectionEnv* env = &fault;
+  LaserOptions options = test::CrashTreeOptions();
+  options.env = env;
   std::unique_ptr<LaserDB> db;
-  ASSERT_TRUE(harness.Open(&db).ok());
+  ASSERT_TRUE(LaserDB::Open(options, &db).ok());
   ASSERT_TRUE(LoadTwoFlushes(db.get()).ok());
   env->FailOperation(OpKind::kSync, job_outputs[1]);
   EXPECT_FALSE(db->CompactUntilStable().ok());
@@ -313,7 +314,7 @@ TEST(CompactionSyncFailureTest, FailedOutputSyncFailsTheJobBeforeInstall) {
   db.reset();
   env->DropUnsyncedData();
   env->ClearFaults();
-  ASSERT_TRUE(harness.Open(&db).ok());
+  ASSERT_TRUE(LaserDB::Open(options, &db).ok());
   const ColumnSet all = MakeColumnRange(1, kColumns);
   for (uint64_t key = 1; key <= kKeys + 1; ++key) {
     LaserDB::ReadResult result;

@@ -211,17 +211,5 @@ TEST(BloomAllocationTest, FinalizeDerivesMonkeyVectorAtSameBudget) {
   EXPECT_GT(options.bloom_bits_for_level(0), 10.0);
 }
 
-TEST(BloomAllocationTest, ExplicitTotalBudgetOverridesBitsPerKey) {
-  LaserOptions options = BaseOptions();
-  const auto entries = options.ExpectedEntriesPerLevel();
-  double total_entries = 0;
-  for (double e : entries) total_entries += e;
-  options.bloom_total_bits_budget = 4.0 * total_entries;
-  ASSERT_TRUE(options.Finalize().ok());
-  for (int level = 0; level < 8; ++level) {
-    EXPECT_NEAR(options.bloom_bits_for_level(level), 4.0, 1e-9) << level;
-  }
-}
-
 }  // namespace
 }  // namespace laser

@@ -2,11 +2,11 @@
 // against a reference model while the tree is mid-morph at every level —
 // each staged target leaves the tree genuinely mixed (shallow levels row,
 // deep levels columnar), which is exactly the layout every read path must
-// tolerate; (2) a crash matrix over the morph phase — killed at every
-// filesystem operation from SetTargetDesign through convergence, the
-// reopened tree must hold exactly the acknowledged writes AND keep
-// converging to the persisted target instead of reverting; (3) a second
-// morph of levels the first one narrowed; (4) the advisor daemon's
+// tolerate; (2) the crash driver's morph script (tests/crash_harness.h) —
+// killed at every filesystem operation from SetTargetDesign through
+// convergence, the reopened tree must hold exactly the acknowledged writes
+// AND keep converging to the persisted target instead of reverting; (3) a
+// second morph of levels the first one narrowed; (4) the advisor daemon's
 // hysteresis, driven deterministically through TickOnce.
 
 #include <gtest/gtest.h>
@@ -22,7 +22,7 @@
 #include "cost/trace.h"
 #include "laser/laser_db.h"
 #include "tests/model.h"
-#include "tests/recovery_harness.h"
+#include "tests/crash_harness.h"
 #include "tests/test_util.h"
 #include "util/env_fault.h"
 
@@ -130,163 +130,85 @@ TEST_F(MidMorphScanTest, ScansExactWithTreeMixedAtEveryLevel) {
 }
 
 // ---------------------------------------------------------------------------
-// Morph-resume crash matrix.
+// The row -> column morph script under the crash driver.
 // ---------------------------------------------------------------------------
 
-// Scripted workload for the crash matrix: build a compacted row-format tree,
-// then morph it to pure columnar with a trailing write burst. Uses the
-// recovery harness's 4-column schema so its model verifiers apply.
-struct MorphScriptOutcome {
-  test::Model model;          // acknowledged state
-  bool target_acked = false;  // SetTargetDesign returned OK
-  bool completed = false;
-  uint64_t morph_begin = 0;  // op index where the morph phase starts
-};
+CgConfig MorphFrom() {
+  return CgConfig::RowOnly(test::kCrashColumns, test::kCrashLevels);
+}
+CgConfig MorphTo() {
+  return CgConfig::ColumnOnly(test::kCrashColumns, test::kCrashLevels);
+}
 
-class MorphCrashHarness {
- public:
-  static constexpr int kCols = test::RecoveryHarness::kColumns;
-  static constexpr int kLvls = 4;
-
-  MorphCrashHarness() : base_(NewMemEnv()), fault_(base_.get()) {}
-
-  FaultInjectionEnv* fault_env() { return &fault_; }
-
-  static CgConfig InitialDesign() { return CgConfig::RowOnly(kCols, kLvls); }
-  static CgConfig TargetDesign() { return CgConfig::ColumnOnly(kCols, kLvls); }
-
-  Status Open(std::unique_ptr<LaserDB>* db) {
-    LaserOptions options;
-    options.env = &fault_;
-    options.path = "/db";
-    options.schema = Schema::UniformInt32(kCols);
-    options.num_levels = kLvls;
-    options.size_ratio = 2;
-    options.cg_config = InitialDesign();
-    options.write_buffer_size = 1 << 20;  // rotates only on explicit Flush
-    options.level0_bytes = 2 * 1024;
-    options.level0_file_compaction_trigger = 2;
-    options.target_sst_size = 2 * 1024;
-    options.block_size = 1024;
-    options.background_threads = 1;
-    options.disable_auto_compactions = true;
-    options.wal_sync_policy = WalSyncPolicy::kSyncEveryWrite;  // acked==durable
-    return LaserDB::Open(options, db);
+/// Builds a compacted row-format tree, morphs it to pure columnar and writes
+/// on the morphed tree. Phases: "build", "set-target" (the target install, a
+/// manifest write), "converge" (per-level re-layouts: compaction outputs,
+/// manifest installs, obsolete-file deletes).
+test::CrashOutcome RowToColumnMorphScript(LaserDB* db, const FaultInjectionEnv& env) {
+  test::CrashOutcome out(env);
+  // Two flushed batches plus a compaction, so the morph has a multi-level row
+  // tree to convert.
+  for (uint64_t key = 1; key <= 24; ++key) {
+    if (!out.Insert(db, key)) return out;
   }
-
-  MorphScriptOutcome RunScript(LaserDB* db) {
-    MorphScriptOutcome out;
-    auto insert = [&](uint64_t key) {
-      if (!db->Insert(key, test::TestRow(key, kCols)).ok()) return false;
-      out.model.Insert(key, test::TestRow(key, kCols));
-      return true;
-    };
-
-    // Build phase: two flushed batches plus a compaction, so the morph has a
-    // multi-level row tree to convert.
-    for (uint64_t key = 1; key <= 24; ++key) {
-      if (!insert(key)) return out;
-    }
-    if (!db->Flush().ok()) return out;
-    for (uint64_t key = 25; key <= 40; ++key) {
-      if (!insert(key)) return out;
-    }
-    if (!db->Update(5, {{2, 5002}}).ok()) return out;
-    out.model.Update(5, {{2, 5002}});
-    if (!db->Delete(40).ok()) return out;
-    out.model.Delete(40);
-    if (!db->Flush().ok()) return out;
-    if (!db->CompactUntilStable().ok()) return out;
-
-    // Morph phase: target install (manifest write) + per-level re-layouts
-    // (compaction outputs, manifest installs, obsolete-file deletes).
-    out.morph_begin = fault_.mutating_ops();
-    if (!db->SetTargetDesign(TargetDesign()).ok()) return out;
-    out.target_acked = true;
-    if (!db->CompactUntilStable().ok()) return out;
-
-    // Writes on top of the morphed tree.
-    for (uint64_t key = 41; key <= 48; ++key) {
-      if (!insert(key)) return out;
-    }
-    out.completed = true;
-    return out;
+  if (!db->Flush().ok()) return out;
+  for (uint64_t key = 25; key <= 40; ++key) {
+    if (!out.Insert(db, key)) return out;
   }
+  if (!out.Update(db, 5, {{2, 5002}})) return out;
+  if (!out.Delete(db, 40)) return out;
+  if (!db->Flush().ok()) return out;
+  if (!db->CompactUntilStable().ok()) return out;
+  out.EndPhase("build", env);
 
- private:
-  std::unique_ptr<Env> base_;
-  FaultInjectionEnv fault_;
-};
+  if (!db->SetTargetDesign(MorphTo()).ok()) return out;
+  out.EndPhase("set-target", env);
+  if (!db->CompactUntilStable().ok()) return out;
+  out.EndPhase("converge", env);
+
+  for (uint64_t key = 41; key <= 48; ++key) {
+    if (!out.Insert(db, key)) return out;
+  }
+  out.completed = true;
+  return out;
+}
 
 TEST(MorphCrashMatrixTest, CrashAtEveryOperationOfTheMorphResumes) {
-  // Profiling run: no faults; the script must complete and morph exactly once.
-  uint64_t total_ops = 0;
-  uint64_t morph_begin = 0;
-  test::Model final_model;
-  {
-    MorphCrashHarness harness;
-    std::unique_ptr<LaserDB> db;
-    ASSERT_TRUE(harness.Open(&db).ok());
-    MorphScriptOutcome baseline = harness.RunScript(db.get());
-    ASSERT_TRUE(baseline.completed);
-    EXPECT_EQ(db->CurrentDesign(), MorphCrashHarness::TargetDesign());
+  LaserOptions options = test::CrashTreeOptions();
+  options.cg_config = MorphFrom();
+  test::CrashDriver<LaserDB> driver(RowToColumnMorphScript, options);
+  driver.on_profile = [](LaserDB* db, const test::CrashProfile& profile) {
+    EXPECT_EQ(db->CurrentDesign(), MorphTo());
     EXPECT_EQ(db->stats().design_morphs_completed.load(), 1u);
     EXPECT_GE(db->stats().design_morph_compactions.load(), 1u);
-    test::RecoveryHarness::VerifyMatchesModel(db.get(), baseline.model);
-    total_ops = harness.fault_env()->mutating_ops();
-    morph_begin = baseline.morph_begin;
-    final_model = baseline.model;
-  }
-  ASSERT_GT(total_ops, morph_begin);
-  ASSERT_GT(total_ops - morph_begin, 10u) << "morph phase produced too few "
-                                             "filesystem ops to be a matrix";
-
-  // Crash at every op of the morph phase. After reboot: exactly the
-  // acknowledged data, a design invariant (every level laid out either as
-  // the old or the target partition, never torn), and — when the target
-  // install was acknowledged — CompactUntilStable must finish the morph the
-  // crash interrupted.
-  const CgConfig initial = MorphCrashHarness::InitialDesign();
-  const CgConfig target = MorphCrashHarness::TargetDesign();
-  for (uint64_t k = morph_begin; k < total_ops; ++k) {
-    SCOPED_TRACE("crash after op " + std::to_string(k));
-    MorphCrashHarness harness;
-    harness.fault_env()->CrashAfterOps(k);
-
-    MorphScriptOutcome outcome;
-    {
-      std::unique_ptr<LaserDB> db;
-      if (harness.Open(&db).ok()) {
-        outcome = harness.RunScript(db.get());
-      }
-    }
-    EXPECT_FALSE(outcome.completed);
-
-    harness.fault_env()->DropUnsyncedData();
-    harness.fault_env()->ClearFaults();
-    std::unique_ptr<LaserDB> db;
-    ASSERT_TRUE(harness.Open(&db).ok());
-    test::RecoveryHarness::VerifyMatchesModel(db.get(), outcome.model);
-
+    EXPECT_GT(profile.history.size() - profile.outcome.Phase("build")->end, 10u)
+        << "morph phase produced too few filesystem ops to be a matrix";
+  };
+  // After each reboot: every level laid out either as the old or the target
+  // partition, never torn; and when the target install was acknowledged,
+  // CompactUntilStable finishes the morph the crash interrupted.
+  driver.on_recovered = [](LaserDB* db, const test::CrashOutcome& outcome) {
     const CgConfig recovered = db->CurrentDesign();
-    for (int level = 0; level < MorphCrashHarness::kLvls; ++level) {
-      EXPECT_TRUE(recovered.groups(level) == initial.groups(level) ||
-                  recovered.groups(level) == target.groups(level))
+    for (int level = 0; level < test::kCrashLevels; ++level) {
+      EXPECT_TRUE(recovered.groups(level) == MorphFrom().groups(level) ||
+                  recovered.groups(level) == MorphTo().groups(level))
           << "level " << level << " recovered mid-rewrite";
     }
     const CgConfig pending = db->TargetDesign();
     if (pending.num_levels() > 0) {
-      EXPECT_EQ(pending, target) << "persisted target mutated across crash";
+      EXPECT_EQ(pending, MorphTo()) << "persisted target mutated across crash";
     }
-
-    // Resume: the acknowledged target must win through to convergence.
     ASSERT_TRUE(db->CompactUntilStable().ok());
-    if (outcome.target_acked) {
-      EXPECT_EQ(db->CurrentDesign(), target) << "acked morph did not resume";
+    if (outcome.Phase("set-target") != nullptr) {
+      EXPECT_EQ(db->CurrentDesign(), MorphTo()) << "acked morph did not resume";
       EXPECT_EQ(db->TargetDesign().num_levels(), 0);
     }
-    test::RecoveryHarness::VerifyMatchesModel(db.get(), outcome.model);
-  }
+    test::ExpectHoldsModel(db, outcome.model);
+  };
+  // Crash at every op from SetTargetDesign on.
+  const test::PhaseSpan* build = driver.Profile().outcome.Phase("build");
+  ASSERT_NE(build, nullptr);
+  driver.CrashAtEveryOp(build->end);
 }
 
 // ---------------------------------------------------------------------------

@@ -284,7 +284,7 @@ TEST_F(StitchTest, ContributionFoldsVersions) {
   data.emplace_back(IK(1, 5, kTypePartialRow), codec_.Encode(all, {{2, 99}}));
   data.emplace_back(IK(1, 3), codec_.Encode(all, {{1, 1}, {2, 2}, {3, 3}, {4, 4}}));
   auto src = MakeSource(std::move(data), all, {1, 2});
-  src->SeekToFirst();
+  src->Seek(EncodeKey64(0));
   ASSERT_TRUE(src->Valid());
   EXPECT_EQ(src->states()[0], ColumnState::kValue);
   EXPECT_EQ(src->values()[0], 1u);
@@ -298,7 +298,7 @@ TEST_F(StitchTest, ContributionSkipsIrrelevantKeys) {
   data.emplace_back(IK(1, 5, kTypePartialRow), codec_.Encode(all, {{4, 9}}));
   data.emplace_back(IK(2, 3), codec_.Encode(all, {{1, 1}, {2, 2}, {3, 3}, {4, 4}}));
   auto src = MakeSource(std::move(data), all, {1});
-  src->SeekToFirst();
+  src->Seek(EncodeKey64(0));
   ASSERT_TRUE(src->Valid());
   EXPECT_EQ(DecodeKey64(src->user_key()), 2u);  // key 1 had nothing for col 1
 }
@@ -309,7 +309,7 @@ TEST_F(StitchTest, ContributionRespectsSnapshot) {
   data.emplace_back(IK(1, 9), codec_.Encode(all, {{1, 900}, {2, 2}, {3, 3}, {4, 4}}));
   data.emplace_back(IK(1, 2), codec_.Encode(all, {{1, 200}, {2, 2}, {3, 3}, {4, 4}}));
   auto src = MakeSource(std::move(data), all, {1}, /*snapshot=*/5);
-  src->SeekToFirst();
+  src->Seek(EncodeKey64(0));
   ASSERT_TRUE(src->Valid());
   EXPECT_EQ(src->values()[0], 200u);
 }
