@@ -7,7 +7,8 @@
 // in-place morph of L1. Every live SST's bytes are
 // digested per (level, group, file index) and checked, together with the
 // engine's bytes_compacted counter, against values recorded from the
-// reference implementation. Any change to the bytes compaction writes — a
+// reference implementation, once before the morph (overflow work alone) and
+// once at the end. Any change to the bytes compaction writes — a
 // reordered value, a different presence bitmap, a block cut elsewhere —
 // fails here; speed-ups of the compaction path must leave this file alone.
 
@@ -180,6 +181,31 @@ TEST_F(CompactionGoldenTest, OutputBytesMatchReference) {
   Random rng(16);
   WriteOps(&rng, 6000);
   ASSERT_TRUE(db_->CompactUntilStable().ok());
+
+  // Checkpoint before the morph: overflow work alone built this tree.
+  const std::vector<GroupDigest> expected_before_morph = {
+      {0, 0, 0, 0, 0xcbf29ce484222325ull},
+      {1, 0, 3, 13646, 0x203adbc5b72a9b79ull},
+      {1, 1, 2, 6281, 0xafeee9a9a9311ba6ull},
+      {1, 2, 3, 14038, 0x6e4c27db644e5a60ull},
+      {1, 3, 2, 6760, 0x5f49ba9dd136780aull},
+      {2, 0, 4, 13691, 0x360957d0ae927f78ull},
+      {2, 1, 7, 22055, 0xe390db1bf27bdb7cull},
+      {2, 2, 4, 12407, 0x801a7e068f37b718ull},
+      {2, 3, 8, 30293, 0xa3c32568e8a5a26bull},
+      {2, 4, 5, 18598, 0x2fa06d026d39e197ull},
+      {3, 0, 7, 24946, 0xfbd1a44021f1c53aull},
+      {3, 1, 7, 23326, 0xdc808b793f82e872ull},
+      {3, 2, 7, 28846, 0xa8f5fb9e4192317full},
+      {3, 3, 8, 25270, 0x41d188a89831186full},
+      {3, 4, 11, 30473, 0xebd80dc777566b73ull},
+      {3, 5, 11, 35638, 0xdbcff7ca083f2376ull},
+      {3, 6, 8, 30488, 0x2d7ba23953bc5539ull},
+  };
+  const std::vector<GroupDigest> before_morph = DigestTree();
+  EXPECT_EQ(before_morph, expected_before_morph)
+      << "actual tree before the morph:\n" << ToString(before_morph);
+  EXPECT_EQ(db_->stats().bytes_compacted.load(), 1485724u);
 
   // One in-place morph of L1, then more writes through the new layout.
   ASSERT_TRUE(db_->SetTargetDesign(MorphedDesign()).ok());
