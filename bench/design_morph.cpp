@@ -297,9 +297,9 @@ int main() {
       }
     }
 
-    // Mid-morph window: background morph compactions overlap these scans
-    // (mixed layouts level to level — the differential suite owns
-    // correctness; here it must merely not fall over).
+    // Mid-morph window: the background morph job overlaps these scans,
+    // which read the old design until it installs (the differential suite
+    // owns correctness; here it must merely not fall over).
     during_rps = MeasureScanWindow(db.get(), rows, scans_per_window,
                                    /*seed=*/101)
                      .rows_per_sec;

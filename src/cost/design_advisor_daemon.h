@@ -44,8 +44,8 @@ class DesignAdvisorDaemon {
     std::function<void(WorkloadTrace*)> fill_trace;
     /// The design the candidate must beat: the in-flight morph target if one
     /// exists, else the current design. Comparing against the target (not
-    /// the mid-morph layout) is what makes the hysteresis stable while a
-    /// morph converges.
+    /// the old design the tree holds until the morph installs) is what makes
+    /// the hysteresis stable while a morph converges.
     std::function<CgConfig()> design_to_beat;
     /// Commits the candidate as the host's new morph target.
     std::function<Status(const CgConfig&)> install;

@@ -315,8 +315,8 @@ class OutputWriter {
 Status WriteCompactionOutputs(const JobContext& ctx, const CompactionJob& job,
                               JobFiles* files, CompactionResult* result) {
   // All column sets come from the job (snapshotted at pick time from the
-  // Version being compacted) — never from options: mid-morph the live layout
-  // differs per level and the options config describes neither side.
+  // Version being compacted) — never from options, which only seed a fresh
+  // tree's design.
   result->outputs.clear();
   result->outputs.resize(job.output_groups.size());
 
@@ -457,7 +457,7 @@ Status RunCompaction(const JobContext& ctx, const CompactionJob& job,
   if (ctx.stats != nullptr) {
     ctx.stats->bytes_compacted.fetch_add(result->bytes_written,
                                          std::memory_order_relaxed);
-    if (job.ReLaysLevel()) {
+    if (job.design.num_levels() > 0) {
       ctx.stats->design_morph_compactions.fetch_add(1, std::memory_order_relaxed);
     } else {
       ctx.stats->compaction_jobs.fetch_add(1, std::memory_order_relaxed);

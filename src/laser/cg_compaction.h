@@ -2,18 +2,9 @@
 // groups, re-encoding each run for every output group it intersects (row →
 // narrower CGs, or back) and merging row versions newest-wins-per-column
 // (§4.2). An overflow job carries one group of level i into level i+1; a
-// morph re-lays a level in place with the same loop. Fragments of one write
-// travel independently and recombine when they meet (equal-sequence merge).
-// That recombination is correct only for fragments of one write. The groups
-// of a level compact into it one at a time, so their frontiers (the newest
-// write each has taken in) can differ, and folding versions from groups
-// whose frontiers differ loses newer columns: a morph of a multi-group level
-// folds a key's entries into one stamped with the newest sequence, which
-// then shadows an older write still one level up whose columns it carries
-// stale (DISABLED_MorphFoldsAcrossGroupFrontiers in cg_compaction_test.cc
-// reproduces it). So a morph that drops containment between adjacent levels
-// is not yet safe from a multi-group layout. Also hosts the flush job
-// (memtable → L0).
+// morph folds every run below L0 into the bottom level with the same loop.
+// Fragments of one write travel independently and recombine when they meet
+// (equal-sequence merge). Also hosts the flush job (memtable → L0).
 
 #ifndef LASER_LASER_CG_COMPACTION_H_
 #define LASER_LASER_CG_COMPACTION_H_
@@ -66,9 +57,7 @@ class VersionMerger {
 /// Wraps an internal-key iterator over rows encoded for `parent`, re-encoding
 /// each value for `child`: the intersection of the two sets is kept, so
 /// fragments of one write recombine downstream via the equal-sequence merge
-/// in RunCompaction. That merge is correct only for fragments of one write;
-/// folding versions from groups whose frontiers differ loses newer columns
-/// (see the file comment). Each row is re-encoded once, through a
+/// in RunCompaction. Each row is re-encoded once, through a
 /// ProjectionPlan built for the (parent, child) pair. Partial rows whose
 /// re-encoding is empty are skipped; tombstones pass through (they must
 /// reach every child chain).

@@ -108,18 +108,6 @@ std::vector<int> CgConfig::OverlappingGroups(int level,
   return result;
 }
 
-std::vector<int> CgConfig::ChildGroups(int level, int group) const {
-  std::vector<int> result;
-  const ColumnSet& parent = levels_[level][group];
-  const auto& child_level = levels_[level + 1];
-  for (size_t j = 0; j < child_level.size(); ++j) {
-    if (ColumnSetIsSubset(child_level[j], parent)) {
-      result.push_back(static_cast<int>(j));
-    }
-  }
-  return result;
-}
-
 std::string CgConfig::ToString() const {
   std::string out;
   for (size_t level = 0; level < levels_.size(); ++level) {

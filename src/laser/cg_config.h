@@ -62,18 +62,6 @@ class CgConfig {
   /// Indices of the groups at `level` intersecting `projection`.
   std::vector<int> OverlappingGroups(int level, const ColumnSet& projection) const;
 
-  /// Indices of the groups at `level+1` contained in group `group` of
-  /// `level`. REQUIRES: level+1 < num_levels().
-  std::vector<int> ChildGroups(int level, int group) const;
-
-  /// Replaces the partition at `level` (used when a morph compaction
-  /// re-lays one level toward a target design). The result may transiently
-  /// violate CG containment against neighboring levels — mid-morph trees
-  /// are mixed by construction — so no validation happens here.
-  void SetLevelGroups(int level, std::vector<ColumnSet> groups) {
-    levels_[level] = std::move(groups);
-  }
-
   /// Multi-line rendering in the style of Figure 9(b):
   ///   L0:<1-30>
   ///   L2:<1-15><16-30> ...

@@ -85,8 +85,8 @@ Status LaserDB::Open(const LaserOptions& options, std::unique_ptr<LaserDB>* db) 
       BuildTraceFromStats(raw->stats_, trace);
     };
     hooks.design_to_beat = [raw] {
-      // Compare against the committed target while a morph converges — the
-      // mid-morph layout is transient and would destabilize the hysteresis.
+      // Compare against the committed target while a morph converges: the
+      // old design is on its way out and would destabilize the hysteresis.
       CgConfig target = raw->TargetDesign();
       return target.num_levels() > 0 ? target : raw->CurrentDesign();
     };
@@ -124,10 +124,19 @@ Status LaserDB::Recover() {
     if (data.version->num_levels() != options_.num_levels) {
       return Status::InvalidArgument("manifest level count != options");
     }
-    // The manifest's per-level design is authoritative for existing trees —
-    // options_.cg_config only seeds a fresh create. A morph interrupted by a
-    // crash thus resumes from whatever mixed layout was installed, and the
-    // reloaded target below keeps it converging instead of reverting.
+    // The manifest's design is authoritative for existing trees —
+    // options_.cg_config only seeds a fresh create — and the reloaded target
+    // keeps an interrupted morph converging instead of reverting. Only a
+    // tree saved mid-morph by a build that re-laid one level at a time can
+    // hold an invalid design, and then a target is pending: the picker runs
+    // the whole-tree morph to it before any other job.
+    const CgConfig& valid = data.target_design.num_levels() > 0
+                                ? data.target_design
+                                : data.version->design();
+    if (valid.num_levels() != options_.num_levels ||
+        !valid.Validate(options_.schema.num_columns()).ok()) {
+      return Status::Corruption("manifest holds an invalid design");
+    }
     version_ = std::move(data.version);
     target_design_ = std::move(data.target_design);
     next_file_number_.store(data.next_file_number);
@@ -770,19 +779,9 @@ void LaserDB::BackgroundCompact(CompactionJob job) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (s.ok()) {
-      auto next = version_->Clone();
-      for (const CompactionInput& in : job.inputs) {
-        next->ReplaceFiles(in.level, in.group, in.files, {});
-      }
-      // A morph installs the re-laid level in one step: new partition and
-      // new runs together, so the published Version's per-level design
-      // always matches its files.
-      if (job.ReLaysLevel()) next->ResetLevel(job.output_level, job.output_columns);
-      for (size_t i = 0; i < job.output_groups.size(); ++i) {
-        next->ReplaceFiles(job.output_level, job.output_groups[i], {},
-                           result.outputs[i]);
-      }
-      version_ = std::move(next);
+      // A morph installs its design and its runs in one step, so the
+      // published Version's design always matches its files.
+      version_ = job.Apply(*version_, result.outputs);
       // Morph complete? Clear the target before persisting so the manifest
       // records the finished state in the same snapshot.
       if (target_design_.num_levels() > 0 && version_->design() == target_design_) {
@@ -1218,8 +1217,8 @@ Status LaserDB::Read(uint64_t key, const ColumnSet& projection,
   for (const DeepCandidate& cand : candidates) {
     if (resolver.done()) break;
     resolver.set_current_level(cand.level);
-    // The pinned Version's design is authoritative: mid-morph, a level's
-    // layout may differ from both the seed config and the morph target.
+    // The pinned Version's design is authoritative: a morph may have
+    // changed it since the seed config.
     const ColumnSet& group_cols =
         version.design().groups(cand.level)[cand.group];
     resolver.UnresolvedIn(group_cols, &needed);

@@ -157,16 +157,17 @@ class LaserDB {
   // -- adaptive design (§6: online advisor -> in-flight morphing) --
 
   /// Declares `target` the design the tree should converge to. The target is
-  /// persisted in the manifest (a crash mid-morph resumes converging) and
-  /// background compaction re-lays mismatched levels one at a time, shallow
-  /// first; scans and reads stay correct throughout because every path
-  /// consults the pinned Version's per-level design. Setting the current
-  /// design (with no morph in flight) is a no-op. With auto compactions
-  /// disabled, CompactUntilStable() drives the morph to completion.
+  /// persisted in the manifest (a crash mid-morph resumes converging). Once
+  /// the running compactions drain, one morph job folds every run below L0
+  /// into the bottom level laid out in `target`, and installs the whole
+  /// design at once; no other compaction starts while a target is pending.
+  /// Setting the current design (with no morph in flight) is a no-op. With
+  /// auto compactions disabled, CompactUntilStable() drives the morph to
+  /// completion.
   Status SetTargetDesign(const CgConfig& target);
 
-  /// The design the tree's files are laid out in right now, per level
-  /// (mid-morph: a mix of old and target partitions).
+  /// The design the tree's files are laid out in right now: the old design
+  /// until a morph installs, then its target.
   CgConfig CurrentDesign() const;
 
   /// The in-flight morph target; num_levels() == 0 when none.

@@ -4,9 +4,8 @@
 // works against. Point reads walk it directly. A range scan is planned from
 // it (PlanScan): key-range narrowing, the coverage census, zone-map filters,
 // L0 pruning and cursor building all read one list of sources, taken in one
-// walk of the pinned Version and laid out per that Version's per-level
-// design (mid-morph it may differ from both the seed config and the morph
-// target).
+// walk of the pinned Version and laid out per that Version's design (a
+// morph may have changed it since the seed config).
 
 #ifndef LASER_LASER_SCAN_PLAN_H_
 #define LASER_LASER_SCAN_PLAN_H_

@@ -20,9 +20,8 @@ double CompactionPicker::GroupWeight(const ColumnSet& columns) const {
 
 uint64_t CompactionPicker::GroupCapacityBytes(const Version& version, int level,
                                               int group) const {
-  // Weights come from the Version's own design (not the options config): the
-  // layout is a live property of the tree during a morph, and capacity must
-  // follow whatever partition the level is actually stored in.
+  // Weights come from the Version's own design, not the options config: a
+  // morph changes the partition the level is stored in.
   const std::vector<ColumnSet>& groups = version.design().groups(level);
   double total = 0;
   for (const ColumnSet& g : groups) total += GroupWeight(g);
@@ -51,17 +50,6 @@ double CompactionPicker::Score(const Version& version, int level, int group) con
 }
 
 namespace {
-
-/// Shallowest level >= 1 whose stored partition differs from the target's,
-/// or -1 when the tree already matches the target everywhere it can.
-/// Level 0 is always row-format and never morphs.
-int ShallowestMismatch(const Version& version, const CgConfig& target) {
-  if (target.num_levels() != version.num_levels()) return -1;
-  for (int level = 1; level < version.num_levels(); ++level) {
-    if (version.design().groups(level) != target.groups(level)) return level;
-  }
-  return -1;
-}
 
 /// The run (level, group) of `version` restricted to `files`.
 CompactionInput RunOf(const Version& version, int level, int group,
@@ -94,9 +82,7 @@ CompactionJob BuildJob(const Version& version, std::vector<CompactionInput> inpu
 
 bool CompactionPicker::NeedsCompaction(const Version& version,
                                        const CgConfig* target) const {
-  if (target != nullptr && ShallowestMismatch(version, *target) >= 0) {
-    return true;
-  }
+  if (target != nullptr && version.design() != *target) return true;
   for (int level = 0; level + 1 < version.num_levels(); ++level) {
     for (int group = 0; group < version.num_groups(level); ++group) {
       if (Score(version, level, group) >= 1.0) return true;
@@ -136,26 +122,26 @@ std::optional<CompactionJob> CompactionPicker::Pick(
     return true;
   };
 
-  // Morphing outranks overflow work: convert the shallowest mismatched level
-  // first so entries compacting down out of it land in already-converted
-  // children and are not re-laid twice.
-  if (target != nullptr) {
-    const int level = ShallowestMismatch(version, *target);
-    if (level >= 0) {
-      // Every run of the level in, the target's partition of it out.
-      std::vector<CompactionInput> runs;
+  // A pending target outranks overflow work, and blocks it: one job folds
+  // every run below L0 into the target's partition of the bottom level.
+  // Every L0 job takes every L0 file, so a key's L0 entries are newer than
+  // all of its entries below L0, and the fold never hides a newer column.
+  if (target != nullptr && version.design() != *target) {
+    std::vector<CompactionInput> runs;
+    for (int level = 1; level < version.num_levels(); ++level) {
       for (int g = 0; g < version.num_groups(level); ++g) {
         runs.push_back(RunOf(version, level, g, version.files(level, g)));
       }
-      const std::vector<ColumnSet>& partition = target->groups(level);
-      std::vector<int> all(partition.size());
-      std::iota(all.begin(), all.end(), 0);
-      CompactionJob job =
-          BuildJob(version, std::move(runs), level, partition, std::move(all));
-      if (no_conflict(job)) return job;
-      // Level busy right now — fall through to overflow work; the morph is
-      // retried at the next scheduling point (every job completion).
     }
+    const int bottom = version.num_levels() - 1;
+    const std::vector<ColumnSet>& partition = target->groups(bottom);
+    std::vector<int> all(partition.size());
+    std::iota(all.begin(), all.end(), 0);
+    CompactionJob job =
+        BuildJob(version, std::move(runs), bottom, partition, std::move(all));
+    job.design = *target;
+    if (no_conflict(job)) return job;
+    return std::nullopt;
   }
 
   struct Candidate {
@@ -197,10 +183,8 @@ std::optional<CompactionJob> CompactionPicker::Pick(
       inputs.push_back(RunOf(version, cand.level, cand.group, {*f}));
     }
 
-    // Children are whichever groups at level+1 intersect the parent's
-    // columns in the Version's live design. Mid-morph the child level may be
-    // laid out in either the old or the new partition; overlapping (not
-    // containment) keeps the job well-formed in both cases.
+    // Children are the groups at level+1 inside the parent's columns (CG
+    // containment), which are the ones that intersect them.
     const int child_level = cand.level + 1;
     std::vector<int> children =
         version.design().OverlappingGroups(child_level, inputs[0].columns);
@@ -214,6 +198,19 @@ std::optional<CompactionJob> CompactionPicker::Pick(
     if (no_conflict(job)) return job;
   }
   return std::nullopt;
+}
+
+std::shared_ptr<Version> CompactionJob::Apply(
+    const Version& base, const std::vector<Version::FileList>& outputs) const {
+  auto next = base.Clone();
+  for (const CompactionInput& in : inputs) {
+    next->ReplaceFiles(in.level, in.group, in.files, {});
+  }
+  if (design.num_levels() > 0) next->Relayout(design);
+  for (size_t i = 0; i < output_groups.size(); ++i) {
+    next->ReplaceFiles(output_level, output_groups[i], {}, outputs[i]);
+  }
+  return next;
 }
 
 }  // namespace laser

@@ -29,10 +29,10 @@ struct CompactionInput {
 /// A unit of compaction work: merge `inputs` into the groups `output_groups`
 /// of `output_level`, re-encoding each input run for every output group it
 /// intersects (§4.4). An overflow job reads one parent run segment and the
-/// overlapping child segments one level down. A morph reads every run of a
-/// level and writes that same level in the target design's partition.
-/// Column sets are snapshotted from the picked Version's design, so
-/// execution never consults a possibly-newer config.
+/// child segments under it one level down. A morph reads every run below L0
+/// and writes the bottom level in the target design's partition. Column
+/// sets are snapshotted from the picked Version's design, so execution never
+/// consults a possibly-newer config.
 struct CompactionJob {
   std::vector<CompactionInput> inputs;  ///< newest first
   int output_level = 0;
@@ -42,9 +42,15 @@ struct CompactionJob {
   /// (level, group) slots the job locks from pick to install: every input's
   /// and every output's, once each.
   std::vector<std::pair<int, int>> claims;
+  /// The design a morph lays the whole tree out in at install;
+  /// num_levels() == 0 for an overflow job.
+  CgConfig design;
 
-  /// True for a morph: the job re-lays the level it reads.
-  bool ReLaysLevel() const { return inputs.front().level == output_level; }
+  /// The Version that installing this job over `base` publishes, given the
+  /// files it wrote (parallel to output_groups): its inputs removed, a
+  /// morph's design laid out, its outputs added.
+  std::shared_ptr<Version> Apply(const Version& base,
+                                 const std::vector<Version::FileList>& outputs) const;
 };
 
 class CompactionPicker {
@@ -61,17 +67,16 @@ class CompactionPicker {
   double Score(const Version& version, int level, int group) const;
 
   /// Picks the highest-priority eligible job, skipping any whose claims
-  /// intersect `busy`. When `target` is non-null and some level >= 1 is laid
-  /// out differently than the target design, a morph job for the shallowest
-  /// such level takes priority — that drives top-down convergence so data
-  /// flushing through the tree lands in already-converted levels. Returns
-  /// nullopt when nothing needs compacting.
+  /// intersect `busy`. When `target` is non-null and differs from the
+  /// Version's design, the only job is the morph to `target`, which claims
+  /// every run below L0; until those claims are free it returns nullopt, so
+  /// the running jobs drain. Returns nullopt when nothing needs compacting.
   std::optional<CompactionJob> Pick(const Version& version,
                                     const std::set<std::pair<int, int>>& busy,
                                     const CgConfig* target = nullptr) const;
 
-  /// True if any (level, group) has score >= 1, or (with `target`) any level
-  /// still differs from the target design.
+  /// True if any (level, group) has score >= 1, or (with `target`) the
+  /// design still differs from the target.
   bool NeedsCompaction(const Version& version,
                        const CgConfig* target = nullptr) const;
 

@@ -21,7 +21,7 @@ struct ManifestData {
   uint64_t last_sequence = 0;
   uint64_t wal_number = 0;  // WAL file covering the current memtable
   /// Design the advisor wants the tree morphed into. Persisted alongside the
-  /// current (per-level) design carried by `version` so a crash mid-morph
+  /// current design carried by `version` so a crash mid-morph
   /// resumes converging instead of reverting. num_levels() == 0 means no
   /// morph is in flight.
   CgConfig target_design;

@@ -143,11 +143,14 @@ void Version::AddLevel0File(std::shared_ptr<FileMetaData> file) {
   files_[0][0].push_back(std::move(file));
 }
 
-void Version::ResetLevel(int level, std::vector<ColumnSet> groups) {
-  assert(std::all_of(files_[level].begin(), files_[level].end(),
-                     [](const FileList& run) { return run.empty(); }));
-  files_[level].assign(groups.size(), FileList());
-  design_.SetLevelGroups(level, std::move(groups));
+void Version::Relayout(CgConfig design) {
+  assert(design.num_levels() == num_levels());
+  for (int level = 1; level < num_levels(); ++level) {
+    assert(std::all_of(files_[level].begin(), files_[level].end(),
+                       [](const FileList& run) { return run.empty(); }));
+    files_[level].assign(design.num_groups(level), FileList());
+  }
+  design_ = std::move(design);
 }
 
 std::string Version::DebugString() const {

@@ -28,8 +28,7 @@ class Version {
 
   /// An empty tree laid out per `design`. The design travels with the
   /// Version from here on: every reader and compaction consults the pinned
-  /// Version's design, never the (possibly newer) target, so mixed layouts
-  /// mid-morph stay coherent.
+  /// Version's design, never the (possibly newer) target.
   static std::shared_ptr<Version> Empty(CgConfig design);
 
   /// Shape-only variant for tests/tools: synthesizes a placeholder design
@@ -40,9 +39,8 @@ class Version {
   /// Deep-copies the level/group structure (file pointers are shared).
   std::shared_ptr<Version> Clone() const;
 
-  /// The CG design this Version's files are physically laid out in. During a
-  /// morph, levels already re-laid show target groups here while untouched
-  /// levels still show the old ones — per-level authoritative everywhere.
+  /// The CG design this Version's files are physically laid out in: the old
+  /// design until a morph installs, then the target.
   const CgConfig& design() const { return design_; }
 
   int num_levels() const { return static_cast<int>(files_.size()); }
@@ -87,11 +85,11 @@ class Version {
   /// Appends a file to level-0 (newest last).
   void AddLevel0File(std::shared_ptr<FileMetaData> file);
 
-  /// Lays the now-empty `level` out in `groups`, one empty run each. A
+  /// Lays the tree out in `design`, one empty run per group below L0. A
   /// morph calls this between removing its inputs and adding its outputs.
-  /// REQUIRES: called on a Clone not yet published, every run of `level`
-  /// empty.
-  void ResetLevel(int level, std::vector<ColumnSet> groups);
+  /// REQUIRES: called on a Clone not yet published, `design` has this
+  /// Version's level count, every run below L0 empty.
+  void Relayout(CgConfig design);
 
   /// Multi-line human-readable summary (files and bytes per level/group).
   std::string DebugString() const;

@@ -80,8 +80,8 @@ enum class StatKind {
      row provably matched, so the block was never read or decoded. */           \
   SCALAR(kCounter, aggs_from_zonemap)                                            \
   /* -- adaptive design (online advisor + in-flight morphing) -- */              \
-  SCALAR(kCounter, design_morph_compactions)  /* level re-layout jobs */         \
-  /* Morph installs after which every level matches the persisted target. */     \
+  SCALAR(kCounter, design_morph_compactions)  /* whole-tree morph jobs */        \
+  /* Morph installs after which the design matches the persisted target. */      \
   SCALAR(kCounter, design_morphs_completed)                                      \
   /* -- configuration gauge (set once at open): the block cache's shard count    \
      after the min-bytes-per-shard clamp, which tiny caches fall below. -- */    \

@@ -71,12 +71,15 @@ class CgCompactionTest : public ::testing::Test {
     return job;
   }
 
-  /// The morph job re-laying level 2 in place: `runs[g]` is laid out in
-  /// `from[g]`, and the outputs are the groups `to`.
+  /// The job folding level 2's runs `runs[g]`, laid out in `from[g]`, into
+  /// groups `to` of level 2 (L1 is empty). It keeps tombstones, as a job
+  /// above the bottom level would, so their recombination shows.
   CompactionJob MorphJob(const std::vector<ColumnSet>& from,
                          const std::vector<Version::FileList>& runs,
                          const std::vector<ColumnSet>& to) {
+    const ColumnSet all = options_.schema.AllColumns();
     CompactionJob job;
+    job.inputs.push_back({1, 0, all, {}});
     for (size_t g = 0; g < from.size(); ++g) {
       job.inputs.push_back({2, static_cast<int>(g), from[g], runs[g]});
     }
@@ -428,24 +431,26 @@ TEST_F(CgCompactionTest, MorphReLaysGroupsIntoRowAndBack) {
   EXPECT_EQ(stats_.design_morph_compactions.load(), 2u);
 }
 
-// Bug A of the open morph bugs (ROADMAP.md) on one key, in six jobs over
-// L0 row, L1 <1,2><3,4> and L2 <1,2><3,4>:
+// Bug A of the per-level morph (ROADMAP.md) on one key, over L0 row, L1
+// <1,2><3,4> and L2 <1,2><3,4>, each step a job the picker returns:
 //   1. Seq 5, a full row of 5s, settles into L2.
 //   2. Seq 10 (column 3 = 10) and seq 12 (column 1 = 12) land in L1: its
 //      <1,2> run holds seq 12 and its <3,4> run seq 10.
 //   3. Only L1's <1,2> overflows into L2. L2's <1,2> becomes seq 12 {12, 5};
 //      its <3,4> keeps seq 5.
-//   4. L1 morphs to row format: seq 10 {3 = 10}.
-//   5. L2 morphs to row format. It folds its two groups into one seq-12 full
-//      row, which carries column 3 = 5 although seq 10 is newer there.
-//   6. L1 overflows into L2, the bottom: the seq-12 row shadows seq 10.
-// Column 3 must read 10 and reads 5. A morph must not fold versions from
-// groups whose frontiers differ; the fix is a design change, so the test
-// stays disabled until it lands.
-TEST_F(CgCompactionTest, DISABLED_MorphFoldsAcrossGroupFrontiers) {
+// Then the tree morphs to row format. Morphing L1 and then L2 on its own
+// would fold L2's two groups into one seq-12 full row that carries column
+// 3 = 5 although seq 10 is newer there, and L1's overflow into L2 would then
+// let that row shadow seq 10. One morph of every run below L0 folds seq 10
+// in, so column 3 reads 10.
+TEST_F(CgCompactionTest, MorphFoldsAcrossGroupFrontiers) {
   JobContext ctx = MakeContext();
   const ColumnSet all = options_.schema.AllColumns();
-  const std::vector<ColumnSet> split = {MakeColumnRange(1, 2), MakeColumnRange(3, 4)};
+  options_.level0_file_compaction_trigger = 1;
+  options_.level0_bytes = 1;  // every run below L0 overflows
+  const CompactionPicker picker(&options_);
+  std::shared_ptr<Version> version = Version::Empty(CgConfig::EquiWidth(kColumns, 3, 2));
+
   // Flushes writes of key 1 to an L0 file.
   struct Write {
     SequenceNumber seq;
@@ -459,58 +464,42 @@ TEST_F(CgCompactionTest, DISABLED_MorphFoldsAcrossGroupFrontiers) {
       mem->Add(w.seq, w.type, EncodeKey64(1), codec_->Encode(all, w.values));
     }
     std::shared_ptr<FileMetaData> file;
-    EXPECT_TRUE(RunFlush(ctx, *mem, &file).ok());
+    ASSERT_TRUE(RunFlush(ctx, *mem, &file).ok());
     mem->Unref();
-    return Version::FileList{file};
+    version->AddLevel0File(std::move(file));
   };
-  // Runs the job reading `inputs` (newest first) into groups `outputs` of
-  // `level`; returns the new runs, parallel to `outputs`.
-  const auto run = [&](std::vector<CompactionInput> inputs, int level,
-                       const std::vector<ColumnSet>& outputs) {
-    CompactionJob job;
-    job.inputs = std::move(inputs);
-    job.output_level = level;
-    for (size_t g = 0; g < outputs.size(); ++g) {
-      job.output_groups.push_back(static_cast<int>(g));
-    }
-    job.output_columns = outputs;
-    job.to_bottom_level = level == 2;
+  // Runs a picked job and installs it the way the engine does.
+  const auto install = [&](const std::optional<CompactionJob>& job) {
+    ASSERT_TRUE(job.has_value());
     CompactionResult result;
-    EXPECT_TRUE(RunCompaction(ctx, job, &result).ok());
-    return result.outputs;
+    ASSERT_TRUE(RunCompaction(ctx, *job, &result).ok());
+    version = job->Apply(*version, result.outputs);
   };
 
   // 1.
-  std::vector<Version::FileList> l2 =
-      run({{0, 0, all, flush({{5, kTypeFullRow, {{1, 5}, {2, 5}, {3, 5}, {4, 5}}}})},
-           {2, 0, split[0], {}},
-           {2, 1, split[1], {}}},
-          2, split);
+  flush({{5, kTypeFullRow, {{1, 5}, {2, 5}, {3, 5}, {4, 5}}}});
+  while (auto job = picker.Pick(*version, {})) install(job);
   // 2.
-  std::vector<Version::FileList> l1 =
-      run({{0, 0, all,
-            flush({{10, kTypePartialRow, {{3, 10}}}, {12, kTypePartialRow, {{1, 12}}}})},
-           {1, 0, split[0], {}},
-           {1, 1, split[1], {}}},
-          1, split);
-  // 3.
-  l2[0] = run({{1, 0, split[0], l1[0]}, {2, 0, split[0], l2[0]}}, 2, {split[0]})[0];
-  l1[0].clear();
-  // 4.
-  const Version::FileList l1_row =
-      run({{1, 0, split[0], l1[0]}, {1, 1, split[1], l1[1]}}, 1, {all})[0];
-  // 5.
-  const Version::FileList l2_row =
-      run({{2, 0, split[0], l2[0]}, {2, 1, split[1], l2[1]}}, 2, {all})[0];
-  // 6.
-  const Version::FileList bottom =
-      run({{1, 0, all, l1_row}, {2, 0, all, l2_row}}, 2, {all})[0];
+  flush({{10, kTypePartialRow, {{3, 10}}}, {12, kTypePartialRow, {{1, 12}}}});
+  install(picker.Pick(*version, {}));
+  // 3. L1's <3,4> and its child are busy.
+  install(picker.Pick(*version, {{1, 1}, {2, 1}}));
+  ASSERT_TRUE(version->files(1, 0).empty());
+  for (const auto& [level, group] : {std::pair{1, 1}, {2, 0}, {2, 1}}) {
+    ASSERT_EQ(version->files(level, group).size(), 1u) << level << "." << group;
+  }
+
+  // The morph, and every job the picker returns after it.
+  const CgConfig row = CgConfig::RowOnly(kColumns, 3);
+  while (auto job = picker.Pick(*version, {}, &row)) install(job);
+  ASSERT_EQ(version->design(), row);
+  ASSERT_TRUE(version->files(1, 0).empty());
 
   // A read takes each column from the newest entry that carries it (0:
   // null), down to the first full row or tombstone.
   uint64_t read[kColumns] = {};
   bool seen[kColumns] = {};
-  for (const Entry& e : ReadRun(bottom, all)) {
+  for (const Entry& e : ReadRun(version->files(2, 0), all)) {
     for (const ColumnValuePair& pair : e.values) {
       if (!seen[pair.column - 1]) read[pair.column - 1] = pair.value;
       seen[pair.column - 1] = true;

@@ -107,8 +107,10 @@ TEST(CgConfigTest, GroupOfAndOverlap) {
   EXPECT_EQ(config.OverlappingGroups(1, {1, 2, 3}), (std::vector<int>{0}));
 }
 
-TEST(CgConfigTest, ChildGroupsFollowContainment) {
-  // L1: <1-15><16-30>; L2: <1-15><16-20><21-30>.
+TEST(CgConfigTest, OverlappingChildGroupsFollowContainment) {
+  // L1: <1-15><16-30>; L2: <1-15><16-20><21-30>. Under containment the
+  // groups one level down that intersect a parent group are the ones inside
+  // it, which is how the picker finds an overflow job's children.
   std::vector<std::vector<ColumnSet>> levels = {
       {MakeColumnRange(1, 30)},
       {MakeColumnRange(1, 15), MakeColumnRange(16, 30)},
@@ -116,9 +118,9 @@ TEST(CgConfigTest, ChildGroupsFollowContainment) {
   };
   CgConfig config(std::move(levels));
   ASSERT_TRUE(config.Validate(30).ok());
-  EXPECT_EQ(config.ChildGroups(0, 0), (std::vector<int>{0, 1}));
-  EXPECT_EQ(config.ChildGroups(1, 0), (std::vector<int>{0}));
-  EXPECT_EQ(config.ChildGroups(1, 1), (std::vector<int>{1, 2}));
+  EXPECT_EQ(config.OverlappingGroups(1, config.groups(0)[0]), (std::vector<int>{0, 1}));
+  EXPECT_EQ(config.OverlappingGroups(2, config.groups(1)[0]), (std::vector<int>{0}));
+  EXPECT_EQ(config.OverlappingGroups(2, config.groups(1)[1]), (std::vector<int>{1, 2}));
 }
 
 TEST(CgConfigTest, ToStringMatchesFigure9Format) {

@@ -1,13 +1,14 @@
 // In-flight design morphing, end to end: (1) differential scan correctness
-// against a reference model while the tree is mid-morph at every level —
-// each staged target leaves the tree genuinely mixed (shallow levels row,
-// deep levels columnar), which is exactly the layout every read path must
-// tolerate; (2) the crash driver's morph script (tests/crash_harness.h) —
-// killed at every filesystem operation from SetTargetDesign through
-// convergence, the reopened tree must hold exactly the acknowledged writes
-// AND keep converging to the persisted target instead of reverting; (3) a
-// second morph of levels the first one narrowed; (4) the advisor daemon's
-// hysteresis, driven deterministically through TickOnce.
+// against a reference model across staged morphs — each staged target is an
+// htap design (shallow levels row, deep levels columnar), so every read path
+// runs over trees that mix both layouts; (2) the crash driver's morph script
+// (tests/crash_harness.h) — killed at every filesystem operation from
+// SetTargetDesign through convergence, the reopened tree must hold exactly
+// the acknowledged writes AND keep converging to the persisted target
+// instead of reverting; (3) a second morph of levels the first one narrowed;
+// (4) reopening a tree saved mid-morph by a build that re-laid one level at
+// a time; (5) the advisor daemon's hysteresis, driven deterministically
+// through TickOnce.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,8 @@
 #include "cost/design_advisor_daemon.h"
 #include "cost/trace.h"
 #include "laser/laser_db.h"
+#include "lsm/compaction_picker.h"
+#include "lsm/manifest.h"
 #include "tests/model.h"
 #include "tests/crash_harness.h"
 #include "tests/test_util.h"
@@ -93,17 +96,13 @@ TEST_F(MidMorphScanTest, ScansExactWithTreeMixedAtEveryLevel) {
   const CgConfig row = CgConfig::RowOnly(kColumns, kLevels);
   const CgConfig columnar = CgConfig::ColumnOnly(kColumns, kLevels);
 
-  // Converge bottom-up through staged targets: stage k leaves levels
-  // [k, kLevels) columnar and everything above row — a valid design (CG
-  // containment holds when groups only narrow with depth) that is exactly
-  // the mixed layout an in-flight morph passes through. Each stage re-lays
-  // one more level, so every mixed state gets the full differential sweep.
+  // Converge through staged targets: stage k keeps levels [0, k) row and
+  // lays [k, kLevels) out columnar. Each stage turns one more level
+  // columnar, so every mix of the two layouts gets the full differential
+  // sweep.
   VerifyAllReadPaths();  // pre-morph baseline
   for (int k = kLevels - 1; k >= 1; --k) {
-    CgConfig stage = row;
-    for (int level = k; level < kLevels; ++level) {
-      stage.SetLevelGroups(level, columnar.groups(level));
-    }
+    const CgConfig stage = CgConfig::HtapSimple(kColumns, kLevels, k);
     const uint64_t morphs_before = db_->stats().design_morphs_completed.load();
     ASSERT_TRUE(db_->SetTargetDesign(stage).ok()) << "stage " << k;
     ASSERT_TRUE(db_->CompactUntilStable().ok()) << "stage " << k;
@@ -142,8 +141,8 @@ CgConfig MorphTo() {
 
 /// Builds a compacted row-format tree, morphs it to pure columnar and writes
 /// on the morphed tree. Phases: "build", "set-target" (the target install, a
-/// manifest write), "converge" (per-level re-layouts: compaction outputs,
-/// manifest installs, obsolete-file deletes).
+/// manifest write), "converge" (the morph: compaction outputs, manifest
+/// installs, obsolete-file deletes).
 test::CrashOutcome RowToColumnMorphScript(LaserDB* db, const FaultInjectionEnv& env) {
   test::CrashOutcome out(env);
   // Two flushed batches plus a compaction, so the morph has a multi-level row
@@ -184,16 +183,13 @@ TEST(MorphCrashMatrixTest, CrashAtEveryOperationOfTheMorphResumes) {
     EXPECT_GT(profile.history.size() - profile.outcome.Phase("build")->end, 10u)
         << "morph phase produced too few filesystem ops to be a matrix";
   };
-  // After each reboot: every level laid out either as the old or the target
-  // partition, never torn; and when the target install was acknowledged,
+  // After each reboot: the tree laid out either in the old or the target
+  // design, never torn; and when the target install was acknowledged,
   // CompactUntilStable finishes the morph the crash interrupted.
   driver.on_recovered = [](LaserDB* db, const test::CrashOutcome& outcome) {
     const CgConfig recovered = db->CurrentDesign();
-    for (int level = 0; level < test::kCrashLevels; ++level) {
-      EXPECT_TRUE(recovered.groups(level) == MorphFrom().groups(level) ||
-                  recovered.groups(level) == MorphTo().groups(level))
-          << "level " << level << " recovered mid-rewrite";
-    }
+    EXPECT_TRUE(recovered == MorphFrom() || recovered == MorphTo())
+        << "recovered mid-rewrite:\n" << recovered.ToString();
     const CgConfig pending = db->TargetDesign();
     if (pending.num_levels() > 0) {
       EXPECT_EQ(pending, MorphTo()) << "persisted target mutated across crash";
@@ -263,6 +259,108 @@ TEST(SuccessiveMorphTest, MorphAfterShrinkingALevelStarts) {
                              MakeColumnRange(1, kColumns));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// A tree saved mid-morph by a build that re-laid one level at a time.
+// ---------------------------------------------------------------------------
+
+class MixedManifestTest : public ::testing::Test {
+ protected:
+  static constexpr int kLvls = 3;
+
+  void SetUp() override {
+    env_ = NewMemEnv();
+    options_ = test::TinyTreeOptions(env_.get(), "/db", kColumns, kLvls);
+    options_.cg_config = CgConfig::RowOnly(kColumns, kLvls);
+    options_.use_wal = false;
+    options_.background_threads = 1;
+    options_.disable_auto_compactions = true;
+    options_.level0_file_compaction_trigger = 1;
+    options_.level0_bytes = 64;  // every L1 run overflows into L2
+  }
+
+  /// Builds a row tree that holds its rows in L2 and one more L0 file, over
+  /// the compaction trigger, then saves its manifest the way such a build
+  /// could have: L1 already re-laid columnar (and empty), L2 still row, and
+  /// `target` pending (none if num_levels() == 0).
+  void SaveMixedTree(const CgConfig& target) {
+    std::unique_ptr<LaserDB> db;
+    ASSERT_TRUE(LaserDB::Open(options_, &db).ok());
+    for (uint64_t key = 1; key <= 300; ++key) {
+      ASSERT_TRUE(db->Insert(key, test::TestRow(key, kColumns)).ok());
+      model_.Insert(key, test::TestRow(key, kColumns));
+    }
+    for (uint64_t key = 5; key <= 300; key += 5) {
+      ASSERT_TRUE(db->Update(key, {{3, key * 1000 + 3}}).ok());
+      model_.Update(key, {{3, key * 1000 + 3}});
+    }
+    ASSERT_TRUE(db->CompactUntilStable().ok());
+    for (uint64_t key = 290; key <= 320; ++key) {
+      ASSERT_TRUE(db->Update(key, {{6, key * 1000 + 6}}).ok());
+      model_.Update(key, {{6, key * 1000 + 6}});
+    }
+    ASSERT_TRUE(db->Delete(7).ok());
+    model_.Delete(7);
+    ASSERT_TRUE(db->Flush().ok());
+    db.reset();
+
+    Manifest manifest(env_.get(), "/db");
+    ManifestData data;
+    ASSERT_TRUE(manifest.Load(nullptr, nullptr, &data).ok());
+    const Version& saved = *data.version;
+    ASSERT_EQ(saved.files(0, 0).size(), 1u);
+    ASSERT_TRUE(saved.files(1, 0).empty());
+    ASSERT_FALSE(saved.files(2, 0).empty());
+    const CgConfig row = options_.cg_config;
+    auto mixed = Version::Empty(CgConfig(
+        {row.groups(0), CgConfig::ColumnOnly(kColumns, kLvls).groups(1), row.groups(2)}));
+    mixed->AddLevel0File(saved.files(0, 0)[0]);
+    mixed->ReplaceFiles(2, 0, {}, saved.files(2, 0));
+    data.version = mixed;
+    data.target_design = target;
+    ASSERT_TRUE(manifest.Save(data).ok());
+  }
+
+  std::unique_ptr<Env> env_;
+  LaserOptions options_;
+  test::Model model_;
+};
+
+TEST_F(MixedManifestTest, ReopenRunsTheWholeTreeMorphFirst) {
+  const CgConfig target = CgConfig::EquiWidth(kColumns, kLvls, 2);
+  ASSERT_NO_FATAL_FAILURE(SaveMixedTree(target));
+  std::unique_ptr<LaserDB> db;
+  ASSERT_TRUE(LaserDB::Open(options_, &db).ok());
+  ASSERT_EQ(db->TargetDesign(), target);
+
+  // L0 is over its trigger, yet the first job is the morph: it reads L1's
+  // six columnar runs and L2's row run and writes L2 in the target.
+  LaserOptions finalized = options_;
+  ASSERT_TRUE(finalized.Finalize().ok());
+  const auto job = CompactionPicker(&finalized).Pick(*db->current_version(), {}, &target);
+  ASSERT_TRUE(job.has_value());
+  EXPECT_EQ(job->design, target);
+  EXPECT_EQ(job->output_level, kLvls - 1);
+  EXPECT_EQ(job->inputs.size(), static_cast<size_t>(kColumns + 1));
+
+  const ColumnSet all = MakeColumnRange(1, kColumns);
+  test::ExpectReadsMatch(db.get(), model_, 0, 330, all);
+  ASSERT_TRUE(db->CompactUntilStable().ok());
+  EXPECT_EQ(db->CurrentDesign(), target);
+  EXPECT_EQ(db->TargetDesign().num_levels(), 0);
+  EXPECT_EQ(db->stats().design_morph_compactions.load(), 1u);
+  EXPECT_EQ(db->stats().design_morphs_completed.load(), 1u);
+  test::ExpectReadsMatch(db.get(), model_, 0, 330, all);
+  for (const ColumnSet& projection : std::vector<ColumnSet>{all, {3}, {2, 6}}) {
+    test::ExpectScanMatches(db.get(), model_, 0, 330, projection);
+  }
+}
+
+TEST_F(MixedManifestTest, MixedDesignWithNoTargetIsCorruption) {
+  ASSERT_NO_FATAL_FAILURE(SaveMixedTree(CgConfig()));
+  std::unique_ptr<LaserDB> db;
+  EXPECT_TRUE(LaserDB::Open(options_, &db).IsCorruption());
 }
 
 // ---------------------------------------------------------------------------

@@ -71,6 +71,16 @@ Status SetTargetDesign(ShardedLaserDB* db, const CgConfig& design) {
   return Status::OK();
 }
 
+void ExpectDesign(LaserDB* db, const CgConfig& design) {
+  EXPECT_EQ(db->CurrentDesign(), design);
+}
+
+void ExpectDesign(ShardedLaserDB* db, const CgConfig& design) {
+  for (int i = 0; i < db->num_shards(); ++i) {
+    EXPECT_EQ(db->shard(i)->CurrentDesign(), design) << "shard " << i;
+  }
+}
+
 ColumnValue RandomValue(Random* rng) { return rng->Uniform(1u << 30); }
 
 std::vector<ColumnValue> RandomRow(Random* rng) {
@@ -209,21 +219,20 @@ void CheckRandomReads(Random* rng, Db* db, const test::Model& model, int scans) 
 template <typename Db>
 void RunHistory(uint64_t seed) {
   Random rng(0x5ca4ba7c + seed * 7919);
-  // The design rotates with the seed. A row-format history also sets one
-  // morph target, rotating over the other designs, at a random op. An
-  // engine bug keeps every other morph out of the sweep: re-laying a level
-  // stored in several column groups can revert values, null columns and
-  // lose keys (likely because the groups compact into the level one at a
-  // time, so they can hold different versions of a key, which the morph
-  // folds into one entry); from a row-format tree every level a morph
-  // re-lays is one group.
-  const size_t design = seed % Designs().size();
-  const size_t target = 1 + (seed / Designs().size()) % (Designs().size() - 1);
-  const int morph_at = design == 0 ? 1 + static_cast<int>(rng.Uniform(kOps)) : 0;
+  // The design rotates with the seed, and every history sets a morph
+  // target, rotating over the other designs, at a random op. Odd seeds set
+  // a second target a few ops later, often while the first is pending.
+  const size_t n = Designs().size();
+  const size_t design = seed % n;
+  const size_t target = (design + 1 + (seed / n) % (n - 1)) % n;
+  const size_t second_target = (target + 1 + (seed / 2) % (n - 1)) % n;
+  const int morph_at = 1 + static_cast<int>(rng.Uniform(kOps - 20));
+  const int second_at = seed % 2 == 1 ? morph_at + 1 + static_cast<int>(rng.Uniform(20)) : 0;
   ::testing::Message history;
-  history << "seed " << seed << " design " << Designs()[design].name;
-  if (morph_at > 0) {
-    history << " morph to " << Designs()[target].name << " at op " << morph_at;
+  history << "seed " << seed << " design " << Designs()[design].name << " morph to "
+          << Designs()[target].name << " at op " << morph_at;
+  if (second_at > 0) {
+    history << ", to " << Designs()[second_target].name << " at op " << second_at;
   }
   SCOPED_TRACE(history);
 
@@ -242,10 +251,11 @@ void RunHistory(uint64_t seed) {
   test::Model model;
   for (int op = 1; op <= kOps; ++op) {
     const uint64_t event = rng.Uniform(200);
-    if (op == morph_at) {
-      // Left converging: background compactions re-lay the levels while the
-      // writes that follow continue.
-      ASSERT_TRUE(SetTargetDesign(db.get(), Design(target)).ok());
+    if (op == morph_at || op == second_at) {
+      // Left converging: the background morph runs while the writes that
+      // follow continue.
+      ASSERT_TRUE(
+          SetTargetDesign(db.get(), Design(op == morph_at ? target : second_target)).ok());
     } else if (event < 4) {
       ASSERT_TRUE(db->Flush().ok());
     } else if (event < 5) {
@@ -284,6 +294,7 @@ void RunHistory(uint64_t seed) {
   // wherever a block's rows reach the output as stored.
   ASSERT_TRUE(db->CompactUntilStable().ok());
   SCOPED_TRACE("settled");
+  ExpectDesign(db.get(), Design(second_at > 0 ? second_target : target));
   const ColumnSet all = MakeColumnRange(1, kColumns);
   ASSERT_NO_FATAL_FAILURE(test::ExpectReadsMatch(db.get(), model, 0, kKeySpace, all));
   for (int c = 1; c <= kColumns; ++c) {

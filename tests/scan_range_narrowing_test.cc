@@ -3,7 +3,7 @@
 // a shuffled load whose predicate column is clustered with the key, newer
 // partial updates and tombstones over it, an overlay that holds none of the
 // predicate column, predicates answered by different levels, a live
-// memtable, predicates no row can satisfy, and a tree mixed mid-morph.
+// memtable, predicates no row can satisfy, and trees morphed in stages.
 //
 // Every check runs the same scan through every consumer (tests/model.h) on a
 // single LaserDB and on a 2-shard ShardedLaserDB, and compares each with the
@@ -280,17 +280,17 @@ TEST_P(ScanRangeNarrowingTest, MidMorphTree) {
   Compact();
   for (uint64_t key = 100; key < kKeys; key += 13) Update(key, {{1, key + 3}});
   Flush();
-  // Re-lay the tree bottom-up toward one column per group: stage k leaves
-  // levels [k, kLevels) columnar and the rest as they were, the mixed layout
-  // an in-flight morph passes through.
+  // Morph the tree toward one column per group in stages: stage k keeps
+  // levels [1, k) in width-2 groups and lays [k, kLevels) out columnar.
   const CgConfig start = CgConfig::EquiWidth(kColumns, kLevels, 2);
   const CgConfig columnar = CgConfig::ColumnOnly(kColumns, kLevels);
   for (int k = kLevels - 1; k >= 1; --k) {
     SCOPED_TRACE("stage " + std::to_string(k));
-    CgConfig stage = start;
-    for (int level = k; level < kLevels; ++level) {
-      stage.SetLevelGroups(level, columnar.groups(level));
+    std::vector<std::vector<ColumnSet>> levels;
+    for (int level = 0; level < kLevels; ++level) {
+      levels.push_back((level < k ? start : columnar).groups(level));
     }
+    const CgConfig stage(std::move(levels));
     SetTargetDesign(stage);
     Compact();
     CheckSweep();

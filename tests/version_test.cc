@@ -282,30 +282,56 @@ TEST_F(PickerTest, ChildFilesLimitedToOverlap) {
   EXPECT_EQ(job->inputs[1].files[0]->file_number, 4u);
 }
 
-TEST_F(PickerTest, MorphClaimsEveryOldAndNewGroupOfItsLevel) {
-  auto v = Version::Empty(options_.cg_config);  // L1: <1,2><3,4>
+TEST_F(PickerTest, MorphClaimsEveryRunBelowL0) {
+  auto v = Version::Empty(options_.cg_config);  // L1, L2: <1,2><3,4>
+  for (int i = 0; i < 4; ++i) {
+    v->AddLevel0File(FakeFile(10 + i, i * 10, i * 10 + 5, 500));  // L0 overflows
+  }
   v->ReplaceFiles(1, 0, {}, {FakeFile(1, 0, 10, 100)});
+  v->ReplaceFiles(2, 1, {}, {FakeFile(2, 0, 10, 100)});
 
-  // Shrinking L1 to one group still claims both old slots.
+  // Shrinking to row format: one job reads every run of L1 and L2, the empty
+  // ones too, shallow level first, and writes the bottom level's one group.
   const CgConfig row = CgConfig::RowOnly(4, 3);
   auto job = picker_->Pick(*v, {}, &row);
   ASSERT_TRUE(job.has_value());
-  EXPECT_TRUE(job->ReLaysLevel());
-  EXPECT_EQ(job->output_level, 1);
-  ASSERT_EQ(job->inputs.size(), 2u);  // every run of L1, the empty one too
-  EXPECT_EQ(job->output_columns, row.groups(1));
-  EXPECT_EQ(job->claims, (std::vector<std::pair<int, int>>{{1, 0}, {1, 1}}));
+  EXPECT_EQ(job->design, row);
+  EXPECT_EQ(job->output_level, 2);
+  EXPECT_TRUE(job->to_bottom_level);
+  ASSERT_EQ(job->inputs.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(job->inputs[i].level, 1 + i / 2);
+    EXPECT_EQ(job->inputs[i].group, i % 2);
+  }
+  EXPECT_EQ(job->output_columns, row.groups(2));
+  EXPECT_EQ(job->claims, (std::vector<std::pair<int, int>>{{1, 0}, {1, 1}, {2, 0}, {2, 1}}));
 
-  // Growing it to four groups claims every new slot.
+  // Growing the bottom level to four groups claims every new slot.
   const CgConfig columnar = CgConfig::ColumnOnly(4, 3);
   job = picker_->Pick(*v, {}, &columnar);
   ASSERT_TRUE(job.has_value());
   EXPECT_EQ(job->output_groups, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(job->claims,
-            (std::vector<std::pair<int, int>>{{1, 0}, {1, 1}, {1, 2}, {1, 3}}));
+  EXPECT_EQ(job->claims, (std::vector<std::pair<int, int>>{
+                             {1, 0}, {1, 1}, {2, 0}, {2, 1}, {2, 2}, {2, 3}}));
 
-  // A claimed old slot holds the morph back.
-  EXPECT_FALSE(picker_->Pick(*v, {{1, 1}}, &row).has_value());
+  // A claimed slot holds the morph back, and nothing else starts while the
+  // target is pending: the L0 job that could run without it waits too.
+  EXPECT_FALSE(picker_->Pick(*v, {{2, 1}}, &columnar).has_value());
+  EXPECT_TRUE(picker_->Pick(*v, {{2, 1}}).has_value());
+
+  // The install lays the whole tree out in the target, and overflow work
+  // resumes on it.
+  const auto next = job->Apply(*v, {{FakeFile(3, 0, 10, 100)}, {}, {}, {}});
+  EXPECT_EQ(next->design(), columnar);
+  EXPECT_EQ(next->files(0, 0).size(), 4u);
+  for (int g = 0; g < 4; ++g) {
+    EXPECT_TRUE(next->files(1, g).empty());
+    EXPECT_EQ(next->files(2, g).size(), g == 0 ? 1u : 0u);
+  }
+  job = picker_->Pick(*next, {}, &columnar);
+  ASSERT_TRUE(job.has_value());
+  EXPECT_EQ(job->design.num_levels(), 0);
+  EXPECT_EQ(job->inputs[0].level, 0);
 }
 
 }  // namespace
