@@ -408,18 +408,19 @@ TEST(ShardedSettleTest, CompactUntilStableOverlapsShards) {
   std::thread settler([&] { settle = db->CompactUntilStable(); });
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  // Shard 1's flush may land before shard 0's thread reaches its sync, so
+  // wait for both.
   bool overlapped = false;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (shard1->stats().flush_jobs.load() > shard1_flushes) {
-      overlapped = true;
-      break;
+  bool held = false;
+  while (std::chrono::steady_clock::now() < deadline && !(overlapped && held)) {
+    overlapped = shard1->stats().flush_jobs.load() > shard1_flushes;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      held = blocked;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    EXPECT_TRUE(blocked) << "shard 0 never synced an SST";
-  }
+  EXPECT_TRUE(held) << "shard 0 never synced an SST";
   EXPECT_EQ(db->shard(0)->stats().flush_jobs.load(), 0u);
   release();
   settler.join();
