@@ -71,9 +71,10 @@ class CgCompactionTest : public ::testing::Test {
     return job;
   }
 
-  /// The job folding level 2's runs `runs[g]`, laid out in `from[g]`, into
-  /// groups `to` of level 2 (L1 is empty). It keeps tombstones, as a job
-  /// above the bottom level would, so their recombination shows.
+  /// The morph job of a tree whose row-format L1 is empty and whose L2, the
+  /// bottom, holds `runs[g]` laid out in `from[g]`: it writes L2 in the
+  /// groups `to` and installs row format above them. It keeps tombstones, as
+  /// a job above the bottom level would, so their recombination shows.
   CompactionJob MorphJob(const std::vector<ColumnSet>& from,
                          const std::vector<Version::FileList>& runs,
                          const std::vector<ColumnSet>& to) {
@@ -86,6 +87,7 @@ class CgCompactionTest : public ::testing::Test {
     job.output_level = 2;
     for (size_t g = 0; g < to.size(); ++g) job.output_groups.push_back(static_cast<int>(g));
     job.output_columns = to;
+    job.design = CgConfig({{all}, {all}, to});
     return job;
   }
 
